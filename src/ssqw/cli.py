@@ -30,9 +30,8 @@ import time
 
 import numpy as np
 
-from .optimize import OptimizerConfig, TrainingResult, train, training_result_json_dict
+from .optimize import OptimizerConfig, TrainingResult, _start_state, train, training_result_json_dict
 from .pricing import OptionSpec, payoff_csv, payoff_report_to_json, price_report
-from .statevector import initial_state
 from .target import (
     DistSpec,
     Domain,
@@ -146,15 +145,11 @@ def cmd_gen_target(args: argparse.Namespace) -> int:
 
 
 def _build_init(args: argparse.Namespace, n_bins: int):
+    """An explicit start state only when --x0 or --coin-init is given, so
+    that a default run records train's own start (coin_init "up"/"balanced")."""
     if args.x0 is None and args.coin_init is None:
         return None
-    n_qubits = n_bins.bit_length() - 1
-    x0 = args.x0 if args.x0 is not None else n_bins // 2
-    coin = args.coin_init or ("balanced" if args.symmetric else "up")
-    if coin == "up":
-        return initial_state(n_qubits, 1.0, 0.0, x0)
-    r = 1.0 / math.sqrt(2.0)
-    return initial_state(n_qubits, r, 1j * r, x0)
+    return _start_state(n_bins, args.symmetric, args.x0, args.coin_init)[0]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -179,6 +174,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         result = train(target, config, init)
     except ValueError:
+        # Bad inputs are usage errors: main() maps them to exit 2, not 5.
         raise
     except Exception as exc:
         print(f"error: optimiser failed: {exc}", file=sys.stderr)

@@ -140,6 +140,26 @@ def _run_one_restart(f, x0: np.ndarray, config: OptimizerConfig) -> None:
         pass
 
 
+def _start_state(
+    n_bins: int, symmetric: bool, x0: int | None = None, coin: str | None = None
+) -> tuple[WalkerState, str]:
+    """The walker's start state and the name of its coin.
+
+    The walker sits at site ``x0`` (default: the centre) with coin "up" or
+    "balanced", (|up> + i |down>)/sqrt(2) (default: balanced in symmetric
+    mode, up otherwise).
+    """
+    if x0 is None:
+        x0 = n_bins // 2
+    if coin is None:
+        coin = "balanced" if symmetric else "up"
+    n_qubits = n_bins.bit_length() - 1
+    if coin == "up":
+        return initial_state(n_qubits, 1.0, 0.0, x0), coin
+    r = 1.0 / math.sqrt(2.0)
+    return initial_state(n_qubits, r, 1j * r, x0), coin
+
+
 def train(
     target: TargetDistribution,
     config: OptimizerConfig | None = None,
@@ -155,16 +175,8 @@ def train(
     if config is None:
         config = OptimizerConfig()
     n_bins = target.n_bins
-    n_qubits = n_bins.bit_length() - 1
     if init is None:
-        center = n_bins // 2
-        if config.symmetric_mode:
-            r = 1.0 / math.sqrt(2.0)
-            init = initial_state(n_qubits, r, 1j * r, center)
-            coin_init = "balanced"
-        else:
-            init = initial_state(n_qubits, 1.0, 0.0, center)
-            coin_init = "up"
+        init, coin_init = _start_state(n_bins, config.symmetric_mode)
     else:
         if init.num_positions != n_bins:
             raise ValueError(

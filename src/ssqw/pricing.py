@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .target import Domain, OptionSpec, TargetDistribution
+from .target import Domain, OptionSpec, TargetDistribution, _check_n_bins, _maturity_law
 
 REPORT_FORMAT_VERSION = 1
 
@@ -33,8 +33,7 @@ class PriceGrid:
     n_bins: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_bins, int) or self.n_bins < 2 or (self.n_bins & (self.n_bins - 1)) != 0:
-            raise ValueError(f"n_bins must be a power of two >= 2, got {self.n_bins!r}")
+        _check_n_bins(self.n_bins)
 
     @property
     def prices(self) -> np.ndarray:
@@ -64,15 +63,13 @@ class PayoffReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _lognormal_tail_mass(option: OptionSpec, domain: Domain, sigma_reading: str) -> tuple[float, float, float]:
-    sigma_t = option.vol if sigma_reading == "total" else option.vol * math.sqrt(option.maturity)
-    alpha = math.log(option.s0) + (option.effective_mu - option.rate - 0.5 * sigma_t**2) * option.maturity
+def _lognormal_tail_mass(sigma_t: float, alpha: float, domain: Domain) -> float:
     if sigma_t == 0.0:
         point = math.exp(alpha)
         inside = 1.0 if domain.lo < point < domain.hi else 0.0
-        return sigma_t, alpha, 1.0 - inside
+        return 1.0 - inside
     d = stats.lognorm(s=sigma_t, scale=math.exp(alpha))
-    return sigma_t, alpha, float(1.0 - (d.cdf(domain.hi) - d.cdf(domain.lo)))
+    return float(1.0 - (d.cdf(domain.hi) - d.cdf(domain.lo)))
 
 
 def price_report(
@@ -92,8 +89,7 @@ def price_report(
     annotated rather than treated as an error, because a quoted reference
     depends on the sigma reading and index-to-price mapping its source used.
     """
-    if sigma_reading not in ("total", "per-sqrt-time"):
-        raise ValueError(f"sigma_reading must be 'total' or 'per-sqrt-time', got {sigma_reading!r}")
+    sigma_t, alpha = _maturity_law(option, sigma_reading)
     trained = np.asarray(trained, dtype=np.float64)
     if trained.shape != target.probs.shape:
         raise ValueError(
@@ -107,7 +103,7 @@ def price_report(
         factor = math.exp(-option.rate * option.maturity)
         pay_t *= factor
         pay_w *= factor
-    sigma_t, alpha, tail = _lognormal_tail_mass(option, target.domain, sigma_reading)
+    tail = _lognormal_tail_mass(sigma_t, alpha, target.domain)
     metadata = {
         "grid_mapping": "bin-center",
         "sigma_reading": sigma_reading,

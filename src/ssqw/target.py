@@ -289,6 +289,15 @@ class OptionSpec:
         return self.rate if self.mu is None else self.mu
 
 
+def _maturity_law(opt: OptionSpec, sigma_reading: str) -> tuple[float, float]:
+    """(sigma_T, alpha) of log(S_T) for the option under a sigma reading."""
+    if sigma_reading not in ("total", "per-sqrt-time"):
+        raise ValueError(f"sigma_reading must be 'total' or 'per-sqrt-time', got {sigma_reading!r}")
+    sigma_t = opt.vol if sigma_reading == "total" else opt.vol * math.sqrt(opt.maturity)
+    alpha = math.log(opt.s0) + (opt.effective_mu - opt.rate - 0.5 * sigma_t**2) * opt.maturity
+    return sigma_t, alpha
+
+
 def bs_lognormal_target(
     opt: OptionSpec,
     domain: Domain,
@@ -304,11 +313,8 @@ def bs_lognormal_target(
     sqrt(maturity). Both readings are recorded in the provenance since the
     choice moves the histogram a lot at long maturities.
     """
-    if sigma_reading not in ("total", "per-sqrt-time"):
-        raise ValueError(f"sigma_reading must be 'total' or 'per-sqrt-time', got {sigma_reading!r}")
+    sigma_t, alpha = _maturity_law(opt, sigma_reading)
     _check_n_bins(n_bins)
-    sigma_t = opt.vol if sigma_reading == "total" else opt.vol * math.sqrt(opt.maturity)
-    alpha = math.log(opt.s0) + (opt.effective_mu - opt.rate - 0.5 * sigma_t**2) * opt.maturity
     prov = {
         "source": "bs-lognormal",
         "s0": opt.s0,

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import WalkerState, apply_coin
+# apply_coin stays importable as ssqw.walk.apply_coin: benchmarks/spans.py
+# hooks it by that name.
+from .statevector import WalkerState, apply_coin  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,6 +121,8 @@ PAULI_X_COIN = CoinParams(math.pi, 0.0, math.pi)
 PAULI_Y_COIN = CoinParams(math.pi, math.pi / 2.0, math.pi / 2.0)
 PAULI_Z_COIN = CoinParams(0.0, 0.0, math.pi)
 
+_IDENTITY_MATRIX = np.eye(2, dtype=np.complex128)
+
 
 def apply_shift_dtqw(state: WalkerState) -> WalkerState:
     """Conditional shift: up moves x -> x+1, down moves x -> x-1 (mod ring)."""
@@ -147,29 +151,50 @@ def apply_shift_minus(state: WalkerState) -> WalkerState:
     return WalkerState(out)
 
 
+def _run_steps(amps: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
+    """Run ``steps`` split steps on a copy of a raw (2, M) amplitude array.
+
+    Each step is coin1, the up row shifted one site right, coin2, the down
+    row shifted one site left. The two rows of one working copy are updated
+    in place and nothing is validated here: the public wrappers pass
+    amplitudes from a ``WalkerState`` and unitary coins. Each coin row is
+    formed as ``c[r, 0] * up + c[r, 1] * dn``, the expression ``apply_coin``
+    uses, so a step equals the composed public operators bit for bit.
+    """
+    out = amps.copy()
+    up, dn = out
+    (a00, a01), (a10, a11) = coin1
+    (b00, b01), (b10, b11) = coin2
+    for _ in range(steps):
+        new_up = a00 * up + a01 * dn
+        dn[:] = a10 * up + a11 * dn
+        up[1:] = new_up[:-1]
+        up[0] = new_up[-1]
+        new_dn = b10 * up + b11 * dn
+        up[:] = b00 * up + b01 * dn
+        dn[:-1] = new_dn[1:]
+        dn[-1] = new_dn[0]
+    return out
+
+
 def apply_dtqw_step(state: WalkerState, coin: CoinParams) -> WalkerState:
-    """One plain walk step: coin, then the full conditional shift."""
-    return apply_shift_dtqw(apply_coin(state, coin_matrix(coin)))
+    """One plain walk step: coin, then the full conditional shift.
+
+    This is a split step whose second coin is the identity.
+    """
+    return WalkerState(_run_steps(state.amps, coin_matrix(coin), _IDENTITY_MATRIX, 1))
 
 
 def apply_ssqw_step(state: WalkerState, params: SsqwParams) -> WalkerState:
     """One split step: coin1, S_plus, coin2, S_minus, in that order."""
-    s = apply_coin(state, coin_matrix(params.coin1))
-    s = apply_shift_plus(s)
-    s = apply_coin(s, coin_matrix(params.coin2))
-    return apply_shift_minus(s)
+    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
+    return WalkerState(_run_steps(state.amps, c1, c2, 1))
 
 
 def evolve(state: WalkerState, params: SsqwParams, schedule: WalkSchedule) -> WalkerState:
     """Apply ``schedule.steps`` identical split steps."""
-    c1 = coin_matrix(params.coin1)
-    c2 = coin_matrix(params.coin2)
-    out = state
-    for _ in range(schedule.steps):
-        out = apply_coin(out, c1)
-        out = apply_shift_plus(out)
-        out = apply_coin(out, c2)
-        out = apply_shift_minus(out)
+    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
+    out = WalkerState(_run_steps(state.amps, c1, c2, schedule.steps))
     assert abs(out.norm_sq() - state.norm_sq()) <= 1e-10 * schedule.steps * max(1.0, state.norm_sq())
     return out
 

@@ -188,6 +188,22 @@ def test_train_symmetric_flag(tmp_path):
     assert payload["best_params"]["coin1"]["phi"] == 0.0
 
 
+def test_train_start_site_and_coin_flags(tmp_path):
+    target = gen_normal_target(tmp_path)
+    flags = {"custom": ("--x0", "3", "--coin-init", "balanced"), "default": ()}
+    meta = {}
+    for name, extra in flags.items():
+        out = tmp_path / f"{name}.json"
+        code = run(
+            "train", "--target", str(target), "--out", str(out),
+            "--max-iters", "10", *extra,
+        )
+        assert code == 0
+        meta[name] = read_json(out)["metadata"]
+    assert (meta["custom"]["start_site"], meta["custom"]["coin_init"]) == (3, "custom")
+    assert (meta["default"]["start_site"], meta["default"]["coin_init"]) == (8, "up")
+
+
 # ------------------------------------------------------------------ price
 
 

@@ -17,6 +17,7 @@ from ssqw import (
     SsqwParams,
     WalkerState,
     WalkSchedule,
+    apply_coin,
     apply_dtqw_step,
     apply_shift_dtqw,
     apply_shift_minus,
@@ -161,6 +162,17 @@ def test_half_shifts_compose_to_full_shift_exactly():
         got = apply_shift_minus(apply_shift_plus(s))
         expect = apply_shift_dtqw(s)
         np.testing.assert_array_equal(got.amps, expect.amps)
+
+        angles = rng.uniform(-7.0, 7.0, size=6)
+        p = SsqwParams.from_array(angles)
+        composed = apply_shift_minus(
+            apply_coin(apply_shift_plus(apply_coin(s, coin_matrix(p.coin1))), coin_matrix(p.coin2))
+        )
+        assert apply_ssqw_step(s, p).amps.tobytes() == composed.amps.tobytes()
+        c = CoinParams(*angles[:3])
+        np.testing.assert_array_equal(
+            apply_dtqw_step(s, c).amps, apply_shift_dtqw(apply_coin(s, coin_matrix(c))).amps
+        )
 
 
 def test_shifts_match_dense_oracle():
