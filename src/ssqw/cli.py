@@ -192,7 +192,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_text(out, _result_json(result, target))
     _write_text(csv_out, _overlay_csv(target, result.trained_dist))
     print(
-        f"best_mse {result.best_mse:.6e} after {result.iterations_used} evaluations "
+        f"best_mse {result.best_mse:.6e} (floor {result.metadata['mse_floor']:.6e}) "
+        f"after {result.iterations_used} evaluations "
         f"({result.metadata['restarts_run']} restarts, {wall:.1f}s)"
     )
     if args.mse_gate is not None and result.best_mse > args.mse_gate:

@@ -26,6 +26,7 @@ from .walk import (
     WalkSchedule,
     _adjoint_sweep,
     _coin_matrix_derivatives,
+    _light_cone,
     coin_matrix,
     evolve,
     wrap_angle,
@@ -110,6 +111,28 @@ def _mse_and_gradient(
         for c, g in zip(coins, accumulators)
     ]
     return value, np.concatenate(grad)
+
+
+def _reach_floor(
+    target: TargetDistribution, init: WalkerState, schedule: WalkSchedule
+) -> tuple[float, float]:
+    """The target mass u outside the walk's light cone and the MSE floor
+    it sets.
+
+    A bin outside the cone keeps p_i = 0 and costs q_i^2. The r bins
+    inside carry all of the walker's unit mass against target mass 1 - u,
+    so by Cauchy-Schwarz their squared errors sum to at least u^2 / r. The
+    floor is (sum of q_i^2 outside + u^2 / r) / n_bins.
+    """
+    n = target.n_bins
+    cone = _light_cone(init.amps, schedule.steps)
+    if cone is None:
+        return 0.0, 0.0
+    outside = np.ones(n, dtype=bool)
+    outside[cone] = False
+    q = target.probs[outside]
+    u = math.fsum(q)
+    return u, (math.fsum(q * q) + u * u / cone.size) / n
 
 
 def _free_angles(symmetric: bool) -> np.ndarray:
@@ -361,10 +384,13 @@ def train(
 
     best_params = ev.to_params(ev.best_x)
     trained = position_distribution(evolve(init, best_params, config.steps))
+    unreachable_mass, mse_floor = _reach_floor(target, init, config.steps)
     metadata = {
         "mode": "symmetric" if config.symmetric_mode else "full",
         "coin_init": coin_init,
         "start_site": int(np.argmax(position_distribution(init))),
+        "unreachable_mass": unreachable_mass,
+        "mse_floor": mse_floor,
         "optimizer": config.optimizer,
         "seed": config.seed,
         "rng": "numpy-default-pcg64",

@@ -175,6 +175,14 @@ def test_train_repeat_seed_byte_identical(tmp_path):
     assert (tmp_path / "a" / "r.csv").read_bytes() == (tmp_path / "b" / "r.csv").read_bytes()
 
 
+def test_train_summary_prints_mse_floor(tmp_path, capsys):
+    target = gen_normal_target(tmp_path)
+    out = tmp_path / "r.json"
+    assert run("train", "--target", str(target), "--out", str(out), "--max-iters", "10") == 0
+    floor = read_json(out)["metadata"]["mse_floor"]
+    assert f"(floor {floor:.6e})" in capsys.readouterr().out
+
+
 def test_train_symmetric_flag(tmp_path):
     target = gen_normal_target(tmp_path)
     out = tmp_path / "r.json"
@@ -363,6 +371,13 @@ def test_repro_writes_all_artifacts(tmp_path):
     summary = read_json(tmp_path / "summary.json")
     assert set(summary) == {"format_version", "normal", "lognormal", "bs"}
     assert summary["bs"]["reference_payoff"] == 5.5342
+    floors = {}
+    for name in ("normal", "lognormal", "bs"):
+        result = read_json(tmp_path / f"{name}_result.json")
+        floors[name] = result["metadata"]["mse_floor"]
+        assert result["best_mse"] >= floors[name], name
+    # The BS target's mass sits in bin 0, which the walk cannot reach.
+    assert floors["bs"] >= 1.0 / 16.0
 
 
 # ------------------------------------------------------------------ misc

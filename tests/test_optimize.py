@@ -31,6 +31,7 @@ from ssqw.optimize import (
     _start_state,
 )
 from ssqw.statevector import WalkerState
+from ssqw.walk import _light_cone
 
 import oracles
 
@@ -305,11 +306,51 @@ def test_default_train_never_calls_scipy(monkeypatch):
     assert result.best_mse < result.mse_history[0]
 
 
+# ------------------------------------------------------------ reach floor
+
+
+def test_default_start_cannot_reach_bin_0_only():
+    # 16 bins, start site 8, 7 steps: the light cone is sites 1..15.
+    init, _ = _start_state(16, symmetric=False)
+    np.testing.assert_array_equal(_light_cone(init.amps, 7), np.arange(1, 16))
+    q = np.arange(1.0, 17.0) / 136.0
+    result = train(TargetDistribution(q, DOM), OptimizerConfig(max_iters=1))
+    assert result.metadata["unreachable_mass"] == q[0]
+    floor = (q[0] ** 2 + q[0] ** 2 / 15) / 16
+    assert result.metadata["mse_floor"] == pytest.approx(floor, rel=1e-14)
+    assert result.best_mse >= result.metadata["mse_floor"]
+
+
+def test_mse_floor_zero_when_the_cone_covers_the_ring():
+    result = train(ring_symmetric_target(), OptimizerConfig(max_iters=1, steps=WalkSchedule(8)))
+    assert (result.metadata["unreachable_mass"], result.metadata["mse_floor"]) == (0.0, 0.0)
+
+
 # --------------------------------------------------------------- gradient
 
 
 def _central_differences(loss, x, h=1e-5):
     return np.array([(loss(x + h * e) - loss(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
+
+
+def _assert_gradient_matches_both_oracles(x, psi0, q, steps):
+    m = q.size
+    target = TargetDistribution(q, Domain(0.0, float(m)))
+    init = WalkerState(psi0)
+    schedule = WalkSchedule(steps)
+
+    def loss(a):
+        return objective(SsqwParams.from_array(a), target, schedule, init)
+
+    def dense_loss(a):
+        psi = np.linalg.matrix_power(oracles.dense_ssqw_step(a, m), steps) @ psi0
+        p = np.abs(psi[:m]) ** 2 + np.abs(psi[m:]) ** 2
+        return oracles.mse_ref(q, p)
+
+    value, grad = _mse_and_gradient(SsqwParams.from_array(x), target, schedule, init)
+    assert value == loss(x)
+    np.testing.assert_allclose(grad, _central_differences(loss, x), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(grad, _central_differences(dense_loss, x), rtol=0, atol=1e-8)
 
 
 def test_mse_gradient_matches_both_oracles():
@@ -320,22 +361,12 @@ def test_mse_gradient_matches_both_oracles():
             x = rng.uniform(0.0, 2.0 * math.pi, 6)
             psi0 = oracles.random_walker_vec(rng, m)
             q = oracles.random_prob_vec(rng, m)
-            target = TargetDistribution(q, Domain(0.0, float(m)))
-            init = WalkerState(psi0)
-            schedule = WalkSchedule(steps)
-
-            def loss(a):
-                return objective(SsqwParams.from_array(a), target, schedule, init)
-
-            def dense_loss(a):
-                psi = np.linalg.matrix_power(oracles.dense_ssqw_step(a, m), steps) @ psi0
-                p = np.abs(psi[:m]) ** 2 + np.abs(psi[m:]) ** 2
-                return oracles.mse_ref(q, p)
-
-            value, grad = _mse_and_gradient(SsqwParams.from_array(x), target, schedule, init)
-            assert value == loss(x)
-            np.testing.assert_allclose(grad, _central_differences(loss, x), rtol=0, atol=1e-8)
-            np.testing.assert_allclose(grad, _central_differences(dense_loss, x), rtol=0, atol=1e-8)
+            _assert_gradient_matches_both_oracles(x, psi0, q, steps)
+    # A one-site start on 64 sites: the forward pass steps only its
+    # 11-site light cone, while the adjoint sweep runs the whole ring.
+    x = rng.uniform(0.0, 2.0 * math.pi, 6)
+    psi0 = initial_state(6, 0.6, 0.8j, 32).flat
+    _assert_gradient_matches_both_oracles(x, psi0, oracles.random_prob_vec(rng, 64), 5)
 
 
 def test_mse_gradient_symmetric_mode_projection():

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from ssqw import (
     ssqw_step_dense,
     wrap_angle,
 )
+from ssqw import walk
 
 import oracles
 
@@ -299,6 +302,97 @@ def test_evolve_preserves_norm(angles, t, seed):
     s = WalkerState(oracles.random_walker_vec(rng, 16))
     out = evolve(s, SsqwParams.from_array(np.array(angles)), WalkSchedule(t))
     assert abs(out.norm_sq() - 1.0) <= 1e-10 * t
+
+
+# ------------------------------------------------------------- light cone
+
+
+@contextlib.contextmanager
+def step_loop_widths():
+    """Record the number of sites of every array the step loop receives."""
+    widths = []
+    loop = walk._steps_in_place
+
+    def recording(out, *args):
+        widths.append(out.shape[1])
+        return loop(out, *args)
+
+    with mock.patch.object(walk, "_steps_in_place", recording):
+        yield widths
+
+
+@st.composite
+def localized_runs(draw):
+    """A state on 2**1..2**10 sites with a contiguous support, and 1..40 steps.
+
+    The support mostly ends near site M-1, so its light cone wraps past
+    site 0; it may also start near site 0 or itself wrap. Half of the draws
+    put the cone width w + 2t at M/2 - 1, M/2 or M/2 + 1. The end sites may
+    hold amplitude in one coin row only.
+    """
+    m = 1 << draw(st.integers(1, 10))
+    steps = draw(st.integers(1, 40))
+    offset = draw(st.sampled_from([None, None, None, -1, 0, 1]))
+    if offset is not None and m // 2 + offset - 2 >= 1:
+        steps = min(steps, (m // 2 + offset - 1) // 2)
+        w = m // 2 + offset - 2 * steps
+    else:
+        w = draw(st.integers(1, m))
+    k = draw(st.integers(0, min(3, m - w)))
+    side = draw(st.sampled_from(["ends-near-last", "ends-near-last", "starts-near-0", "wraps"]))
+    first = {"ends-near-last": m - w - k, "starts-near-0": k, "wraps": m - 1 - min(k, w - 1)}[side]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros((2, m), dtype=np.complex128)
+    sites = np.arange(first, first + w) % m
+    amps[:, sites] = rng.normal(size=(2, w)) + 1j * rng.normal(size=(2, w))
+    for end in {sites[0], sites[-1]}:
+        amps[draw(st.sampled_from([(), (0,), (1,)])), end] = 0.0
+    return WalkerState(amps / np.sqrt(np.sum(np.abs(amps) ** 2))), steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=localized_runs(), angles=angles_tuple())
+def test_windowed_steps_equal_full_ring(run, angles):
+    state, steps = run
+    m = state.num_positions
+    params = SsqwParams.from_array(np.array(angles))
+    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
+    occupied = np.flatnonzero(position_distribution(state))
+    span = int(occupied[-1] - occupied[0]) + 1
+
+    def full_ring(coin2, t):
+        return walk._steps_in_place(state.amps.copy(), c1, coin2, t)
+
+    with step_loop_widths() as widths:
+        got = evolve(state, params, WalkSchedule(steps)).amps
+    windowed = 4 * steps < m and span + 2 * steps <= m // 2
+    assert widths == [span + 2 * steps if windowed else m]
+    # array_equal treats -0.0 and 0.0 as equal: only the signs of exact
+    # zeros outside the cone may differ from the full-ring run.
+    assert np.array_equal(got, full_ring(c2, steps))
+
+    ssqw_state, dtqw_state = state, state
+    for _ in range(steps):
+        ssqw_state = apply_ssqw_step(ssqw_state, params)
+        dtqw_state = apply_dtqw_step(dtqw_state, params.coin1)
+    assert np.array_equal(ssqw_state.amps, got)
+    assert np.array_equal(dtqw_state.amps, full_ring(np.eye(2, dtype=np.complex128), steps))
+
+    if m <= 32:
+        w_ssqw = np.linalg.matrix_power(oracles.dense_ssqw_step(angles, m), steps)
+        np.testing.assert_allclose(got.reshape(-1), w_ssqw @ state.flat, atol=1e-12)
+        w_dtqw = np.linalg.matrix_power(oracles.dense_dtqw_step(*angles[:3], m), steps)
+        np.testing.assert_allclose(dtqw_state.flat, w_dtqw @ state.flat, atol=1e-12)
+
+
+def test_step_loop_runs_only_the_light_cone():
+    # A work count, not a timing: 64 steps from one site of a 2**16-site
+    # ring touch 129 sites, while the 16-bin, 7-step fit steps all 16.
+    params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
+    with step_loop_widths() as widths:
+        evolve(initial_state(16, 1.0, 0.0, 1 << 15), params, WalkSchedule(64))
+        evolve(initial_state(4, 1.0, 0.0, 8), params, WalkSchedule(7))
+    assert widths == [129, 16]
 
 
 def test_evolve_linearity():
