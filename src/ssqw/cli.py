@@ -31,7 +31,6 @@ import time
 import numpy as np
 
 from .optimize import (
-    OPTIMIZERS,
     OptimizerConfig,
     TrainingResult,
     _start_state,
@@ -39,6 +38,7 @@ from .optimize import (
     training_result_json_dict,
 )
 from .pricing import OptionSpec, payoff_csv, payoff_report_to_json, price_report
+from .statevector import _json_object
 from .target import (
     DistSpec,
     Domain,
@@ -119,6 +119,20 @@ def _result_json(result: TrainingResult, target: TargetDistribution) -> str:
 # ---------------------------------------------------------------- gen-target
 
 
+def _default_spec(
+    kind: str, domain: Domain, mu: float | None = None, sigma: float | None = None
+) -> DistSpec:
+    """The target centred on the domain, for whichever of mu and sigma is
+    not given: a normal at the centre with std width/8, or a lognormal with
+    log-std 0.5 whose mean is the centre (log-mean ln(centre) - sigma^2/2)."""
+    if sigma is None:
+        sigma = domain.width / 8.0 if kind == "normal" else 0.5
+    if mu is None:
+        center = 0.5 * (domain.lo + domain.hi)
+        mu = center if kind == "normal" else math.log(center) - 0.5 * sigma**2
+    return DistSpec(kind, mu, sigma)
+
+
 def cmd_gen_target(args: argparse.Namespace) -> int:
     domain = Domain(args.lo, args.hi)
     if args.kind == "bs":
@@ -130,14 +144,7 @@ def cmd_gen_target(args: argparse.Namespace) -> int:
         opt = OptionSpec(args.s0, args.strike, args.r, args.sigma, args.t, args.mu_drift)
         target = bs_lognormal_target(opt, domain, args.bins, args.sigma_reading)
     else:
-        mu = args.mu
-        sigma = args.sigma
-        if sigma is None:
-            sigma = domain.width / 8.0 if args.kind == "normal" else 0.5
-        if mu is None:
-            center = 0.5 * (domain.lo + domain.hi)
-            mu = center if args.kind == "normal" else math.log(center) - 0.5 * sigma**2
-        spec = DistSpec(args.kind, mu, sigma)
+        spec = _default_spec(args.kind, domain, args.mu, args.sigma)
         if args.analytic:
             target = analytic_histogram(spec, domain, args.bins)
         else:
@@ -174,7 +181,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         symmetric_mode=args.symmetric,
         restarts=args.restarts,
         seed=args.seed,
-        optimizer=args.optimizer,
     )
     init = _build_init(args, target.n_bins)
     t0 = time.perf_counter()
@@ -213,11 +219,13 @@ def _load_distribution_file(path: str) -> tuple[np.ndarray, int, dict | None]:
     if not os.path.exists(path):
         raise FileNotFoundError(f"file not found: {path}")
     with open(path) as fh:
-        payload = json.load(fh)
+        payload = _json_object(json.load(fh), path)
     if "trained_dist" in payload:
+        _json_object(payload, f"training result {path}", ("n_bins",))
         probs = np.asarray(payload["trained_dist"], dtype=np.float64)
         return probs, int(payload["n_bins"]), payload.get("domain")
     if "probs" in payload:
+        _json_object(payload, f"target file {path}", ("n_bins", "lo", "hi"))
         probs = np.asarray(payload["probs"], dtype=np.float64)
         return probs, int(payload["n_bins"]), {"lo": payload["lo"], "hi": payload["hi"]}
     raise ValueError(f"{path}: neither a training result nor a target file")
@@ -304,13 +312,9 @@ def cmd_repro(args: argparse.Namespace) -> int:
     )
     summary: dict = {"format_version": 1}
 
-    center = 0.5 * (domain.lo + domain.hi)
     recipes = [
-        ("normal", analytic_histogram(DistSpec("normal", center, domain.width / 8.0), domain, n_bins)),
-        (
-            "lognormal",
-            analytic_histogram(DistSpec("lognormal", math.log(center) - 0.125, 0.5), domain, n_bins),
-        ),
+        (kind, analytic_histogram(_default_spec(kind, domain), domain, n_bins))
+        for kind in ("normal", "lognormal")
     ]
     opt = OptionSpec(2.0, 2.0, 0.05, 0.4, 40.0)
     recipes.append(("bs", bs_lognormal_target(opt, domain, n_bins)))
@@ -404,19 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--restarts", type=int, default=1)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--symmetric", action="store_true", help="tie phases to zero, optimise thetas only")
-    t.add_argument("--optimizer", choices=OPTIMIZERS, default=OptimizerConfig.optimizer)
-    t.add_argument(
-        "--rhobeg",
-        type=float,
-        default=0.5,
-        help="adjoint-bfgs: longest line-search step",
-    )
-    t.add_argument(
-        "--rhoend",
-        type=float,
-        default=1e-6,
-        help="adjoint-bfgs: shortest trial step before a restart stops; nelder-mead: xatol",
-    )
+    t.add_argument("--rhobeg", type=float, default=0.5, help="longest line-search step")
+    t.add_argument("--rhoend", type=float, default=1e-6, help="shortest trial step before a restart stops")
     t.add_argument("--theta1", type=float, default=math.pi / 2.0)
     t.add_argument("--phi1", type=float, default=0.0)
     t.add_argument("--lam1", type=float, default=0.0)

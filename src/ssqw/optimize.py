@@ -2,13 +2,12 @@
 
 The trainable object is the six-angle split-step parameter set. Training
 minimises the mean squared error between the target histogram and the
-position distribution after a fixed number of steps, using a local
-optimiser with optional random restarts. The default, "adjoint-bfgs", is
-a BFGS written here in plain numpy on exact gradients from one adjoint
-sweep back through the steps, so its path does not depend on the
-installed SciPy; SciPy's derivative-free Nelder-Mead remains as a named
-choice. Everything is seeded and exact (probabilities, not
-shot counts), so a given configuration always reproduces the same result.
+position distribution after a fixed number of steps, with optional
+random restarts. The one optimiser, "adjoint-bfgs", is a BFGS written
+here in plain numpy on exact gradients from one adjoint sweep back
+through the steps, so its path does not depend on the installed SciPy.
+Everything is seeded and exact (probabilities, not shot counts), so a
+given configuration always reproduces the same result.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .statevector import WalkerState, initial_state, position_distribution
 from .target import TargetDistribution
@@ -38,12 +36,13 @@ RESULT_FORMAT_VERSION = 1
 
 MSE_SUM_TOL = 1e-6
 
-OPTIMIZERS = ("adjoint-bfgs", "nelder-mead")
+# The optimiser's name, echoed in every result's config and metadata.
+OPTIMIZER_NAME = "adjoint-bfgs"
 
-# Forward evaluations that one value-and-gradient call of "adjoint-bfgs"
-# is charged against max_iters. The forward pass plus the reverse sweep
-# measured 2.8-3.7 forward passes from 4 to 16 position qubits (numpy
-# 2.4, one core of a 2-core Xeon), and the charge must not be below that.
+# Forward evaluations that one value-and-gradient call is charged against
+# max_iters. The forward pass plus the reverse sweep measured 2.8-3.7
+# forward passes from 4 to 16 position qubits (numpy 2.4, one core of a
+# 2-core Xeon), and the charge must not be below that.
 EVALS_PER_GRADIENT = 4
 
 # Sufficient-decrease constant of the adjoint-bfgs line search.
@@ -146,17 +145,15 @@ class OptimizerConfig:
     """Knobs for train().
 
     max_iters bounds the forward evaluations charged to each restart: one
-    per objective value, EVALS_PER_GRADIENT per value-and-gradient call of
-    "adjoint-bfgs". For "adjoint-bfgs", initial_trust_radius is the longest
-    step one line search may take and final_trust_radius the shortest
-    trial step it tries before the restart stops; Nelder-Mead uses
-    final_trust_radius as its xatol. Restart 0 starts from initial_params;
-    further restarts draw all free angles uniformly from [0, 2*pi) using
-    the seed. symmetric_mode optimises only the two thetas, pins the four
-    phase angles to zero, and (unless an explicit initial state is
-    supplied) starts the walker in the balanced coin state
-    (|up> + i |down>)/sqrt(2), which makes every reachable distribution
-    symmetric about the start site.
+    per objective value, EVALS_PER_GRADIENT per value-and-gradient call.
+    initial_trust_radius is the longest step one line search may take and
+    final_trust_radius the shortest trial step it tries before the restart
+    stops. Restart 0 starts from initial_params; further restarts draw all
+    free angles uniformly from [0, 2*pi) using the seed. symmetric_mode
+    optimises only the two thetas, pins the four phase angles to zero, and
+    (unless an explicit initial state is supplied) starts the walker in the
+    balanced coin state (|up> + i |down>)/sqrt(2), which makes every
+    reachable distribution symmetric about the start site.
     """
 
     max_iters: int = 800
@@ -167,7 +164,6 @@ class OptimizerConfig:
     symmetric_mode: bool = False
     restarts: int = 1
     seed: int = 0
-    optimizer: str = "adjoint-bfgs"
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
@@ -179,8 +175,6 @@ class OptimizerConfig:
                 "need 0 < final_trust_radius < initial_trust_radius, got "
                 f"{self.final_trust_radius!r} and {self.initial_trust_radius!r}"
             )
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 
 
 @dataclass
@@ -194,18 +188,14 @@ class TrainingResult:
     metadata: dict
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _Evaluations:
     """Every evaluation of one train() run.
 
     Records each value in ``history`` and the best point seen, and charges
-    each call's forward evaluations to the current restart, refusing with
-    _BudgetExhausted a call that would take the restart past max_iters.
-    The optimisers see only the free angles ``x``: all six, or the two
-    thetas in symmetric mode (the phases pinned to zero).
+    each call's forward evaluations to the current restart; the caller
+    checks the budget before it calls. The optimiser sees only the free
+    angles ``x``: all six, or the two thetas in symmetric mode (the phases
+    pinned to zero).
     """
 
     def __init__(
@@ -231,11 +221,6 @@ class _Evaluations:
         angles[self.free] = x
         return SsqwParams.from_array(angles)
 
-    def _charge(self, cost: int) -> None:
-        if self.charged + cost > self.config.max_iters:
-            raise _BudgetExhausted
-        self.charged += cost
-
     def _record(self, x: np.ndarray, v: float) -> None:
         self.history.append(v)
         if v < self.best_val:
@@ -245,30 +230,30 @@ class _Evaluations:
 
     def value(self, x: np.ndarray) -> float:
         """objective() at x, charged one forward evaluation."""
-        self._charge(1)
+        self.charged += 1
         v = objective(self.to_params(x), self.target, self.config.steps, self.init)
         self._record(x, v)
         return v
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """objective() and its gradient by x, charged EVALS_PER_GRADIENT."""
-        self._charge(EVALS_PER_GRADIENT)
+        self.charged += EVALS_PER_GRADIENT
         v, g = _mse_and_gradient(self.to_params(x), self.target, self.config.steps, self.init)
         self._record(x, v)
         return v, g[self.free]
 
 
 def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> None:
-    """BFGS on exact gradients with Armijo backtracking, until the budget
-    runs out.
+    """One restart of BFGS on exact gradients with Armijo backtracking.
 
     The first direction is minus the gradient; later ones come from the
     inverse-Hessian estimate, scaled at its first update by s.y / y.y. No
     step is longer than ``initial_trust_radius``, and each trial halves
-    the step until it decreases the MSE enough. The run stops when a trial
-    step would be shorter than ``final_trust_radius`` or the direction is
-    not one of descent. A budget below one gradient call buys the start
-    value alone.
+    the step until it decreases the MSE enough. The run stops for one of
+    three reasons: the next value-and-gradient call would take the restart
+    past ``max_iters``, a trial step would be shorter than
+    ``final_trust_radius``, or the direction is not one of descent. A
+    budget below one gradient call buys the start value alone.
     """
     if config.max_iters < EVALS_PER_GRADIENT:
         ev.value(x0)
@@ -289,6 +274,8 @@ def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> 
         while True:
             if t * norm < config.final_trust_radius:
                 return
+            if ev.charged + EVALS_PER_GRADIENT > config.max_iters:
+                return
             x_new = x + t * d
             f_new, g_new = ev.value_and_gradient(x_new)
             if f_new <= f + _ARMIJO * t * slope:
@@ -303,26 +290,6 @@ def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> 
             v = eye - np.outer(s, y) / sy
             h = v @ h @ v.T + np.outer(s, s) / sy
         x, f, g = x_new, f_new, g_new
-
-
-def _run_one_restart(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> None:
-    """Drive one local optimisation; results are captured by ev."""
-    try:
-        if config.optimizer == "adjoint-bfgs":
-            _adjoint_bfgs(ev, x0, config)
-        else:
-            _sciopt.minimize(
-                ev.value,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": config.max_iters,
-                    "xatol": config.final_trust_radius,
-                    "fatol": 1e-12,
-                },
-            )
-    except _BudgetExhausted:
-        pass
 
 
 def _start_state(
@@ -377,7 +344,7 @@ def train(
     evals_per_restart: list[int] = []
     for r_idx, x0 in enumerate(starts):
         ev.start_restart(r_idx)
-        _run_one_restart(ev, np.asarray(x0, dtype=np.float64), config)
+        _adjoint_bfgs(ev, np.asarray(x0, dtype=np.float64), config)
         evals_per_restart.append(ev.charged)
         if ev.best_val == 0.0:
             break
@@ -391,12 +358,12 @@ def train(
         "start_site": int(np.argmax(position_distribution(init))),
         "unreachable_mass": unreachable_mass,
         "mse_floor": mse_floor,
-        "optimizer": config.optimizer,
+        "optimizer": OPTIMIZER_NAME,
         "seed": config.seed,
         "rng": "numpy-default-pcg64",
         "restarts_run": len(evals_per_restart),
         "evals_per_restart": evals_per_restart,
-        "evals_per_gradient": EVALS_PER_GRADIENT if config.optimizer == "adjoint-bfgs" else None,
+        "evals_per_gradient": EVALS_PER_GRADIENT,
         "best_restart": ev.best_restart,
     }
     return TrainingResult(
@@ -438,7 +405,7 @@ def training_result_json_dict(result: TrainingResult) -> dict:
             "symmetric_mode": cfg.symmetric_mode,
             "restarts": cfg.restarts,
             "seed": cfg.seed,
-            "optimizer": cfg.optimizer,
+            "optimizer": OPTIMIZER_NAME,
             "initial_params": {
                 "coin1": {"theta": ip.coin1.theta, "phi": ip.coin1.phi, "lam": ip.coin1.lam},
                 "coin2": {"theta": ip.coin2.theta, "phi": ip.coin2.phi, "lam": ip.coin2.lam},

@@ -22,6 +22,19 @@ UNITARITY_TOL = 1e-10
 STATE_FORMAT_VERSION = 1
 
 
+def _json_object(payload, what: str, keys: tuple[str, ...] = ()) -> dict:
+    """payload, if it is a JSON object holding every key in ``keys``.
+
+    Otherwise raises ValueError naming ``what`` and the first missing key.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{what} has no {key!r} key")
+    return payload
+
+
 @dataclass(frozen=True)
 class WalkerState:
     """Immutable walker state.
@@ -139,7 +152,7 @@ def state_to_json(state: WalkerState) -> str:
 
 
 def state_from_json(text: str) -> WalkerState:
-    payload = json.loads(text)
+    payload = _json_object(json.loads(text), "state JSON", ("amps", "num_position_qubits"))
     if payload.get("format_version") != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format_version: {payload.get('format_version')!r}")
     pairs = payload["amps"]

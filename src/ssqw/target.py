@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from .statevector import _json_object
+
 TARGET_FORMAT_VERSION = 1
 
 MIN_ACCEPT_RATE = 1e-6
@@ -152,7 +154,9 @@ class TargetDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "TargetDistribution":
-        payload = json.loads(text)
+        payload = _json_object(
+            json.loads(text), "target JSON", ("lo", "hi", "n_bins", "probs", "provenance")
+        )
         if payload.get("format_version") != TARGET_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported target format_version: {payload.get('format_version')!r}"

@@ -134,6 +134,30 @@ def test_train_missing_target_exit4(tmp_path):
     assert run("train", "--target", str(tmp_path / "nope.json")) == 4
 
 
+def assert_usage_error(capsys, code, *needles):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize("key", ["probs", "provenance"])
+def test_train_target_missing_key_exit2(tmp_path, capsys, key):
+    target = gen_normal_target(tmp_path)
+    payload = read_json(target)
+    del payload[key]
+    target.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert_usage_error(capsys, run("train", "--target", str(target)), repr(key))
+
+
+def test_train_target_not_an_object_exit2(tmp_path, capsys):
+    target = tmp_path / "t.json"
+    target.write_text("[0.5, 0.5]\n")
+    assert_usage_error(capsys, run("train", "--target", str(target)), "not a JSON object")
+
+
 def test_train_mse_gate(tmp_path):
     target = gen_normal_target(tmp_path)
     out = tmp_path / "r.json"
@@ -295,6 +319,22 @@ def test_price_domain_mismatch_exit6(tmp_path):
     assert code == 6
 
 
+def test_price_trained_without_n_bins_exit2(tmp_path, capsys):
+    target = gen_normal_target(tmp_path)
+    result = tmp_path / "r.json"
+    assert run("train", "--target", str(target), "--out", str(result), "--max-iters", "4") == 0
+    payload = read_json(result)
+    del payload["n_bins"]
+    result.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(
+        "price", "--target", str(target), "--trained", str(result),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert_usage_error(capsys, code, str(result), "'n_bins'")
+
+
 def test_price_missing_file_exit4(tmp_path):
     target = gen_normal_target(tmp_path)
     code = run(
@@ -389,3 +429,5 @@ def test_no_args_usage_error():
 
 def test_unknown_flag_usage_error(tmp_path):
     assert run("gen-target", "--kind", "normal", "--bogus", "1") == 2
+    # train --optimizer was removed along with the Nelder-Mead choice.
+    assert run("train", "--target", "t.json", "--optimizer", "adjoint-bfgs") == 2

@@ -25,7 +25,6 @@ from ssqw import (
 
 from ssqw.optimize import (
     EVALS_PER_GRADIENT,
-    OPTIMIZERS,
     _free_angles,
     _mse_and_gradient,
     _start_state,
@@ -238,34 +237,28 @@ def test_train_init_size_mismatch():
         train(target, OptimizerConfig(max_iters=10), init)
 
 
-def test_train_nelder_mead_fallback():
-    target = ring_symmetric_target()
-    config = OptimizerConfig(max_iters=120, restarts=1, seed=6, optimizer="nelder-mead")
-    result = train(target, config)
-    assert result.iterations_used <= 120
-    assert math.isfinite(result.best_mse)
-    again = train(target, config)
-    assert result.mse_history == again.mse_history
-
-
 def test_train_respects_budget_exactly():
     target = ring_symmetric_target()
-    for optimizer in OPTIMIZERS:
-        result = train(
-            target, OptimizerConfig(max_iters=25, restarts=3, seed=1, optimizer=optimizer)
-        )
-        assert result.iterations_used <= 75
-        assert all(n <= 25 for n in result.metadata["evals_per_restart"])
-        assert result.iterations_used == len(result.mse_history)
-    # Budgets below one gradient call's charge still record each start value.
+    result = train(target, OptimizerConfig(max_iters=25, restarts=3, seed=1))
+    assert result.iterations_used <= 75
+    assert all(n <= 25 for n in result.metadata["evals_per_restart"])
+    assert result.iterations_used == len(result.mse_history)
+    # Budgets below one gradient call's charge still record each start
+    # value, charged 1. Larger ones are spent whole gradient calls at a
+    # time: no restart stops early here, and none is charged past max_iters.
     init = initial_state(4, 1.0, 0.0, 8)
     start = objective(SsqwParams.balanced(), target, WalkSchedule(7), init)
     assert EVALS_PER_GRADIENT > 3
-    for max_iters in (1, 3):
+    for max_iters in range(1, 14):
         result = train(target, OptimizerConfig(max_iters=max_iters, restarts=3, seed=1))
-        assert result.mse_history[0] == start
-        assert result.metadata["evals_per_restart"] == [1, 1, 1]
-        assert result.iterations_used == len(result.mse_history) == 3
+        if max_iters < EVALS_PER_GRADIENT:
+            assert result.mse_history[0] == start
+            charge, values = 1, 1
+        else:
+            values = max_iters // EVALS_PER_GRADIENT
+            charge = EVALS_PER_GRADIENT * values
+        assert result.metadata["evals_per_restart"] == [charge] * 3, max_iters
+        assert result.iterations_used == len(result.mse_history) == 3 * values
 
 
 def test_optimizer_config_validation():
@@ -275,8 +268,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(initial_trust_radius=1e-6, final_trust_radius=1e-6)
-    with pytest.raises(ValueError):
-        OptimizerConfig(optimizer="bfgs")
+    with pytest.raises(TypeError):
+        OptimizerConfig(optimizer="adjoint-bfgs")
 
 
 def test_training_result_json_wrapped_angles():
@@ -299,9 +292,10 @@ def test_default_train_never_calls_scipy(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.optimize.minimize called")
 
-    monkeypatch.setattr("ssqw.optimize._sciopt.minimize", refuse)
+    monkeypatch.setattr("scipy.optimize.minimize", refuse)
     result = train(ring_symmetric_target(), OptimizerConfig(max_iters=40, restarts=2, seed=3))
-    assert result.config.optimizer == "adjoint-bfgs"
+    payload = training_result_json_dict(result)
+    assert payload["config"]["optimizer"] == payload["metadata"]["optimizer"] == "adjoint-bfgs"
     assert result.metadata["evals_per_gradient"] == EVALS_PER_GRADIENT
     assert result.best_mse < result.mse_history[0]
 

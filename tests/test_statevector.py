@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -184,3 +185,12 @@ def test_state_json_rejects_wrong_version():
     bad = state_to_json(s).replace('"format_version": 1', '"format_version": 99')
     with pytest.raises(ValueError):
         state_from_json(bad)
+
+
+def test_state_json_rejects_non_object_and_missing_key():
+    with pytest.raises(ValueError, match="not a JSON object"):
+        state_from_json("[1, 0]")
+    payload = json.loads(state_to_json(initial_state(2, 1.0, 0.0, 0)))
+    del payload["amps"]
+    with pytest.raises(ValueError, match="'amps'"):
+        state_from_json(json.dumps(payload))
