@@ -221,13 +221,18 @@ def _load_distribution_file(path: str) -> tuple[np.ndarray, int, dict | None]:
     with open(path) as fh:
         payload = _json_object(json.load(fh), path)
     if "trained_dist" in payload:
-        _json_object(payload, f"training result {path}", ("n_bins",))
+        _json_object(payload, f"training result {path}", n_bins="integer", trained_dist="array")
+        dom = payload.get("domain")
+        if dom is not None:
+            _json_object(dom, f"training result {path} domain", lo="number", hi="number")
         probs = np.asarray(payload["trained_dist"], dtype=np.float64)
-        return probs, int(payload["n_bins"]), payload.get("domain")
+        return probs, payload["n_bins"], dom
     if "probs" in payload:
-        _json_object(payload, f"target file {path}", ("n_bins", "lo", "hi"))
+        _json_object(
+            payload, f"target file {path}", n_bins="integer", lo="number", hi="number", probs="array"
+        )
         probs = np.asarray(payload["probs"], dtype=np.float64)
-        return probs, int(payload["n_bins"]), {"lo": payload["lo"], "hi": payload["hi"]}
+        return probs, payload["n_bins"], {"lo": payload["lo"], "hi": payload["hi"]}
     raise ValueError(f"{path}: neither a training result nor a target file")
 
 
@@ -379,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Split-step walk distribution loading and call payoff evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = OptimizerConfig()
 
     g = sub.add_parser("gen-target", help="generate a target histogram")
     g.add_argument("--kind", required=True, choices=["normal", "lognormal", "uniform", "bs"])
@@ -403,19 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--target", required=True)
     t.add_argument("--out", default=None)
     t.add_argument("--csv", default=None, help="overlay CSV path; default: result path with .csv")
-    t.add_argument("--steps", type=int, default=7)
-    t.add_argument("--max-iters", type=int, default=800)
-    t.add_argument("--restarts", type=int, default=1)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--steps", type=int, default=defaults.steps.steps)
+    t.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    t.add_argument("--restarts", type=int, default=defaults.restarts)
+    t.add_argument("--seed", type=int, default=defaults.seed)
     t.add_argument("--symmetric", action="store_true", help="tie phases to zero, optimise thetas only")
-    t.add_argument("--rhobeg", type=float, default=0.5, help="longest line-search step")
-    t.add_argument("--rhoend", type=float, default=1e-6, help="shortest trial step before a restart stops")
-    t.add_argument("--theta1", type=float, default=math.pi / 2.0)
-    t.add_argument("--phi1", type=float, default=0.0)
-    t.add_argument("--lam1", type=float, default=0.0)
-    t.add_argument("--theta2", type=float, default=math.pi / 2.0)
-    t.add_argument("--phi2", type=float, default=0.0)
-    t.add_argument("--lam2", type=float, default=0.0)
+    t.add_argument("--rhobeg", type=float, default=defaults.initial_trust_radius, help="longest line-search step")
+    t.add_argument("--rhoend", type=float, default=defaults.final_trust_radius, help="shortest trial step before a restart stops")
+    for k, coin in enumerate((defaults.initial_params.coin1, defaults.initial_params.coin2), 1):
+        for angle in ("theta", "phi", "lam"):
+            t.add_argument(f"--{angle}{k}", type=float, default=getattr(coin, angle))
     t.add_argument("--x0", type=int, default=None, help="start site; default: centre of the ring")
     t.add_argument("--coin-init", choices=["up", "balanced"], default=None)
     t.add_argument("--mse-gate", type=float, default=None, help="exit 1 if best MSE lands above this")
@@ -451,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("repro", help="re-run the three canonical fits with fixed seeds")
     r.add_argument("--outdir", default=None)
     r.add_argument("--seed", type=int, default=7)
-    r.add_argument("--steps", type=int, default=7)
-    r.add_argument("--max-iters", type=int, default=800)
+    r.add_argument("--steps", type=int, default=defaults.steps.steps)
+    r.add_argument("--max-iters", type=int, default=defaults.max_iters)
     r.add_argument("--restarts", type=int, default=8)
     r.add_argument("--reference", type=float, default=REFERENCE_PAYOFF_DEFAULT)
     r.set_defaults(func=cmd_repro)

@@ -40,9 +40,10 @@ MSE_SUM_TOL = 1e-6
 OPTIMIZER_NAME = "adjoint-bfgs"
 
 # Forward evaluations that one value-and-gradient call is charged against
-# max_iters. The forward pass plus the reverse sweep measured 2.8-3.7
-# forward passes from 4 to 16 position qubits (numpy 2.4, one core of a
-# 2-core Xeon), and the charge must not be below that.
+# max_iters. The forward pass plus the reverse sweep measured 1.1-3.0
+# forward passes at 4, 10 and 16 position qubits (centre start, 7 steps,
+# numpy 2.4, one core of a 2-core Xeon), and the charge must not be below
+# that.
 EVALS_PER_GRADIENT = 4
 
 # Sufficient-decrease constant of the adjoint-bfgs line search.

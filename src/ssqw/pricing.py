@@ -15,9 +15,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
-from .target import Domain, OptionSpec, TargetDistribution, _check_n_bins, _maturity_law
+from .target import (
+    DistSpec,
+    Domain,
+    OptionSpec,
+    TargetDistribution,
+    _check_n_bins,
+    _frozen_dist,
+    _maturity_law,
+)
 
 REPORT_FORMAT_VERSION = 1
 
@@ -68,7 +75,7 @@ def _lognormal_tail_mass(sigma_t: float, alpha: float, domain: Domain) -> float:
         point = math.exp(alpha)
         inside = 1.0 if domain.lo < point < domain.hi else 0.0
         return 1.0 - inside
-    d = stats.lognorm(s=sigma_t, scale=math.exp(alpha))
+    d = _frozen_dist(DistSpec("lognormal", alpha, sigma_t))
     return float(1.0 - (d.cdf(domain.hi) - d.cdf(domain.lo)))
 
 

@@ -22,16 +22,26 @@ UNITARITY_TOL = 1e-10
 STATE_FORMAT_VERSION = 1
 
 
-def _json_object(payload, what: str, keys: tuple[str, ...] = ()) -> dict:
-    """payload, if it is a JSON object holding every key in ``keys``.
+# The Python types json.loads returns for each JSON kind a key can be required to hold.
+_JSON_KINDS = {"number": (int, float), "integer": int, "array": list, "object": dict}
 
-    Otherwise raises ValueError naming ``what`` and the first missing key.
+
+def _json_object(payload, what: str, **kinds: str) -> dict:
+    """payload, if it is a JSON object whose every key named in ``kinds``
+    holds a value of the JSON kind given for it: "number", "integer",
+    "array" or "object" (true and false are none of these).
+
+    Otherwise raises ValueError naming ``what`` and the first missing or
+    wrongly typed key.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{what} is not a JSON object")
-    for key in keys:
+    for key, kind in kinds.items():
         if key not in payload:
             raise ValueError(f"{what} has no {key!r} key")
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+            raise ValueError(f"{what} key {key!r} must be a JSON {kind}, got {json.dumps(value)}")
     return payload
 
 
@@ -152,7 +162,9 @@ def state_to_json(state: WalkerState) -> str:
 
 
 def state_from_json(text: str) -> WalkerState:
-    payload = _json_object(json.loads(text), "state JSON", ("amps", "num_position_qubits"))
+    payload = _json_object(
+        json.loads(text), "state JSON", amps="array", num_position_qubits="integer"
+    )
     if payload.get("format_version") != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format_version: {payload.get('format_version')!r}")
     pairs = payload["amps"]

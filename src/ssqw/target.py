@@ -155,7 +155,8 @@ class TargetDistribution:
     @classmethod
     def from_json(cls, text: str) -> "TargetDistribution":
         payload = _json_object(
-            json.loads(text), "target JSON", ("lo", "hi", "n_bins", "probs", "provenance")
+            json.loads(text), "target JSON",
+            lo="number", hi="number", n_bins="integer", probs="array", provenance="object",
         )
         if payload.get("format_version") != TARGET_FORMAT_VERSION:
             raise ValueError(

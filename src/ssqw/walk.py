@@ -13,11 +13,20 @@ so C1 is applied first, then S_plus (up moves right, down stays), then
 C2, then S_minus (down moves left, up stays). Composing the two
 half-shifts with no coin in between reproduces the plain shift exactly.
 
+One half-step, ``_half_step``, is the only code that moves amplitudes:
+a coin on both coin rows, then one row shifted one site by slicing. The
+forward kernel runs each split step as two of them (C1 with the up row
+moving right, C2 with the down row moving left). The adjoint sweep that
+gives the coin gradients runs the same half-step backwards, with the
+conjugate-transposed coins and the opposite moves.
+
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites are first..last fill only its light cone
-first-t..last+t. The step kernel runs a localized state on that cone
-alone when it is at most half the ring. This is exact, not a truncation:
-every site outside the cone stays an exact zero in the full-ring run too.
+first-t..last+t. One rule, ``_window``, has both directions step a
+localized state on that cone alone when it is at most half the ring: the
+forward kernel takes the cone of the start state, the sweep that of the
+final state. This is exact, not a truncation: every site outside the
+cone stays an exact zero in the full-ring run too.
 """
 
 from __future__ import annotations
@@ -198,55 +207,95 @@ def _light_cone(amps: np.ndarray, steps: int) -> np.ndarray | None:
     return np.arange(occupied[0] - steps, occupied[-1] + steps + 1) % m
 
 
-def _run_steps(amps: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
-    """Run ``steps`` split steps on a copy of a raw (2, M) amplitude array.
+def _window(amps: np.ndarray, steps: int) -> np.ndarray | None:
+    """The ring sites to step ``steps`` times from ``amps``, or None for
+    the whole ring.
 
-    A localized input is run only inside its light cone (``_light_cone``)
-    when the cone is at most half the ring: the cone's sites are gathered,
-    stepped, and scattered back into a zero ring. This is exact. No
-    amplitude can travel further than ``steps`` sites, so the walk never
-    fills a site outside the cone, and the padded slice's own wrap-around
-    only ever moves zeros into it. Values equal the full-ring run; only
-    the signs of exact zeros outside the cone may differ. Up to half the
-    ring the gather and scatter cost less than the sites they skip (at
-    half the ring the windowed run took 0.49-1.04 of the full-ring time
-    from 2**8 to 2**16 sites, on one core of a 2-core Xeon with numpy 2.4;
-    at three quarters, 0.84-1.10). When
-    ``4 * steps >= M`` even a one-site cone is more than half the ring, so
-    the occupied sites are not scanned and the whole ring is stepped.
+    A localized state is stepped only inside its light cone
+    (``_light_cone``) when the cone is at most half the ring. This is
+    exact. No amplitude travels further than ``steps`` sites, so nothing
+    outside the cone ever becomes non-zero, and the cone's own wrap-around
+    only ever moves zeros. Up to half the ring the gather (and, forward,
+    the scatter) cost less than the sites they skip (at half the ring the
+    windowed forward run took 0.49-1.04 of the full-ring time from 2**8 to
+    2**16 sites, on one core of a 2-core Xeon with numpy 2.4; at three
+    quarters, 0.84-1.10). When ``4 * steps >= M`` even a one-site cone is
+    more than half the ring, so the occupied sites are not scanned.
     """
     m = amps.shape[1]
     if 4 * steps < m:
         sites = _light_cone(amps, steps)
         if sites is not None and sites.size <= m // 2:
-            out = np.zeros_like(amps)
-            out[:, sites] = _steps_in_place(amps[:, sites], coin1, coin2, steps)
-            return out
-    return _steps_in_place(amps.copy(), coin1, coin2, steps)
+            return sites
+    return None
+
+
+def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right: bool) -> None:
+    """Half of a split step, in place: a coin on both coin rows, then one
+    row moved one site around the ring.
+
+    ``up`` and ``dn`` are the two coin rows, with sites along their last
+    axis; ``coin`` is the 2x2 coin as four scalars (c00, c01, c10, c11).
+    Each new row is formed as ``c[r, 0] * up + c[r, 1] * dn``, the
+    expression ``apply_coin`` uses. Then the up row if ``move_up``, else
+    the down row, moves one site right if ``right``, else left, by
+    slicing. This is the only place that knows how a split step moves
+    amplitudes.
+    """
+    c00, c01, c10, c11 = coin
+    if move_up:
+        moved = c00 * up + c01 * dn
+        dn[...] = c10 * up + c11 * dn
+        row = up
+    else:
+        moved = c10 * up + c11 * dn
+        up[...] = c00 * up + c01 * dn
+        row = dn
+    if right:
+        row[..., 1:] = moved[..., :-1]
+        row[..., :1] = moved[..., -1:]
+    else:
+        row[..., :-1] = moved[..., 1:]
+        row[..., -1:] = moved[..., :1]
+
+
+def _scalars(coin: np.ndarray) -> tuple:
+    """A 2x2 coin as the four Python scalars (c00, c01, c10, c11)."""
+    return tuple(complex(c) for c in coin.flat)
+
+
+_IDENTITY_SCALARS = _scalars(_IDENTITY_MATRIX)
+
+
+def _run_steps(amps: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
+    """Run ``steps`` split steps on a copy of a raw (2, M) amplitude array.
+
+    Only the ``_window`` of the start state is stepped: its sites are
+    gathered, stepped, and scattered back into a zero ring. Values equal
+    the full-ring run; only the signs of exact zeros outside the window
+    may differ.
+    """
+    sites = _window(amps, steps)
+    if sites is None:
+        return _steps_in_place(amps.copy(), coin1, coin2, steps)
+    out = np.zeros_like(amps)
+    out[:, sites] = _steps_in_place(amps[:, sites], coin1, coin2, steps)
+    return out
 
 
 def _steps_in_place(out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
     """Run ``steps`` split steps in place on a (2, w) ring and return it.
 
-    Each step is coin1, the up row shifted one site right, coin2, the down
-    row shifted one site left. Nothing is validated here: the public
-    wrappers pass amplitudes from a ``WalkerState`` and unitary coins. Each
-    coin row is formed as ``c[r, 0] * up + c[r, 1] * dn``, the expression
-    ``apply_coin`` uses, so a step equals the composed public operators bit
-    for bit.
+    Each step is two half-steps: coin1 with the up row moving right, then
+    coin2 with the down row moving left. Nothing is validated here: the
+    public wrappers pass amplitudes from a ``WalkerState`` and unitary
+    coins. A step equals the composed public operators bit for bit.
     """
     up, dn = out
-    (a00, a01), (a10, a11) = coin1
-    (b00, b01), (b10, b11) = coin2
+    c1, c2 = _scalars(coin1), _scalars(coin2)
     for _ in range(steps):
-        new_up = a00 * up + a01 * dn
-        dn[:] = a10 * up + a11 * dn
-        up[1:] = new_up[:-1]
-        up[0] = new_up[-1]
-        new_dn = b10 * up + b11 * dn
-        up[:] = b00 * up + b01 * dn
-        dn[:-1] = new_dn[1:]
-        dn[-1] = new_dn[0]
+        _half_step(up, dn, c1, move_up=True, right=True)
+        _half_step(up, dn, c2, move_up=False, right=False)
     return out
 
 
@@ -258,28 +307,40 @@ def _adjoint_sweep(
 
     ``amps`` is the final (2, M) state psi and ``seed`` the adjoint lambda
     of L at it, so that dL = 2 Re sum(conj(lambda) * d psi). The
-    sweep undoes the ``steps`` split steps one at a time (inverse shifts,
-    then the conjugate transposed coin), carrying psi and lambda back
-    together, so it stores no trajectory. It returns the accumulators
+    sweep undoes the ``steps`` split steps one at a time, carrying psi and
+    lambda back together through ``_half_step`` on their stacked rows, so
+    it stores no trajectory. Its half-steps use C-dagger and the opposite
+    moves: the later step's C1-dagger (the identity for the last step)
+    with the down row moving back right, then C2-dagger with the up row
+    moving back left. It returns the accumulators
 
         G_k = sum over steps and sites of conj(lambda_out) psi_in^T
 
     at coin k (lambda after the coin, psi before it), for which
     dL/da = 2 Re sum(dC_k/da * G_k) for each angle a of coin k.
+
+    Only the ``_window`` of the final state is swept, and the sums run
+    over its sites alone. This is exact when ``seed`` is zero wherever
+    ``amps`` is, as the MSE's (2/n)(p - q) psi is: under W-dagger psi and
+    lambda then spread from the final state's support by at most one site
+    per step, so they stay zero outside its cone.
     """
-    m = amps.shape[1]
+    sites = _window(amps, steps)
+    if sites is not None:
+        amps, seed = amps[:, sites], seed[:, sites]
     z = np.stack([amps, seed], axis=1)  # z[row, 0] = psi, z[row, 1] = lambda
-    inv1, inv2 = coin1.conj().T, coin2.conj().T
+    up, dn = z
+    inv1, inv2 = _scalars(coin1.conj().T), _scalars(coin2.conj().T)
     k1 = np.zeros((2, 2), dtype=np.complex128)
     k2 = np.zeros((2, 2), dtype=np.complex128)
+    c1 = _IDENTITY_SCALARS
     for _ in range(steps):
-        z[1] = np.roll(z[1], 1, axis=-1)  # undo S_minus: down moves back right
+        _half_step(up, dn, c1, move_up=False, right=True)
         # K is taken at the coin's output; G = K conj(C) once the sweep ends.
         k2 += z[:, 1].conj() @ z[:, 0].T
-        z = (inv2 @ z.reshape(2, 2 * m)).reshape(2, 2, m)
-        z[0] = np.roll(z[0], -1, axis=-1)  # undo S_plus: up moves back left
+        _half_step(up, dn, inv2, move_up=True, right=False)
         k1 += z[:, 1].conj() @ z[:, 0].T
-        z = (inv1 @ z.reshape(2, 2 * m)).reshape(2, 2, m)
+        c1 = inv1
     return k1 @ coin1.conj(), k2 @ coin2.conj()
 
 

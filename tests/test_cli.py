@@ -152,6 +152,23 @@ def test_train_target_missing_key_exit2(tmp_path, capsys, key):
     assert_usage_error(capsys, run("train", "--target", str(target)), repr(key))
 
 
+@pytest.mark.parametrize(
+    "key, value, needle",
+    [("provenance", 5, "must be a JSON object, got 5"),
+     ("lo", "a", 'must be a JSON number, got "a"'),
+     ("hi", None, "must be a JSON number, got null"),
+     ("n_bins", 16.0, "must be a JSON integer, got 16.0")],
+    ids=["provenance", "lo", "hi", "n_bins"],
+)
+def test_train_target_wrong_type_exit2(tmp_path, capsys, key, value, needle):
+    target = gen_normal_target(tmp_path)
+    payload = read_json(target)
+    payload[key] = value
+    target.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert_usage_error(capsys, run("train", "--target", str(target)), repr(key), needle)
+
+
 def test_train_target_not_an_object_exit2(tmp_path, capsys):
     target = tmp_path / "t.json"
     target.write_text("[0.5, 0.5]\n")
@@ -333,6 +350,27 @@ def test_price_trained_without_n_bins_exit2(tmp_path, capsys):
         "--out", str(tmp_path / "p.json"),
     )
     assert_usage_error(capsys, code, str(result), "'n_bins'")
+
+
+@pytest.mark.parametrize(
+    "domain, needle",
+    [(5, "domain is not a JSON object"), ({"lo": 0.0, "hi": "15"}, "'hi' must be a JSON number")],
+    ids=["not-an-object", "hi-string"],
+)
+def test_price_trained_wrong_domain_exit2(tmp_path, capsys, domain, needle):
+    target = gen_normal_target(tmp_path)
+    result = tmp_path / "r.json"
+    assert run("train", "--target", str(target), "--out", str(result), "--max-iters", "4") == 0
+    payload = read_json(result)
+    payload["domain"] = domain
+    result.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(
+        "price", "--target", str(target), "--trained", str(result),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert_usage_error(capsys, code, str(result), needle)
 
 
 def test_price_missing_file_exit4(tmp_path):

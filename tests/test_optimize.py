@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ssqw.optimize import (
     _mse_and_gradient,
     _start_state,
 )
+from ssqw import walk
 from ssqw.statevector import WalkerState
 from ssqw.walk import _light_cone
 
@@ -300,6 +302,16 @@ def test_default_train_never_calls_scipy(monkeypatch):
     assert result.best_mse < result.mse_history[0]
 
 
+def test_default_train_never_calls_numpy_roll(monkeypatch):
+    # Both the forward pass and the adjoint sweep shift by slicing.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.roll called")
+
+    monkeypatch.setattr(np, "roll", refuse)
+    result = train(ring_symmetric_target(), OptimizerConfig(max_iters=40, restarts=2, seed=3))
+    assert result.best_mse < result.mse_history[0]
+
+
 # ------------------------------------------------------------ reach floor
 
 
@@ -361,6 +373,25 @@ def test_mse_gradient_matches_both_oracles():
     x = rng.uniform(0.0, 2.0 * math.pi, 6)
     psi0 = initial_state(6, 0.6, 0.8j, 32).flat
     _assert_gradient_matches_both_oracles(x, psi0, oracles.random_prob_vec(rng, 64), 5)
+
+
+def test_windowed_sweep_gradient_equals_full_ring():
+    # A start near site M-1 of a 2**10-site ring: the final state fills
+    # sites M-17..M-1, and the sweep steps only their light cone, which
+    # wraps past site 0.
+    rng = np.random.default_rng(37)
+    m = 1 << 10
+    target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+    init = initial_state(10, 0.6, 0.8j, m - 9)
+    params = SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6))
+    schedule = WalkSchedule(8)
+    sites = walk._window(evolve(init, params, schedule).amps, schedule.steps)
+    np.testing.assert_array_equal(sites, np.arange(m - 25, m + 8) % m)
+    value, grad = _mse_and_gradient(params, target, schedule, init)
+    with mock.patch.object(walk, "_window", lambda amps, steps: None):
+        full_value, full_grad = _mse_and_gradient(params, target, schedule, init)
+    assert value == full_value
+    assert np.max(np.abs(grad - full_grad)) <= 1e-12 * np.max(np.abs(full_grad))
 
 
 def test_mse_gradient_symmetric_mode_projection():

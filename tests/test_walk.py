@@ -395,6 +395,27 @@ def test_step_loop_runs_only_the_light_cone():
     assert widths == [129, 16]
 
 
+def test_adjoint_sweep_runs_only_the_light_cone():
+    # The reverse sweep steps the final state's light cone: 64 steps back
+    # from the 129 sites a one-site start fills on 2**16 sites touch 257,
+    # while the 16-bin, 7-step fit sweeps all 16. Each step is two
+    # half-steps.
+    params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
+    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
+    widths = []
+    half_step = walk._half_step
+
+    def recording(up, dn, *args, **kwargs):
+        widths.append(up.shape[-1])
+        return half_step(up, dn, *args, **kwargs)
+
+    for n, site, steps in ((16, 1 << 15, 64), (4, 8, 7)):
+        final = evolve(initial_state(n, 1.0, 0.0, site), params, WalkSchedule(steps)).amps
+        with mock.patch.object(walk, "_half_step", recording):
+            walk._adjoint_sweep(final, final, c1, c2, steps)
+    assert widths == [257] * 128 + [16] * 14
+
+
 def test_evolve_linearity():
     rng = np.random.default_rng(31)
     v1 = oracles.random_walker_vec(rng, 8)
