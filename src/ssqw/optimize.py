@@ -244,21 +244,23 @@ class _Evaluations:
         return v, g[self.free]
 
 
-def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> None:
+def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> str:
     """One restart of BFGS on exact gradients with Armijo backtracking.
 
     The first direction is minus the gradient; later ones come from the
     inverse-Hessian estimate, scaled at its first update by s.y / y.y. No
     step is longer than ``initial_trust_radius``, and each trial halves
     the step until it decreases the MSE enough. The run stops for one of
-    three reasons: the next value-and-gradient call would take the restart
-    past ``max_iters``, a trial step would be shorter than
-    ``final_trust_radius``, or the direction is not one of descent. A
-    budget below one gradient call buys the start value alone.
+    three reasons, which it returns: "budget" when the next
+    value-and-gradient call would take the restart past ``max_iters``,
+    "short-step" when a trial step would be shorter than
+    ``final_trust_radius``, and "no-descent" when the direction is not one
+    of descent. A budget below one gradient call buys the start value
+    alone, and stops for "budget".
     """
     if config.max_iters < EVALS_PER_GRADIENT:
         ev.value(x0)
-        return
+        return "budget"
     x = x0
     f, g = ev.value_and_gradient(x)
     h = None  # inverse-Hessian estimate, set at the first curvature update
@@ -266,7 +268,7 @@ def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> 
         d = -g if h is None else -(h @ g)
         slope = float(g @ d)
         if not slope < 0.0:
-            return
+            return "no-descent"
         norm = float(np.linalg.norm(d))
         if norm > config.initial_trust_radius:
             scale = config.initial_trust_radius / norm
@@ -274,9 +276,9 @@ def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> 
         t = 1.0
         while True:
             if t * norm < config.final_trust_radius:
-                return
+                return "short-step"
             if ev.charged + EVALS_PER_GRADIENT > config.max_iters:
-                return
+                return "budget"
             x_new = x + t * d
             f_new, g_new = ev.value_and_gradient(x_new)
             if f_new <= f + _ARMIJO * t * slope:
@@ -324,6 +326,9 @@ def train(
     state is coin-up at the centre site (balanced coin in symmetric mode).
     Returns the best parameters seen across all restarts together with the
     full evaluation history. Ties between restarts go to the earlier one.
+    The metadata's ``stop_reasons`` names why each restart run stopped, as
+    ``_adjoint_bfgs`` returns it, or "exact" for a restart that reached an
+    MSE of exactly 0, after which no further restart runs.
     """
     if config is None:
         config = OptimizerConfig()
@@ -343,12 +348,15 @@ def train(
     starts = [x_init] + [rng.uniform(0.0, TWO_PI, x_init.size) for _ in range(config.restarts - 1)]
 
     evals_per_restart: list[int] = []
+    stop_reasons: list[str] = []
     for r_idx, x0 in enumerate(starts):
         ev.start_restart(r_idx)
-        _adjoint_bfgs(ev, np.asarray(x0, dtype=np.float64), config)
+        reason = _adjoint_bfgs(ev, np.asarray(x0, dtype=np.float64), config)
         evals_per_restart.append(ev.charged)
         if ev.best_val == 0.0:
+            stop_reasons.append("exact")
             break
+        stop_reasons.append(reason)
 
     best_params = ev.to_params(ev.best_x)
     trained = position_distribution(evolve(init, best_params, config.steps))
@@ -366,6 +374,7 @@ def train(
         "evals_per_restart": evals_per_restart,
         "evals_per_gradient": EVALS_PER_GRADIENT,
         "best_restart": ev.best_restart,
+        "stop_reasons": stop_reasons,
     }
     return TrainingResult(
         best_params=best_params,

@@ -21,8 +21,8 @@ from .target import (
     Domain,
     OptionSpec,
     TargetDistribution,
+    _cdf,
     _check_n_bins,
-    _frozen_dist,
     _maturity_law,
 )
 
@@ -75,8 +75,8 @@ def _lognormal_tail_mass(sigma_t: float, alpha: float, domain: Domain) -> float:
         point = math.exp(alpha)
         inside = 1.0 if domain.lo < point < domain.hi else 0.0
         return 1.0 - inside
-    d = _frozen_dist(DistSpec("lognormal", alpha, sigma_t))
-    return float(1.0 - (d.cdf(domain.hi) - d.cdf(domain.lo)))
+    spec = DistSpec("lognormal", alpha, sigma_t)
+    return float(1.0 - (_cdf(spec, domain.hi) - _cdf(spec, domain.lo)))
 
 
 def price_report(

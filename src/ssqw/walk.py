@@ -21,11 +21,11 @@ gives the coin gradients runs the same half-step backwards, with the
 conjugate-transposed coins and the opposite moves.
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
-state whose occupied sites are first..last fill only its light cone
-first-t..last+t. One rule, ``_window``, has both directions step a
-localized state on that cone alone when it is at most half the ring: the
-forward kernel takes the cone of the start state, the sweep that of the
-final state. This is exact, not a truncation: every site outside the
+state whose occupied sites lie on the ring arc first..last fill only its
+light cone first-t..last+t. One rule, ``_window``, has both directions
+step a localized state on that cone alone when it is at most half the
+ring: the forward kernel takes the cone of the start state, the sweep
+that of the final state. This is exact, not a truncation: every site outside the
 cone stays an exact zero in the full-ring run too.
 """
 
@@ -193,18 +193,30 @@ def apply_shift_minus(state: WalkerState) -> WalkerState:
 def _light_cone(amps: np.ndarray, steps: int) -> np.ndarray | None:
     """The sites a walk from ``amps`` can fill in ``steps`` steps.
 
-    With ``first`` and ``last`` the first and last sites holding a non-zero
-    amplitude in either coin row, the cone is ``first - steps`` to
-    ``last + steps``, returned as ring indices (mod M) in walk order. Each
-    step moves an amplitude by -1, 0 or +1 site, so no site outside the
-    cone is ever non-zero. Returns None when the cone covers the whole
-    ring, or when ``amps`` holds no amplitude.
+    The occupied sites (a non-zero amplitude in either coin row) lie on
+    the shortest arc of the ring that holds them all: the complement of
+    the largest cyclic gap between consecutive occupied sites, so a
+    support that straddles site 0 counts as the short arc it is. With
+    ``first`` and ``last`` that arc's ends, the cone is ``first - steps``
+    to ``last + steps``, returned as ring indices (mod M) in walk order.
+    Each step moves an amplitude by -1, 0 or +1 site, so no site outside
+    the cone is ever non-zero. Returns None when the cone covers the
+    whole ring, or when ``amps`` holds no amplitude.
     """
     m = amps.shape[1]
     occupied = np.flatnonzero((amps[0] != 0) | (amps[1] != 0))
-    if occupied.size == 0 or occupied[-1] - occupied[0] + 2 * steps + 1 >= m:
+    if occupied.size == 0:
         return None
-    return np.arange(occupied[0] - steps, occupied[-1] + steps + 1) % m
+    # gaps[i] is the distance back from occupied[i] to the occupied site
+    # before it. gaps[0] spans site 0 and wins ties, so the arc runs from
+    # occupied[0] to occupied[-1] unless an inner gap is strictly longer.
+    gaps = np.diff(occupied, prepend=occupied[-1] - m)
+    k = int(np.argmax(gaps))
+    first = int(occupied[k])
+    span = m - int(gaps[k]) + 1
+    if span + 2 * steps >= m:
+        return None
+    return np.arange(first - steps, first + span + steps) % m
 
 
 def _window(amps: np.ndarray, steps: int) -> np.ndarray | None:

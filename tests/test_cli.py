@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from ssqw import (
 from ssqw.cli import main
 
 import oracles
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(*argv):
@@ -453,9 +459,27 @@ def test_repro_writes_all_artifacts(tmp_path):
     for name in ("normal", "lognormal", "bs"):
         result = read_json(tmp_path / f"{name}_result.json")
         floors[name] = result["metadata"]["mse_floor"]
+        assert len(result["metadata"]["stop_reasons"]) == result["metadata"]["restarts_run"] == 1
         assert result["best_mse"] >= floors[name], name
     # The BS target's mass sits in bin 0, which the walk cannot reach.
     assert floors["bs"] >= 1.0 / 16.0
+
+
+def test_repro_imports_no_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "from ssqw.cli import main\n"
+        f"code = main(['repro', '--max-iters', '4', '--outdir', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "summary.json").exists()
 
 
 # ------------------------------------------------------------------ misc

@@ -260,7 +260,42 @@ def test_train_respects_budget_exactly():
             values = max_iters // EVALS_PER_GRADIENT
             charge = EVALS_PER_GRADIENT * values
         assert result.metadata["evals_per_restart"] == [charge] * 3, max_iters
+        assert result.metadata["stop_reasons"] == ["budget"] * 3, max_iters
         assert result.iterations_used == len(result.mse_history) == 3 * values
+
+
+def test_stop_reasons_at_the_acceptance_config():
+    target = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
+    config = OptimizerConfig(max_iters=100, restarts=8, seed=7)
+    meta = train(target, config).metadata
+    reasons = meta["stop_reasons"]
+    assert len(reasons) == meta["restarts_run"] == 8
+    assert set(reasons) <= {"budget", "short-step", "no-descent"}
+    # Restart 0 converges inside its budget; a restart stopped for its
+    # budget could not afford one more value-and-gradient call.
+    assert reasons[0] == "short-step"
+    for reason, charged in zip(reasons, meta["evals_per_restart"]):
+        assert charged <= config.max_iters
+        if reason == "budget":
+            assert charged + EVALS_PER_GRADIENT > config.max_iters
+
+
+def test_stop_reason_exact_ends_the_restarts():
+    result = train(self_generated_target(), OptimizerConfig(initial_params=KNOWN_PARAMS, restarts=3))
+    assert result.metadata["restarts_run"] == 1
+    assert result.metadata["stop_reasons"] == ["exact"]
+
+
+def test_stop_reason_no_descent_on_a_zero_gradient():
+    target = ring_symmetric_target()
+
+    def flat(params, target, schedule, init):
+        return objective(params, target, schedule, init), np.zeros(6)
+
+    with mock.patch("ssqw.optimize._mse_and_gradient", flat):
+        result = train(target, OptimizerConfig(max_iters=40, restarts=2, seed=1))
+    assert result.metadata["stop_reasons"] == ["no-descent"] * 2
+    assert result.metadata["evals_per_restart"] == [EVALS_PER_GRADIENT] * 2
 
 
 def test_optimizer_config_validation():
@@ -369,7 +404,8 @@ def test_mse_gradient_matches_both_oracles():
             q = oracles.random_prob_vec(rng, m)
             _assert_gradient_matches_both_oracles(x, psi0, q, steps)
     # A one-site start on 64 sites: the forward pass steps only its
-    # 11-site light cone, while the adjoint sweep runs the whole ring.
+    # 11-site light cone, and the adjoint sweep the final state's 21-site
+    # cone.
     x = rng.uniform(0.0, 2.0 * math.pi, 6)
     psi0 = initial_state(6, 0.6, 0.8j, 32).flat
     _assert_gradient_matches_both_oracles(x, psi0, oracles.random_prob_vec(rng, 64), 5)

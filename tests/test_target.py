@@ -18,6 +18,8 @@ from ssqw import (
     ingest_returns,
     sample_histogram,
 )
+from ssqw.pricing import _lognormal_tail_mass
+from ssqw.target import _cdf
 
 import oracles
 
@@ -126,6 +128,84 @@ def test_analytic_histogram_type_invariants(mu, sigma, kind):
     assert t.probs.min() >= 0.0
     assert abs(t.probs.sum() - 1.0) <= 1e-9
     np.testing.assert_allclose(np.diff(t.bin_edges), 15.0 / 16.0, atol=1e-12)
+
+
+# -------------------------------------------------------------------- cdf
+
+# SciPy is a test-only oracle for the package's own erf/erfc CDF.
+CDF_RTOL, CDF_ATOL = 1e-13, 1e-300
+
+
+def _scipy_cdf(spec, x):
+    from scipy import stats
+
+    if spec.kind == "normal":
+        return stats.norm(loc=spec.mu, scale=spec.sigma).cdf(x)
+    return stats.lognorm(s=spec.sigma, scale=math.exp(spec.mu)).cdf(x)
+
+
+def test_normal_cdf_matches_scipy_on_both_tails():
+    z = np.linspace(-37.0, 37.0, 20001)
+    for mu, sigma in ((0.0, 1.0), (7.5, 1.875), (-3.0, 1e-3), (2.0, 5.0)):
+        spec = DistSpec("normal", mu, sigma)
+        x = mu + sigma * z
+        got = _cdf(spec, x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, _scipy_cdf(spec, x), rtol=CDF_RTOL, atol=CDF_ATOL)
+    # Deep in the lower tail the CDF is tiny but not 0: erfc, not 1 + erf.
+    assert 0.0 < _cdf(DistSpec("normal"), -37.0) < 1e-298
+
+
+def test_lognormal_cdf_matches_scipy_at_and_below_zero():
+    z = np.linspace(-37.0, 37.0, 4001)
+    for mu, sigma in ((1.89, 0.5), (0.0, 1e-3), (-2.0, 5.0), (math.log(7.5) - 0.125, 0.5)):
+        spec = DistSpec("lognormal", mu, sigma)
+        x = np.concatenate(
+            [[-15.0, -1e-300, 0.0, 5e-324, 1e-300, 1e-12], np.exp(mu + sigma * z)]
+        )
+        got = _cdf(spec, x)
+        np.testing.assert_allclose(got, _scipy_cdf(spec, x), rtol=CDF_RTOL, atol=CDF_ATOL)
+        assert np.all(got[:3] == 0.0)
+
+
+def test_scalar_cdf_calls_match_scipy():
+    # The scalar calls made by sample_histogram's acceptance rate and by
+    # pricing's truncation tail mass, at the stock targets' domain.
+    opt = OptionSpec(2.0, 2.0, 0.05, 0.4, 40.0)
+    bs = bs_lognormal_target(opt, DOM, 16).provenance
+    specs = (
+        DistSpec("normal", 7.5, 1.875),
+        DistSpec("lognormal", math.log(7.5) - 0.125, 0.5),
+        DistSpec("lognormal", bs["alpha"], bs["sigma_t"]),
+    )
+    for spec in specs:
+        for edge in (DOM.lo, DOM.hi):
+            got = _cdf(spec, edge)
+            assert got.shape == ()
+            np.testing.assert_allclose(got, _scipy_cdf(spec, edge), rtol=CDF_RTOL, atol=CDF_ATOL)
+        inside = _scipy_cdf(spec, DOM.hi) - _scipy_cdf(spec, DOM.lo)
+        accept = sample_histogram(spec, DOM, 16, 10, seed=0).provenance["accept_rate_analytic"]
+        assert abs(accept - inside) <= 1e-15
+        if spec.kind == "lognormal":
+            tail = _lognormal_tail_mass(spec.sigma, spec.mu, DOM)
+            assert abs(tail - (1.0 - inside)) <= 1e-15
+
+
+def test_analytic_histograms_match_scipy_binning():
+    opt = OptionSpec(2.0, 2.0, 0.05, 0.4, 40.0)
+    bs = bs_lognormal_target(opt, DOM, 16)
+    cases = [
+        (DistSpec("normal", 7.5, 1.875), 16),
+        (DistSpec("lognormal", math.log(7.5) - 0.125, 0.5), 16),
+        (DistSpec("lognormal", bs.provenance["alpha"], bs.provenance["sigma_t"]), 16),
+        (DistSpec("normal", 7.5, 1.875), 1 << 12),
+    ]
+    for spec, n_bins in cases:
+        raw = np.diff(_scipy_cdf(spec, DOM.bin_edges(n_bins)))
+        expect = np.maximum(raw / raw.sum(), 0.0)
+        expect = expect / expect.sum()
+        got = analytic_histogram(spec, DOM, n_bins).probs
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------- sampled

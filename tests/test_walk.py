@@ -358,7 +358,8 @@ def test_windowed_steps_equal_full_ring(run, angles):
     params = SsqwParams.from_array(np.array(angles))
     c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
     occupied = np.flatnonzero(position_distribution(state))
-    span = int(occupied[-1] - occupied[0]) + 1
+    # The shortest ring arc holding every occupied site starts at one of them.
+    span = min(int(((occupied - r) % m).max()) for r in occupied) + 1
 
     def full_ring(coin2, t):
         return walk._steps_in_place(state.amps.copy(), c1, coin2, t)
@@ -388,18 +389,23 @@ def test_windowed_steps_equal_full_ring(run, angles):
 def test_step_loop_runs_only_the_light_cone():
     # A work count, not a timing: 64 steps from one site of a 2**16-site
     # ring touch 129 sites, while the 16-bin, 7-step fit steps all 16.
+    # 20 steps from site M-2 of 2**10 sites touch 41, and 20 more from the
+    # 41 sites that fills, which straddle site 0, touch 81.
     params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
     with step_loop_widths() as widths:
         evolve(initial_state(16, 1.0, 0.0, 1 << 15), params, WalkSchedule(64))
         evolve(initial_state(4, 1.0, 0.0, 8), params, WalkSchedule(7))
-    assert widths == [129, 16]
+        wrapped = evolve(initial_state(10, 1.0, 0.0, (1 << 10) - 2), params, WalkSchedule(20))
+        evolve(wrapped, params, WalkSchedule(20))
+    assert widths == [129, 16, 41, 81]
 
 
 def test_adjoint_sweep_runs_only_the_light_cone():
     # The reverse sweep steps the final state's light cone: 64 steps back
     # from the 129 sites a one-site start fills on 2**16 sites touch 257,
-    # while the 16-bin, 7-step fit sweeps all 16. Each step is two
-    # half-steps.
+    # while the 16-bin, 7-step fit sweeps all 16. 20 steps back from the
+    # 41 sites that 20 steps from site M-2 of 2**10 sites fill, straddling
+    # site 0, touch 81. Each step is two half-steps.
     params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
     c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
     widths = []
@@ -409,11 +415,11 @@ def test_adjoint_sweep_runs_only_the_light_cone():
         widths.append(up.shape[-1])
         return half_step(up, dn, *args, **kwargs)
 
-    for n, site, steps in ((16, 1 << 15, 64), (4, 8, 7)):
+    for n, site, steps in ((16, 1 << 15, 64), (4, 8, 7), (10, (1 << 10) - 2, 20)):
         final = evolve(initial_state(n, 1.0, 0.0, site), params, WalkSchedule(steps)).amps
         with mock.patch.object(walk, "_half_step", recording):
             walk._adjoint_sweep(final, final, c1, c2, steps)
-    assert widths == [257] * 128 + [16] * 14
+    assert widths == [257] * 128 + [16] * 14 + [81] * 40
 
 
 def test_evolve_linearity():
