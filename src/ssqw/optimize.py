@@ -8,24 +8,32 @@ here in plain numpy on exact gradients from one adjoint sweep back
 through the steps, so its path does not depend on the installed SciPy.
 Everything is seeded and exact (probabilities, not shot counts), so a
 given configuration always reproduces the same result.
+
+The restarts are independent, so train() runs them in lockstep: each
+round evaluates the pending point of every live restart in one batched
+value-and-gradient call, which steps all of them through the walk kernel
+and the adjoint sweep together. Each row of that call equals its own
+single call bit for bit, so results equal running the restarts one after
+another.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import WalkerState, initial_state, position_distribution
+from .statevector import WalkerState, _position_probs, initial_state, position_distribution
 from .target import TargetDistribution
 from .walk import (
     SsqwParams,
     WalkSchedule,
     _adjoint_sweep,
-    _coin_matrix_derivatives,
+    _coin_stacks,
     _light_cone,
-    coin_matrix,
+    _run_steps,
     evolve,
     wrap_angle,
 )
@@ -84,33 +92,43 @@ def objective(
 
 
 def _mse_and_gradient(
-    params: SsqwParams,
+    params_seq: Sequence[SsqwParams],
     target: TargetDistribution,
     schedule: WalkSchedule,
     init: WalkerState,
-) -> tuple[float, np.ndarray]:
+) -> tuple[list[float], np.ndarray]:
     """objective() and its exact gradient by the six angles, in
-    ``SsqwParams.to_array`` order.
+    ``SsqwParams.to_array`` order, at each of B parameter sets: a list of
+    B values and a (B, 6) array of gradients.
 
-    The value comes from the same evolve, position_distribution and mse
-    calls that objective() makes, so it is the same number bit for bit.
-    The gradient takes one adjoint sweep back through the steps (Jones &
-    Gacon, arXiv:2009.02823), seeded with lambda = (2/n)(p - q) psi, where
-    p is the walk's distribution, q the target and n the number of bins.
+    The B sets run as one batch: their walks from ``init`` through one
+    ``_run_steps`` call, their gradients through one adjoint sweep back
+    through the steps (Jones & Gacon, arXiv:2009.02823), seeded with
+    lambda = (2/n)(p - q) psi, where p is the walk's distribution, q the
+    target and n the number of bins. Each row makes the checks objective()
+    makes (finite final amplitudes, evolve's norm assertion, mse() with
+    its sum checks) on the same numbers, so its value is objective()'s bit
+    for bit, and its gradient equals that of a one-row call.
     """
-    final = evolve(init, params, schedule)
-    p = position_distribution(final)
-    value = mse(target.probs, p)
-    seed = (2.0 / p.size) * (p - target.probs) * final.amps
-    coins = (params.coin1, params.coin2)
-    accumulators = _adjoint_sweep(
-        final.amps, seed, coin_matrix(coins[0]), coin_matrix(coins[1]), schedule.steps
+    (coin1, dcoin1), (coin2, dcoin2) = (
+        _coin_stacks([p.coin1 for p in params_seq]),
+        _coin_stacks([p.coin2 for p in params_seq]),
     )
+    amps = np.broadcast_to(init.amps[:, None], (2, len(params_seq), init.num_positions))
+    final = _run_steps(amps, coin1, coin2, schedule.steps)
+    # The per-row checks of WalkerState, evolve and mse.
+    if not np.all(np.isfinite(final.view(np.float64))):
+        raise ValueError("amplitudes must be finite")
+    p = _position_probs(final)
+    n0 = init.norm_sq()
+    assert np.all(np.abs(p.sum(axis=-1) - n0) <= 1e-10 * schedule.steps * max(1.0, n0))
+    values = [mse(target.probs, row) for row in p]
+    seed = (2.0 / p.shape[-1]) * (p - target.probs) * final
+    g1, g2 = _adjoint_sweep(final, seed, coin1, coin2, schedule.steps)
     grad = [
-        2.0 * np.real(np.sum(_coin_matrix_derivatives(c) * g, axis=(1, 2)))
-        for c, g in zip(coins, accumulators)
+        2.0 * np.real(np.sum(d * g[:, None], axis=(2, 3))) for d, g in ((dcoin1, g1), (dcoin2, g2))
     ]
-    return value, np.concatenate(grad)
+    return values, np.concatenate(grad, axis=1)
 
 
 def _reach_floor(
@@ -189,63 +207,18 @@ class TrainingResult:
     metadata: dict
 
 
-class _Evaluations:
-    """Every evaluation of one train() run.
-
-    Records each value in ``history`` and the best point seen, and charges
-    each call's forward evaluations to the current restart; the caller
-    checks the budget before it calls. The optimiser sees only the free
-    angles ``x``: all six, or the two thetas in symmetric mode (the phases
-    pinned to zero).
-    """
-
-    def __init__(
-        self, target: TargetDistribution, config: OptimizerConfig, init: WalkerState
-    ) -> None:
-        self.target = target
-        self.config = config
-        self.init = init
-        self.free = _free_angles(config.symmetric_mode)
-        self.history: list[float] = []
-        self.best_val = math.inf
-        self.best_x = config.initial_params.to_array()[self.free]  # restart 0's start
-        self.best_restart = 0
-        self.restart = 0
-        self.charged = 0
-
-    def start_restart(self, r_idx: int) -> None:
-        self.restart = r_idx
-        self.charged = 0
-
-    def to_params(self, x: np.ndarray) -> SsqwParams:
-        angles = np.zeros(6)
-        angles[self.free] = x
-        return SsqwParams.from_array(angles)
-
-    def _record(self, x: np.ndarray, v: float) -> None:
-        self.history.append(v)
-        if v < self.best_val:
-            self.best_val = v
-            self.best_x = np.array(x, dtype=np.float64)
-            self.best_restart = self.restart
-
-    def value(self, x: np.ndarray) -> float:
-        """objective() at x, charged one forward evaluation."""
-        self.charged += 1
-        v = objective(self.to_params(x), self.target, self.config.steps, self.init)
-        self._record(x, v)
-        return v
-
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """objective() and its gradient by x, charged EVALS_PER_GRADIENT."""
-        self.charged += EVALS_PER_GRADIENT
-        v, g = _mse_and_gradient(self.to_params(x), self.target, self.config.steps, self.init)
-        self._record(x, v)
-        return v, g[self.free]
-
-
-def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> str:
+def _adjoint_bfgs(
+    x0: np.ndarray, config: OptimizerConfig
+) -> Generator[tuple[int, np.ndarray], tuple[float, np.ndarray], str]:
     """One restart of BFGS on exact gradients with Armijo backtracking.
+
+    A generator, so that train() can run every restart in lockstep: it
+    yields ``(charge, x)`` for each point it needs, the forward
+    evaluations to charge and the free angles, is sent back ``(f, g)``,
+    the MSE and its gradient by the free angles there, and returns its
+    stop reason. Its sequence of points depends only on the values sent
+    back, so running restarts in lockstep or one after another gives the
+    same result.
 
     The first direction is minus the gradient; later ones come from the
     inverse-Hessian estimate, scaled at its first update by s.y / y.y. No
@@ -256,13 +229,14 @@ def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> 
     "short-step" when a trial step would be shorter than
     ``final_trust_radius``, and "no-descent" when the direction is not one
     of descent. A budget below one gradient call buys the start value
-    alone, and stops for "budget".
+    alone, charged one evaluation, and stops for "budget".
     """
     if config.max_iters < EVALS_PER_GRADIENT:
-        ev.value(x0)
+        yield 1, x0
         return "budget"
     x = x0
-    f, g = ev.value_and_gradient(x)
+    f, g = yield EVALS_PER_GRADIENT, x
+    charged = EVALS_PER_GRADIENT
     h = None  # inverse-Hessian estimate, set at the first curvature update
     while True:
         d = -g if h is None else -(h @ g)
@@ -277,10 +251,11 @@ def _adjoint_bfgs(ev: _Evaluations, x0: np.ndarray, config: OptimizerConfig) -> 
         while True:
             if t * norm < config.final_trust_radius:
                 return "short-step"
-            if ev.charged + EVALS_PER_GRADIENT > config.max_iters:
+            if charged + EVALS_PER_GRADIENT > config.max_iters:
                 return "budget"
             x_new = x + t * d
-            f_new, g_new = ev.value_and_gradient(x_new)
+            f_new, g_new = yield EVALS_PER_GRADIENT, x_new
+            charged += EVALS_PER_GRADIENT
             if f_new <= f + _ARMIJO * t * slope:
                 break
             t *= 0.5
@@ -328,7 +303,11 @@ def train(
     full evaluation history. Ties between restarts go to the earlier one.
     The metadata's ``stop_reasons`` names why each restart run stopped, as
     ``_adjoint_bfgs`` returns it, or "exact" for a restart that reached an
-    MSE of exactly 0, after which no further restart runs.
+    MSE of exactly 0, after which no further restart counts.
+
+    The restarts run in lockstep, one batched value-and-gradient call per
+    round; restarts after an exact hit are computed and then discarded.
+    The result equals that of running them one after another.
     """
     if config is None:
         config = OptimizerConfig()
@@ -342,23 +321,53 @@ def train(
             )
         coin_init = "custom"
 
-    ev = _Evaluations(target, config, init)
-    x_init = ev.best_x
+    free = _free_angles(config.symmetric_mode)
+    x_init = config.initial_params.to_array()[free]
     rng = np.random.default_rng(config.seed)
     starts = [x_init] + [rng.uniform(0.0, TWO_PI, x_init.size) for _ in range(config.restarts - 1)]
 
+    def to_params(x: np.ndarray) -> SsqwParams:
+        angles = np.zeros(6)
+        angles[free] = x
+        return SsqwParams.from_array(angles)
+
+    # Lockstep rounds: one batched call evaluates the pending (charge, x)
+    # of every live restart, and each gets its (f, g) back.
+    runs = [_adjoint_bfgs(np.asarray(x0, dtype=np.float64), config) for x0 in starts]
+    pending = {r: next(run) for r, run in enumerate(runs)}
+    evaluated: list[list[tuple[np.ndarray, float]]] = [[] for _ in runs]
+    charged = [0] * len(runs)
+    reasons = [""] * len(runs)
+    while pending:
+        live = list(pending)
+        points = [pending[r][1] for r in live]
+        values, grads = _mse_and_gradient([to_params(x) for x in points], target, config.steps, init)
+        for r, x, f, g in zip(live, points, values, grads):
+            charged[r] += pending.pop(r)[0]
+            evaluated[r].append((x, f))
+            try:
+                pending[r] = runs[r].send((f, g[free]))
+            except StopIteration as stop:
+                reasons[r] = stop.value
+
+    # Everything below reads the restarts in order, as if each had run
+    # alone after the one before it.
+    history: list[float] = []
+    best_val, best_x, best_restart = math.inf, x_init, 0
     evals_per_restart: list[int] = []
     stop_reasons: list[str] = []
-    for r_idx, x0 in enumerate(starts):
-        ev.start_restart(r_idx)
-        reason = _adjoint_bfgs(ev, np.asarray(x0, dtype=np.float64), config)
-        evals_per_restart.append(ev.charged)
-        if ev.best_val == 0.0:
+    for r, points in enumerate(evaluated):
+        for x, f in points:
+            history.append(f)
+            if f < best_val:
+                best_val, best_x, best_restart = f, x, r
+        evals_per_restart.append(charged[r])
+        if best_val == 0.0:
             stop_reasons.append("exact")
             break
-        stop_reasons.append(reason)
+        stop_reasons.append(reasons[r])
 
-    best_params = ev.to_params(ev.best_x)
+    best_params = to_params(best_x)
     trained = position_distribution(evolve(init, best_params, config.steps))
     unreachable_mass, mse_floor = _reach_floor(target, init, config.steps)
     metadata = {
@@ -373,15 +382,15 @@ def train(
         "restarts_run": len(evals_per_restart),
         "evals_per_restart": evals_per_restart,
         "evals_per_gradient": EVALS_PER_GRADIENT,
-        "best_restart": ev.best_restart,
+        "best_restart": best_restart,
         "stop_reasons": stop_reasons,
     }
     return TrainingResult(
         best_params=best_params,
-        best_mse=ev.best_val,
-        mse_history=ev.history,
+        best_mse=best_val,
+        mse_history=history,
         trained_dist=trained,
-        iterations_used=len(ev.history),
+        iterations_used=len(history),
         config=config,
         metadata=metadata,
     )

@@ -121,8 +121,13 @@ def initial_state(num_position_qubits: int, alpha: complex, beta: complex, x0: i
 
 def position_distribution(state: WalkerState) -> np.ndarray:
     """Probability of each position, coin traced out. Sums to the state norm."""
-    a = state.amps
-    p = a.real * a.real + a.imag * a.imag
+    return _position_probs(state.amps)
+
+
+def _position_probs(amps: np.ndarray) -> np.ndarray:
+    """``position_distribution`` of raw (2, ..., M) amplitudes: the coin
+    axis 0 traced out, any further leading axes kept."""
+    p = amps.real * amps.real + amps.imag * amps.imag
     return p[0] + p[1]
 
 

@@ -124,16 +124,22 @@ def _cdf(spec: DistSpec, x) -> np.ndarray:
 
     The standardised argument is formed in SciPy's order of operations:
     (x - mu) / sigma for normal, log(x / exp(mu)) / sigma for lognormal,
-    whose CDF is 0 wherever x <= 0. Returns an array of x's shape.
+    whose CDF is 0 wherever x <= 0, and everywhere when exp(mu) overflows.
+    Returns an array of x's shape.
     """
     x = np.asarray(x, dtype=np.float64)
     if spec.kind == "normal":
         z = (x - spec.mu) / spec.sigma
     elif spec.kind == "lognormal":
+        try:
+            scale = math.exp(spec.mu)
+        except OverflowError:
+            # As SciPy's lognorm(scale=inf): every finite x has CDF 0.
+            scale = math.inf
         z = np.full(x.shape, -math.inf)
         pos = x > 0.0
         with np.errstate(divide="ignore"):
-            z[pos] = np.log(x[pos] / math.exp(spec.mu)) / spec.sigma
+            z[pos] = np.log(x[pos] / scale) / spec.sigma
     else:
         raise ValueError(f"no CDF for kind {spec.kind!r}")
     flat = z.ravel()

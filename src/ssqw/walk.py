@@ -27,12 +27,19 @@ step a localized state on that cone alone when it is at most half the
 ring: the forward kernel takes the cone of the start state, the sweep
 that of the final state. This is exact, not a truncation: every site outside the
 cone stays an exact zero in the full-ring run too.
+
+The forward kernel and the sweep also run a batch: B coins stacked as a
+(B, 2, 2) array, with states of shape (2, B, M). Each row is stepped by
+the same half-steps as it would be alone, so its result equals its own
+single call bit for bit. A batch is stepped on the union of its rows'
+cones, which holds each row's cone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +128,7 @@ def coin_matrix(params: CoinParams) -> np.ndarray:
     which is unitary for any real angles. theta = pi/2, phi = 0, lam = pi
     gives the Hadamard coin.
     """
-    c, s, el, ep = _coin_factors(params)
-    return np.array([[c, -el * s], [ep * s, el * ep * c]], dtype=np.complex128)
+    return np.array(_coin_entries(*_coin_factors(params)), dtype=np.complex128)
 
 
 def _coin_factors(params: CoinParams) -> tuple[float, float, complex, complex]:
@@ -137,18 +143,28 @@ def _coin_factors(params: CoinParams) -> tuple[float, float, complex, complex]:
     )
 
 
-def _coin_matrix_derivatives(params: CoinParams) -> np.ndarray:
-    """The derivatives of ``coin_matrix`` by theta, phi and lam, stacked
-    into a (3, 2, 2) array, from differentiating its formula entry by entry.
+def _coin_entries(c: float, s: float, el: complex, ep: complex) -> list:
+    """The entries of ``coin_matrix``, as nested lists, from its factors."""
+    return [[c, -el * s], [ep * s, el * ep * c]]
+
+
+def _coin_stacks(coins: Sequence[CoinParams]) -> tuple[np.ndarray, np.ndarray]:
+    """``coin_matrix`` of each of B coins, stacked into a (B, 2, 2) array,
+    and its derivatives by theta, phi and lam, from differentiating its
+    formula entry by entry, stacked into a (B, 3, 2, 2) array.
     """
-    c, s, el, ep = _coin_factors(params)
-    return np.array(
+    factors = [_coin_factors(p) for p in coins]
+    derivatives = [
         [
             [[-0.5 * s, -0.5 * el * c], [0.5 * ep * c, -0.5 * el * ep * s]],
             [[0.0, 0.0], [1j * ep * s, 1j * el * ep * c]],
             [[0.0, -1j * el * s], [0.0, 1j * el * ep * c]],
-        ],
-        dtype=np.complex128,
+        ]
+        for c, s, el, ep in factors
+    ]
+    return (
+        np.array([_coin_entries(*f) for f in factors], dtype=np.complex128),
+        np.array(derivatives, dtype=np.complex128),
     )
 
 
@@ -193,18 +209,19 @@ def apply_shift_minus(state: WalkerState) -> WalkerState:
 def _light_cone(amps: np.ndarray, steps: int) -> np.ndarray | None:
     """The sites a walk from ``amps`` can fill in ``steps`` steps.
 
-    The occupied sites (a non-zero amplitude in either coin row) lie on
-    the shortest arc of the ring that holds them all: the complement of
-    the largest cyclic gap between consecutive occupied sites, so a
-    support that straddles site 0 counts as the short arc it is. With
+    The occupied sites (a non-zero amplitude in either coin row of any
+    batch row: ``amps`` is (2, M) or (2, B, M)) lie on the shortest arc
+    of the ring that holds them all: the complement of the largest
+    cyclic gap between consecutive occupied sites, so a support that
+    straddles site 0 counts as the short arc it is. With
     ``first`` and ``last`` that arc's ends, the cone is ``first - steps``
     to ``last + steps``, returned as ring indices (mod M) in walk order.
     Each step moves an amplitude by -1, 0 or +1 site, so no site outside
     the cone is ever non-zero. Returns None when the cone covers the
     whole ring, or when ``amps`` holds no amplitude.
     """
-    m = amps.shape[1]
-    occupied = np.flatnonzero((amps[0] != 0) | (amps[1] != 0))
+    m = amps.shape[-1]
+    occupied = np.flatnonzero(np.any(amps != 0, axis=tuple(range(amps.ndim - 1))))
     if occupied.size == 0:
         return None
     # gaps[i] is the distance back from occupied[i] to the occupied site
@@ -234,7 +251,7 @@ def _window(amps: np.ndarray, steps: int) -> np.ndarray | None:
     quarters, 0.84-1.10). When ``4 * steps >= M`` even a one-site cone is
     more than half the ring, so the occupied sites are not scanned.
     """
-    m = amps.shape[1]
+    m = amps.shape[-1]
     if 4 * steps < m:
         sites = _light_cone(amps, steps)
         if sites is not None and sites.size <= m // 2:
@@ -247,7 +264,8 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
     row moved one site around the ring.
 
     ``up`` and ``dn`` are the two coin rows, with sites along their last
-    axis; ``coin`` is the 2x2 coin as four scalars (c00, c01, c10, c11).
+    axis; ``coin`` is the 2x2 coin as four scalars (c00, c01, c10, c11),
+    or as four (B, 1) columns for a batch (``_scalars``).
     Each new row is formed as ``c[r, 0] * up + c[r, 1] * dn``, the
     expression ``apply_coin`` uses. Then the up row if ``move_up``, else
     the down row, moves one site right if ``right``, else left, by
@@ -272,15 +290,25 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
 
 
 def _scalars(coin: np.ndarray) -> tuple:
-    """A 2x2 coin as the four Python scalars (c00, c01, c10, c11)."""
-    return tuple(complex(c) for c in coin.flat)
+    """A 2x2 coin as the four Python scalars (c00, c01, c10, c11), or a
+    (B, 2, 2) stack as four (B, 1) columns that broadcast over the rows of
+    a (B, w) batch.
+
+    A single coin keeps the scalar form: on one row of 16 or 129 sites a
+    (1, 1) array coin took 1.5x as long per multiply as a Python scalar
+    (one core of a 2-core Xeon, numpy 2.4).
+    """
+    if coin.ndim == 2:
+        return tuple(complex(c) for c in coin.flat)
+    return tuple(c[:, None] for c in coin.reshape(-1, 4).T)
 
 
 _IDENTITY_SCALARS = _scalars(_IDENTITY_MATRIX)
 
 
 def _run_steps(amps: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
-    """Run ``steps`` split steps on a copy of a raw (2, M) amplitude array.
+    """Run ``steps`` split steps on a copy of a raw (2, M) amplitude array,
+    or of a (2, B, M) batch with (B, 2, 2) coin stacks.
 
     Only the ``_window`` of the start state is stepped: its sites are
     gathered, stepped, and scattered back into a zero ring. Values equal
@@ -290,13 +318,16 @@ def _run_steps(amps: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: in
     sites = _window(amps, steps)
     if sites is None:
         return _steps_in_place(amps.copy(), coin1, coin2, steps)
-    out = np.zeros_like(amps)
-    out[:, sites] = _steps_in_place(amps[:, sites], coin1, coin2, steps)
+    # Not zeros_like: for a start broadcast across a batch it follows the
+    # zero stride, which leaves the site axis non-contiguous.
+    out = np.zeros(amps.shape, dtype=amps.dtype)
+    out[..., sites] = _steps_in_place(amps[..., sites], coin1, coin2, steps)
     return out
 
 
 def _steps_in_place(out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
-    """Run ``steps`` split steps in place on a (2, w) ring and return it.
+    """Run ``steps`` split steps in place on a (2, w) ring, or a (2, B, w)
+    batch, and return it.
 
     Each step is two half-steps: coin1 with the up row moving right, then
     coin2 with the down row moving left. Nothing is validated here: the
@@ -318,7 +349,8 @@ def _adjoint_sweep(
     state of ``_run_steps``.
 
     ``amps`` is the final (2, M) state psi and ``seed`` the adjoint lambda
-    of L at it, so that dL = 2 Re sum(conj(lambda) * d psi). The
+    of L at it, so that dL = 2 Re sum(conj(lambda) * d psi); both may
+    instead be (2, B, M) batches, with (B, 2, 2) coin stacks. The
     sweep undoes the ``steps`` split steps one at a time, carrying psi and
     lambda back together through ``_half_step`` on their stacked rows, so
     it stores no trajectory. Its half-steps use C-dagger and the opposite
@@ -329,7 +361,8 @@ def _adjoint_sweep(
         G_k = sum over steps and sites of conj(lambda_out) psi_in^T
 
     at coin k (lambda after the coin, psi before it), for which
-    dL/da = 2 Re sum(dC_k/da * G_k) for each angle a of coin k.
+    dL/da = 2 Re sum(dC_k/da * G_k) for each angle a of coin k; a batch
+    gets one (B, 2, 2) stack of them per coin.
 
     Only the ``_window`` of the final state is swept, and the sums run
     over its sites alone. This is exact when ``seed`` is zero wherever
@@ -339,19 +372,24 @@ def _adjoint_sweep(
     """
     sites = _window(amps, steps)
     if sites is not None:
-        amps, seed = amps[:, sites], seed[:, sites]
+        amps, seed = amps[..., sites], seed[..., sites]
     z = np.stack([amps, seed], axis=1)  # z[row, 0] = psi, z[row, 1] = lambda
     up, dn = z
-    inv1, inv2 = _scalars(coin1.conj().T), _scalars(coin2.conj().T)
-    k1 = np.zeros((2, 2), dtype=np.complex128)
-    k2 = np.zeros((2, 2), dtype=np.complex128)
+    # Views of z that the half-steps update in place. The batch axis, if
+    # any, leads both factors of the accumulator's product.
+    lam_rows = np.swapaxes(z[:, 1], 0, -2)
+    psi_cols = np.moveaxis(z[:, 0], 0, -1)
+    inv1 = _scalars(np.swapaxes(coin1, -1, -2).conj())
+    inv2 = _scalars(np.swapaxes(coin2, -1, -2).conj())
+    k1 = np.zeros(coin1.shape, dtype=np.complex128)
+    k2 = np.zeros(coin2.shape, dtype=np.complex128)
     c1 = _IDENTITY_SCALARS
     for _ in range(steps):
         _half_step(up, dn, c1, move_up=False, right=True)
         # K is taken at the coin's output; G = K conj(C) once the sweep ends.
-        k2 += z[:, 1].conj() @ z[:, 0].T
+        k2 += lam_rows.conj() @ psi_cols
         _half_step(up, dn, inv2, move_up=True, right=False)
-        k1 += z[:, 1].conj() @ z[:, 0].T
+        k1 += lam_rows.conj() @ psi_cols
         c1 = inv1
     return k1 @ coin1.conj(), k2 @ coin2.conj()
 

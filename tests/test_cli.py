@@ -108,6 +108,17 @@ def test_gen_target_unrepresentable_exit3(tmp_path):
     assert code == 3
 
 
+def test_gen_target_lognormal_overflowing_scale_exit3(tmp_path, capsys):
+    # exp(800) overflows: the law has no mass on the domain, not a crash.
+    code = run(
+        "gen-target", "--kind", "lognormal", "--mu", "800", "--sigma", "1",
+        "--analytic", "--out", str(tmp_path / "x.json"),
+    )
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_gen_target_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SSQW_OUTDIR", str(tmp_path))
     assert run("gen-target", "--kind", "uniform", "--analytic") == 0

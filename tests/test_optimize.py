@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -26,8 +27,12 @@ from ssqw import (
 
 from ssqw.optimize import (
     EVALS_PER_GRADIENT,
+    OPTIMIZER_NAME,
+    TrainingResult,
+    _adjoint_bfgs,
     _free_angles,
     _mse_and_gradient,
+    _reach_floor,
     _start_state,
 )
 from ssqw import walk
@@ -289,13 +294,119 @@ def test_stop_reason_exact_ends_the_restarts():
 def test_stop_reason_no_descent_on_a_zero_gradient():
     target = ring_symmetric_target()
 
-    def flat(params, target, schedule, init):
-        return objective(params, target, schedule, init), np.zeros(6)
+    def flat(params_seq, target, schedule, init):
+        values = [objective(params, target, schedule, init) for params in params_seq]
+        return values, np.zeros((len(params_seq), 6))
 
     with mock.patch("ssqw.optimize._mse_and_gradient", flat):
         result = train(target, OptimizerConfig(max_iters=40, restarts=2, seed=1))
     assert result.metadata["stop_reasons"] == ["no-descent"] * 2
     assert result.metadata["evals_per_restart"] == [EVALS_PER_GRADIENT] * 2
+
+
+def sequential_train(target, config, init=None):
+    """train() with its restarts run one after another: each restart's
+    generator runs to completion alone, one row per value-and-gradient
+    call, and an exact hit stops the restarts that follow."""
+    coin_init = "custom"
+    if init is None:
+        init, coin_init = _start_state(target.n_bins, config.symmetric_mode)
+    free = _free_angles(config.symmetric_mode)
+    x_init = config.initial_params.to_array()[free]
+    rng = np.random.default_rng(config.seed)
+    starts = [x_init] + [rng.uniform(0.0, 2.0 * math.pi, x_init.size) for _ in range(config.restarts - 1)]
+
+    def to_params(x):
+        angles = np.zeros(6)
+        angles[free] = x
+        return SsqwParams.from_array(angles)
+
+    history, best_val, best_x, best_restart = [], math.inf, x_init, 0
+    evals_per_restart, stop_reasons = [], []
+    for r, x0 in enumerate(starts):
+        run = _adjoint_bfgs(np.asarray(x0, dtype=np.float64), config)
+        request, charged = next(run), 0
+        while True:
+            charge, x = request
+            [f], [g] = _mse_and_gradient([to_params(x)], target, config.steps, init)
+            charged += charge
+            history.append(f)
+            if f < best_val:
+                best_val, best_x, best_restart = f, x, r
+            try:
+                request = run.send((f, g[free]))
+            except StopIteration as stop:
+                reason = stop.value
+                break
+        evals_per_restart.append(charged)
+        stop_reasons.append("exact" if best_val == 0.0 else reason)
+        if best_val == 0.0:
+            break
+    best_params = to_params(best_x)
+    unreachable_mass, mse_floor = _reach_floor(target, init, config.steps)
+    metadata = {
+        "mode": "symmetric" if config.symmetric_mode else "full",
+        "coin_init": coin_init,
+        "start_site": int(np.argmax(position_distribution(init))),
+        "unreachable_mass": unreachable_mass,
+        "mse_floor": mse_floor,
+        "optimizer": OPTIMIZER_NAME,
+        "seed": config.seed,
+        "rng": "numpy-default-pcg64",
+        "restarts_run": len(evals_per_restart),
+        "evals_per_restart": evals_per_restart,
+        "evals_per_gradient": EVALS_PER_GRADIENT,
+        "best_restart": best_restart,
+        "stop_reasons": stop_reasons,
+    }
+    trained = position_distribution(evolve(init, best_params, config.steps))
+    return TrainingResult(best_params, best_val, history, trained, len(history), config, metadata)
+
+
+def _assert_lockstep_equals_sequential(target, config, init=None):
+    lockstep = training_result_json_dict(train(target, config, init))
+    sequential = training_result_json_dict(sequential_train(target, config, init))
+    assert json.dumps(lockstep) == json.dumps(sequential), config
+
+
+def test_lockstep_restarts_equal_sequential_runs():
+    target = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
+    for seed in (0, 1, 7):
+        for restarts in (1, 3, 8):
+            for max_iters in (*range(1, 14), 100):
+                config = OptimizerConfig(max_iters=max_iters, restarts=restarts, seed=seed)
+                _assert_lockstep_equals_sequential(target, config)
+    config = OptimizerConfig(max_iters=100, restarts=8, seed=1, symmetric_mode=True)
+    _assert_lockstep_equals_sequential(ring_symmetric_target(), config)
+    # Restart 0 hits the self-generated target exactly: restarts 1 and 2
+    # run in lockstep with it but are discarded.
+    config = OptimizerConfig(initial_params=KNOWN_PARAMS, restarts=3)
+    _assert_lockstep_equals_sequential(self_generated_target(), config)
+    # A custom start at M-9 of 2**10 sites: the sweep's window wraps past
+    # site 0.
+    rng = np.random.default_rng(43)
+    m = 1 << 10
+    wide = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+    config = OptimizerConfig(max_iters=100, restarts=3, seed=7, steps=WalkSchedule(8))
+    _assert_lockstep_equals_sequential(wide, config, initial_state(10, 0.6, 0.8j, m - 9))
+
+
+def test_batched_gradient_rows_equal_single_calls():
+    # A coin-up start at M-9 of 2**10 sites: the identity-coin row's final
+    # state is one site, the random rows' 17, so the batch sweeps the
+    # union of their cones.
+    rng = np.random.default_rng(47)
+    m = 1 << 10
+    target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+    init = initial_state(10, 1.0, 0.0, m - 9)
+    identity = SsqwParams(CoinParams(0.0), CoinParams(0.0))
+    params = [SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6)) for _ in range(4)]
+    params.insert(2, identity)
+    values, grads = _mse_and_gradient(params, target, WalkSchedule(8), init)
+    for p, value, grad in zip(params, values, grads):
+        [single_value], [single_grad] = _mse_and_gradient([p], target, WalkSchedule(8), init)
+        assert value == single_value == objective(p, target, WalkSchedule(8), init)
+        assert grad.tobytes() == single_grad.tobytes()
 
 
 def test_optimizer_config_validation():
@@ -388,7 +499,7 @@ def _assert_gradient_matches_both_oracles(x, psi0, q, steps):
         p = np.abs(psi[:m]) ** 2 + np.abs(psi[m:]) ** 2
         return oracles.mse_ref(q, p)
 
-    value, grad = _mse_and_gradient(SsqwParams.from_array(x), target, schedule, init)
+    [value], [grad] = _mse_and_gradient([SsqwParams.from_array(x)], target, schedule, init)
     assert value == loss(x)
     np.testing.assert_allclose(grad, _central_differences(loss, x), rtol=0, atol=1e-8)
     np.testing.assert_allclose(grad, _central_differences(dense_loss, x), rtol=0, atol=1e-8)
@@ -423,9 +534,9 @@ def test_windowed_sweep_gradient_equals_full_ring():
     schedule = WalkSchedule(8)
     sites = walk._window(evolve(init, params, schedule).amps, schedule.steps)
     np.testing.assert_array_equal(sites, np.arange(m - 25, m + 8) % m)
-    value, grad = _mse_and_gradient(params, target, schedule, init)
+    [value], [grad] = _mse_and_gradient([params], target, schedule, init)
     with mock.patch.object(walk, "_window", lambda amps, steps: None):
-        full_value, full_grad = _mse_and_gradient(params, target, schedule, init)
+        [full_value], [full_grad] = _mse_and_gradient([params], target, schedule, init)
     assert value == full_value
     assert np.max(np.abs(grad - full_grad)) <= 1e-12 * np.max(np.abs(full_grad))
 
@@ -445,6 +556,8 @@ def test_mse_gradient_symmetric_mode_projection():
 
         angles = np.zeros(6)
         angles[free] = thetas
-        value, grad = _mse_and_gradient(SsqwParams.from_array(angles), target, WalkSchedule(7), init)
+        [value], [grad] = _mse_and_gradient(
+            [SsqwParams.from_array(angles)], target, WalkSchedule(7), init
+        )
         assert value == loss(thetas)
         np.testing.assert_allclose(grad[free], _central_differences(loss, thetas), rtol=0, atol=1e-8)

@@ -168,6 +168,15 @@ def test_lognormal_cdf_matches_scipy_at_and_below_zero():
         assert np.all(got[:3] == 0.0)
 
 
+def test_lognormal_cdf_with_an_overflowing_scale_is_zero():
+    # exp(800) overflows a float; like SciPy's lognorm(scale=inf), every
+    # finite edge then has CDF 0 instead of raising OverflowError.
+    spec = DistSpec("lognormal", 800.0, 1.0)
+    x = np.array([-1.0, 0.0, 5e-324, 1.0, 15.0, 1e300])
+    assert np.array_equal(_cdf(spec, x), np.zeros(x.size))
+    assert _cdf(spec, 15.0) == 0.0
+
+
 def test_scalar_cdf_calls_match_scipy():
     # The scalar calls made by sample_histogram's acceptance rate and by
     # pricing's truncation tail mass, at the stock targets' domain.

@@ -422,6 +422,57 @@ def test_adjoint_sweep_runs_only_the_light_cone():
     assert widths == [257] * 128 + [16] * 14 + [81] * 40
 
 
+def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sweep_sites):
+    """Each row of a batched forward run and sweep, as bytes, against its
+    own single call; the batch's sweep steps ``sweep_sites`` sites."""
+    batch = np.repeat(init[:, None], len(coins1), axis=1)
+    final = walk._run_steps(batch, coins1, coins2, steps)
+    # An MSE-style seed: zero wherever the final state is.
+    seed = final * np.linspace(-1.0, 1.0, init.shape[-1])
+    widths = []
+    half_step = walk._half_step
+
+    def recording(up, dn, *args, **kwargs):
+        widths.append(up.shape[-1])
+        return half_step(up, dn, *args, **kwargs)
+
+    with mock.patch.object(walk, "_half_step", recording):
+        k1, k2 = walk._adjoint_sweep(final, seed, coins1, coins2, steps)
+    assert set(widths) == {sweep_sites}
+    for b, (c1, c2) in enumerate(zip(coins1, coins2)):
+        single = walk._run_steps(init, c1, c2, steps)
+        assert final[:, b].tobytes() == single.tobytes()
+        g1, g2 = walk._adjoint_sweep(single, seed[:, b], c1, c2, steps)
+        assert (k1[b].tobytes(), k2[b].tobytes()) == (g1.tobytes(), g2.tobytes())
+
+
+def test_batched_kernel_rows_equal_single_calls():
+    rng = np.random.default_rng(41)
+
+    def coins(*params):
+        return (
+            np.stack([coin_matrix(p.coin1) for p in params]),
+            np.stack([coin_matrix(p.coin2) for p in params]),
+        )
+
+    def random_params(n):
+        return [SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6)) for _ in range(n)]
+
+    # The 16-bin fit's full ring, from a random state.
+    init = oracles.random_walker_vec(rng, 16).reshape(2, 16)
+    _batched_rows_equal_single_calls(init, *coins(*random_params(5)), 7, 16)
+    # A coin-up start at M-9 of 2**10 sites, 8 steps. Alone, the identity
+    # row's final state is the one site M-1 and its sweep the 17 sites
+    # M-9..M+7; the random rows fill M-17..M-1 and sweep M-25..M+7, which
+    # the whole batch then sweeps.
+    m = 1 << 10
+    init = initial_state(10, 1.0, 0.0, m - 9).amps
+    identity = SsqwParams(IDENTITY_COIN, IDENTITY_COIN)
+    c1, c2 = coins(identity)
+    assert walk._window(walk._run_steps(init, c1[0], c2[0], 8), 8).size == 17
+    _batched_rows_equal_single_calls(init, *coins(identity, *random_params(4)), 8, 33)
+
+
 def test_evolve_linearity():
     rng = np.random.default_rng(31)
     v1 = oracles.random_walker_vec(rng, 8)
