@@ -9,6 +9,13 @@ through the steps, so its path does not depend on the installed SciPy.
 Everything is seeded and exact (probabilities, not shot counts), so a
 given configuration always reproduces the same result.
 
+objective() and train's values share one value path, ``_scores``. A
+localized start is stepped and scored on its light cone alone: outside
+it the walk's probabilities are exact zeros, so each bin there costs q^2,
+and the MSE equals that of the M-site distribution bit for bit. Only the
+results a caller gets back as M-site arrays (evolve's state, train's
+``trained_dist``) are built on the whole ring.
+
 The restarts are independent, so train() runs them in lockstep: each
 round evaluates the pending point of every live restart in one batched
 value-and-gradient call, which steps all of them through the walk kernel
@@ -33,7 +40,9 @@ from .walk import (
     _adjoint_sweep,
     _coin_stacks,
     _light_cone,
-    _run_steps,
+    _steps_in_place,
+    _window,
+    coin_matrix,
     evolve,
     wrap_angle,
 )
@@ -80,15 +89,62 @@ def objective(
 ) -> float:
     """MSE between the target and the walk's position distribution.
 
-    Pure function of its arguments; evaluating twice gives bitwise equal
-    results.
+    Equals ``mse(target.probs, position_distribution(evolve(init, params,
+    schedule)))`` bit for bit, with the same checks, but a localized start
+    is stepped and scored on its light cone alone (``_scores``), so no
+    M-site state is built. Pure function of its arguments; evaluating
+    twice gives bitwise equal results.
     """
-    if init.num_positions != target.n_bins:
-        raise ValueError(
-            f"initial state has {init.num_positions} positions but target has {target.n_bins} bins"
-        )
-    final = evolve(init, params, schedule)
-    return mse(target.probs, position_distribution(final))
+    coins = [coin_matrix(c)[None] for c in (params.coin1, params.coin2)]
+    return _scores(*coins, target, schedule, init)[0][0]
+
+
+def _scores(
+    coin1: np.ndarray,
+    coin2: np.ndarray,
+    target: TargetDistribution,
+    schedule: WalkSchedule,
+    init: WalkerState,
+) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray | None]:
+    """The walk from ``init`` under each of B coin pairs, stacked as
+    (B, 2, 2) arrays, and its MSE against the target.
+
+    Returns the B values, the final amplitudes (2, B, w), their
+    distributions' differences p - q from the target (B, w), and the w
+    ring sites those cover: the start's ``_window``, or None for the whole
+    ring. Outside a window every amplitude stays an exact zero, so p = 0
+    there and each squared difference is q^2 bit for bit; the values equal
+    ``mse`` of each row's M-site distribution. The checks are those of
+    ``WalkerState``, ``evolve`` and ``mse`` on the same sites: finite
+    amplitudes, the norm kept against the start's norm on those sites
+    (ArithmeticError otherwise), and each row's probabilities summing to 1
+    (the target's sum is checked when it is built).
+    """
+    n = target.n_bins
+    if init.num_positions != n:
+        raise ValueError(f"initial state has {init.num_positions} positions but target has {n} bins")
+    steps = schedule.steps
+    sites = _window(init.amps, steps, init._occupied)
+    start = init.amps if sites is None else init.amps[:, sites]
+    final = _steps_in_place(np.repeat(start[:, None], len(coin1), axis=1), coin1, coin2, steps)
+    if not np.all(np.isfinite(final.view(np.float64))):
+        raise ValueError("amplitudes must be finite")
+    p = _position_probs(final)
+    sums = p.sum(axis=-1)
+    n0 = float(np.sum(start.real * start.real + start.imag * start.imag))
+    if not np.all(np.abs(sums - n0) <= 1e-10 * steps * max(1.0, n0)):
+        raise ArithmeticError(f"{steps} steps moved the norm from {n0!r} to {sums.tolist()!r}")
+    if not np.all(np.abs(sums - 1.0) <= MSE_SUM_TOL):
+        raise ValueError(f"walk distributions sum to {sums.tolist()!r}, not 1 within {MSE_SUM_TOL}")
+    q = target.probs
+    if sites is None:
+        d = p - q
+        dd = d * d
+    else:
+        d = p - q[sites]
+        dd = np.multiply(q, q, out=np.empty((len(p), n)))
+        dd[:, sites] = d * d
+    return np.mean(dd, axis=-1).tolist(), final, d, sites
 
 
 def _mse_and_gradient(
@@ -101,32 +157,25 @@ def _mse_and_gradient(
     ``SsqwParams.to_array`` order, at each of B parameter sets: a list of
     B values and a (B, 6) array of gradients.
 
-    The B sets run as one batch: their walks from ``init`` through one
-    ``_run_steps`` call, their gradients through one adjoint sweep back
-    through the steps (Jones & Gacon, arXiv:2009.02823), seeded with
-    lambda = (2/n)(p - q) psi, where p is the walk's distribution, q the
-    target and n the number of bins. Each row makes the checks objective()
-    makes (finite final amplitudes, evolve's norm assertion, mse() with
-    its sum checks) on the same numbers, so its value is objective()'s bit
-    for bit, and its gradient equals that of a one-row call.
+    The B sets run as one batch through ``_scores``, which gives each
+    objective()'s value and checks bit for bit, and their gradients
+    through one adjoint sweep back through the steps (Jones & Gacon,
+    arXiv:2009.02823), seeded with lambda = (2/n)(p - q) psi, where p is
+    the walk's distribution, q the target and n the number of bins. Both
+    run on the start's window when it has one. A row's gradient equals
+    that of a one-row call.
     """
     (coin1, dcoin1), (coin2, dcoin2) = (
         _coin_stacks([p.coin1 for p in params_seq]),
         _coin_stacks([p.coin2 for p in params_seq]),
     )
-    amps = np.broadcast_to(init.amps[:, None], (2, len(params_seq), init.num_positions))
-    final = _run_steps(amps, coin1, coin2, schedule.steps)
-    # The per-row checks of WalkerState, evolve and mse.
-    if not np.all(np.isfinite(final.view(np.float64))):
-        raise ValueError("amplitudes must be finite")
-    p = _position_probs(final)
-    n0 = init.norm_sq()
-    assert np.all(np.abs(p.sum(axis=-1) - n0) <= 1e-10 * schedule.steps * max(1.0, n0))
-    values = [mse(target.probs, row) for row in p]
-    seed = (2.0 / p.shape[-1]) * (p - target.probs) * final
-    g1, g2 = _adjoint_sweep(final, seed, coin1, coin2, schedule.steps)
+    values, final, d, sites = _scores(coin1, coin2, target, schedule, init)
+    n = target.n_bins
+    seed = (2.0 / n) * d * final
+    ring = None if sites is None else (sites, n)
+    g1, g2 = _adjoint_sweep(final, seed, coin1, coin2, schedule.steps, ring)
     grad = [
-        2.0 * np.real(np.sum(d * g[:, None], axis=(2, 3))) for d, g in ((dcoin1, g1), (dcoin2, g2))
+        2.0 * np.real(np.sum(dc * g[:, None], axis=(2, 3))) for dc, g in ((dcoin1, g1), (dcoin2, g2))
     ]
     return values, np.concatenate(grad, axis=1)
 
@@ -143,7 +192,7 @@ def _reach_floor(
     floor is (sum of q_i^2 outside + u^2 / r) / n_bins.
     """
     n = target.n_bins
-    cone = _light_cone(init.amps, schedule.steps)
+    cone = _light_cone(init.amps, schedule.steps, init._occupied)
     if cone is None:
         return 0.0, 0.0
     outside = np.ones(n, dtype=bool)

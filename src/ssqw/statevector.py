@@ -9,6 +9,7 @@ coin rows at once.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -94,6 +95,21 @@ class WalkerState:
         a = self.amps
         return float(np.sum(a.real * a.real + a.imag * a.imag))
 
+    @functools.cached_property
+    def _occupied(self) -> np.ndarray:
+        """``_occupied_sites`` of ``amps``, scanned once per state: the
+        amplitudes are read-only, and so is the cached result."""
+        sites = _occupied_sites(self.amps)
+        sites.setflags(write=False)
+        return sites
+
+
+def _occupied_sites(amps: np.ndarray) -> np.ndarray:
+    """The sites, in increasing order, that hold a non-zero amplitude in
+    either coin row of raw (2, M) amplitudes, or of any row of a (2, B, M)
+    batch."""
+    return np.flatnonzero(np.any(amps != 0, axis=tuple(range(amps.ndim - 1))))
+
 
 def initial_state(num_position_qubits: int, alpha: complex, beta: complex, x0: int = 0) -> WalkerState:
     """Product state (alpha |up> + beta |down>) at position ``x0``.
@@ -151,7 +167,9 @@ def apply_coin(state: WalkerState, coin: np.ndarray) -> WalkerState:
     out[0] = coin[0, 0] * up + coin[0, 1] * dn
     out[1] = coin[1, 0] * up + coin[1, 1] * dn
     new = WalkerState(out)
-    assert abs(new.norm_sq() - state.norm_sq()) <= NORM_TOL * max(1.0, state.norm_sq())
+    n0, n1 = state.norm_sq(), new.norm_sq()
+    if not abs(n1 - n0) <= NORM_TOL * max(1.0, n0):
+        raise ArithmeticError(f"coin moved the norm from {n0!r} to {n1!r}")
     return new
 
 

@@ -26,7 +26,10 @@ light cone first-t..last+t. One rule, ``_window``, has both directions
 step a localized state on that cone alone when it is at most half the
 ring: the forward kernel takes the cone of the start state, the sweep
 that of the final state. This is exact, not a truncation: every site outside the
-cone stays an exact zero in the full-ring run too.
+cone stays an exact zero in the full-ring run too. A ``WalkerState``
+caches its occupied sites, so a start is scanned for its cone once, and
+the sweep can take the final state on the forward window alone, so a
+caller that needs no M-site result (the MSE objective) never builds one.
 
 The forward kernel and the sweep also run a batch: B coins stacked as a
 (B, 2, 2) array, with states of shape (2, B, M). Each row is stepped by
@@ -46,7 +49,7 @@ import numpy as np
 
 # apply_coin stays importable as ssqw.walk.apply_coin: benchmarks/spans.py
 # hooks it by that name.
-from .statevector import WalkerState, apply_coin  # noqa: F401
+from .statevector import WalkerState, _occupied_sites, apply_coin  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,22 +209,31 @@ def apply_shift_minus(state: WalkerState) -> WalkerState:
     return WalkerState(out)
 
 
-def _light_cone(amps: np.ndarray, steps: int) -> np.ndarray | None:
+def _light_cone(amps: np.ndarray, steps: int, occupied: np.ndarray | None = None) -> np.ndarray | None:
     """The sites a walk from ``amps`` can fill in ``steps`` steps.
 
-    The occupied sites (a non-zero amplitude in either coin row of any
-    batch row: ``amps`` is (2, M) or (2, B, M)) lie on the shortest arc
-    of the ring that holds them all: the complement of the largest
-    cyclic gap between consecutive occupied sites, so a support that
-    straddles site 0 counts as the short arc it is. With
-    ``first`` and ``last`` that arc's ends, the cone is ``first - steps``
-    to ``last + steps``, returned as ring indices (mod M) in walk order.
-    Each step moves an amplitude by -1, 0 or +1 site, so no site outside
-    the cone is ever non-zero. Returns None when the cone covers the
-    whole ring, or when ``amps`` holds no amplitude.
+    ``occupied`` holds the occupied sites of ``amps`` when they are already
+    known (a ``WalkerState`` caches them); otherwise ``amps`` is scanned
+    for them (``_occupied_sites``). Returns ``_ring_cone`` of them.
     """
-    m = amps.shape[-1]
-    occupied = np.flatnonzero(np.any(amps != 0, axis=tuple(range(amps.ndim - 1))))
+    if occupied is None:
+        occupied = _occupied_sites(amps)
+    return _ring_cone(amps.shape[-1], occupied, steps)
+
+
+def _ring_cone(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
+    """The light cone of ``steps`` steps from the increasing ``occupied``
+    sites of an ``m``-site ring.
+
+    The occupied sites lie on the shortest arc of the ring that holds them
+    all: the complement of the largest cyclic gap between consecutive
+    occupied sites, so a support that straddles site 0 counts as the
+    short arc it is. With ``first`` and ``last`` that arc's ends, the cone
+    is ``first - steps`` to ``last + steps``, returned as ring indices
+    (mod m) in walk order. Each step moves an amplitude by -1, 0 or +1
+    site, so no site outside the cone is ever non-zero. Returns None when
+    the cone covers the whole ring, or when no site is occupied.
+    """
     if occupied.size == 0:
         return None
     # gaps[i] is the distance back from occupied[i] to the occupied site
@@ -236,26 +248,38 @@ def _light_cone(amps: np.ndarray, steps: int) -> np.ndarray | None:
     return np.arange(first - steps, first + span + steps) % m
 
 
-def _window(amps: np.ndarray, steps: int) -> np.ndarray | None:
+def _window(amps: np.ndarray, steps: int, occupied: np.ndarray | None = None) -> np.ndarray | None:
     """The ring sites to step ``steps`` times from ``amps``, or None for
-    the whole ring.
+    the whole ring; ``occupied`` as for ``_light_cone``.
 
     A localized state is stepped only inside its light cone
-    (``_light_cone``) when the cone is at most half the ring. This is
-    exact. No amplitude travels further than ``steps`` sites, so nothing
-    outside the cone ever becomes non-zero, and the cone's own wrap-around
-    only ever moves zeros. Up to half the ring the gather (and, forward,
-    the scatter) cost less than the sites they skip (at half the ring the
-    windowed forward run took 0.49-1.04 of the full-ring time from 2**8 to
-    2**16 sites, on one core of a 2-core Xeon with numpy 2.4; at three
-    quarters, 0.84-1.10). When ``4 * steps >= M`` even a one-site cone is
-    more than half the ring, so the occupied sites are not scanned.
+    (``_light_cone``) when the cone is at most half the ring: see
+    ``_ring_window``. When ``4 * steps >= M`` even a one-site cone is more
+    than half the ring, so the occupied sites are not scanned.
     """
     m = amps.shape[-1]
-    if 4 * steps < m:
-        sites = _light_cone(amps, steps)
-        if sites is not None and sites.size <= m // 2:
-            return sites
+    if 4 * steps >= m:
+        return None
+    if occupied is None:
+        occupied = _occupied_sites(amps)
+    return _ring_window(m, occupied, steps)
+
+
+def _ring_window(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
+    """``_window`` of the increasing ``occupied`` sites of an ``m``-site
+    ring: their light cone if it is at most half the ring, else None.
+
+    This is exact. No amplitude travels further than ``steps`` sites, so
+    nothing outside the cone ever becomes non-zero, and the cone's own
+    wrap-around only ever moves zeros. Up to half the ring the gather
+    (and, forward, the scatter) cost less than the sites they skip (at
+    half the ring the windowed forward run took 0.49-1.04 of the full-ring
+    time from 2**8 to 2**16 sites, on one core of a 2-core Xeon with numpy
+    2.4; at three quarters, 0.84-1.10).
+    """
+    sites = _ring_cone(m, occupied, steps)
+    if sites is not None and sites.size <= m // 2:
+        return sites
     return None
 
 
@@ -290,15 +314,16 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
 
 
 def _scalars(coin: np.ndarray) -> tuple:
-    """A 2x2 coin as the four Python scalars (c00, c01, c10, c11), or a
-    (B, 2, 2) stack as four (B, 1) columns that broadcast over the rows of
-    a (B, w) batch.
+    """A 2x2 coin, or a (1, 2, 2) stack of one, as the four Python scalars
+    (c00, c01, c10, c11); a (B, 2, 2) stack of more as four (B, 1) columns
+    that broadcast over the rows of a (B, w) batch.
 
     A single coin keeps the scalar form: on one row of 16 or 129 sites a
     (1, 1) array coin took 1.5x as long per multiply as a Python scalar
-    (one core of a 2-core Xeon, numpy 2.4).
+    (one core of a 2-core Xeon, numpy 2.4). Either form gives each row the
+    same bits.
     """
-    if coin.ndim == 2:
+    if coin.size == 4:
         return tuple(complex(c) for c in coin.flat)
     return tuple(c[:, None] for c in coin.reshape(-1, 4).T)
 
@@ -306,16 +331,22 @@ def _scalars(coin: np.ndarray) -> tuple:
 _IDENTITY_SCALARS = _scalars(_IDENTITY_MATRIX)
 
 
-def _run_steps(amps: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
+def _run_steps(
+    amps: np.ndarray,
+    coin1: np.ndarray,
+    coin2: np.ndarray,
+    steps: int,
+    occupied: np.ndarray | None = None,
+) -> np.ndarray:
     """Run ``steps`` split steps on a copy of a raw (2, M) amplitude array,
     or of a (2, B, M) batch with (B, 2, 2) coin stacks.
 
-    Only the ``_window`` of the start state is stepped: its sites are
-    gathered, stepped, and scattered back into a zero ring. Values equal
-    the full-ring run; only the signs of exact zeros outside the window
-    may differ.
+    Only the ``_window`` of the start state (with its ``occupied`` sites,
+    if known) is stepped: its sites are gathered, stepped, and scattered
+    back into a zero ring. Values equal the full-ring run; only the signs
+    of exact zeros outside the window may differ.
     """
-    sites = _window(amps, steps)
+    sites = _window(amps, steps, occupied)
     if sites is None:
         return _steps_in_place(amps.copy(), coin1, coin2, steps)
     # Not zeros_like: for a start broadcast across a batch it follows the
@@ -343,7 +374,12 @@ def _steps_in_place(out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps
 
 
 def _adjoint_sweep(
-    amps: np.ndarray, seed: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int
+    amps: np.ndarray,
+    seed: np.ndarray,
+    coin1: np.ndarray,
+    coin2: np.ndarray,
+    steps: int,
+    ring: tuple[np.ndarray, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse sweep for the coin gradients of a real loss L of the final
     state of ``_run_steps``.
@@ -369,11 +405,20 @@ def _adjoint_sweep(
     ``amps`` is, as the MSE's (2/n)(p - q) psi is: under W-dagger psi and
     lambda then spread from the final state's support by at most one site
     per step, so they stay zero outside its cone.
+
+    ``ring``, if given, is ``(sites, M)``: ``amps`` and ``seed`` then hold
+    only the ring sites ``sites`` of an M-site ring (a forward window of
+    ``_run_steps``), and are zero at every other site. The sweep takes the
+    same window of the final state from them, without an M-site array
+    unless that window is the whole ring.
     """
-    sites = _window(amps, steps)
-    if sites is not None:
-        amps, seed = amps[..., sites], seed[..., sites]
-    z = np.stack([amps, seed], axis=1)  # z[row, 0] = psi, z[row, 1] = lambda
+    if ring is None:
+        sites = _window(amps, steps)
+        if sites is not None:
+            amps, seed = amps[..., sites], seed[..., sites]
+        z = np.stack([amps, seed], axis=1)  # z[row, 0] = psi, z[row, 1] = lambda
+    else:
+        z = _rewindow(np.stack([amps, seed], axis=1), steps, *ring)
     up, dn = z
     # Views of z that the half-steps update in place. The batch axis, if
     # any, leads both factors of the accumulator's product.
@@ -394,6 +439,25 @@ def _adjoint_sweep(
     return k1 @ coin1.conj(), k2 @ coin2.conj()
 
 
+def _rewindow(z: np.ndarray, steps: int, sites: np.ndarray, m: int) -> np.ndarray:
+    """The stacked (psi, lambda) rows ``z`` on the ring sites ``sites`` of
+    an m-site ring, zero at every other site, moved onto the ``_window``
+    of psi's occupied sites (the whole ring when that is None), with zeros
+    where ``sites`` does not reach.
+    """
+    occupied = np.sort(sites[_occupied_sites(z[:, 0])])
+    target = _ring_window(m, occupied, steps)
+    if target is None:
+        target = np.arange(m)
+    # Offsets of the target sites along the arc ``sites``, which starts at
+    # sites[0]; an offset past its end is a site outside it.
+    offset = (target - sites[0]) % m
+    inside = offset < sites.size
+    out = np.zeros(z.shape[:-1] + target.shape, dtype=z.dtype)
+    out[..., inside] = z[..., offset[inside]]
+    return out
+
+
 def apply_dtqw_step(state: WalkerState, coin: CoinParams) -> WalkerState:
     """One plain walk step: coin, then the full conditional shift.
 
@@ -411,9 +475,10 @@ def apply_ssqw_step(state: WalkerState, params: SsqwParams) -> WalkerState:
 def evolve(state: WalkerState, params: SsqwParams, schedule: WalkSchedule) -> WalkerState:
     """Apply ``schedule.steps`` identical split steps."""
     c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
-    out = WalkerState(_run_steps(state.amps, c1, c2, schedule.steps))
-    n0 = state.norm_sq()
-    assert abs(out.norm_sq() - n0) <= 1e-10 * schedule.steps * max(1.0, n0)
+    out = WalkerState(_run_steps(state.amps, c1, c2, schedule.steps, state._occupied))
+    n0, n1 = state.norm_sq(), out.norm_sq()
+    if not abs(n1 - n0) <= 1e-10 * schedule.steps * max(1.0, n0):
+        raise ArithmeticError(f"{schedule.steps} steps moved the norm from {n0!r} to {n1!r}")
     return out
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,8 +39,8 @@ from ssqw.optimize import (
     _reach_floor,
     _start_state,
 )
-from ssqw import walk
-from ssqw.statevector import WalkerState
+from ssqw import optimize, statevector, walk
+from ssqw.statevector import WalkerState, _position_probs
 from ssqw.walk import _light_cone
 
 import oracles
@@ -147,6 +151,198 @@ def test_objective_shape_mismatch():
     init = initial_state(3, 1.0, 0.0, 4)
     with pytest.raises(ValueError):
         objective(KNOWN_PARAMS, target, WalkSchedule(7), init)
+
+
+# ---------------------------------------------------- windowed value path
+
+
+ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def localized_fits(draw):
+    """A state on 2**3..2**10 sites whose occupied sites lie on an arc of
+    w sites from a random first site (arcs past site M-1 straddle site 0),
+    some of them left empty; 1..M/4 + 1 steps; and a random target with
+    some bins at exactly 0."""
+    m = 1 << draw(st.integers(3, 10))
+    steps = draw(st.integers(1, m // 4 + 1))
+    w = draw(st.integers(1, m // draw(st.sampled_from([1, 8, 8]))))
+    first = draw(st.integers(0, m - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(w) < draw(st.floats(0.1, 1.0))
+    keep[0] = True
+    sites = (first + np.flatnonzero(keep)) % m
+    amps = np.zeros((2, m), dtype=np.complex128)
+    amps[:, sites] = rng.normal(size=(2, sites.size)) + 1j * rng.normal(size=(2, sites.size))
+    amps[draw(st.sampled_from([(), (0,), (1,)])), sites[-1]] = 0.0
+    q = oracles.random_prob_vec(rng, m)
+    q[rng.random(m) < 0.2] = 0.0
+    target = TargetDistribution(q / q.sum(), Domain(0.0, float(m)))
+    return WalkerState(amps / np.sqrt(np.sum(np.abs(amps) ** 2))), WalkSchedule(steps), target
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit=localized_fits(), angles=st.tuples(*[ANGLES] * 6))
+def test_objective_equals_mse_of_the_full_ring_walk(fit, angles):
+    init, schedule, target = fit
+    params = SsqwParams.from_array(np.array(angles))
+    full = mse(target.probs, position_distribution(evolve(init, params, schedule)))
+    assert objective(params, target, schedule, init) == full
+
+
+def full_ring_mse_and_gradient(params_seq, target, schedule, init):
+    """_mse_and_gradient on M-site arrays: the walk scattered onto the
+    ring, mse() per row, and the sweep from the ring."""
+    (coin1, dcoin1), (coin2, dcoin2) = (
+        walk._coin_stacks([p.coin1 for p in params_seq]),
+        walk._coin_stacks([p.coin2 for p in params_seq]),
+    )
+    amps = np.broadcast_to(init.amps[:, None], (2, len(params_seq), init.num_positions))
+    final = walk._run_steps(amps, coin1, coin2, schedule.steps)
+    p = _position_probs(final)
+    values = [mse(target.probs, row) for row in p]
+    seed = (2.0 / p.shape[-1]) * (p - target.probs) * final
+    g1, g2 = walk._adjoint_sweep(final, seed, coin1, coin2, schedule.steps)
+    grad = [2.0 * np.real(np.sum(d * g[:, None], axis=(2, 3))) for d, g in ((dcoin1, g1), (dcoin2, g2))]
+    return values, np.concatenate(grad, axis=1)
+
+
+def test_windowed_gradient_equals_the_full_ring_formula():
+    rng = np.random.default_rng(53)
+    starts = [
+        # The sweep's window wraps past site 0.
+        (initial_state(10, 0.6, 0.8j, (1 << 10) - 9), 8),
+        # A one-site start: forward window 17 sites, sweep window 33.
+        (initial_state(12, 1.0, 0.0, 5), 8),
+        # Forward window 17 of 64 sites, but the final state's cone is
+        # more than half the ring, so the sweep runs on the whole ring.
+        (initial_state(6, 1.0, 0.0, 32), 8),
+        # The 16-bin fit: no window.
+        (initial_state(4, 1.0, 0.0, 8), 7),
+    ]
+    for init, steps in starts:
+        m = init.num_positions
+        target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+        schedule = WalkSchedule(steps)
+        params = [SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6)) for _ in range(3)]
+        # Diagonal coins move a coin-up start right by one site a step:
+        # its final state is one site at the right end of the forward
+        # window, which then covers only the left half of the sweep's.
+        diagonal = SsqwParams(CoinParams(0.0, 0.4, 1.9), CoinParams(0.0, 2.3, 0.7))
+        for rows in (params, params[:1], [diagonal]):
+            values, grads = _mse_and_gradient(rows, target, schedule, init)
+            full_values, full_grads = full_ring_mse_and_gradient(rows, target, schedule, init)
+            assert np.array(values).tobytes() == np.array(full_values).tobytes()
+            assert grads.tobytes() == full_grads.tobytes()
+
+
+def test_objective_rejects_a_walk_whose_mass_is_not_1():
+    # A start of norm 2 keeps its norm, but its distribution sums to 2:
+    # mse() rejected it, and the windowed and full-ring paths still do.
+    for n, x0, steps in ((10, 3, 8), (4, 8, 7)):
+        m = 1 << n
+        init = WalkerState(np.sqrt(2.0) * initial_state(n, 1.0, 0.0, x0).amps)
+        target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
+        with pytest.raises(ValueError, match="not 1 within"):
+            objective(KNOWN_PARAMS, target, WalkSchedule(steps), init)
+        with pytest.raises(ValueError, match="not 1 within"):
+            _mse_and_gradient([KNOWN_PARAMS], target, WalkSchedule(steps), init)
+
+
+def test_localized_objective_builds_no_ring_state():
+    # A one-site start on 2**12 sites, 8 steps: neither objective nor a
+    # value-and-gradient call builds a WalkerState or calls evolve, and
+    # the start's 4096 sites are scanned once; the sweep scans only the
+    # 17 sites of the forward window.
+    m = 1 << 12
+    init = initial_state(12, 1.0, 0.0, 100)
+    target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(59), m), Domain(0.0, float(m)))
+    schedule = WalkSchedule(8)
+    built, scanned = [], []
+    post_init = WalkerState.__post_init__
+    scan = statevector._occupied_sites
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve called")
+
+    def recording_scan(amps):
+        scanned.append(amps.shape[-1])
+        return scan(amps)
+
+    def recording_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    with (
+        mock.patch.object(optimize, "evolve", refuse),
+        mock.patch.object(walk, "evolve", refuse),
+        mock.patch.object(statevector, "_occupied_sites", recording_scan),
+        mock.patch.object(walk, "_occupied_sites", recording_scan),
+        mock.patch.object(WalkerState, "__post_init__", recording_post_init),
+    ):
+        objective(KNOWN_PARAMS, target, schedule, init)
+        objective(KNOWN_PARAMS, target, schedule, init)
+        _mse_and_gradient([KNOWN_PARAMS], target, schedule, init)
+    assert built == []
+    assert scanned == [m, 17]
+
+
+def test_norm_checks_survive_python_O(tmp_path):
+    # Under -O, with the step kernel scaling the amplitudes by 1.1, every
+    # norm check still raises ArithmeticError, and ssqw train exits 5.
+    # The script itself cannot use assert, which -O strips.
+    code = f"""
+import numpy as np
+from ssqw import cli, optimize, statevector, walk
+from ssqw import *
+
+if __debug__:
+    raise SystemExit("not run under -O")
+kernel = walk._steps_in_place
+
+
+def leaky(out, *args):
+    return kernel(out, *args) * 1.1
+
+
+walk._steps_in_place = optimize._steps_in_place = leaky
+
+
+def raises_arithmetic(fn, *args):
+    try:
+        fn(*args)
+    except ArithmeticError:
+        return
+    raise SystemExit(f"{{fn.__name__}} did not raise ArithmeticError")
+
+
+params = SsqwParams.from_array(np.arange(1.0, 7.0))
+for n, x0, steps in ((4, 8, 7), (10, 1020, 8)):
+    m = 1 << n
+    init = initial_state(n, 1.0, 0.0, x0)
+    target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
+    raises_arithmetic(evolve, init, params, WalkSchedule(steps))
+    raises_arithmetic(objective, params, target, WalkSchedule(steps), init)
+    raises_arithmetic(optimize._mse_and_gradient, [params], target, WalkSchedule(steps), init)
+state = initial_state(2, 1.0, 0.0, 1)
+norm_sq = WalkerState.norm_sq
+WalkerState.norm_sq = lambda self: 1.0 if self is state else 1.1
+raises_arithmetic(statevector.apply_coin, state, np.eye(2))
+WalkerState.norm_sq = norm_sq
+target = {str(tmp_path / "target.json")!r}
+if cli.main(["gen-target", "--kind", "normal", "--analytic", "--out", target]) != 0:
+    raise SystemExit("gen-target failed")
+code = cli.main(["train", "--target", target, "--max-iters", "8", "--out", {str(tmp_path / "r.json")!r}])
+if code != cli.EXIT_OPTIMIZER:
+    raise SystemExit(f"train exited {{code}}")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "optimiser failed" in proc.stderr
 
 
 # ------------------------------------------------------------------ train
