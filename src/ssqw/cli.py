@@ -9,7 +9,7 @@ reruns can be diffed directly.
 Exit codes:
   0  success
   1  trained MSE exceeded the requested gate
-  2  usage or argument validation error
+  2  usage or argument validation error, or an unwritable output path
   3  target has no representable mass on the domain
   4  a required input file is missing
   5  the optimiser raised
@@ -20,8 +20,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -45,6 +43,8 @@ from .target import (
     IngestFormatError,
     TargetDistribution,
     UnrepresentableTargetError,
+    _bin_table_csv,
+    _check_probs,
     analytic_histogram,
     bs_lognormal_target,
     ingest_returns,
@@ -75,8 +75,11 @@ def _resolve_out(path: str | None, default_name: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
     print(f"wrote {path}")
 
 
@@ -99,15 +102,9 @@ def _dist_summary(t: TargetDistribution) -> str:
 
 
 def _overlay_csv(target: TargetDistribution, trained: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin", "center", "p_target", "p_trained"])
-    centers = target.bin_centers
-    for i in range(target.n_bins):
-        writer.writerow(
-            [i, repr(float(centers[i])), repr(float(target.probs[i])), repr(float(trained[i]))]
-        )
-    return buf.getvalue()
+    return _bin_table_csv(
+        ["bin", "center", "p_target", "p_trained"], target.bin_centers, target.probs, trained
+    )
 
 
 def _result_json(result: TrainingResult, target: TargetDistribution) -> str:
@@ -252,6 +249,7 @@ def cmd_price(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_GRID_MISMATCH
+    _check_probs(trained, f"{args.trained}: trained probabilities")
     opt = OptionSpec(args.s0, args.strike, args.r, args.sigma, args.t, args.mu_drift)
     report = price_report(
         opt,
@@ -306,7 +304,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_repro(args: argparse.Namespace) -> int:
     outdir = args.outdir if args.outdir is not None else _outdir()
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise _Usage(f"cannot create output directory {outdir}: {exc.strerror or exc}") from exc
     domain = Domain(0.0, 15.0)
     n_bins = 16
     config = OptimizerConfig(
@@ -378,6 +379,13 @@ class _Usage(Exception):
     pass
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssqw",
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-drift", type=float, default=None)
     p.add_argument("--sigma-reading", choices=["total", "per-sqrt-time"], default="total")
     p.add_argument("--discount", action="store_true", help="discount payoffs by exp(-r t)")
-    p.add_argument("--reference", type=float, default=None, help="annotate against a quoted payoff")
+    p.add_argument("--reference", type=_finite_float, default=None, help="annotate against a quoted payoff")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_price)
@@ -457,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--steps", type=int, default=defaults.steps.steps)
     r.add_argument("--max-iters", type=int, default=defaults.max_iters)
     r.add_argument("--restarts", type=int, default=8)
-    r.add_argument("--reference", type=float, default=REFERENCE_PAYOFF_DEFAULT)
+    r.add_argument("--reference", type=_finite_float, default=REFERENCE_PAYOFF_DEFAULT)
     r.set_defaults(func=cmd_repro)
 
     return parser

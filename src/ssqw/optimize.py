@@ -9,11 +9,12 @@ through the steps, so its path does not depend on the installed SciPy.
 Everything is seeded and exact (probabilities, not shot counts), so a
 given configuration always reproduces the same result.
 
-objective() and train's values share one value path, ``_scores``. A
-localized start is stepped and scored on its light cone alone: outside
-it the walk's probabilities are exact zeros, so each bin there costs q^2,
-and the MSE equals that of the M-site distribution bit for bit. Only the
-results a caller gets back as M-site arrays (evolve's state, train's
+objective() and train's values share one value path, ``_scores``. It
+scores the walk on the window that ``walk._walk`` stepped, which for a
+localized start is its light cone alone: outside it the walk's
+probabilities are exact zeros, so each bin there costs q^2, and the MSE
+equals that of the M-site distribution bit for bit. Only the results a
+caller gets back as M-site arrays (evolve's state, train's
 ``trained_dist``) are built on the whole ring.
 
 The restarts are independent, so train() runs them in lockstep: each
@@ -40,8 +41,7 @@ from .walk import (
     _adjoint_sweep,
     _coin_stacks,
     _light_cone,
-    _steps_in_place,
-    _window,
+    _walk,
     coin_matrix,
     evolve,
     wrap_angle,
@@ -111,8 +111,8 @@ def _scores(
 
     Returns the B values, the final amplitudes (2, B, w), their
     distributions' differences p - q from the target (B, w), and the w
-    ring sites those cover: the start's ``_window``, or None for the whole
-    ring. Outside a window every amplitude stays an exact zero, so p = 0
+    ring sites those cover: the window ``walk._walk`` stepped, or None for
+    the whole ring. Outside a window every amplitude stays an exact zero, so p = 0
     there and each squared difference is q^2 bit for bit; the values equal
     ``mse`` of each row's M-site distribution. The checks are those of
     ``WalkerState``, ``evolve`` and ``mse`` on the same sites: finite
@@ -124,9 +124,7 @@ def _scores(
     if init.num_positions != n:
         raise ValueError(f"initial state has {init.num_positions} positions but target has {n} bins")
     steps = schedule.steps
-    sites = _window(init.amps, steps, init._occupied)
-    start = init.amps if sites is None else init.amps[:, sites]
-    final = _steps_in_place(np.repeat(start[:, None], len(coin1), axis=1), coin1, coin2, steps)
+    final, sites, start = _walk(init, coin1, coin2, steps)
     if not np.all(np.isfinite(final.view(np.float64))):
         raise ValueError("amplitudes must be finite")
     p = _position_probs(final)
@@ -161,9 +159,9 @@ def _mse_and_gradient(
     objective()'s value and checks bit for bit, and their gradients
     through one adjoint sweep back through the steps (Jones & Gacon,
     arXiv:2009.02823), seeded with lambda = (2/n)(p - q) psi, where p is
-    the walk's distribution, q the target and n the number of bins. Both
-    run on the start's window when it has one. A row's gradient equals
-    that of a one-row call.
+    the walk's distribution, q the target and n the number of bins. The
+    forward pass steps the start's window and the sweep the final state's
+    (see ``walk``). A row's gradient equals that of a one-row call.
     """
     (coin1, dcoin1), (coin2, dcoin2) = (
         _coin_stacks([p.coin1 for p in params_seq]),
@@ -172,8 +170,7 @@ def _mse_and_gradient(
     values, final, d, sites = _scores(coin1, coin2, target, schedule, init)
     n = target.n_bins
     seed = (2.0 / n) * d * final
-    ring = None if sites is None else (sites, n)
-    g1, g2 = _adjoint_sweep(final, seed, coin1, coin2, schedule.steps, ring)
+    g1, g2 = _adjoint_sweep(final, seed, coin1, coin2, schedule.steps, sites, n)
     grad = [
         2.0 * np.real(np.sum(dc * g[:, None], axis=(2, 3))) for dc, g in ((dcoin1, g1), (dcoin2, g2))
     ]
@@ -192,7 +189,7 @@ def _reach_floor(
     floor is (sum of q_i^2 outside + u^2 / r) / n_bins.
     """
     n = target.n_bins
-    cone = _light_cone(init.amps, schedule.steps, init._occupied)
+    cone = _light_cone(n, init._occupied, schedule.steps)
     if cone is None:
         return 0.0, 0.0
     outside = np.ones(n, dtype=bool)

@@ -8,8 +8,6 @@ matching an expectation taken directly at maturity.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +19,7 @@ from .target import (
     Domain,
     OptionSpec,
     TargetDistribution,
+    _bin_table_csv,
     _cdf,
     _check_n_bins,
     _maturity_law,
@@ -171,18 +170,9 @@ def payoff_report_to_json(report: PayoffReport) -> str:
 
 def payoff_csv(report: PayoffReport, p_target: np.ndarray, p_trained: np.ndarray) -> str:
     """Per-bin plot data: price, both distributions, and the bin payoff."""
-    p_target = np.asarray(p_target, dtype=np.float64)
-    p_trained = np.asarray(p_trained, dtype=np.float64)
-    n = report.grid.n_bins
-    if p_target.size != n or p_trained.size != n:
+    if not np.size(p_target) == np.size(p_trained) == report.grid.n_bins:
         raise ValueError("distribution lengths disagree with the grid")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin", "price", "p_target", "p_trained", "payoff"])
-    prices = report.grid.prices
-    for i in range(n):
-        writer.writerow(
-            [i, repr(float(prices[i])), repr(float(p_target[i])), repr(float(p_trained[i])),
-             repr(float(report.per_bin_payoff[i]))]
-        )
-    return buf.getvalue()
+    return _bin_table_csv(
+        ["bin", "price", "p_target", "p_trained", "payoff"],
+        report.grid.prices, p_target, p_trained, report.per_bin_payoff,
+    )

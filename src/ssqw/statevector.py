@@ -191,6 +191,9 @@ def state_from_json(text: str) -> WalkerState:
     if payload.get("format_version") != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format_version: {payload.get('format_version')!r}")
     pairs = payload["amps"]
+    # type() rather than isinstance(): JSON true and false are not numbers.
+    if not all(isinstance(p, list) and len(p) == 2 and {type(v) for v in p} <= {int, float} for p in pairs):
+        raise ValueError("state JSON amps must be [re, im] pairs of numbers")
     flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     state = WalkerState(flat)
     if state.num_position_qubits != payload["num_position_qubits"]:

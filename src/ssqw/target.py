@@ -32,7 +32,6 @@ MIN_ANALYTIC_MASS = 1e-12
 SAMPLE_BATCH = 65536
 
 SUM_TOL = 1e-9
-EDGE_TOL = 1e-12
 
 
 class UnrepresentableTargetError(ValueError):
@@ -73,6 +72,27 @@ class Domain:
 def _check_n_bins(n_bins: int) -> None:
     if not isinstance(n_bins, int) or n_bins < 2 or (n_bins & (n_bins - 1)) != 0:
         raise ValueError(f"n_bins must be a power of two >= 2, got {n_bins!r}")
+
+
+def _check_probs(probs: np.ndarray, what: str = "probabilities") -> None:
+    """Raise ValueError unless the float vector ``probs`` is finite,
+    nonnegative and sums to 1 within SUM_TOL; ``what`` names it."""
+    if not np.all(np.isfinite(probs)):
+        raise ValueError(f"{what} must be finite")
+    if probs.min() < 0.0:
+        raise ValueError(f"{what} must be nonnegative, min = {probs.min()}")
+    total = float(probs.sum())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"{what} must sum to 1 within {SUM_TOL}, got {total!r}")
+
+
+def _bin_table_csv(header: list[str], *columns) -> str:
+    """A plot-ready CSV: the ``header`` row, then one row per bin holding
+    its index and each column's value, floats written with ``repr`` so
+    files diff cleanly."""
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    lines = [",".join(header)] + [",".join([str(i), *map(repr, row)]) for i, row in enumerate(rows)]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -166,13 +186,7 @@ class TargetDistribution:
         if probs.ndim != 1:
             raise ValueError(f"probs must be a vector, got shape {probs.shape}")
         _check_n_bins(probs.size)
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        if probs.min() < 0.0:
-            raise ValueError(f"probabilities must be nonnegative, min = {probs.min()}")
-        total = float(probs.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {SUM_TOL}, got {total!r}")
+        _check_probs(probs)
         probs = np.ascontiguousarray(probs)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

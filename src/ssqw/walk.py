@@ -13,23 +13,24 @@ so C1 is applied first, then S_plus (up moves right, down stays), then
 C2, then S_minus (down moves left, up stays). Composing the two
 half-shifts with no coin in between reproduces the plain shift exactly.
 
-One half-step, ``_half_step``, is the only code that moves amplitudes:
-a coin on both coin rows, then one row shifted one site by slicing. The
-forward kernel runs each split step as two of them (C1 with the up row
-moving right, C2 with the down row moving left). The adjoint sweep that
-gives the coin gradients runs the same half-step backwards, with the
-conjugate-transposed coins and the opposite moves.
+One half-step, ``_half_step``, moves the amplitudes of every walk the
+package runs: a coin on both coin rows, then one row shifted one site by
+slicing. The forward kernel runs each split step as two of them (C1 with
+the up row moving right, C2 with the down row moving left). The adjoint
+sweep that gives the coin gradients runs the same half-step backwards,
+with the conjugate-transposed coins and the opposite moves. (The public
+``apply_shift_*`` operators, for composing a step by hand, use np.roll.)
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
-light cone first-t..last+t. One rule, ``_window``, has both directions
-step a localized state on that cone alone when it is at most half the
-ring: the forward kernel takes the cone of the start state, the sweep
-that of the final state. This is exact, not a truncation: every site outside the
-cone stays an exact zero in the full-ring run too. A ``WalkerState``
-caches its occupied sites, so a start is scanned for its cone once, and
-the sweep can take the final state on the forward window alone, so a
-caller that needs no M-site result (the MSE objective) never builds one.
+light cone first-t..last+t. One rule, ``_window``, decides which sites a
+walk steps: the cone alone when it is at most half the ring. This is
+exact, not a truncation: every site outside the cone stays an exact zero
+in the full-ring run too. The one forward entry, ``_walk``, steps the
+start's window: ``evolve`` and the one-step operators scatter its result
+onto the ring, and the MSE objective scores it in place. The sweep steps
+the final state's window (``_rewindow``). A ``WalkerState`` caches its
+occupied sites, so a start is scanned for its cone once.
 
 The forward kernel and the sweep also run a batch: B coins stacked as a
 (B, 2, 2) array, with states of shape (2, B, M). Each row is stepped by
@@ -209,19 +210,7 @@ def apply_shift_minus(state: WalkerState) -> WalkerState:
     return WalkerState(out)
 
 
-def _light_cone(amps: np.ndarray, steps: int, occupied: np.ndarray | None = None) -> np.ndarray | None:
-    """The sites a walk from ``amps`` can fill in ``steps`` steps.
-
-    ``occupied`` holds the occupied sites of ``amps`` when they are already
-    known (a ``WalkerState`` caches them); otherwise ``amps`` is scanned
-    for them (``_occupied_sites``). Returns ``_ring_cone`` of them.
-    """
-    if occupied is None:
-        occupied = _occupied_sites(amps)
-    return _ring_cone(amps.shape[-1], occupied, steps)
-
-
-def _ring_cone(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
+def _light_cone(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
     """The light cone of ``steps`` steps from the increasing ``occupied``
     sites of an ``m``-site ring.
 
@@ -248,26 +237,11 @@ def _ring_cone(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
     return np.arange(first - steps, first + span + steps) % m
 
 
-def _window(amps: np.ndarray, steps: int, occupied: np.ndarray | None = None) -> np.ndarray | None:
-    """The ring sites to step ``steps`` times from ``amps``, or None for
-    the whole ring; ``occupied`` as for ``_light_cone``.
-
-    A localized state is stepped only inside its light cone
-    (``_light_cone``) when the cone is at most half the ring: see
-    ``_ring_window``. When ``4 * steps >= M`` even a one-site cone is more
-    than half the ring, so the occupied sites are not scanned.
-    """
-    m = amps.shape[-1]
-    if 4 * steps >= m:
-        return None
-    if occupied is None:
-        occupied = _occupied_sites(amps)
-    return _ring_window(m, occupied, steps)
-
-
-def _ring_window(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
-    """``_window`` of the increasing ``occupied`` sites of an ``m``-site
-    ring: their light cone if it is at most half the ring, else None.
+def _window(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
+    """The ring sites to step ``steps`` times from a state whose increasing
+    ``occupied`` sites lie on an ``m``-site ring: their ``_light_cone`` if
+    it is at most half the ring, else None for the whole ring. When
+    ``4 * steps >= m`` even a one-site cone is more than half the ring.
 
     This is exact. No amplitude travels further than ``steps`` sites, so
     nothing outside the cone ever becomes non-zero, and the cone's own
@@ -277,7 +251,9 @@ def _ring_window(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
     time from 2**8 to 2**16 sites, on one core of a 2-core Xeon with numpy
     2.4; at three quarters, 0.84-1.10).
     """
-    sites = _ring_cone(m, occupied, steps)
+    if 4 * steps >= m:
+        return None
+    sites = _light_cone(m, occupied, steps)
     if sites is not None and sites.size <= m // 2:
         return sites
     return None
@@ -331,29 +307,34 @@ def _scalars(coin: np.ndarray) -> tuple:
 _IDENTITY_SCALARS = _scalars(_IDENTITY_MATRIX)
 
 
-def _run_steps(
-    amps: np.ndarray,
-    coin1: np.ndarray,
-    coin2: np.ndarray,
-    steps: int,
-    occupied: np.ndarray | None = None,
-) -> np.ndarray:
-    """Run ``steps`` split steps on a copy of a raw (2, M) amplitude array,
-    or of a (2, B, M) batch with (B, 2, 2) coin stacks.
+def _walk(
+    init: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Run ``steps`` split steps from ``init`` under a pair of 2x2 coins,
+    or under B pairs stacked as (B, 2, 2) arrays.
 
-    Only the ``_window`` of the start state (with its ``occupied`` sites,
-    if known) is stepped: its sites are gathered, stepped, and scattered
-    back into a zero ring. Values equal the full-ring run; only the signs
-    of exact zeros outside the window may differ.
+    Only the start's ``_window`` is stepped: its sites are gathered, and
+    for a coin stack repeated into a (2, B, w) batch. Returns the final
+    amplitudes on the window, (2, w) or (2, B, w); the window's w ring
+    sites, or None for the whole ring; and the start's (2, w) amplitudes
+    on them. Every amplitude outside the window stays an exact zero.
     """
-    sites = _window(amps, steps, occupied)
+    sites = _window(init.num_positions, init._occupied, steps)
+    start = init.amps if sites is None else init.amps[:, sites]
+    out = np.repeat(start[:, None], len(coin1), axis=1) if coin1.ndim == 3 else start.copy()
+    return _steps_in_place(out, coin1, coin2, steps), sites, start
+
+
+def _ring_walk(state: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> WalkerState:
+    """``_walk`` from ``state`` under one coin pair, scattered onto the
+    whole ring. Values equal the full-ring run; only the signs of exact
+    zeros outside the window may differ."""
+    final, sites, _ = _walk(state, coin1, coin2, steps)
     if sites is None:
-        return _steps_in_place(amps.copy(), coin1, coin2, steps)
-    # Not zeros_like: for a start broadcast across a batch it follows the
-    # zero stride, which leaves the site axis non-contiguous.
-    out = np.zeros(amps.shape, dtype=amps.dtype)
-    out[..., sites] = _steps_in_place(amps[..., sites], coin1, coin2, steps)
-    return out
+        return WalkerState(final)
+    out = np.zeros(state.amps.shape, dtype=np.complex128)
+    out[:, sites] = final
+    return WalkerState(out)
 
 
 def _steps_in_place(out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
@@ -379,10 +360,11 @@ def _adjoint_sweep(
     coin1: np.ndarray,
     coin2: np.ndarray,
     steps: int,
-    ring: tuple[np.ndarray, int] | None = None,
+    sites: np.ndarray | None = None,
+    m: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse sweep for the coin gradients of a real loss L of the final
-    state of ``_run_steps``.
+    state of ``_walk``.
 
     ``amps`` is the final (2, M) state psi and ``seed`` the adjoint lambda
     of L at it, so that dL = 2 Re sum(conj(lambda) * d psi); both may
@@ -406,19 +388,11 @@ def _adjoint_sweep(
     lambda then spread from the final state's support by at most one site
     per step, so they stay zero outside its cone.
 
-    ``ring``, if given, is ``(sites, M)``: ``amps`` and ``seed`` then hold
-    only the ring sites ``sites`` of an M-site ring (a forward window of
-    ``_run_steps``), and are zero at every other site. The sweep takes the
-    same window of the final state from them, without an M-site array
-    unless that window is the whole ring.
+    ``amps`` and ``seed`` may instead hold only the ring ``sites`` of an
+    m-site ring (the window ``_walk`` returns), zero at every other site:
+    see ``_rewindow``.
     """
-    if ring is None:
-        sites = _window(amps, steps)
-        if sites is not None:
-            amps, seed = amps[..., sites], seed[..., sites]
-        z = np.stack([amps, seed], axis=1)  # z[row, 0] = psi, z[row, 1] = lambda
-    else:
-        z = _rewindow(np.stack([amps, seed], axis=1), steps, *ring)
+    z = _rewindow(np.stack([amps, seed], axis=1), steps, sites, m)
     up, dn = z
     # Views of z that the half-steps update in place. The batch axis, if
     # any, leads both factors of the accumulator's product.
@@ -439,14 +413,24 @@ def _adjoint_sweep(
     return k1 @ coin1.conj(), k2 @ coin2.conj()
 
 
-def _rewindow(z: np.ndarray, steps: int, sites: np.ndarray, m: int) -> np.ndarray:
-    """The stacked (psi, lambda) rows ``z`` on the ring sites ``sites`` of
-    an m-site ring, zero at every other site, moved onto the ``_window``
-    of psi's occupied sites (the whole ring when that is None), with zeros
-    where ``sites`` does not reach.
+def _rewindow(z: np.ndarray, steps: int, sites: np.ndarray | None, m: int | None) -> np.ndarray:
+    """The stacked (psi, lambda) rows ``z`` moved onto the ``_window`` of
+    psi's occupied sites, or onto the whole ring when that is None; psi
+    is not scanned when ``4 * steps >= m``.
+
+    ``z`` holds the whole ring when ``sites`` is None. Otherwise it holds
+    the ring sites ``sites`` of an m-site ring, is zero at every other
+    site, and gets zeros where ``sites`` does not reach; no m-site array
+    is built unless the window is the whole ring.
     """
-    occupied = np.sort(sites[_occupied_sites(z[:, 0])])
-    target = _ring_window(m, occupied, steps)
+    if sites is None:
+        m = z.shape[-1]
+    target = None
+    if 4 * steps < m:
+        occupied = _occupied_sites(z[:, 0])
+        target = _window(m, occupied if sites is None else np.sort(sites[occupied]), steps)
+    if sites is None:
+        return z if target is None else np.take(z, target, axis=-1)
     if target is None:
         target = np.arange(m)
     # Offsets of the target sites along the arc ``sites``, which starts at
@@ -463,19 +447,19 @@ def apply_dtqw_step(state: WalkerState, coin: CoinParams) -> WalkerState:
 
     This is a split step whose second coin is the identity.
     """
-    return WalkerState(_run_steps(state.amps, coin_matrix(coin), _IDENTITY_MATRIX, 1))
+    return _ring_walk(state, coin_matrix(coin), _IDENTITY_MATRIX, 1)
 
 
 def apply_ssqw_step(state: WalkerState, params: SsqwParams) -> WalkerState:
     """One split step: coin1, S_plus, coin2, S_minus, in that order."""
     c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
-    return WalkerState(_run_steps(state.amps, c1, c2, 1))
+    return _ring_walk(state, c1, c2, 1)
 
 
 def evolve(state: WalkerState, params: SsqwParams, schedule: WalkSchedule) -> WalkerState:
     """Apply ``schedule.steps`` identical split steps."""
     c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
-    out = WalkerState(_run_steps(state.amps, c1, c2, schedule.steps, state._occupied))
+    out = _ring_walk(state, c1, c2, schedule.steps)
     n0, n1 = state.norm_sq(), out.norm_sq()
     if not abs(n1 - n0) <= 1e-10 * schedule.steps * max(1.0, n0):
         raise ArithmeticError(f"{schedule.steps} steps moved the norm from {n0!r} to {n1!r}")

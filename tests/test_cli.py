@@ -390,6 +390,51 @@ def test_price_trained_wrong_domain_exit2(tmp_path, capsys, domain, needle):
     assert_usage_error(capsys, code, str(result), needle)
 
 
+@pytest.mark.parametrize(
+    "bad, needle",
+    [("nan", "must be finite"), ("negative", "must be nonnegative"), ("sum", "must sum to 1")],
+)
+def test_price_trained_bad_probabilities_exit2(tmp_path, capsys, bad, needle):
+    # A trained file on the right grid whose probabilities break a rule
+    # every target obeys; the report would carry NaN or a meaningless payoff.
+    target = gen_normal_target(tmp_path)
+    payload = read_json(target)
+    probs = payload["probs"]
+    if bad == "nan":
+        probs[8] = math.nan
+    elif bad == "negative":
+        probs[8] += probs[0] + 0.01
+        probs[0] = -0.01
+    else:
+        probs[8] += 0.01
+    trained = tmp_path / "trained.json"
+    trained.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(
+        "price", "--target", str(target), "--trained", str(trained),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert_usage_error(capsys, code, str(trained), needle)
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_reference_must_be_finite_exit2(tmp_path, capsys, value):
+    target = gen_normal_target(tmp_path)
+    capsys.readouterr()
+    code = run(
+        "price", "--target", str(target), "--trained", str(target),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--reference", value, "--out", str(tmp_path / "p.json"),
+    )
+    assert code == 2 and "--reference" in capsys.readouterr().err
+    outdir = tmp_path / "repro"
+    code = run("repro", "--outdir", str(outdir), "--max-iters", "1", "--reference", value)
+    assert code == 2 and "--reference" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists() and not outdir.exists()
+
+
 def test_price_missing_file_exit4(tmp_path):
     target = gen_normal_target(tmp_path)
     code = run(
@@ -491,6 +536,26 @@ def test_repro_imports_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert (tmp_path / "summary.json").exists()
+
+
+def test_repro_outdir_is_a_file_exit2(tmp_path, capsys):
+    outdir = tmp_path / "taken"
+    outdir.write_text("")
+    code = run("repro", "--outdir", str(outdir), "--max-iters", "1")
+    assert_usage_error(capsys, code, str(outdir))
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_train_unwritable_out_exit2(tmp_path, capsys, where):
+    # Exit 1 is the MSE gate and exit 4 a missing input; an output path
+    # that cannot be written is a usage error.
+    target = gen_normal_target(tmp_path)
+    out = tmp_path / "outdir" if where == "directory" else tmp_path / "missing" / "r.json"
+    if where == "directory":
+        out.mkdir()
+    capsys.readouterr()
+    code = run("train", "--target", str(target), "--out", str(out), "--max-iters", "4")
+    assert_usage_error(capsys, code, str(out))
 
 
 # ------------------------------------------------------------------ misc

@@ -199,7 +199,7 @@ def full_ring_mse_and_gradient(params_seq, target, schedule, init):
         walk._coin_stacks([p.coin2 for p in params_seq]),
     )
     amps = np.broadcast_to(init.amps[:, None], (2, len(params_seq), init.num_positions))
-    final = walk._run_steps(amps, coin1, coin2, schedule.steps)
+    final = walk._steps_in_place(np.array(amps), coin1, coin2, schedule.steps)
     p = _position_probs(final)
     values = [mse(target.probs, row) for row in p]
     seed = (2.0 / p.shape[-1]) * (p - target.probs) * final
@@ -306,7 +306,7 @@ def leaky(out, *args):
     return kernel(out, *args) * 1.1
 
 
-walk._steps_in_place = optimize._steps_in_place = leaky
+walk._steps_in_place = leaky
 
 
 def raises_arithmetic(fn, *args):
@@ -660,7 +660,7 @@ def test_default_train_never_calls_numpy_roll(monkeypatch):
 def test_default_start_cannot_reach_bin_0_only():
     # 16 bins, start site 8, 7 steps: the light cone is sites 1..15.
     init, _ = _start_state(16, symmetric=False)
-    np.testing.assert_array_equal(_light_cone(init.amps, 7), np.arange(1, 16))
+    np.testing.assert_array_equal(_light_cone(16, init._occupied, 7), np.arange(1, 16))
     q = np.arange(1.0, 17.0) / 136.0
     result = train(TargetDistribution(q, DOM), OptimizerConfig(max_iters=1))
     assert result.metadata["unreachable_mass"] == q[0]
@@ -728,11 +728,27 @@ def test_windowed_sweep_gradient_equals_full_ring():
     init = initial_state(10, 0.6, 0.8j, m - 9)
     params = SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6))
     schedule = WalkSchedule(8)
-    sites = walk._window(evolve(init, params, schedule).amps, schedule.steps)
+    sites = walk._window(m, evolve(init, params, schedule)._occupied, schedule.steps)
     np.testing.assert_array_equal(sites, np.arange(m - 25, m + 8) % m)
     [value], [grad] = _mse_and_gradient([params], target, schedule, init)
-    with mock.patch.object(walk, "_window", lambda amps, steps: None):
+    widths = []
+    half_step = walk._half_step
+
+    def recording(up, dn, *args, **kwargs):
+        widths.append(up.shape[-1])
+        return half_step(up, dn, *args, **kwargs)
+
+    with (
+        mock.patch.object(walk, "_window", lambda m, occupied, steps: None),
+        mock.patch.object(walk, "_half_step", recording),
+    ):
         [full_value], [full_grad] = _mse_and_gradient([params], target, schedule, init)
+        # Forward pass and sweep, then evolve and objective alone: with no
+        # window every half-step runs on all M sites.
+        assert widths == [m] * 4 * schedule.steps
+        evolve(init, params, schedule)
+        objective(params, target, schedule, init)
+        assert widths == [m] * 8 * schedule.steps
     assert value == full_value
     assert np.max(np.abs(grad - full_grad)) <= 1e-12 * np.max(np.abs(full_grad))
 

@@ -187,6 +187,14 @@ def test_state_json_rejects_wrong_version():
         state_from_json(bad)
 
 
+@pytest.mark.parametrize("entry", [5, ["a", 1], [1.0], [True, 0.0], None])
+def test_state_json_rejects_an_amplitude_that_is_not_a_number_pair(entry):
+    payload = json.loads(state_to_json(initial_state(2, 1.0, 0.0, 0)))
+    payload["amps"][3] = entry
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+        state_from_json(json.dumps(payload))
+
+
 def test_state_json_rejects_non_object_and_missing_key():
     with pytest.raises(ValueError, match="not a JSON object"):
         state_from_json("[1, 0]")

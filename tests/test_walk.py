@@ -426,7 +426,7 @@ def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sweep_sites):
     """Each row of a batched forward run and sweep, as bytes, against its
     own single call; the batch's sweep steps ``sweep_sites`` sites."""
     batch = np.repeat(init[:, None], len(coins1), axis=1)
-    final = walk._run_steps(batch, coins1, coins2, steps)
+    final = walk._steps_in_place(batch, coins1, coins2, steps)
     # An MSE-style seed: zero wherever the final state is.
     seed = final * np.linspace(-1.0, 1.0, init.shape[-1])
     widths = []
@@ -440,7 +440,7 @@ def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sweep_sites):
         k1, k2 = walk._adjoint_sweep(final, seed, coins1, coins2, steps)
     assert set(widths) == {sweep_sites}
     for b, (c1, c2) in enumerate(zip(coins1, coins2)):
-        single = walk._run_steps(init, c1, c2, steps)
+        single = walk._steps_in_place(init.copy(), c1, c2, steps)
         assert final[:, b].tobytes() == single.tobytes()
         g1, g2 = walk._adjoint_sweep(single, seed[:, b], c1, c2, steps)
         assert (k1[b].tobytes(), k2[b].tobytes()) == (g1.tobytes(), g2.tobytes())
@@ -469,7 +469,8 @@ def test_batched_kernel_rows_equal_single_calls():
     init = initial_state(10, 1.0, 0.0, m - 9).amps
     identity = SsqwParams(IDENTITY_COIN, IDENTITY_COIN)
     c1, c2 = coins(identity)
-    assert walk._window(walk._run_steps(init, c1[0], c2[0], 8), 8).size == 17
+    final = walk._steps_in_place(init.copy(), c1[0], c2[0], 8)
+    assert walk._window(m, walk._occupied_sites(final), 8).size == 17
     _batched_rows_equal_single_calls(init, *coins(identity, *random_params(4)), 8, 33)
 
 
