@@ -83,6 +83,19 @@ def _write_text(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _check_writable(path: str) -> None:
+    """Raise the usage error that ``_write_text`` would raise for ``path``
+    if it cannot be opened for writing; leave the file system as it was."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _load_target(path: str) -> TargetDistribution:
     if not os.path.exists(path):
         raise FileNotFoundError(f"target file not found: {path}")
@@ -180,6 +193,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     init = _build_init(args, target.n_bins)
+    out = _resolve_out(args.out, "result.json")
+    csv_out = args.csv if args.csv is not None else os.path.splitext(out)[0] + ".csv"
+    # Fail before the fit, not after it, on a path that cannot be written.
+    _check_writable(out)
+    _check_writable(csv_out)
     t0 = time.perf_counter()
     try:
         result = train(target, config, init)
@@ -190,8 +208,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"error: optimiser failed: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER
     wall = time.perf_counter() - t0
-    out = _resolve_out(args.out, "result.json")
-    csv_out = args.csv if args.csv is not None else os.path.splitext(out)[0] + ".csv"
     _write_text(out, _result_json(result, target))
     _write_text(csv_out, _overlay_csv(target, result.trained_dist))
     print(
@@ -222,15 +238,29 @@ def _load_distribution_file(path: str) -> tuple[np.ndarray, int, dict | None]:
         dom = payload.get("domain")
         if dom is not None:
             _json_object(dom, f"training result {path} domain", lo="number", hi="number")
-        probs = np.asarray(payload["trained_dist"], dtype=np.float64)
+        probs = _json_floats(payload["trained_dist"], f"training result {path} key 'trained_dist'")
         return probs, payload["n_bins"], dom
     if "probs" in payload:
         _json_object(
             payload, f"target file {path}", n_bins="integer", lo="number", hi="number", probs="array"
         )
-        probs = np.asarray(payload["probs"], dtype=np.float64)
+        probs = _json_floats(payload["probs"], f"target file {path} key 'probs'")
         return probs, payload["n_bins"], {"lo": payload["lo"], "hi": payload["hi"]}
     raise ValueError(f"{path}: neither a training result nor a target file")
+
+
+def _json_floats(values: list, what: str) -> np.ndarray:
+    """The JSON array ``values`` as a float64 array. An entry numpy cannot
+    convert raises a ValueError naming ``what`` and the entry's index."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        for i, value in enumerate(values):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{what} entry {i} must be a number, got {json.dumps(value)}") from None
+        raise
 
 
 def cmd_price(args: argparse.Namespace) -> int:

@@ -28,7 +28,7 @@ another.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator, Sequence
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +39,10 @@ from .walk import (
     SsqwParams,
     WalkSchedule,
     _adjoint_sweep,
+    _check_finite_angles,
     _coin_stacks,
     _light_cone,
     _walk,
-    coin_matrix,
     evolve,
     wrap_angle,
 )
@@ -95,8 +95,8 @@ def objective(
     M-site state is built. Pure function of its arguments; evaluating
     twice gives bitwise equal results.
     """
-    coins = [coin_matrix(c)[None] for c in (params.coin1, params.coin2)]
-    return _scores(*coins, target, schedule, init)[0][0]
+    coins, _ = _coin_stacks(params.to_array().reshape(2, 3))
+    return _scores(coins[:1], coins[1:], target, schedule, init)[0][0]
 
 
 def _scores(
@@ -146,14 +146,14 @@ def _scores(
 
 
 def _mse_and_gradient(
-    params_seq: Sequence[SsqwParams],
+    angles: np.ndarray,
     target: TargetDistribution,
     schedule: WalkSchedule,
     init: WalkerState,
 ) -> tuple[list[float], np.ndarray]:
     """objective() and its exact gradient by the six angles, in
-    ``SsqwParams.to_array`` order, at each of B parameter sets: a list of
-    B values and a (B, 6) array of gradients.
+    ``SsqwParams.to_array`` order, at each row of a (B, 6) float64 angle
+    array: a list of B values and a (B, 6) array of gradients.
 
     The B sets run as one batch through ``_scores``, which gives each
     objective()'s value and checks bit for bit, and their gradients
@@ -162,11 +162,14 @@ def _mse_and_gradient(
     the walk's distribution, q the target and n the number of bins. The
     forward pass steps the start's window and the sweep the final state's
     (see ``walk``). A row's gradient equals that of a one-row call.
+
+    A non-finite angle raises the ValueError that ``CoinParams`` raises.
     """
-    (coin1, dcoin1), (coin2, dcoin2) = (
-        _coin_stacks([p.coin1 for p in params_seq]),
-        _coin_stacks([p.coin2 for p in params_seq]),
-    )
+    _check_finite_angles(angles)
+    b = len(angles)
+    # All coin1s, then all coin2s, as the rows of one (2B, 3) array.
+    coins, dcoins = _coin_stacks(angles.reshape(b, 2, 3).swapaxes(0, 1).reshape(2 * b, 3))
+    coin1, coin2, dcoin1, dcoin2 = coins[:b], coins[b:], dcoins[:b], dcoins[b:]
     values, final, d, sites = _scores(coin1, coin2, target, schedule, init)
     n = target.n_bins
     seed = (2.0 / n) * d * final
@@ -284,12 +287,13 @@ def _adjoint_bfgs(
     f, g = yield EVALS_PER_GRADIENT, x
     charged = EVALS_PER_GRADIENT
     h = None  # inverse-Hessian estimate, set at the first curvature update
+    eye = np.eye(x.size)
     while True:
         d = -g if h is None else -(h @ g)
         slope = float(g @ d)
         if not slope < 0.0:
             return "no-descent"
-        norm = float(np.linalg.norm(d))
+        norm = math.sqrt(float(d @ d))
         if norm > config.initial_trust_radius:
             scale = config.initial_trust_radius / norm
             d, slope, norm = d * scale, slope * scale, config.initial_trust_radius
@@ -308,11 +312,10 @@ def _adjoint_bfgs(
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
-            eye = np.eye(x.size)
             if h is None:
                 h = (sy / float(y @ y)) * eye
-            v = eye - np.outer(s, y) / sy
-            h = v @ h @ v.T + np.outer(s, s) / sy
+            v = eye - s[:, None] * y / sy
+            h = v @ h @ v.T + s[:, None] * s / sy
         x, f, g = x_new, f_new, g_new
 
 
@@ -372,11 +375,6 @@ def train(
     rng = np.random.default_rng(config.seed)
     starts = [x_init] + [rng.uniform(0.0, TWO_PI, x_init.size) for _ in range(config.restarts - 1)]
 
-    def to_params(x: np.ndarray) -> SsqwParams:
-        angles = np.zeros(6)
-        angles[free] = x
-        return SsqwParams.from_array(angles)
-
     # Lockstep rounds: one batched call evaluates the pending (charge, x)
     # of every live restart, and each gets its (f, g) back.
     runs = [_adjoint_bfgs(np.asarray(x0, dtype=np.float64), config) for x0 in starts]
@@ -387,7 +385,9 @@ def train(
     while pending:
         live = list(pending)
         points = [pending[r][1] for r in live]
-        values, grads = _mse_and_gradient([to_params(x) for x in points], target, config.steps, init)
+        angles = np.zeros((len(live), 6))
+        angles[:, free] = points
+        values, grads = _mse_and_gradient(angles, target, config.steps, init)
         for r, x, f, g in zip(live, points, values, grads):
             charged[r] += pending.pop(r)[0]
             evaluated[r].append((x, f))
@@ -413,7 +413,9 @@ def train(
             break
         stop_reasons.append(reasons[r])
 
-    best_params = to_params(best_x)
+    best_angles = np.zeros(6)
+    best_angles[free] = best_x
+    best_params = SsqwParams.from_array(best_angles)
     trained = position_distribution(evolve(init, best_params, config.steps))
     unreachable_mass, mse_floor = _reach_floor(target, init, config.steps)
     metadata = {

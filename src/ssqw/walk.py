@@ -37,13 +37,19 @@ The forward kernel and the sweep also run a batch: B coins stacked as a
 the same half-steps as it would be alone, so its result equals its own
 single call bit for bit. A batch is stepped on the union of its rows'
 cones, which holds each row's cone.
+
+Coins are built from angle arrays: ``_coin_stacks`` turns a (K, 3) array
+of (theta, phi, lam) rows into the (K, 2, 2) coins and their (K, 3, 2, 2)
+angle derivatives with one np.cos and one np.sin call, bit for bit equal
+to the scalar formula (``coin_matrix`` is its one-row case). Each walk
+broadcasts its coins' entries once to the shape of the rows it steps
+(``_entries``), so that the half-steps multiply arrays of equal shape.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +63,9 @@ TWO_PI = 2.0 * math.pi
 MAX_DENSE_QUBITS = 4
 
 OPERATOR_FORMAT_VERSION = 1
+
+# The angles of a coin, in the order of its fields and of every angle array.
+_ANGLE_NAMES = ("theta", "phi", "lam")
 
 
 def wrap_angle(a: float) -> float:
@@ -75,7 +84,7 @@ class CoinParams:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("theta", "phi", "lam"):
+        for name in _ANGLE_NAMES:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"coin angle {name} must be finite, got {v!r}")
@@ -123,6 +132,16 @@ class WalkSchedule:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
 
 
+def _check_finite_angles(angles: np.ndarray) -> None:
+    """Raise the ValueError ``CoinParams`` raises for the first non-finite
+    entry, in row-major order, of an array of (theta, phi, lam) triples
+    whose rows hold whole triples."""
+    finite = np.isfinite(angles)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"coin angle {_ANGLE_NAMES[i % 3]} must be finite, got {angles.flat[i]!r}")
+
+
 def coin_matrix(params: CoinParams) -> np.ndarray:
     """Coin unitary
 
@@ -132,44 +151,117 @@ def coin_matrix(params: CoinParams) -> np.ndarray:
     which is unitary for any real angles. theta = pi/2, phi = 0, lam = pi
     gives the Hadamard coin.
     """
-    return np.array(_coin_entries(*_coin_factors(params)), dtype=np.complex128)
+    angles = np.array([[params.theta, params.phi, params.lam]], dtype=np.float64)
+    return _coin_stacks(angles)[0][0]
 
 
-def _coin_factors(params: CoinParams) -> tuple[float, float, complex, complex]:
-    """cos(theta/2), sin(theta/2), exp(i lam) and exp(i phi): the factors
-    that ``coin_matrix`` and its derivatives are built from."""
-    t2 = params.theta / 2.0
-    return (
-        math.cos(t2),
-        math.sin(t2),
-        complex(math.cos(params.lam), math.sin(params.lam)),
-        complex(math.cos(params.phi), math.sin(params.phi)),
+# The coin and its derivatives by theta, phi and lam, written with
+# c = cos(theta/2), s = sin(theta/2), ep = exp(i phi) and el = exp(i lam):
+#
+#     coin      [[c,       -el*s     ], [ep*s,     el*ep*c     ]]
+#     d/dtheta  [[-0.5*s,  -0.5*el*c ], [0.5*ep*c, -0.5*el*ep*s]]
+#     d/dphi    [[0,       0         ], [1j*ep*s,  1j*el*ep*c  ]]
+#     d/dlam    [[0,       -1j*el*s  ], [0,        1j*el*ep*c  ]]
+#
+# _coin_stacks forms every entry from the same products, in the same order,
+# as CPython does when it evaluates these expressions on Python floats and
+# complex numbers: left to right, a float entering a complex product as
+# (x, 0.0), and each product as (ar br - ai bi) + (ar bi + ai br) i with
+# every multiply and add rounded on its own. numpy's complex multiply may
+# fuse a multiply and an add, so the products are formed on float64 real
+# and imaginary parts instead. Each value is a row of two tables, its real
+# and its imaginary parts over the K coins. The input rows come from the
+# angles and constants; each stage then forms all of its products at once,
+# from rows formed before it.
+_CONSTANTS = {"0": (0.0, 0.0), "-0.5": (-0.5, 0.0), "0.5": (0.5, 0.0), "1j": (0.0, 1.0), "-1j": (-0.0, -1.0)}
+_INPUT_ROWS = ("c", "ep", "el", "s", "-el", "-0.5*s", *_CONSTANTS)
+_PRODUCT_STAGES = (
+    {
+        "el*ep": ("el", "ep"),
+        "-0.5*el": ("-0.5", "el"),
+        "0.5*ep": ("0.5", "ep"),
+        "1j*ep": ("1j", "ep"),
+        "1j*el": ("1j", "el"),
+        "-1j*el": ("-1j", "el"),
+    },
+    {
+        "-el*s": ("-el", "s"),
+        "ep*s": ("ep", "s"),
+        "el*ep*c": ("el*ep", "c"),
+        "-0.5*el*c": ("-0.5*el", "c"),
+        "0.5*ep*c": ("0.5*ep", "c"),
+        "-0.5*el*ep": ("-0.5*el", "ep"),
+        "1j*ep*s": ("1j*ep", "s"),
+        "1j*el*ep": ("1j*el", "ep"),
+        "-1j*el*s": ("-1j*el", "s"),
+    },
+    {"-0.5*el*ep*s": ("-0.5*el*ep", "s"), "1j*el*ep*c": ("1j*el*ep", "c")},
+)
+_COIN_ENTRIES = ("c", "-el*s", "ep*s", "el*ep*c")
+_DERIVATIVE_ENTRIES = (
+    *("-0.5*s", "-0.5*el*c", "0.5*ep*c", "-0.5*el*ep*s"),
+    *("0", "0", "1j*ep*s", "1j*el*ep*c"),
+    *("0", "-1j*el*s", "0", "1j*el*ep*c"),
+)
+_ROW = {name: i for i, name in enumerate(_INPUT_ROWS + tuple(n for stage in _PRODUCT_STAGES for n in stage))}
+_CONSTANT_ROWS = slice(_ROW["0"], len(_INPUT_ROWS))
+_CONSTANT_PARTS = np.array(list(_CONSTANTS.values())).T[..., None]
+# (left rows, right rows, rows formed) of each stage.
+_STAGE_ROWS = tuple(
+    (
+        np.array([_ROW[a] for a, _ in stage.values()]),
+        np.array([_ROW[b] for _, b in stage.values()]),
+        slice(_ROW[next(iter(stage))], _ROW[next(iter(stage))] + len(stage)),
     )
+    for stage in _PRODUCT_STAGES
+)
+_COIN_ROWS = np.array([_ROW[name] for name in _COIN_ENTRIES])
+_DERIVATIVE_ROWS = np.array([_ROW[name] for name in _DERIVATIVE_ENTRIES])
+# theta enters the coin halved; phi and lam whole (x * 1.0 == x exactly).
+_ANGLE_SCALE = np.array([0.5, 1.0, 1.0])
 
 
-def _coin_entries(c: float, s: float, el: complex, ep: complex) -> list:
-    """The entries of ``coin_matrix``, as nested lists, from its factors."""
-    return [[c, -el * s], [ep * s, el * ep * c]]
+def _coin_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``coin_matrix`` of each row (theta, phi, lam) of a (K, 3) float64
+    angle array, stacked into a (K, 2, 2) array, and its derivatives by
+    theta, phi and lam, from differentiating its formula entry by entry,
+    stacked into a (K, 3, 2, 2) array.
 
-
-def _coin_stacks(coins: Sequence[CoinParams]) -> tuple[np.ndarray, np.ndarray]:
-    """``coin_matrix`` of each of B coins, stacked into a (B, 2, 2) array,
-    and its derivatives by theta, phi and lam, from differentiating its
-    formula entry by entry, stacked into a (B, 3, 2, 2) array.
+    One np.cos and one np.sin call give every factor. The entries equal,
+    bit for bit, those of the formula evaluated on Python complex numbers
+    with the same cosines and sines (see the comment above).
     """
-    factors = [_coin_factors(p) for p in coins]
-    derivatives = [
-        [
-            [[-0.5 * s, -0.5 * el * c], [0.5 * ep * c, -0.5 * el * ep * s]],
-            [[0.0, 0.0], [1j * ep * s, 1j * el * ep * c]],
-            [[0.0, -1j * el * s], [0.0, 1j * el * ep * c]],
-        ]
-        for c, s, el, ep in factors
-    ]
-    return (
-        np.array([_coin_entries(*f) for f in factors], dtype=np.complex128),
-        np.array(derivatives, dtype=np.complex128),
-    )
+    k = len(angles)
+    re = np.empty((len(_ROW), k))
+    im = np.zeros((len(_ROW), k))
+    # Rows c, ep and el get the cosines of theta/2, phi and lam as real
+    # parts and their sines as imaginary parts; then the sine of theta/2
+    # moves to row s, so that c and s are real.
+    half = (angles * _ANGLE_SCALE).T
+    np.cos(half, out=re[:3])
+    np.sin(half, out=im[:3])
+    re[3] = im[0]
+    im[0] = 0.0
+    np.negative(re[2], out=re[4])
+    np.negative(im[2], out=im[4])
+    np.multiply(-0.5, re[3], out=re[5])
+    re[_CONSTANT_ROWS], im[_CONSTANT_ROWS] = _CONSTANT_PARTS
+    for left, right, formed in _STAGE_ROWS:
+        lr, li = re.take(left, axis=0), im.take(left, axis=0)
+        rr, ri = re.take(right, axis=0), im.take(right, axis=0)
+        np.subtract(lr * rr, li * ri, out=re[formed])
+        np.add(lr * ri, li * rr, out=im[formed])
+    return _complex_rows(re, im, _COIN_ROWS, (2, 2)), _complex_rows(re, im, _DERIVATIVE_ROWS, (3, 2, 2))
+
+
+def _complex_rows(re: np.ndarray, im: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex values of ``rows`` of the tables ``re`` and ``im``, for
+    each of their K coins, as a contiguous (K,) + ``shape`` array."""
+    k = re.shape[1]
+    out = np.empty((k, rows.size, 2))
+    out[..., 0] = re.take(rows, axis=0).T
+    out[..., 1] = im.take(rows, axis=0).T
+    return out.view(np.complex128).reshape((k,) + shape)
 
 
 # Handy named coins within the convention above, checked against their
@@ -264,8 +356,8 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
     row moved one site around the ring.
 
     ``up`` and ``dn`` are the two coin rows, with sites along their last
-    axis; ``coin`` is the 2x2 coin as four scalars (c00, c01, c10, c11),
-    or as four (B, 1) columns for a batch (``_scalars``).
+    axis; ``coin`` is the 2x2 coin as its four entries (c00, c01, c10,
+    c11), each an array of the rows' shape (``_entries``).
     Each new row is formed as ``c[r, 0] * up + c[r, 1] * dn``, the
     expression ``apply_coin`` uses. Then the up row if ``move_up``, else
     the down row, moves one site right if ``right``, else left, by
@@ -289,22 +381,32 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
         row[..., -1:] = moved[..., :1]
 
 
-def _scalars(coin: np.ndarray) -> tuple:
-    """A 2x2 coin, or a (1, 2, 2) stack of one, as the four Python scalars
-    (c00, c01, c10, c11); a (B, 2, 2) stack of more as four (B, 1) columns
-    that broadcast over the rows of a (B, w) batch.
+# The most elements a row array may hold for ``_entries`` to copy a coin
+# into contiguous arrays of its shape; larger rows keep stride-0 views.
+_CONTIGUOUS_ENTRIES_MAX = 4096
 
-    A single coin keeps the scalar form: on one row of 16 or 129 sites a
-    (1, 1) array coin took 1.5x as long per multiply as a Python scalar
-    (one core of a 2-core Xeon, numpy 2.4). Either form gives each row the
-    same bits.
+
+def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:
+    """The entries (c00, c01, c10, c11) of a 2x2 coin, or of each coin of
+    a (B, 2, 2) stack, each broadcast to the row ``shape``, whose
+    second-to-last axis is the batch's.
+
+    A walk broadcasts its coins once. Up to ``_CONTIGUOUS_ENTRIES_MAX``
+    elements each entry is a contiguous array, so that every multiply in
+    ``_half_step`` takes numpy's equal-shape path: it took 0.7 us against
+    1.5 us for a (B, 1) column at 8 rows of 16 sites, and 1.0 us against
+    1.3 us for a Python scalar on one row of 129 sites. Past a few
+    thousand elements the extra operand costs memory traffic instead (2.2
+    times the stride-0 time on one row of 65536 sites), so larger rows
+    keep stride-0 views. Timed on one core of a 2-core Xeon, numpy 2.4.
+    Every form gives each row the same bits.
     """
-    if coin.size == 4:
-        return tuple(complex(c) for c in coin.flat)
-    return tuple(c[:, None] for c in coin.reshape(-1, 4).T)
-
-
-_IDENTITY_SCALARS = _scalars(_IDENTITY_MATRIX)
+    flat = np.moveaxis(coin.reshape(coin.shape[:-2] + (4,)), -1, 0)
+    lead = (1,) * (len(shape) - flat.ndim)
+    entries = np.broadcast_to(flat.reshape((4,) + lead + flat.shape[1:] + (1,)), (4,) + shape)
+    if math.prod(shape) <= _CONTIGUOUS_ENTRIES_MAX:
+        entries = entries.copy()
+    return tuple(entries)
 
 
 def _walk(
@@ -347,7 +449,7 @@ def _steps_in_place(out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps
     coins. A step equals the composed public operators bit for bit.
     """
     up, dn = out
-    c1, c2 = _scalars(coin1), _scalars(coin2)
+    c1, c2 = _entries(coin1, up.shape), _entries(coin2, up.shape)
     for _ in range(steps):
         _half_step(up, dn, c1, move_up=True, right=True)
         _half_step(up, dn, c2, move_up=False, right=False)
@@ -398,11 +500,11 @@ def _adjoint_sweep(
     # any, leads both factors of the accumulator's product.
     lam_rows = np.swapaxes(z[:, 1], 0, -2)
     psi_cols = np.moveaxis(z[:, 0], 0, -1)
-    inv1 = _scalars(np.swapaxes(coin1, -1, -2).conj())
-    inv2 = _scalars(np.swapaxes(coin2, -1, -2).conj())
+    inv1 = _entries(np.swapaxes(coin1, -1, -2).conj(), up.shape)
+    inv2 = _entries(np.swapaxes(coin2, -1, -2).conj(), up.shape)
     k1 = np.zeros(coin1.shape, dtype=np.complex128)
     k2 = np.zeros(coin2.shape, dtype=np.complex128)
-    c1 = _IDENTITY_SCALARS
+    c1 = _entries(_IDENTITY_MATRIX, up.shape)
     for _ in range(steps):
         _half_step(up, dn, c1, move_up=False, right=True)
         # K is taken at the coin's output; G = K conj(C) once the sweep ends.

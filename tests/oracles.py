@@ -30,6 +30,34 @@ def coin_matrix_ref(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
+def coin_stack_ref(angles) -> tuple[np.ndarray, np.ndarray]:
+    """The coin and its derivatives by theta, phi and lam for each row
+    (theta, phi, lam) of a (K, 3) angle array, as (K, 2, 2) and
+    (K, 3, 2, 2) arrays: the scalar formula, entry by entry, on Python
+    complex numbers.
+
+    The cosines and sines come from one np.cos and one np.sin call on the
+    (K, 3) array of theta/2, phi and lam, so that a comparison checks only
+    the complex arithmetic. Each float factor is promoted with complex()
+    explicitly, as CPython before 3.14 promotes it implicitly.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    half = np.column_stack([angles[:, 0] / 2.0, angles[:, 1], angles[:, 2]])
+    coins, derivatives = [], []
+    for (c, cp, cl), (s, sp, sl) in zip(np.cos(half).tolist(), np.sin(half).tolist()):
+        ep, el = complex(cp, sp), complex(cl, sl)
+        cc, cs = complex(c), complex(s)
+        coins.append([[c, -el * cs], [ep * cs, el * ep * cc]])
+        derivatives.append(
+            [
+                [[-0.5 * s, complex(-0.5) * el * cc], [complex(0.5) * ep * cc, complex(-0.5) * el * ep * cs]],
+                [[0.0, 0.0], [1j * ep * cs, 1j * el * ep * cc]],
+                [[0.0, -1j * el * cs], [0.0, 1j * el * ep * cc]],
+            ]
+        )
+    return np.array(coins, dtype=np.complex128), np.array(derivatives, dtype=np.complex128)
+
+
 def roll_matrix(m: int, k: int) -> np.ndarray:
     """Permutation R with R|x> = |x + k mod m>."""
     r = np.zeros((m, m))

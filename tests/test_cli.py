@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -419,6 +420,30 @@ def test_price_trained_bad_probabilities_exit2(tmp_path, capsys, bad, needle):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["result", "target"])
+def test_price_trained_entry_not_a_number_exit2(tmp_path, capsys, kind):
+    # The error names the file, the key and the entry, not just numpy's
+    # "could not convert string to float".
+    target = gen_normal_target(tmp_path)
+    trained = tmp_path / "trained.json"
+    if kind == "result":
+        assert run("train", "--target", str(target), "--out", str(trained), "--max-iters", "4") == 0
+        key = "trained_dist"
+    else:
+        trained.write_text(target.read_text())
+        key = "probs"
+    payload = read_json(trained)
+    payload[key][5] = "x"
+    trained.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(
+        "price", "--target", str(target), "--trained", str(trained),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert_usage_error(capsys, code, str(trained), f"'{key}'", "entry 5", '"x"')
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_reference_must_be_finite_exit2(tmp_path, capsys, value):
     target = gen_normal_target(tmp_path)
@@ -556,6 +581,25 @@ def test_train_unwritable_out_exit2(tmp_path, capsys, where):
     capsys.readouterr()
     code = run("train", "--target", str(target), "--out", str(out), "--max-iters", "4")
     assert_usage_error(capsys, code, str(out))
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_train_checks_output_paths_before_training(tmp_path, capsys, flag):
+    # A result or CSV path that cannot be written fails before the fit,
+    # and the check leaves no file behind.
+    target = gen_normal_target(tmp_path)
+    bad = tmp_path / "missing" / "r.json"
+    argv = ["train", "--target", str(target), "--out", str(tmp_path / "r.json")]
+    if flag == "--out":
+        argv[-1] = str(bad)
+    else:
+        argv += ["--csv", str(bad)]
+    capsys.readouterr()
+    with mock.patch("ssqw.cli.train") as train:
+        code = run(*argv)
+    assert_usage_error(capsys, code, str(bad))
+    train.assert_not_called()
+    assert list(tmp_path.iterdir()) == [target]
 
 
 # ------------------------------------------------------------------ misc

@@ -191,14 +191,14 @@ def test_objective_equals_mse_of_the_full_ring_walk(fit, angles):
     assert objective(params, target, schedule, init) == full
 
 
-def full_ring_mse_and_gradient(params_seq, target, schedule, init):
+def full_ring_mse_and_gradient(angles, target, schedule, init):
     """_mse_and_gradient on M-site arrays: the walk scattered onto the
     ring, mse() per row, and the sweep from the ring."""
     (coin1, dcoin1), (coin2, dcoin2) = (
-        walk._coin_stacks([p.coin1 for p in params_seq]),
-        walk._coin_stacks([p.coin2 for p in params_seq]),
+        walk._coin_stacks(angles[:, :3]),
+        walk._coin_stacks(angles[:, 3:]),
     )
-    amps = np.broadcast_to(init.amps[:, None], (2, len(params_seq), init.num_positions))
+    amps = np.broadcast_to(init.amps[:, None], (2, len(angles), init.num_positions))
     final = walk._steps_in_place(np.array(amps), coin1, coin2, schedule.steps)
     p = _position_probs(final)
     values = [mse(target.probs, row) for row in p]
@@ -225,12 +225,12 @@ def test_windowed_gradient_equals_the_full_ring_formula():
         m = init.num_positions
         target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
         schedule = WalkSchedule(steps)
-        params = [SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6)) for _ in range(3)]
+        params = rng.uniform(0.0, 2.0 * math.pi, (3, 6))
         # Diagonal coins move a coin-up start right by one site a step:
         # its final state is one site at the right end of the forward
         # window, which then covers only the left half of the sweep's.
-        diagonal = SsqwParams(CoinParams(0.0, 0.4, 1.9), CoinParams(0.0, 2.3, 0.7))
-        for rows in (params, params[:1], [diagonal]):
+        diagonal = np.array([[0.0, 0.4, 1.9, 0.0, 2.3, 0.7]])
+        for rows in (params, params[:1], diagonal):
             values, grads = _mse_and_gradient(rows, target, schedule, init)
             full_values, full_grads = full_ring_mse_and_gradient(rows, target, schedule, init)
             assert np.array(values).tobytes() == np.array(full_values).tobytes()
@@ -247,7 +247,7 @@ def test_objective_rejects_a_walk_whose_mass_is_not_1():
         with pytest.raises(ValueError, match="not 1 within"):
             objective(KNOWN_PARAMS, target, WalkSchedule(steps), init)
         with pytest.raises(ValueError, match="not 1 within"):
-            _mse_and_gradient([KNOWN_PARAMS], target, WalkSchedule(steps), init)
+            _mse_and_gradient(KNOWN_PARAMS.to_array()[None], target, WalkSchedule(steps), init)
 
 
 def test_localized_objective_builds_no_ring_state():
@@ -283,7 +283,7 @@ def test_localized_objective_builds_no_ring_state():
     ):
         objective(KNOWN_PARAMS, target, schedule, init)
         objective(KNOWN_PARAMS, target, schedule, init)
-        _mse_and_gradient([KNOWN_PARAMS], target, schedule, init)
+        _mse_and_gradient(KNOWN_PARAMS.to_array()[None], target, schedule, init)
     assert built == []
     assert scanned == [m, 17]
 
@@ -324,7 +324,7 @@ for n, x0, steps in ((4, 8, 7), (10, 1020, 8)):
     target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
     raises_arithmetic(evolve, init, params, WalkSchedule(steps))
     raises_arithmetic(objective, params, target, WalkSchedule(steps), init)
-    raises_arithmetic(optimize._mse_and_gradient, [params], target, WalkSchedule(steps), init)
+    raises_arithmetic(optimize._mse_and_gradient, params.to_array()[None], target, WalkSchedule(steps), init)
 state = initial_state(2, 1.0, 0.0, 1)
 norm_sq = WalkerState.norm_sq
 WalkerState.norm_sq = lambda self: 1.0 if self is state else 1.1
@@ -490,14 +490,33 @@ def test_stop_reason_exact_ends_the_restarts():
 def test_stop_reason_no_descent_on_a_zero_gradient():
     target = ring_symmetric_target()
 
-    def flat(params_seq, target, schedule, init):
-        values = [objective(params, target, schedule, init) for params in params_seq]
-        return values, np.zeros((len(params_seq), 6))
+    def flat(angles, target, schedule, init):
+        values = [objective(SsqwParams.from_array(a), target, schedule, init) for a in angles]
+        return values, np.zeros((len(angles), 6))
 
     with mock.patch("ssqw.optimize._mse_and_gradient", flat):
         result = train(target, OptimizerConfig(max_iters=40, restarts=2, seed=1))
     assert result.metadata["stop_reasons"] == ["no-descent"] * 2
     assert result.metadata["evals_per_restart"] == [EVALS_PER_GRADIENT] * 2
+
+
+def test_non_finite_angle_in_a_round_raises_value_error():
+    # A round checks its angle array once and raises CoinParams's
+    # ValueError for the first non-finite angle.
+    def runaway(x0, config):
+        yield EVALS_PER_GRADIENT, x0
+        x = x0.copy()
+        x[4] = math.nan
+        yield EVALS_PER_GRADIENT, x
+
+    with mock.patch.object(optimize, "_adjoint_bfgs", runaway):
+        with pytest.raises(ValueError, match="coin angle phi must be finite"):
+            train(ring_symmetric_target(), OptimizerConfig(restarts=2))
+    angles = np.zeros((2, 6))
+    angles[1, 3] = -math.inf
+    init, _ = _start_state(16, symmetric=False)
+    with pytest.raises(ValueError, match="coin angle theta must be finite"):
+        _mse_and_gradient(angles, ring_symmetric_target(), WalkSchedule(7), init)
 
 
 def sequential_train(target, config, init=None):
@@ -512,10 +531,10 @@ def sequential_train(target, config, init=None):
     rng = np.random.default_rng(config.seed)
     starts = [x_init] + [rng.uniform(0.0, 2.0 * math.pi, x_init.size) for _ in range(config.restarts - 1)]
 
-    def to_params(x):
+    def to_angles(x):
         angles = np.zeros(6)
         angles[free] = x
-        return SsqwParams.from_array(angles)
+        return angles
 
     history, best_val, best_x, best_restart = [], math.inf, x_init, 0
     evals_per_restart, stop_reasons = [], []
@@ -524,7 +543,7 @@ def sequential_train(target, config, init=None):
         request, charged = next(run), 0
         while True:
             charge, x = request
-            [f], [g] = _mse_and_gradient([to_params(x)], target, config.steps, init)
+            [f], [g] = _mse_and_gradient(to_angles(x)[None], target, config.steps, init)
             charged += charge
             history.append(f)
             if f < best_val:
@@ -538,7 +557,7 @@ def sequential_train(target, config, init=None):
         stop_reasons.append("exact" if best_val == 0.0 else reason)
         if best_val == 0.0:
             break
-    best_params = to_params(best_x)
+    best_params = SsqwParams.from_array(to_angles(best_x))
     unreachable_mass, mse_floor = _reach_floor(target, init, config.steps)
     metadata = {
         "mode": "symmetric" if config.symmetric_mode else "full",
@@ -595,13 +614,13 @@ def test_batched_gradient_rows_equal_single_calls():
     m = 1 << 10
     target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
     init = initial_state(10, 1.0, 0.0, m - 9)
-    identity = SsqwParams(CoinParams(0.0), CoinParams(0.0))
-    params = [SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6)) for _ in range(4)]
-    params.insert(2, identity)
+    identity = np.zeros(6)
+    params = rng.uniform(0.0, 2.0 * math.pi, (4, 6))
+    params = np.insert(params, 2, identity, axis=0)
     values, grads = _mse_and_gradient(params, target, WalkSchedule(8), init)
     for p, value, grad in zip(params, values, grads):
-        [single_value], [single_grad] = _mse_and_gradient([p], target, WalkSchedule(8), init)
-        assert value == single_value == objective(p, target, WalkSchedule(8), init)
+        [single_value], [single_grad] = _mse_and_gradient(p[None], target, WalkSchedule(8), init)
+        assert value == single_value == objective(SsqwParams.from_array(p), target, WalkSchedule(8), init)
         assert grad.tobytes() == single_grad.tobytes()
 
 
@@ -695,7 +714,7 @@ def _assert_gradient_matches_both_oracles(x, psi0, q, steps):
         p = np.abs(psi[:m]) ** 2 + np.abs(psi[m:]) ** 2
         return oracles.mse_ref(q, p)
 
-    [value], [grad] = _mse_and_gradient([SsqwParams.from_array(x)], target, schedule, init)
+    [value], [grad] = _mse_and_gradient(x[None], target, schedule, init)
     assert value == loss(x)
     np.testing.assert_allclose(grad, _central_differences(loss, x), rtol=0, atol=1e-8)
     np.testing.assert_allclose(grad, _central_differences(dense_loss, x), rtol=0, atol=1e-8)
@@ -730,7 +749,7 @@ def test_windowed_sweep_gradient_equals_full_ring():
     schedule = WalkSchedule(8)
     sites = walk._window(m, evolve(init, params, schedule)._occupied, schedule.steps)
     np.testing.assert_array_equal(sites, np.arange(m - 25, m + 8) % m)
-    [value], [grad] = _mse_and_gradient([params], target, schedule, init)
+    [value], [grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
     widths = []
     half_step = walk._half_step
 
@@ -742,7 +761,7 @@ def test_windowed_sweep_gradient_equals_full_ring():
         mock.patch.object(walk, "_window", lambda m, occupied, steps: None),
         mock.patch.object(walk, "_half_step", recording),
     ):
-        [full_value], [full_grad] = _mse_and_gradient([params], target, schedule, init)
+        [full_value], [full_grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
         # Forward pass and sweep, then evolve and objective alone: with no
         # window every half-step runs on all M sites.
         assert widths == [m] * 4 * schedule.steps
@@ -768,8 +787,6 @@ def test_mse_gradient_symmetric_mode_projection():
 
         angles = np.zeros(6)
         angles[free] = thetas
-        [value], [grad] = _mse_and_gradient(
-            [SsqwParams.from_array(angles)], target, WalkSchedule(7), init
-        )
+        [value], [grad] = _mse_and_gradient(angles[None], target, WalkSchedule(7), init)
         assert value == loss(thetas)
         np.testing.assert_allclose(grad[free], _central_differences(loss, thetas), rtol=0, atol=1e-8)

@@ -86,6 +86,28 @@ def test_coin_matrix_theta_period_4pi(theta, phi, lam):
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+# Negatives, multiples of pi/2 (exact zeros of sin at 0 and -0.0), values
+# above 2*pi and +-1e6.
+COIN_STACK_ANGLES = st.one_of(
+    st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
+    st.sampled_from([k * math.pi / 2.0 for k in range(-8, 9)] + [-0.0, 1e6, -1e6]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[COIN_STACK_ANGLES] * 3), min_size=1, max_size=12))
+def test_coin_stacks_replay_the_scalar_formula(rows):
+    angles = np.array(rows, dtype=np.float64)
+    coins, derivatives = walk._coin_stacks(angles)
+    ref_coins, ref_derivatives = oracles.coin_stack_ref(angles)
+    assert coins.tobytes() == ref_coins.tobytes()
+    assert derivatives.tobytes() == ref_derivatives.tobytes()
+    # coin_matrix is the one-row case.
+    row = angles[:1]
+    assert coin_matrix(CoinParams(*row[0])).tobytes() == oracles.coin_stack_ref(row)[0][0].tobytes()
+
+
 def test_coin_params_reject_nonfinite():
     with pytest.raises(ValueError):
         CoinParams(math.nan)
