@@ -40,7 +40,9 @@ from .walk import (
     WalkSchedule,
     _adjoint_sweep,
     _check_finite_angles,
+    _coin_factors,
     _coin_stacks,
+    _coins,
     _light_cone,
     _walk,
     evolve,
@@ -95,7 +97,7 @@ def objective(
     M-site state is built. Pure function of its arguments; evaluating
     twice gives bitwise equal results.
     """
-    coins, _ = _coin_stacks(params.to_array().reshape(2, 3))
+    coins = _coins(_coin_factors(params.to_array().reshape(2, 3)))
     return _scores(coins[:1], coins[1:], target, schedule, init)[0][0]
 
 

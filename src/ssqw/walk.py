@@ -38,12 +38,14 @@ the same half-steps as it would be alone, so its result equals its own
 single call bit for bit. A batch is stepped on the union of its rows'
 cones, which holds each row's cone.
 
-Coins are built from angle arrays: ``_coin_stacks`` turns a (K, 3) array
-of (theta, phi, lam) rows into the (K, 2, 2) coins and their (K, 3, 2, 2)
-angle derivatives with one np.cos and one np.sin call, bit for bit equal
-to the scalar formula (``coin_matrix`` is its one-row case). Each walk
-broadcasts its coins' entries once to the shape of the rows it steps
-(``_entries``), so that the half-steps multiply arrays of equal shape.
+Coins are built from angle arrays: ``_coin_factors`` takes the cosines
+and sines of a (K, 3) array of (theta, phi, lam) rows from one np.cos and
+one np.sin call, and ``_coins`` evaluates the scalar formula on them into
+(K, 2, 2) coins (``coin_matrix`` is the one-row case); ``_coin_stacks``
+adds their (K, 3, 2, 2) angle derivatives for the gradient. Each walk
+copies its coins' entries once to the shape of the rows it steps
+(``_entries``), so that the half-steps multiply contiguous arrays of equal
+shape.
 """
 
 from __future__ import annotations
@@ -152,73 +154,26 @@ def coin_matrix(params: CoinParams) -> np.ndarray:
     gives the Hadamard coin.
     """
     angles = np.array([[params.theta, params.phi, params.lam]], dtype=np.float64)
-    return _coin_stacks(angles)[0][0]
+    return _coins(_coin_factors(angles))[0]
 
 
-# The coin and its derivatives by theta, phi and lam, written with
-# c = cos(theta/2), s = sin(theta/2), ep = exp(i phi) and el = exp(i lam):
-#
-#     coin      [[c,       -el*s     ], [ep*s,     el*ep*c     ]]
-#     d/dtheta  [[-0.5*s,  -0.5*el*c ], [0.5*ep*c, -0.5*el*ep*s]]
-#     d/dphi    [[0,       0         ], [1j*ep*s,  1j*el*ep*c  ]]
-#     d/dlam    [[0,       -1j*el*s  ], [0,        1j*el*ep*c  ]]
-#
-# _coin_stacks forms every entry from the same products, in the same order,
-# as CPython does when it evaluates these expressions on Python floats and
-# complex numbers: left to right, a float entering a complex product as
-# (x, 0.0), and each product as (ar br - ai bi) + (ar bi + ai br) i with
-# every multiply and add rounded on its own. numpy's complex multiply may
-# fuse a multiply and an add, so the products are formed on float64 real
-# and imaginary parts instead. Each value is a row of two tables, its real
-# and its imaginary parts over the K coins. The input rows come from the
-# angles and constants; each stage then forms all of its products at once,
-# from rows formed before it.
-_CONSTANTS = {"0": (0.0, 0.0), "-0.5": (-0.5, 0.0), "0.5": (0.5, 0.0), "1j": (0.0, 1.0), "-1j": (-0.0, -1.0)}
-_INPUT_ROWS = ("c", "ep", "el", "s", "-el", "-0.5*s", *_CONSTANTS)
-_PRODUCT_STAGES = (
-    {
-        "el*ep": ("el", "ep"),
-        "-0.5*el": ("-0.5", "el"),
-        "0.5*ep": ("0.5", "ep"),
-        "1j*ep": ("1j", "ep"),
-        "1j*el": ("1j", "el"),
-        "-1j*el": ("-1j", "el"),
-    },
-    {
-        "-el*s": ("-el", "s"),
-        "ep*s": ("ep", "s"),
-        "el*ep*c": ("el*ep", "c"),
-        "-0.5*el*c": ("-0.5*el", "c"),
-        "0.5*ep*c": ("0.5*ep", "c"),
-        "-0.5*el*ep": ("-0.5*el", "ep"),
-        "1j*ep*s": ("1j*ep", "s"),
-        "1j*el*ep": ("1j*el", "ep"),
-        "-1j*el*s": ("-1j*el", "s"),
-    },
-    {"-0.5*el*ep*s": ("-0.5*el*ep", "s"), "1j*el*ep*c": ("1j*el*ep", "c")},
-)
-_COIN_ENTRIES = ("c", "-el*s", "ep*s", "el*ep*c")
-_DERIVATIVE_ENTRIES = (
-    *("-0.5*s", "-0.5*el*c", "0.5*ep*c", "-0.5*el*ep*s"),
-    *("0", "0", "1j*ep*s", "1j*el*ep*c"),
-    *("0", "-1j*el*s", "0", "1j*el*ep*c"),
-)
-_ROW = {name: i for i, name in enumerate(_INPUT_ROWS + tuple(n for stage in _PRODUCT_STAGES for n in stage))}
-_CONSTANT_ROWS = slice(_ROW["0"], len(_INPUT_ROWS))
-_CONSTANT_PARTS = np.array(list(_CONSTANTS.values())).T[..., None]
-# (left rows, right rows, rows formed) of each stage.
-_STAGE_ROWS = tuple(
-    (
-        np.array([_ROW[a] for a, _ in stage.values()]),
-        np.array([_ROW[b] for _, b in stage.values()]),
-        slice(_ROW[next(iter(stage))], _ROW[next(iter(stage))] + len(stage)),
-    )
-    for stage in _PRODUCT_STAGES
-)
-_COIN_ROWS = np.array([_ROW[name] for name in _COIN_ENTRIES])
-_DERIVATIVE_ROWS = np.array([_ROW[name] for name in _DERIVATIVE_ENTRIES])
-# theta enters the coin halved; phi and lam whole (x * 1.0 == x exactly).
-_ANGLE_SCALE = np.array([0.5, 1.0, 1.0])
+def _coin_factors(angles: np.ndarray) -> list[tuple[float, float, complex, complex]]:
+    """cos(theta/2), sin(theta/2), exp(i lam) and exp(i phi) for each row
+    (theta, phi, lam) of a (K, 3) float64 angle array: the factors that
+    ``coin_matrix`` and its derivatives are built from. One np.cos and one
+    np.sin call give them all."""
+    half = angles / (2.0, 1.0, 1.0)
+    return [
+        (c, s, complex(cl, sl), complex(cp, sp))
+        for (c, cp, cl), (s, sp, sl) in zip(np.cos(half).tolist(), np.sin(half).tolist())
+    ]
+
+
+def _coins(factors: list) -> np.ndarray:
+    """``coin_matrix`` of each of K coins, from their ``_coin_factors``,
+    stacked into a (K, 2, 2) array."""
+    entries = [v for c, s, el, ep in factors for v in (c, -el * s, ep * s, el * ep * c)]
+    return np.array(entries, dtype=np.complex128).reshape(len(factors), 2, 2)
 
 
 def _coin_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,42 +181,19 @@ def _coin_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     angle array, stacked into a (K, 2, 2) array, and its derivatives by
     theta, phi and lam, from differentiating its formula entry by entry,
     stacked into a (K, 3, 2, 2) array.
-
-    One np.cos and one np.sin call give every factor. The entries equal,
-    bit for bit, those of the formula evaluated on Python complex numbers
-    with the same cosines and sines (see the comment above).
     """
-    k = len(angles)
-    re = np.empty((len(_ROW), k))
-    im = np.zeros((len(_ROW), k))
-    # Rows c, ep and el get the cosines of theta/2, phi and lam as real
-    # parts and their sines as imaginary parts; then the sine of theta/2
-    # moves to row s, so that c and s are real.
-    half = (angles * _ANGLE_SCALE).T
-    np.cos(half, out=re[:3])
-    np.sin(half, out=im[:3])
-    re[3] = im[0]
-    im[0] = 0.0
-    np.negative(re[2], out=re[4])
-    np.negative(im[2], out=im[4])
-    np.multiply(-0.5, re[3], out=re[5])
-    re[_CONSTANT_ROWS], im[_CONSTANT_ROWS] = _CONSTANT_PARTS
-    for left, right, formed in _STAGE_ROWS:
-        lr, li = re.take(left, axis=0), im.take(left, axis=0)
-        rr, ri = re.take(right, axis=0), im.take(right, axis=0)
-        np.subtract(lr * rr, li * ri, out=re[formed])
-        np.add(lr * ri, li * rr, out=im[formed])
-    return _complex_rows(re, im, _COIN_ROWS, (2, 2)), _complex_rows(re, im, _DERIVATIVE_ROWS, (3, 2, 2))
-
-
-def _complex_rows(re: np.ndarray, im: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The complex values of ``rows`` of the tables ``re`` and ``im``, for
-    each of their K coins, as a contiguous (K,) + ``shape`` array."""
-    k = re.shape[1]
-    out = np.empty((k, rows.size, 2))
-    out[..., 0] = re.take(rows, axis=0).T
-    out[..., 1] = im.take(rows, axis=0).T
-    return out.view(np.complex128).reshape((k,) + shape)
+    factors = _coin_factors(angles)
+    # The 2x2 entries by theta, then by phi, then by lam.
+    derivatives = [
+        v
+        for c, s, el, ep in factors
+        for v in (
+            *(-0.5 * s, -0.5 * el * c, 0.5 * ep * c, -0.5 * el * ep * s),
+            *(0.0, 0.0, 1j * ep * s, 1j * el * ep * c),
+            *(0.0, -1j * el * s, 0.0, 1j * el * ep * c),
+        )
+    ]
+    return _coins(factors), np.array(derivatives, dtype=np.complex128).reshape(len(factors), 3, 2, 2)
 
 
 # Handy named coins within the convention above, checked against their
@@ -381,32 +313,28 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
         row[..., -1:] = moved[..., :1]
 
 
-# The most elements a row array may hold for ``_entries`` to copy a coin
-# into contiguous arrays of its shape; larger rows keep stride-0 views.
-_CONTIGUOUS_ENTRIES_MAX = 4096
-
-
 def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:
     """The entries (c00, c01, c10, c11) of a 2x2 coin, or of each coin of
-    a (B, 2, 2) stack, each broadcast to the row ``shape``, whose
-    second-to-last axis is the batch's.
+    a (B, 2, 2) stack, each copied to a contiguous array of the row
+    ``shape``, whose second-to-last axis is the batch's.
 
-    A walk broadcasts its coins once. Up to ``_CONTIGUOUS_ENTRIES_MAX``
-    elements each entry is a contiguous array, so that every multiply in
-    ``_half_step`` takes numpy's equal-shape path: it took 0.7 us against
-    1.5 us for a (B, 1) column at 8 rows of 16 sites, and 1.0 us against
-    1.3 us for a Python scalar on one row of 129 sites. Past a few
-    thousand elements the extra operand costs memory traffic instead (2.2
-    times the stride-0 time on one row of 65536 sites), so larger rows
-    keep stride-0 views. Timed on one core of a 2-core Xeon, numpy 2.4.
-    Every form gives each row the same bits.
+    A walk copies its coins once, so that every multiply in
+    ``_half_step`` is between contiguous arrays of equal shape, numpy's
+    fastest path: at 8 rows of 16 sites it took 0.6 us against 1.3 us for
+    a (B, 1) column or a stride-0 view, and on one row of 129 sites 0.6 us
+    against 1.1 us for a (1, 1)-column view. Rows of tens of thousands of
+    elements pay for the copies in memory traffic instead: one row of
+    65536 sites took 137 us per multiply against 61 us for a stride-0
+    view, and a full-ring ``evolve`` on 2**12 to 2**16 sites 1.3 to 2.0
+    times the time of Python scalar coins (timed on one core of a 2-core
+    Xeon, numpy 2.4). No benchmark workload steps rows that long.
     """
-    flat = np.moveaxis(coin.reshape(coin.shape[:-2] + (4,)), -1, 0)
-    lead = (1,) * (len(shape) - flat.ndim)
-    entries = np.broadcast_to(flat.reshape((4,) + lead + flat.shape[1:] + (1,)), (4,) + shape)
-    if math.prod(shape) <= _CONTIGUOUS_ENTRIES_MAX:
-        entries = entries.copy()
-    return tuple(entries)
+    out = np.empty((4,) + shape, dtype=np.complex128)
+    # Each entry as a (1, 1) or (B, 1) column, broadcast along the sites.
+    columns = coin.reshape(-1, 4).T[..., None]
+    for k in range(4):
+        out[k] = columns[k]
+    return out[0], out[1], out[2], out[3]
 
 
 def _walk(
@@ -587,11 +515,15 @@ def dense_operator(transform, num_position_qubits: int) -> np.ndarray:
 
 
 def ssqw_step_dense(params: SsqwParams, num_position_qubits: int) -> np.ndarray:
-    return dense_operator(lambda s: apply_ssqw_step(s, params), num_position_qubits)
+    """``apply_ssqw_step`` as a dense matrix; its coins are built once."""
+    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
+    return dense_operator(lambda s: _ring_walk(s, c1, c2, 1), num_position_qubits)
 
 
 def dtqw_step_dense(coin: CoinParams, num_position_qubits: int) -> np.ndarray:
-    return dense_operator(lambda s: apply_dtqw_step(s, coin), num_position_qubits)
+    """``apply_dtqw_step`` as a dense matrix; its coin is built once."""
+    c = coin_matrix(coin)
+    return dense_operator(lambda s: _ring_walk(s, c, _IDENTITY_MATRIX, 1), num_position_qubits)
 
 
 def operator_to_json(mat: np.ndarray) -> str:

@@ -33,26 +33,24 @@ def coin_matrix_ref(theta: float, phi: float, lam: float) -> np.ndarray:
 def coin_stack_ref(angles) -> tuple[np.ndarray, np.ndarray]:
     """The coin and its derivatives by theta, phi and lam for each row
     (theta, phi, lam) of a (K, 3) angle array, as (K, 2, 2) and
-    (K, 3, 2, 2) arrays: the scalar formula, entry by entry, on Python
-    complex numbers.
+    (K, 3, 2, 2) arrays: the scalar formula as nested lists of Python
+    numbers, one coin at a time.
 
     The cosines and sines come from one np.cos and one np.sin call on the
-    (K, 3) array of theta/2, phi and lam, so that a comparison checks only
-    the complex arithmetic. Each float factor is promoted with complex()
-    explicitly, as CPython before 3.14 promotes it implicitly.
+    (K, 3) array of theta/2, phi and lam, so that a comparison checks the
+    complex arithmetic and the layout of the stacks, not the trig.
     """
     angles = np.asarray(angles, dtype=np.float64)
     half = np.column_stack([angles[:, 0] / 2.0, angles[:, 1], angles[:, 2]])
     coins, derivatives = [], []
     for (c, cp, cl), (s, sp, sl) in zip(np.cos(half).tolist(), np.sin(half).tolist()):
         ep, el = complex(cp, sp), complex(cl, sl)
-        cc, cs = complex(c), complex(s)
-        coins.append([[c, -el * cs], [ep * cs, el * ep * cc]])
+        coins.append([[c, -el * s], [ep * s, el * ep * c]])
         derivatives.append(
             [
-                [[-0.5 * s, complex(-0.5) * el * cc], [complex(0.5) * ep * cc, complex(-0.5) * el * ep * cs]],
-                [[0.0, 0.0], [1j * ep * cs, 1j * el * ep * cc]],
-                [[0.0, -1j * el * cs], [0.0, 1j * el * ep * cc]],
+                [[-0.5 * s, -0.5 * el * c], [0.5 * ep * c, -0.5 * el * ep * s]],
+                [[0.0, 0.0], [1j * ep * s, 1j * el * ep * c]],
+                [[0.0, -1j * el * s], [0.0, 1j * el * ep * c]],
             ]
         )
     return np.array(coins, dtype=np.complex128), np.array(derivatives, dtype=np.complex128)

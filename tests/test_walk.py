@@ -103,6 +103,7 @@ def test_coin_stacks_replay_the_scalar_formula(rows):
     ref_coins, ref_derivatives = oracles.coin_stack_ref(angles)
     assert coins.tobytes() == ref_coins.tobytes()
     assert derivatives.tobytes() == ref_derivatives.tobytes()
+    assert walk._coins(walk._coin_factors(angles)).tobytes() == ref_coins.tobytes()
     # coin_matrix is the one-row case.
     row = angles[:1]
     assert coin_matrix(CoinParams(*row[0])).tobytes() == oracles.coin_stack_ref(row)[0][0].tobytes()
