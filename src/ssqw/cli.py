@@ -2,9 +2,9 @@
 
 Subcommands cover the whole workflow: generate or ingest a target
 histogram, train the walk against it, and price a call off the result.
-``repro`` chains the three canonical runs with fixed seeds. All file
-outputs are deterministic byte for byte for a given command line, so
-reruns can be diffed directly.
+``repro`` runs the same fit and price steps on three canonical targets
+with fixed seeds. All file outputs are deterministic byte for byte for a
+given command line, so reruns can be diffed directly.
 
 Exit codes:
   0  success
@@ -35,8 +35,8 @@ from .optimize import (
     train,
     training_result_json_dict,
 )
-from .pricing import OptionSpec, payoff_csv, payoff_report_to_json, price_report
-from .statevector import _json_object
+from .pricing import OptionSpec, PayoffReport, payoff_csv, payoff_report_to_json, price_report
+from .statevector import _json_floats, _json_object
 from .target import (
     DistSpec,
     Domain,
@@ -96,11 +96,28 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _load_target(path: str) -> TargetDistribution:
+def _load(path: str, from_json):
+    """``from_json`` of the text of the file ``path``. Every ValueError it
+    raises names the file."""
     if not os.path.exists(path):
-        raise FileNotFoundError(f"target file not found: {path}")
+        raise FileNotFoundError(f"file not found: {path}")
     with open(path) as fh:
-        return TargetDistribution.from_json(fh.read())
+        text = fh.read()
+    try:
+        return from_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _out_paths(args: argparse.Namespace, default_name: str) -> tuple[str, str]:
+    """The --out path, by default ``default_name`` in the output directory,
+    and the --csv path, by default the --out path with .csv."""
+    out = _resolve_out(args.out, default_name)
+    return out, args.csv if args.csv is not None else os.path.splitext(out)[0] + ".csv"
+
+
+def _option(args: argparse.Namespace) -> OptionSpec:
+    return OptionSpec(args.s0, args.strike, args.r, args.sigma, args.t, args.mu_drift)
 
 
 def _dist_summary(t: TargetDistribution) -> str:
@@ -120,10 +137,57 @@ def _overlay_csv(target: TargetDistribution, trained: np.ndarray) -> str:
     )
 
 
-def _result_json(result: TrainingResult, target: TargetDistribution) -> str:
+def _fit(target: TargetDistribution, config: OptimizerConfig, out: str, csv_out: str, init=None) -> TrainingResult:
+    """The fit step of ``train`` and ``repro``: train on ``target``, write
+    the result JSON to ``out`` and the overlay CSV to ``csv_out``, and
+    print the summary, with the wall time on stderr.
+
+    Both paths are checked before the fit. An error from the optimiser
+    raises _OptimizerFailed (exit 5), except a ValueError: bad inputs are
+    usage errors (exit 2).
+    """
+    _check_writable(out)
+    _check_writable(csv_out)
+    t0 = time.perf_counter()
+    try:
+        result = train(target, config, init)
+    except ValueError:
+        raise
+    except Exception as exc:
+        raise _OptimizerFailed(exc) from exc
+    wall = time.perf_counter() - t0
     payload = training_result_json_dict(result)
     payload["domain"] = {"lo": target.domain.lo, "hi": target.domain.hi}
-    return json.dumps(payload, indent=2) + "\n"
+    _write_text(out, json.dumps(payload, indent=2) + "\n")
+    _write_text(csv_out, _overlay_csv(target, result.trained_dist))
+    print(
+        f"best_mse {result.best_mse:.6e} (floor {result.metadata['mse_floor']:.6e}) "
+        f"after {result.iterations_used} evaluations ({result.metadata['restarts_run']} restarts)"
+    )
+    print(f"fit took {wall:.1f}s", file=sys.stderr)
+    return result
+
+
+def _price(
+    opt: OptionSpec, target: TargetDistribution, trained: np.ndarray, out: str, csv_out: str, **options
+) -> PayoffReport:
+    """The price step of ``price`` and ``repro``: ``price_report`` with its
+    keyword ``options``, the report JSON written to ``out`` and the payoff
+    CSV to ``csv_out``, then the payoffs, and against a reference payoff
+    its relative gap and any note, printed."""
+    report = price_report(opt, target, trained, **options)
+    _write_text(out, payoff_report_to_json(report))
+    _write_text(csv_out, payoff_csv(report, target.probs, trained))
+    print(
+        f"payoff_target {report.payoff_target:.6f}  payoff_trained {report.payoff_trained:.6f}  "
+        f"gap {report.gap:+.6f}"
+    )
+    meta = report.metadata
+    if "reference_payoff" in meta:
+        print(f"reference {meta['reference_payoff']:.4f}: relative gap {meta['reference_relative_gap']:.2%}")
+        if "reference_note" in meta:
+            print(f"note: {meta['reference_note']}")
+    return report
 
 
 # ---------------------------------------------------------------- gen-target
@@ -151,8 +215,7 @@ def cmd_gen_target(args: argparse.Namespace) -> int:
                 raise _Usage(f"--kind bs requires --{name if name != 'strike' else 'k'}")
         if args.sigma is None:
             raise _Usage("--kind bs requires --sigma")
-        opt = OptionSpec(args.s0, args.strike, args.r, args.sigma, args.t, args.mu_drift)
-        target = bs_lognormal_target(opt, domain, args.bins, args.sigma_reading)
+        target = bs_lognormal_target(_option(args), domain, args.bins, args.sigma_reading)
     else:
         spec = _default_spec(args.kind, domain, args.mu, args.sigma)
         if args.analytic:
@@ -177,7 +240,7 @@ def _build_init(args: argparse.Namespace, n_bins: int):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    target = _load_target(args.target)
+    target = _load(args.target, TargetDistribution.from_json)
     params0 = SsqwParams(
         CoinParams(args.theta1, args.phi1, args.lam1),
         CoinParams(args.theta2, args.phi2, args.lam2),
@@ -193,28 +256,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     init = _build_init(args, target.n_bins)
-    out = _resolve_out(args.out, "result.json")
-    csv_out = args.csv if args.csv is not None else os.path.splitext(out)[0] + ".csv"
-    # Fail before the fit, not after it, on a path that cannot be written.
-    _check_writable(out)
-    _check_writable(csv_out)
-    t0 = time.perf_counter()
-    try:
-        result = train(target, config, init)
-    except ValueError:
-        # Bad inputs are usage errors: main() maps them to exit 2, not 5.
-        raise
-    except Exception as exc:
-        print(f"error: optimiser failed: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
-    wall = time.perf_counter() - t0
-    _write_text(out, _result_json(result, target))
-    _write_text(csv_out, _overlay_csv(target, result.trained_dist))
-    print(
-        f"best_mse {result.best_mse:.6e} (floor {result.metadata['mse_floor']:.6e}) "
-        f"after {result.iterations_used} evaluations "
-        f"({result.metadata['restarts_run']} restarts, {wall:.1f}s)"
-    )
+    result = _fit(target, config, *_out_paths(args, "result.json"), init)
     if args.mse_gate is not None and result.best_mse > args.mse_gate:
         print(f"error: best_mse {result.best_mse:.6e} exceeds gate {args.mse_gate:.6e}", file=sys.stderr)
         return EXIT_MSE_GATE
@@ -224,48 +266,27 @@ def cmd_train(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- price
 
 
-def _load_distribution_file(path: str) -> tuple[np.ndarray, int, dict | None]:
-    """Accepts a training result or a target file.
-
-    Returns (probabilities, n_bins, domain dict or None).
-    """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"file not found: {path}")
-    with open(path) as fh:
-        payload = _json_object(json.load(fh), path)
+def _distribution_from_json(text: str) -> tuple[np.ndarray, int, dict | None]:
+    """The (probabilities, n_bins, domain dict or None) of a training
+    result, or of a target file, which ``TargetDistribution.from_json``
+    reads."""
+    payload = _json_object(json.loads(text), "trained file")
     if "trained_dist" in payload:
-        _json_object(payload, f"training result {path}", n_bins="integer", trained_dist="array")
+        _json_object(payload, "training result", n_bins="integer", trained_dist="array")
         dom = payload.get("domain")
         if dom is not None:
-            _json_object(dom, f"training result {path} domain", lo="number", hi="number")
-        probs = _json_floats(payload["trained_dist"], f"training result {path} key 'trained_dist'")
+            _json_object(dom, "training result domain", lo="number", hi="number")
+        probs = _json_floats(payload["trained_dist"], "training result key 'trained_dist'")
         return probs, payload["n_bins"], dom
     if "probs" in payload:
-        _json_object(
-            payload, f"target file {path}", n_bins="integer", lo="number", hi="number", probs="array"
-        )
-        probs = _json_floats(payload["probs"], f"target file {path} key 'probs'")
-        return probs, payload["n_bins"], {"lo": payload["lo"], "hi": payload["hi"]}
-    raise ValueError(f"{path}: neither a training result nor a target file")
-
-
-def _json_floats(values: list, what: str) -> np.ndarray:
-    """The JSON array ``values`` as a float64 array. An entry numpy cannot
-    convert raises a ValueError naming ``what`` and the entry's index."""
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        for i, value in enumerate(values):
-            try:
-                float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{what} entry {i} must be a number, got {json.dumps(value)}") from None
-        raise
+        target = TargetDistribution.from_json(text)
+        return target.probs, target.n_bins, {"lo": target.domain.lo, "hi": target.domain.hi}
+    raise ValueError("neither a training result nor a target file")
 
 
 def cmd_price(args: argparse.Namespace) -> int:
-    target = _load_target(args.target)
-    trained, n_bins, dom = _load_distribution_file(args.trained)
+    target = _load(args.target, TargetDistribution.from_json)
+    trained, n_bins, dom = _load(args.trained, _distribution_from_json)
     if n_bins != target.n_bins or trained.size != target.n_bins:
         print(
             f"error: grid mismatch: target has {target.n_bins} bins, trained file has {n_bins}",
@@ -280,29 +301,15 @@ def cmd_price(args: argparse.Namespace) -> int:
         )
         return EXIT_GRID_MISMATCH
     _check_probs(trained, f"{args.trained}: trained probabilities")
-    opt = OptionSpec(args.s0, args.strike, args.r, args.sigma, args.t, args.mu_drift)
-    report = price_report(
-        opt,
+    _price(
+        _option(args),
         target,
         trained,
+        *_out_paths(args, "price.json"),
         discount=args.discount,
         sigma_reading=args.sigma_reading,
         reference_payoff=args.reference,
     )
-    out = _resolve_out(args.out, "price.json")
-    csv_out = args.csv if args.csv is not None else os.path.splitext(out)[0] + ".csv"
-    _write_text(out, payoff_report_to_json(report))
-    _write_text(csv_out, payoff_csv(report, target.probs, trained))
-    print(
-        f"payoff_target {report.payoff_target:.6f}  payoff_trained {report.payoff_trained:.6f}  "
-        f"gap {report.gap:+.6f}"
-    )
-    if args.reference is not None:
-        rel = report.metadata["reference_relative_gap"]
-        print(f"reference {args.reference:.4f}: relative gap {rel:.2%}")
-        note = report.metadata.get("reference_note")
-        if note:
-            print(f"note: {note}")
     return EXIT_OK
 
 
@@ -355,33 +362,20 @@ def cmd_repro(args: argparse.Namespace) -> int:
     opt = OptionSpec(2.0, 2.0, 0.05, 0.4, 40.0)
     recipes.append(("bs", bs_lognormal_target(opt, domain, n_bins)))
 
-    results: dict[str, TrainingResult] = {}
     for name, target in recipes:
-        _write_text(os.path.join(outdir, f"{name}_target.json"), target.to_json())
-        result = train(target, config)
-        _write_text(os.path.join(outdir, f"{name}_result.json"), _result_json(result, target))
-        _write_text(
-            os.path.join(outdir, f"{name}_result.csv"),
-            _overlay_csv(target, result.trained_dist),
-        )
-        results[name] = result
-        summary[name] = {
-            "best_mse": result.best_mse,
-            "iterations_used": result.iterations_used,
-        }
-        print(f"{name:10s} best_mse {result.best_mse:.6e} ({result.iterations_used} evaluations)")
+        prefix = os.path.join(outdir, name)
+        _write_text(f"{prefix}_target.json", target.to_json())
+        result = _fit(target, config, f"{prefix}_result.json", f"{prefix}_result.csv")
+        summary[name] = {"best_mse": result.best_mse, "iterations_used": result.iterations_used}
 
-    bs_target = recipes[-1][1]
-    report = price_report(
+    # The loop ends on the BS recipe: target and result are its own.
+    report = _price(
         opt,
-        bs_target,
-        results["bs"].trained_dist,
-        reference_payoff=args.reference,
-    )
-    _write_text(os.path.join(outdir, "bs_price.json"), payoff_report_to_json(report))
-    _write_text(
+        target,
+        result.trained_dist,
+        os.path.join(outdir, "bs_price.json"),
         os.path.join(outdir, "bs_price.csv"),
-        payoff_csv(report, bs_target.probs, results["bs"].trained_dist),
+        reference_payoff=args.reference,
     )
     summary["bs"].update(
         {
@@ -391,13 +385,6 @@ def cmd_repro(args: argparse.Namespace) -> int:
             "reference_relative_gap": report.metadata["reference_relative_gap"],
         }
     )
-    print(
-        f"bs payoff: target {report.payoff_target:.6f}, trained {report.payoff_trained:.6f}, "
-        f"reference {args.reference:.4f}"
-    )
-    note = report.metadata.get("reference_note")
-    if note:
-        print(f"note: {note}")
     _write_text(os.path.join(outdir, "summary.json"), json.dumps(summary, indent=2) + "\n")
     return EXIT_OK
 
@@ -406,6 +393,10 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
 
 class _Usage(Exception):
+    pass
+
+
+class _OptimizerFailed(Exception):
     pass
 
 
@@ -512,6 +503,9 @@ def main(argv: list[str] | None = None) -> int:
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _OptimizerFailed as exc:
+        print(f"error: optimiser failed: {exc}", file=sys.stderr)
+        return EXIT_OPTIMIZER
     except UnrepresentableTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREPRESENTABLE

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Generator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .walk import (
     _light_cone,
     _walk,
     evolve,
-    wrap_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -446,21 +445,12 @@ def train(
     )
 
 
-def _coin_dict(theta: float, phi: float, lam: float) -> dict:
-    return {"theta": wrap_angle(theta), "phi": wrap_angle(phi), "lam": wrap_angle(lam)}
-
-
 def training_result_json_dict(result: TrainingResult) -> dict:
     """Serialisable view of a result. Angles are wrapped to [0, 2*pi)."""
-    p = result.best_params
     cfg = result.config
-    ip = cfg.initial_params
     return {
         "format_version": RESULT_FORMAT_VERSION,
-        "best_params": {
-            "coin1": _coin_dict(p.coin1.theta, p.coin1.phi, p.coin1.lam),
-            "coin2": _coin_dict(p.coin2.theta, p.coin2.phi, p.coin2.lam),
-        },
+        "best_params": asdict(result.best_params.wrapped()),
         "best_mse": result.best_mse,
         "iterations_used": result.iterations_used,
         "n_bins": int(result.trained_dist.size),
@@ -475,10 +465,7 @@ def training_result_json_dict(result: TrainingResult) -> dict:
             "restarts": cfg.restarts,
             "seed": cfg.seed,
             "optimizer": OPTIMIZER_NAME,
-            "initial_params": {
-                "coin1": {"theta": ip.coin1.theta, "phi": ip.coin1.phi, "lam": ip.coin1.lam},
-                "coin2": {"theta": ip.coin2.theta, "phi": ip.coin2.phi, "lam": ip.coin2.lam},
-            },
+            "initial_params": asdict(cfg.initial_params),
         },
         "metadata": result.metadata,
     }

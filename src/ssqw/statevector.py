@@ -46,6 +46,20 @@ def _json_object(payload, what: str, **kinds: str) -> dict:
     return payload
 
 
+def _json_floats(values: list, what: str) -> np.ndarray:
+    """The JSON array ``values`` as a float64 array. An entry numpy cannot
+    convert raises a ValueError naming ``what`` and the entry's index."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        for i, value in enumerate(values):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{what} entry {i} must be a number, got {json.dumps(value)}") from None
+        raise
+
+
 @dataclass(frozen=True)
 class WalkerState:
     """Immutable walker state.

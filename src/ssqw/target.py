@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import _json_object
+from .statevector import _json_floats, _json_object
 
 TARGET_FORMAT_VERSION = 1
 
@@ -224,7 +224,7 @@ class TargetDistribution:
             raise ValueError(
                 f"unsupported target format_version: {payload.get('format_version')!r}"
             )
-        probs = np.asarray(payload["probs"], dtype=np.float64)
+        probs = _json_floats(payload["probs"], "target JSON key 'probs'")
         if probs.size != payload["n_bins"]:
             raise ValueError("n_bins disagrees with probability count")
         return cls(probs, Domain(payload["lo"], payload["hi"]), dict(payload["provenance"]))

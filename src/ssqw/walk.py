@@ -18,8 +18,9 @@ package runs: a coin on both coin rows, then one row shifted one site by
 slicing. The forward kernel runs each split step as two of them (C1 with
 the up row moving right, C2 with the down row moving left). The adjoint
 sweep that gives the coin gradients runs the same half-step backwards,
-with the conjugate-transposed coins and the opposite moves. (The public
-``apply_shift_*`` operators, for composing a step by hand, use np.roll.)
+with the conjugate-transposed coins and the opposite moves. The half-step
+and the public ``apply_shift_*`` operators move a row by one helper,
+``_move``.
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
@@ -211,27 +212,36 @@ def apply_shift_dtqw(state: WalkerState) -> WalkerState:
     """Conditional shift: up moves x -> x+1, down moves x -> x-1 (mod ring)."""
     up, dn = state.amps
     out = np.empty_like(state.amps)
-    out[0] = np.roll(up, 1)
-    out[1] = np.roll(dn, -1)
+    _move(out[0], up, right=True)
+    _move(out[1], dn, right=False)
     return WalkerState(out)
 
 
 def apply_shift_plus(state: WalkerState) -> WalkerState:
     """Half shift: up moves x -> x+1, down stays."""
-    up, dn = state.amps
-    out = np.empty_like(state.amps)
-    out[0] = np.roll(up, 1)
-    out[1] = dn
+    out = state.amps.copy()
+    _move(out[0], state.amps[0], right=True)
     return WalkerState(out)
 
 
 def apply_shift_minus(state: WalkerState) -> WalkerState:
     """Half shift: down moves x -> x-1, up stays."""
-    up, dn = state.amps
-    out = np.empty_like(state.amps)
-    out[0] = up
-    out[1] = np.roll(dn, -1)
+    out = state.amps.copy()
+    _move(out[1], state.amps[1], right=False)
     return WalkerState(out)
+
+
+def _move(dst: np.ndarray, src: np.ndarray, right: bool) -> None:
+    """Write ``src`` into ``dst`` moved one site around the ring, along
+    the last axis: right (x -> x+1) if ``right``, else left. The arrays
+    must not overlap. This is the only place that knows how a row moves.
+    """
+    if right:
+        dst[..., 1:] = src[..., :-1]
+        dst[..., :1] = src[..., -1:]
+    else:
+        dst[..., :-1] = src[..., 1:]
+        dst[..., -1:] = src[..., :1]
 
 
 def _light_cone(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
@@ -292,25 +302,17 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
     c11), each an array of the rows' shape (``_entries``).
     Each new row is formed as ``c[r, 0] * up + c[r, 1] * dn``, the
     expression ``apply_coin`` uses. Then the up row if ``move_up``, else
-    the down row, moves one site right if ``right``, else left, by
-    slicing. This is the only place that knows how a split step moves
-    amplitudes.
+    the down row, moves one site right if ``right``, else left (``_move``).
     """
     c00, c01, c10, c11 = coin
     if move_up:
         moved = c00 * up + c01 * dn
         dn[...] = c10 * up + c11 * dn
-        row = up
+        _move(up, moved, right)
     else:
         moved = c10 * up + c11 * dn
         up[...] = c00 * up + c01 * dn
-        row = dn
-    if right:
-        row[..., 1:] = moved[..., :-1]
-        row[..., :1] = moved[..., -1:]
-    else:
-        row[..., :-1] = moved[..., 1:]
-        row[..., -1:] = moved[..., :1]
+        _move(dn, moved, right)
 
 
 def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:

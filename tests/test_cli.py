@@ -19,6 +19,7 @@ from ssqw import (
     initial_state,
     position_distribution,
 )
+from ssqw import walk
 from ssqw.cli import main
 
 import oracles
@@ -239,7 +240,10 @@ def test_train_summary_prints_mse_floor(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run("train", "--target", str(target), "--out", str(out), "--max-iters", "10") == 0
     floor = read_json(out)["metadata"]["mse_floor"]
-    assert f"(floor {floor:.6e})" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert f"(floor {floor:.6e})" in captured.out
+    # The wall time differs from run to run, so it goes to stderr.
+    assert captured.out.rstrip().endswith(" restarts)") and "fit took" in captured.err
 
 
 def test_train_symmetric_flag(tmp_path):
@@ -393,11 +397,13 @@ def test_price_trained_wrong_domain_exit2(tmp_path, capsys, domain, needle):
 
 @pytest.mark.parametrize(
     "bad, needle",
-    [("nan", "must be finite"), ("negative", "must be nonnegative"), ("sum", "must sum to 1")],
+    [("nan", "must be finite"), ("negative", "must be nonnegative"), ("sum", "must sum to 1"),
+     ("no-provenance", "no 'provenance' key"), ("count", "n_bins disagrees")],
 )
 def test_price_trained_bad_probabilities_exit2(tmp_path, capsys, bad, needle):
     # A trained file on the right grid whose probabilities break a rule
     # every target obeys; the report would carry NaN or a meaningless payoff.
+    # A target file as --trained is held to the target format as --target is.
     target = gen_normal_target(tmp_path)
     payload = read_json(target)
     probs = payload["probs"]
@@ -406,8 +412,12 @@ def test_price_trained_bad_probabilities_exit2(tmp_path, capsys, bad, needle):
     elif bad == "negative":
         probs[8] += probs[0] + 0.01
         probs[0] = -0.01
-    else:
+    elif bad == "sum":
         probs[8] += 0.01
+    elif bad == "no-provenance":
+        del payload["provenance"]
+    else:
+        payload["n_bins"] = 8
     trained = tmp_path / "trained.json"
     trained.write_text(json.dumps(payload))
     capsys.readouterr()
@@ -420,28 +430,33 @@ def test_price_trained_bad_probabilities_exit2(tmp_path, capsys, bad, needle):
     assert not (tmp_path / "p.json").exists()
 
 
-@pytest.mark.parametrize("kind", ["result", "target"])
+@pytest.mark.parametrize("kind", ["result", "target", "train-target", "price-target"])
 def test_price_trained_entry_not_a_number_exit2(tmp_path, capsys, kind):
     # The error names the file, the key and the entry, not just numpy's
-    # "could not convert string to float".
+    # "could not convert string to float": for a result or a target file
+    # as --trained, and for a target file as --target of train or price.
     target = gen_normal_target(tmp_path)
-    trained = tmp_path / "trained.json"
+    bad = tmp_path / "bad.json"
     if kind == "result":
-        assert run("train", "--target", str(target), "--out", str(trained), "--max-iters", "4") == 0
+        assert run("train", "--target", str(target), "--out", str(bad), "--max-iters", "4") == 0
         key = "trained_dist"
     else:
-        trained.write_text(target.read_text())
+        bad.write_text(target.read_text())
         key = "probs"
-    payload = read_json(trained)
+    payload = read_json(bad)
     payload[key][5] = "x"
-    trained.write_text(json.dumps(payload))
+    bad.write_text(json.dumps(payload))
     capsys.readouterr()
-    code = run(
-        "price", "--target", str(target), "--trained", str(trained),
-        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
-        "--out", str(tmp_path / "p.json"),
-    )
-    assert_usage_error(capsys, code, str(trained), f"'{key}'", "entry 5", '"x"')
+    if kind == "train-target":
+        argv = ["train", "--target", str(bad), "--out", str(tmp_path / "r.json")]
+    else:
+        files = (bad, target) if kind == "price-target" else (target, bad)
+        argv = [
+            "price", "--target", str(files[0]), "--trained", str(files[1]),
+            "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+            "--out", str(tmp_path / "p.json"),
+        ]
+    assert_usage_error(capsys, run(*argv), str(bad), f"'{key}'", "entry 5", '"x"')
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -544,6 +559,45 @@ def test_repro_writes_all_artifacts(tmp_path):
         assert result["best_mse"] >= floors[name], name
     # The BS target's mass sits in bin 0, which the walk cannot reach.
     assert floors["bs"] >= 1.0 / 16.0
+
+
+def test_repro_equals_the_command_line_pipeline(tmp_path):
+    # repro runs the fit and price steps of train and price, so its files
+    # equal those of gen-target, train and price run by hand.
+    repro = tmp_path / "repro"
+    assert run("repro", "--outdir", str(repro), "--max-iters", "4") == 0
+    pipe = tmp_path / "pipe"
+    pipe.mkdir()
+    option = ["--s0", "2", "--k", "2", "--r", "0.05", "--sigma", "0.4", "--t", "40"]
+    recipes = {
+        "normal": ["--kind", "normal", "--analytic"],
+        "lognormal": ["--kind", "lognormal", "--analytic"],
+        "bs": ["--kind", "bs", *option],
+    }
+    for name, flags in recipes.items():
+        target = str(pipe / f"{name}_target.json")
+        assert run("gen-target", *flags, "--out", target) == 0
+        assert run(
+            "train", "--target", target, "--out", str(pipe / f"{name}_result.json"),
+            "--max-iters", "4", "--restarts", "8", "--seed", "7",
+        ) == 0
+    assert run(
+        "price", "--target", str(pipe / "bs_target.json"), "--trained", str(pipe / "bs_result.json"),
+        *option, "--reference", "5.5342", "--out", str(pipe / "bs_price.json"),
+    ) == 0
+    names = sorted(p.name for p in pipe.iterdir())
+    assert len(names) == 11
+    for name in names:
+        assert (repro / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
+def test_repro_optimiser_failure_exit5(tmp_path, capsys):
+    # As train does, not exit 1, which reads as a missed --mse-gate.
+    kernel = walk._steps_in_place
+    with mock.patch.object(walk, "_steps_in_place", lambda out, *args: kernel(out, *args) * 1.1):
+        code = run("repro", "--outdir", str(tmp_path), "--max-iters", "4")
+    assert code == 5
+    assert "error: optimiser failed" in capsys.readouterr().err
 
 
 def test_repro_imports_no_scipy(tmp_path):
