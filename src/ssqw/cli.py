@@ -11,7 +11,7 @@ Exit codes:
   1  trained MSE exceeded the requested gate
   2  usage or argument validation error, or an unwritable output path
   3  target has no representable mass on the domain
-  4  a required input file is missing
+  4  a required input file is missing or unreadable
   5  the optimiser raised
   6  target and trained files disagree on the grid
   7  returns CSV could not be parsed or the window is empty
@@ -97,14 +97,16 @@ def _check_writable(path: str) -> None:
 
 
 def _load(path: str, from_json):
-    """``from_json`` of the text of the file ``path``. Every ValueError it
-    raises names the file."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"file not found: {path}")
-    with open(path) as fh:
-        text = fh.read()
+    """``from_json`` of the UTF-8 text of the file ``path``. A file that is
+    missing or cannot be read raises FileNotFoundError (exit 4), and every
+    ValueError, a file that is not UTF-8 included, names the file."""
     try:
-        return from_json(text)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise FileNotFoundError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        return from_json(data.decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -11,11 +11,13 @@ given configuration always reproduces the same result.
 
 objective() and train's values share one value path, ``_scores``. It
 scores the walk on the window that ``walk._walk`` stepped, which for a
-localized start is its light cone alone: outside it the walk's
-probabilities are exact zeros, so each bin there costs q^2, and the MSE
-equals that of the M-site distribution bit for bit. Only the results a
-caller gets back as M-site arrays (evolve's state, train's
-``trained_dist``) are built on the whole ring.
+localized start is a light cone of the start alone: outside it the
+walk's probabilities are exact zeros, so each bin there costs q^2, and
+the MSE equals that of the M-site distribution bit for bit. A value
+steps the start's cone of the walk's steps; a value-and-gradient call
+steps the cone of twice as many, and its adjoint sweep runs back on that
+same window. Only the results a caller gets back as M-site arrays
+(evolve's state, train's ``trained_dist``) are built on the whole ring.
 
 The restarts are independent, so train() runs them in lockstep: each
 round evaluates the pending point of every live restart in one batched
@@ -106,26 +108,28 @@ def _scores(
     target: TargetDistribution,
     schedule: WalkSchedule,
     init: WalkerState,
-) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray | None]:
+    swept: bool = False,
+) -> tuple[list[float], np.ndarray, np.ndarray]:
     """The walk from ``init`` under each of B coin pairs, stacked as
     (B, 2, 2) arrays, and its MSE against the target.
 
-    Returns the B values, the final amplitudes (2, B, w), their
-    distributions' differences p - q from the target (B, w), and the w
-    ring sites those cover: the window ``walk._walk`` stepped, or None for
-    the whole ring. Outside a window every amplitude stays an exact zero, so p = 0
-    there and each squared difference is q^2 bit for bit; the values equal
-    ``mse`` of each row's M-site distribution. The checks are those of
-    ``WalkerState``, ``evolve`` and ``mse`` on the same sites: finite
-    amplitudes, the norm kept against the start's norm on those sites
-    (ArithmeticError otherwise), and each row's probabilities summing to 1
-    (the target's sum is checked when it is built).
+    Returns the B values, the final amplitudes (2, B, w) and their
+    distributions' differences p - q from the target (B, w), on the w
+    sites of the window ``walk._walk`` stepped, which is widened for the
+    adjoint sweep if ``swept``. Outside the window every amplitude stays
+    an exact zero, so p = 0 there and each squared difference is q^2 bit
+    for bit; the values equal ``mse`` of each row's M-site distribution.
+    The checks are those of ``WalkerState``, ``evolve`` and ``mse`` on
+    the same sites: finite amplitudes, the norm kept against the start's
+    norm on those sites (ArithmeticError otherwise), and each row's
+    probabilities summing to 1 (the target's sum is checked when it is
+    built).
     """
     n = target.n_bins
     if init.num_positions != n:
         raise ValueError(f"initial state has {init.num_positions} positions but target has {n} bins")
     steps = schedule.steps
-    final, sites, start = _walk(init, coin1, coin2, steps)
+    final, sites, start = _walk(init, coin1, coin2, steps, swept)
     if not np.all(np.isfinite(final.view(np.float64))):
         raise ValueError("amplitudes must be finite")
     p = _position_probs(final)
@@ -143,7 +147,7 @@ def _scores(
         d = p - q[sites]
         dd = np.multiply(q, q, out=np.empty((len(p), n)))
         dd[:, sites] = d * d
-    return np.mean(dd, axis=-1).tolist(), final, d, sites
+    return np.mean(dd, axis=-1).tolist(), final, d
 
 
 def _mse_and_gradient(
@@ -161,8 +165,9 @@ def _mse_and_gradient(
     through one adjoint sweep back through the steps (Jones & Gacon,
     arXiv:2009.02823), seeded with lambda = (2/n)(p - q) psi, where p is
     the walk's distribution, q the target and n the number of bins. The
-    forward pass steps the start's window and the sweep the final state's
-    (see ``walk``). A row's gradient equals that of a one-row call.
+    forward pass and the sweep run on one window, the start's cone of
+    twice the steps (see ``walk``). A row's gradient equals that of a
+    one-row call.
 
     A non-finite angle raises the ValueError that ``CoinParams`` raises.
     """
@@ -171,10 +176,9 @@ def _mse_and_gradient(
     # All coin1s, then all coin2s, as the rows of one (2B, 3) array.
     coins, dcoins = _coin_stacks(angles.reshape(b, 2, 3).swapaxes(0, 1).reshape(2 * b, 3))
     coin1, coin2, dcoin1, dcoin2 = coins[:b], coins[b:], dcoins[:b], dcoins[b:]
-    values, final, d, sites = _scores(coin1, coin2, target, schedule, init)
-    n = target.n_bins
-    seed = (2.0 / n) * d * final
-    g1, g2 = _adjoint_sweep(final, seed, coin1, coin2, schedule.steps, sites, n)
+    values, final, d = _scores(coin1, coin2, target, schedule, init, swept=True)
+    seed = (2.0 / target.n_bins) * d * final
+    g1, g2 = _adjoint_sweep(final, seed, coin1, coin2, schedule.steps)
     grad = [
         2.0 * np.real(np.sum(dc * g[:, None], axis=(2, 3))) for dc, g in ((dcoin1, g1), (dcoin2, g2))
     ]

@@ -47,17 +47,18 @@ def _json_object(payload, what: str, **kinds: str) -> dict:
 
 
 def _json_floats(values: list, what: str) -> np.ndarray:
-    """The JSON array ``values`` as a float64 array. An entry numpy cannot
-    convert raises a ValueError naming ``what`` and the entry's index."""
+    """The JSON array ``values`` of numbers as a float64 array. An entry
+    that is not a JSON number (strings, true and false are not) raises a
+    ValueError naming ``what`` and the entry's index; an integer too large
+    for a float raises one naming ``what``."""
+    for i, value in enumerate(values):
+        # type() rather than isinstance(): JSON true and false are not numbers.
+        if type(value) not in (int, float):
+            raise ValueError(f"{what} entry {i} must be a number, got {json.dumps(value)}")
     try:
         return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        for i, value in enumerate(values):
-            try:
-                float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{what} entry {i} must be a number, got {json.dumps(value)}") from None
-        raise
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,8 @@ class WalkerState:
 
 def _occupied_sites(amps: np.ndarray) -> np.ndarray:
     """The sites, in increasing order, that hold a non-zero amplitude in
-    either coin row of raw (2, M) amplitudes, or of any row of a (2, B, M)
-    batch."""
-    return np.flatnonzero(np.any(amps != 0, axis=tuple(range(amps.ndim - 1))))
+    either coin row of raw (2, M) amplitudes."""
+    return np.flatnonzero(np.any(amps != 0, axis=0))
 
 
 def initial_state(num_position_qubits: int, alpha: complex, beta: complex, x0: int = 0) -> WalkerState:

@@ -29,15 +29,17 @@ walk steps: the cone alone when it is at most half the ring. This is
 exact, not a truncation: every site outside the cone stays an exact zero
 in the full-ring run too. The one forward entry, ``_walk``, steps the
 start's window: ``evolve`` and the one-step operators scatter its result
-onto the ring, and the MSE objective scores it in place. The sweep steps
-the final state's window (``_rewindow``). A ``WalkerState`` caches its
-occupied sites, so a start is scanned for its cone once.
+onto the ring, and the MSE objective scores it in place. A walk that will
+be swept back steps the start's window of twice its steps instead, and
+the sweep runs on that same array: undoing t steps from the final state,
+which lies within the start's cone of t, stays within the cone of 2t. A
+``WalkerState`` caches its occupied sites, so a start is scanned for its
+cone once, and nothing else is scanned.
 
 The forward kernel and the sweep also run a batch: B coins stacked as a
-(B, 2, 2) array, with states of shape (2, B, M). Each row is stepped by
-the same half-steps as it would be alone, so its result equals its own
-single call bit for bit. A batch is stepped on the union of its rows'
-cones, which holds each row's cone.
+(B, 2, 2) array, with states of shape (2, B, M). Every row shares the
+start, and so its window. Each row is stepped by the same half-steps as
+it would be alone, so its result equals its own single call bit for bit.
 
 Coins are built from angle arrays: ``_coin_factors`` takes the cosines
 and sines of a (K, 3) array of (theta, phi, lam) rows from one np.cos and
@@ -59,7 +61,7 @@ import numpy as np
 
 # apply_coin stays importable as ssqw.walk.apply_coin: benchmarks/spans.py
 # hooks it by that name.
-from .statevector import WalkerState, _occupied_sites, apply_coin  # noqa: F401
+from .statevector import WalkerState, apply_coin  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -340,18 +342,21 @@ def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:
 
 
 def _walk(
-    init: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int
+    init: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int, swept: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Run ``steps`` split steps from ``init`` under a pair of 2x2 coins,
     or under B pairs stacked as (B, 2, 2) arrays.
 
     Only the start's ``_window`` is stepped: its sites are gathered, and
-    for a coin stack repeated into a (2, B, w) batch. Returns the final
-    amplitudes on the window, (2, w) or (2, B, w); the window's w ring
-    sites, or None for the whole ring; and the start's (2, w) amplitudes
-    on them. Every amplitude outside the window stays an exact zero.
+    for a coin stack repeated into a (2, B, w) batch. The window is that
+    of ``steps`` steps, or, if the walk will be ``swept`` back by
+    ``_adjoint_sweep``, of ``2 * steps``, so that the sweep can run on the
+    same array. Returns the final amplitudes on the window, (2, w) or
+    (2, B, w); the window's w ring sites, or None for the whole ring; and
+    the start's (2, w) amplitudes on them. Every amplitude outside the
+    start's ``steps``-step cone stays an exact zero.
     """
-    sites = _window(init.num_positions, init._occupied, steps)
+    sites = _window(init.num_positions, init._occupied, 2 * steps if swept else steps)
     start = init.amps if sites is None else init.amps[:, sites]
     out = np.repeat(start[:, None], len(coin1), axis=1) if coin1.ndim == 3 else start.copy()
     return _steps_in_place(out, coin1, coin2, steps), sites, start
@@ -387,20 +392,14 @@ def _steps_in_place(out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps
 
 
 def _adjoint_sweep(
-    amps: np.ndarray,
-    seed: np.ndarray,
-    coin1: np.ndarray,
-    coin2: np.ndarray,
-    steps: int,
-    sites: np.ndarray | None = None,
-    m: int | None = None,
+    amps: np.ndarray, seed: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse sweep for the coin gradients of a real loss L of the final
     state of ``_walk``.
 
-    ``amps`` is the final (2, M) state psi and ``seed`` the adjoint lambda
+    ``amps`` is the final (2, w) state psi and ``seed`` the adjoint lambda
     of L at it, so that dL = 2 Re sum(conj(lambda) * d psi); both may
-    instead be (2, B, M) batches, with (B, 2, 2) coin stacks. The
+    instead be (2, B, w) batches, with (B, 2, 2) coin stacks. The
     sweep undoes the ``steps`` split steps one at a time, carrying psi and
     lambda back together through ``_half_step`` on their stacked rows, so
     it stores no trajectory. Its half-steps use C-dagger and the opposite
@@ -414,17 +413,15 @@ def _adjoint_sweep(
     dL/da = 2 Re sum(dC_k/da * G_k) for each angle a of coin k; a batch
     gets one (B, 2, 2) stack of them per coin.
 
-    Only the ``_window`` of the final state is swept, and the sums run
-    over its sites alone. This is exact when ``seed`` is zero wherever
-    ``amps`` is, as the MSE's (2/n)(p - q) psi is: under W-dagger psi and
-    lambda then spread from the final state's support by at most one site
-    per step, so they stay zero outside its cone.
-
-    ``amps`` and ``seed`` may instead hold only the ring ``sites`` of an
-    m-site ring (the window ``_walk`` returns), zero at every other site:
-    see ``_rewindow``.
+    The sweep runs on the w sites it is given, as a ring. That is exact
+    for the window ``_walk`` steps when ``swept``, the start's cone of
+    ``2 * steps``, if ``seed`` is zero wherever ``amps`` is, as the MSE's
+    (2/n)(p - q) psi is: after j undone steps psi and lambda lie within
+    the final support widened by j sites, so within the start's cone of
+    ``steps + j``. Nothing reaches the window's ends, and its wrap-around
+    only moves zeros.
     """
-    z = _rewindow(np.stack([amps, seed], axis=1), steps, sites, m)
+    z = np.stack([amps, seed], axis=1)
     up, dn = z
     # Views of z that the half-steps update in place. The batch axis, if
     # any, leads both factors of the accumulator's product.
@@ -443,35 +440,6 @@ def _adjoint_sweep(
         k1 += lam_rows.conj() @ psi_cols
         c1 = inv1
     return k1 @ coin1.conj(), k2 @ coin2.conj()
-
-
-def _rewindow(z: np.ndarray, steps: int, sites: np.ndarray | None, m: int | None) -> np.ndarray:
-    """The stacked (psi, lambda) rows ``z`` moved onto the ``_window`` of
-    psi's occupied sites, or onto the whole ring when that is None; psi
-    is not scanned when ``4 * steps >= m``.
-
-    ``z`` holds the whole ring when ``sites`` is None. Otherwise it holds
-    the ring sites ``sites`` of an m-site ring, is zero at every other
-    site, and gets zeros where ``sites`` does not reach; no m-site array
-    is built unless the window is the whole ring.
-    """
-    if sites is None:
-        m = z.shape[-1]
-    target = None
-    if 4 * steps < m:
-        occupied = _occupied_sites(z[:, 0])
-        target = _window(m, occupied if sites is None else np.sort(sites[occupied]), steps)
-    if sites is None:
-        return z if target is None else np.take(z, target, axis=-1)
-    if target is None:
-        target = np.arange(m)
-    # Offsets of the target sites along the arc ``sites``, which starts at
-    # sites[0]; an offset past its end is a site outside it.
-    offset = (target - sites[0]) % m
-    inside = offset < sites.size
-    out = np.zeros(z.shape[:-1] + target.shape, dtype=z.dtype)
-    out[..., inside] = z[..., offset[inside]]
-    return out
 
 
 def apply_dtqw_step(state: WalkerState, coin: CoinParams) -> WalkerState:

@@ -435,6 +435,8 @@ def test_price_trained_entry_not_a_number_exit2(tmp_path, capsys, kind):
     # The error names the file, the key and the entry, not just numpy's
     # "could not convert string to float": for a result or a target file
     # as --trained, and for a target file as --target of train or price.
+    # A string that spells a number, or true, is refused, not converted,
+    # and so is an integer no float can hold.
     target = gen_normal_target(tmp_path)
     bad = tmp_path / "bad.json"
     if kind == "result":
@@ -444,9 +446,7 @@ def test_price_trained_entry_not_a_number_exit2(tmp_path, capsys, kind):
         bad.write_text(target.read_text())
         key = "probs"
     payload = read_json(bad)
-    payload[key][5] = "x"
-    bad.write_text(json.dumps(payload))
-    capsys.readouterr()
+    spelled = repr(payload[key][5])
     if kind == "train-target":
         argv = ["train", "--target", str(bad), "--out", str(tmp_path / "r.json")]
     else:
@@ -456,7 +456,48 @@ def test_price_trained_entry_not_a_number_exit2(tmp_path, capsys, kind):
             "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
             "--out", str(tmp_path / "p.json"),
         ]
-    assert_usage_error(capsys, run(*argv), str(bad), f"'{key}'", "entry 5", '"x"')
+    for value in ("x", spelled, True):
+        payload[key][5] = value
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert_usage_error(capsys, run(*argv), str(bad), f"'{key}'", "entry 5", json.dumps(value))
+    payload[key][5] = 10**400
+    bad.write_text(json.dumps(payload))
+    assert_usage_error(capsys, run(*argv), str(bad), f"'{key}'", "too large for a float")
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "p.json").exists()
+
+
+def _train_or_price_input(tmp_path, command, path):
+    """The argv of a train or price run that reads ``path`` as its
+    --target or --trained file."""
+    if command == "train":
+        return ["train", "--target", str(path), "--out", str(tmp_path / "r.json")]
+    return [
+        "price", "--target", str(gen_normal_target(tmp_path)), "--trained", str(path),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--out", str(tmp_path / "p.json"),
+    ]
+
+
+@pytest.mark.parametrize("command", ["train", "price"])
+def test_unreadable_input_file_exit4(tmp_path, capsys, command):
+    # A directory where --target or --trained names a file exits 4, as a
+    # missing file does, with an error line rather than a traceback.
+    unreadable = tmp_path / "somedir"
+    unreadable.mkdir()
+    code = run(*_train_or_price_input(tmp_path, command, unreadable))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith(f"error: cannot read {unreadable}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "price"])
+def test_input_file_not_utf8_exit2(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.json"
+    # A Latin-1 e-acute: one byte that no UTF-8 text holds.
+    bad.write_bytes(b'{"probs": "caf\xe9"}')
+    code = run(*_train_or_price_input(tmp_path, command, bad))
+    assert_usage_error(capsys, code, str(bad), "utf-8")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

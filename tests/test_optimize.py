@@ -211,12 +211,12 @@ def full_ring_mse_and_gradient(angles, target, schedule, init):
 def test_windowed_gradient_equals_the_full_ring_formula():
     rng = np.random.default_rng(53)
     starts = [
-        # The sweep's window wraps past site 0.
+        # The window wraps past site 0.
         (initial_state(10, 0.6, 0.8j, (1 << 10) - 9), 8),
-        # A one-site start: forward window 17 sites, sweep window 33.
+        # A one-site start: a window of 33 sites.
         (initial_state(12, 1.0, 0.0, 5), 8),
-        # Forward window 17 of 64 sites, but the final state's cone is
-        # more than half the ring, so the sweep runs on the whole ring.
+        # The start's cone of 16 steps is more than half of 64 sites, so
+        # the call runs on the whole ring.
         (initial_state(6, 1.0, 0.0, 32), 8),
         # The 16-bin fit: no window.
         (initial_state(4, 1.0, 0.0, 8), 7),
@@ -227,8 +227,8 @@ def test_windowed_gradient_equals_the_full_ring_formula():
         schedule = WalkSchedule(steps)
         params = rng.uniform(0.0, 2.0 * math.pi, (3, 6))
         # Diagonal coins move a coin-up start right by one site a step:
-        # its final state is one site at the right end of the forward
-        # window, which then covers only the left half of the sweep's.
+        # its final state is the one site x0 + steps, where the other
+        # coins fill x0 - steps..x0 + steps.
         diagonal = np.array([[0.0, 0.4, 1.9, 0.0, 2.3, 0.7]])
         for rows in (params, params[:1], diagonal):
             values, grads = _mse_and_gradient(rows, target, schedule, init)
@@ -253,8 +253,7 @@ def test_objective_rejects_a_walk_whose_mass_is_not_1():
 def test_localized_objective_builds_no_ring_state():
     # A one-site start on 2**12 sites, 8 steps: neither objective nor a
     # value-and-gradient call builds a WalkerState or calls evolve, and
-    # the start's 4096 sites are scanned once; the sweep scans only the
-    # 17 sites of the forward window.
+    # the start's 4096 sites are scanned once, for every window.
     m = 1 << 12
     init = initial_state(12, 1.0, 0.0, 100)
     target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(59), m), Domain(0.0, float(m)))
@@ -278,14 +277,13 @@ def test_localized_objective_builds_no_ring_state():
         mock.patch.object(optimize, "evolve", refuse),
         mock.patch.object(walk, "evolve", refuse),
         mock.patch.object(statevector, "_occupied_sites", recording_scan),
-        mock.patch.object(walk, "_occupied_sites", recording_scan),
         mock.patch.object(WalkerState, "__post_init__", recording_post_init),
     ):
         objective(KNOWN_PARAMS, target, schedule, init)
         objective(KNOWN_PARAMS, target, schedule, init)
         _mse_and_gradient(KNOWN_PARAMS.to_array()[None], target, schedule, init)
     assert built == []
-    assert scanned == [m, 17]
+    assert scanned == [m]
 
 
 def test_norm_checks_survive_python_O(tmp_path):
@@ -597,8 +595,8 @@ def test_lockstep_restarts_equal_sequential_runs():
     # run in lockstep with it but are discarded.
     config = OptimizerConfig(initial_params=KNOWN_PARAMS, restarts=3)
     _assert_lockstep_equals_sequential(self_generated_target(), config)
-    # A custom start at M-9 of 2**10 sites: the sweep's window wraps past
-    # site 0.
+    # A custom start at M-9 of 2**10 sites: the window of a
+    # value-and-gradient call wraps past site 0.
     rng = np.random.default_rng(43)
     m = 1 << 10
     wide = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
@@ -608,8 +606,8 @@ def test_lockstep_restarts_equal_sequential_runs():
 
 def test_batched_gradient_rows_equal_single_calls():
     # A coin-up start at M-9 of 2**10 sites: the identity-coin row's final
-    # state is one site, the random rows' 17, so the batch sweeps the
-    # union of their cones.
+    # state is one site and the random rows' 17; every row is stepped and
+    # swept on the start's window all the same.
     rng = np.random.default_rng(47)
     m = 1 << 10
     target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
@@ -729,9 +727,8 @@ def test_mse_gradient_matches_both_oracles():
             psi0 = oracles.random_walker_vec(rng, m)
             q = oracles.random_prob_vec(rng, m)
             _assert_gradient_matches_both_oracles(x, psi0, q, steps)
-    # A one-site start on 64 sites: the forward pass steps only its
-    # 11-site light cone, and the adjoint sweep the final state's 21-site
-    # cone.
+    # A one-site start on 64 sites: the forward pass and the adjoint sweep
+    # step only its 21-site light cone of 10 steps.
     x = rng.uniform(0.0, 2.0 * math.pi, 6)
     psi0 = initial_state(6, 0.6, 0.8j, 32).flat
     _assert_gradient_matches_both_oracles(x, psi0, oracles.random_prob_vec(rng, 64), 5)
@@ -739,8 +736,8 @@ def test_mse_gradient_matches_both_oracles():
 
 def test_windowed_sweep_gradient_equals_full_ring():
     # A start near site M-1 of a 2**10-site ring: the final state fills
-    # sites M-17..M-1, and the sweep steps only their light cone, which
-    # wraps past site 0.
+    # sites M-17..M-1, and the sweep steps only their light cone, the
+    # start's cone of 16 steps, which wraps past site 0.
     rng = np.random.default_rng(37)
     m = 1 << 10
     target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
@@ -749,6 +746,7 @@ def test_windowed_sweep_gradient_equals_full_ring():
     schedule = WalkSchedule(8)
     sites = walk._window(m, evolve(init, params, schedule)._occupied, schedule.steps)
     np.testing.assert_array_equal(sites, np.arange(m - 25, m + 8) % m)
+    np.testing.assert_array_equal(sites, walk._window(m, init._occupied, 2 * schedule.steps))
     [value], [grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
     widths = []
     half_step = walk._half_step

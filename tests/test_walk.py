@@ -16,7 +16,9 @@ from ssqw import (
     PAULI_Y_COIN,
     PAULI_Z_COIN,
     CoinParams,
+    Domain,
     SsqwParams,
+    TargetDistribution,
     WalkerState,
     WalkSchedule,
     apply_coin,
@@ -35,6 +37,7 @@ from ssqw import (
     wrap_angle,
 )
 from ssqw import walk
+from ssqw.optimize import _mse_and_gradient
 
 import oracles
 
@@ -424,13 +427,14 @@ def test_step_loop_runs_only_the_light_cone():
 
 
 def test_adjoint_sweep_runs_only_the_light_cone():
-    # The reverse sweep steps the final state's light cone: 64 steps back
-    # from the 129 sites a one-site start fills on 2**16 sites touch 257,
-    # while the 16-bin, 7-step fit sweeps all 16. 20 steps back from the
-    # 41 sites that 20 steps from site M-2 of 2**10 sites fill, straddling
-    # site 0, touch 81. Each step is two half-steps.
+    # A value-and-gradient call steps the start's light cone of twice its
+    # steps, forward and back: 64 steps from one site of 2**16 sites touch
+    # 257 sites, while the 16-bin, 7-step fit steps all 16. 20 steps from
+    # site M-2 of 2**10 sites touch 81, straddling site 0. Each step is
+    # two half-steps, and the sweep undoes as many steps as the forward
+    # pass runs.
     params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
-    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
+    rng = np.random.default_rng(43)
     widths = []
     half_step = walk._half_step
 
@@ -439,29 +443,27 @@ def test_adjoint_sweep_runs_only_the_light_cone():
         return half_step(up, dn, *args, **kwargs)
 
     for n, site, steps in ((16, 1 << 15, 64), (4, 8, 7), (10, (1 << 10) - 2, 20)):
-        final = evolve(initial_state(n, 1.0, 0.0, site), params, WalkSchedule(steps)).amps
+        m = 1 << n
+        target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+        init = initial_state(n, 1.0, 0.0, site)
         with mock.patch.object(walk, "_half_step", recording):
-            walk._adjoint_sweep(final, final, c1, c2, steps)
-    assert widths == [257] * 128 + [16] * 14 + [81] * 40
+            _mse_and_gradient(params.to_array()[None], target, WalkSchedule(steps), init)
+    assert widths == [257] * 256 + [16] * 28 + [81] * 80
 
 
-def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sweep_sites):
+def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
     """Each row of a batched forward run and sweep, as bytes, against its
-    own single call; the batch's sweep steps ``sweep_sites`` sites."""
+    own single call, all on the start's window for a swept walk, which
+    has ``sites`` sites."""
+    window = walk._window(init.shape[-1], WalkerState(init)._occupied, 2 * steps)
+    if window is not None:
+        init = init[:, window]
+    assert init.shape[-1] == sites
     batch = np.repeat(init[:, None], len(coins1), axis=1)
     final = walk._steps_in_place(batch, coins1, coins2, steps)
     # An MSE-style seed: zero wherever the final state is.
-    seed = final * np.linspace(-1.0, 1.0, init.shape[-1])
-    widths = []
-    half_step = walk._half_step
-
-    def recording(up, dn, *args, **kwargs):
-        widths.append(up.shape[-1])
-        return half_step(up, dn, *args, **kwargs)
-
-    with mock.patch.object(walk, "_half_step", recording):
-        k1, k2 = walk._adjoint_sweep(final, seed, coins1, coins2, steps)
-    assert set(widths) == {sweep_sites}
+    seed = final * np.linspace(-1.0, 1.0, sites)
+    k1, k2 = walk._adjoint_sweep(final, seed, coins1, coins2, steps)
     for b, (c1, c2) in enumerate(zip(coins1, coins2)):
         single = walk._steps_in_place(init.copy(), c1, c2, steps)
         assert final[:, b].tobytes() == single.tobytes()
@@ -484,16 +486,12 @@ def test_batched_kernel_rows_equal_single_calls():
     # The 16-bin fit's full ring, from a random state.
     init = oracles.random_walker_vec(rng, 16).reshape(2, 16)
     _batched_rows_equal_single_calls(init, *coins(*random_params(5)), 7, 16)
-    # A coin-up start at M-9 of 2**10 sites, 8 steps. Alone, the identity
-    # row's final state is the one site M-1 and its sweep the 17 sites
-    # M-9..M+7; the random rows fill M-17..M-1 and sweep M-25..M+7, which
-    # the whole batch then sweeps.
+    # A coin-up start at M-9 of 2**10 sites, 8 steps. The identity row's
+    # final state is the one site M-1 and the random rows fill M-17..M-1;
+    # every row runs on the start's 16-step cone M-25..M+7.
     m = 1 << 10
     init = initial_state(10, 1.0, 0.0, m - 9).amps
     identity = SsqwParams(IDENTITY_COIN, IDENTITY_COIN)
-    c1, c2 = coins(identity)
-    final = walk._steps_in_place(init.copy(), c1[0], c2[0], 8)
-    assert walk._window(m, walk._occupied_sites(final), 8).size == 17
     _batched_rows_equal_single_calls(init, *coins(identity, *random_params(4)), 8, 33)
 
 
