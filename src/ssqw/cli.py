@@ -212,11 +212,9 @@ def _default_spec(
 def cmd_gen_target(args: argparse.Namespace) -> int:
     domain = Domain(args.lo, args.hi)
     if args.kind == "bs":
-        for name in ("s0", "strike", "r", "t"):
+        for name in ("s0", "strike", "r", "t", "sigma"):
             if getattr(args, name) is None:
                 raise _Usage(f"--kind bs requires --{name if name != 'strike' else 'k'}")
-        if args.sigma is None:
-            raise _Usage("--kind bs requires --sigma")
         target = bs_lognormal_target(_option(args), domain, args.bins, args.sigma_reading)
     else:
         spec = _default_spec(args.kind, domain, args.mu, args.sigma)
@@ -271,7 +269,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _distribution_from_json(text: str) -> tuple[np.ndarray, int, dict | None]:
     """The (probabilities, n_bins, domain dict or None) of a training
     result, or of a target file, which ``TargetDistribution.from_json``
-    reads."""
+    reads. Either must hold ``n_bins`` probabilities."""
     payload = _json_object(json.loads(text), "trained file")
     if "trained_dist" in payload:
         _json_object(payload, "training result", n_bins="integer", trained_dist="array")
@@ -279,6 +277,8 @@ def _distribution_from_json(text: str) -> tuple[np.ndarray, int, dict | None]:
         if dom is not None:
             _json_object(dom, "training result domain", lo="number", hi="number")
         probs = _json_floats(payload["trained_dist"], "training result key 'trained_dist'")
+        if probs.size != payload["n_bins"]:
+            raise ValueError("n_bins disagrees with probability count")
         return probs, payload["n_bins"], dom
     if "probs" in payload:
         target = TargetDistribution.from_json(text)
@@ -289,7 +289,7 @@ def _distribution_from_json(text: str) -> tuple[np.ndarray, int, dict | None]:
 def cmd_price(args: argparse.Namespace) -> int:
     target = _load(args.target, TargetDistribution.from_json)
     trained, n_bins, dom = _load(args.trained, _distribution_from_json)
-    if n_bins != target.n_bins or trained.size != target.n_bins:
+    if n_bins != target.n_bins:
         print(
             f"error: grid mismatch: target has {target.n_bins} bins, trained file has {n_bins}",
             file=sys.stderr,
@@ -319,8 +319,6 @@ def cmd_price(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.csv):
-        raise FileNotFoundError(f"returns CSV not found: {args.csv}")
     window = None
     if args.date_from is not None or args.date_to is not None:
         if args.date_from is None or args.date_to is None:
@@ -452,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
             t.add_argument(f"--{angle}{k}", type=float, default=getattr(coin, angle))
     t.add_argument("--x0", type=int, default=None, help="start site; default: centre of the ring")
     t.add_argument("--coin-init", choices=["up", "balanced"], default=None)
-    t.add_argument("--mse-gate", type=float, default=None, help="exit 1 if best MSE lands above this")
+    t.add_argument("--mse-gate", type=_finite_float, default=None, help="exit 1 if best MSE lands above this")
     t.set_defaults(func=cmd_train)
 
     p = sub.add_parser("price", help="evaluate call payoffs for target and trained distributions")

@@ -243,9 +243,9 @@ class OptimizerConfig:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if not isinstance(self.restarts, int) or self.restarts < 1:
             raise ValueError(f"restarts must be a positive integer, got {self.restarts!r}")
-        if not (0.0 < self.final_trust_radius < self.initial_trust_radius):
+        if not (0.0 < self.final_trust_radius < self.initial_trust_radius < math.inf):
             raise ValueError(
-                "need 0 < final_trust_radius < initial_trust_radius, got "
+                "need 0 < final_trust_radius < initial_trust_radius, both finite, got "
                 f"{self.final_trust_radius!r} and {self.initial_trust_radius!r}"
             )
 
@@ -369,10 +369,6 @@ def train(
     if init is None:
         init, coin_init = _start_state(n_bins, config.symmetric_mode)
     else:
-        if init.num_positions != n_bins:
-            raise ValueError(
-                f"initial state has {init.num_positions} positions but target has {n_bins} bins"
-            )
         coin_init = "custom"
 
     free = _free_angles(config.symmetric_mode)

@@ -438,7 +438,7 @@ def _parse_quote_rows(path: str) -> list[tuple[_dt.date, float]]:
                     raise IngestFormatError(f"{path}:{lineno}: close must be a positive price")
                 rows.append((day, close))
     except OSError as exc:
-        raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
+        raise FileNotFoundError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return rows
 
 

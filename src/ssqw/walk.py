@@ -24,21 +24,22 @@ and the public ``apply_shift_*`` operators move a row by one helper,
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
-light cone first-t..last+t. One rule, ``_window``, decides which sites a
-walk steps: the cone alone when it is at most half the ring. This is
-exact, not a truncation: every site outside the cone stays an exact zero
-in the full-ring run too. The one forward entry, ``_walk``, steps the
-start's window: ``evolve`` and the one-step operators scatter its result
-onto the ring, and the MSE objective scores it in place. A walk that will
-be swept back steps the start's window of twice its steps instead, and
-the sweep runs on that same array: undoing t steps from the final state,
-which lies within the start's cone of t, stays within the cone of 2t. A
-``WalkerState`` caches its occupied sites, so a start is scanned for its
-cone once, and nothing else is scanned.
+light cone first-t..last+t. One rule, ``_light_cone``, decides which sites
+a walk steps: that cone, whenever it is narrower than the ring, else the
+whole ring. This is exact, not a truncation: every site outside the cone
+stays an exact zero in the full-ring run too, and nothing reaches the
+cone's ends, so its own wrap-around only moves zeros. The one forward
+entry, ``_walk``, steps the start's cone: ``evolve`` and the one-step
+operators scatter its result onto the ring, and the MSE objective scores
+it in place. A walk that will be swept back steps the start's cone of
+twice its steps instead, and the sweep runs on that same array: undoing t
+steps from the final state, which lies within the start's cone of t,
+stays within the cone of 2t. A ``WalkerState`` caches its occupied sites,
+so a start is scanned for its cone once, and nothing else is scanned.
 
 The forward kernel and the sweep also run a batch: B coins stacked as a
 (B, 2, 2) array, with states of shape (2, B, M). Every row shares the
-start, and so its window. Each row is stepped by the same half-steps as
+start, and so its cone. Each row is stepped by the same half-steps as
 it would be alone, so its result equals its own single call bit for bit.
 
 Coins are built from angle arrays: ``_coin_factors`` takes the cosines
@@ -259,7 +260,10 @@ def _light_cone(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
     site, so no site outside the cone is ever non-zero. Returns None when
     the cone covers the whole ring, or when no site is occupied.
     """
-    if occupied.size == 0:
+    # Any cone holds at least 2 * steps + 1 sites, so the arc need not be
+    # found when that covers the ring: 16-bin fits skip it on every
+    # gradient call.
+    if occupied.size == 0 or 2 * steps + 1 >= m:
         return None
     # gaps[i] is the distance back from occupied[i] to the occupied site
     # before it. gaps[0] spans site 0 and wins ties, so the arc runs from
@@ -271,28 +275,6 @@ def _light_cone(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
     if span + 2 * steps >= m:
         return None
     return np.arange(first - steps, first + span + steps) % m
-
-
-def _window(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
-    """The ring sites to step ``steps`` times from a state whose increasing
-    ``occupied`` sites lie on an ``m``-site ring: their ``_light_cone`` if
-    it is at most half the ring, else None for the whole ring. When
-    ``4 * steps >= m`` even a one-site cone is more than half the ring.
-
-    This is exact. No amplitude travels further than ``steps`` sites, so
-    nothing outside the cone ever becomes non-zero, and the cone's own
-    wrap-around only ever moves zeros. Up to half the ring the gather
-    (and, forward, the scatter) cost less than the sites they skip (at
-    half the ring the windowed forward run took 0.49-1.04 of the full-ring
-    time from 2**8 to 2**16 sites, on one core of a 2-core Xeon with numpy
-    2.4; at three quarters, 0.84-1.10).
-    """
-    if 4 * steps >= m:
-        return None
-    sites = _light_cone(m, occupied, steps)
-    if sites is not None and sites.size <= m // 2:
-        return sites
-    return None
 
 
 def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right: bool) -> None:
@@ -347,16 +329,16 @@ def _walk(
     """Run ``steps`` split steps from ``init`` under a pair of 2x2 coins,
     or under B pairs stacked as (B, 2, 2) arrays.
 
-    Only the start's ``_window`` is stepped: its sites are gathered, and
-    for a coin stack repeated into a (2, B, w) batch. The window is that
+    Only the start's ``_light_cone`` is stepped: its sites are gathered,
+    and for a coin stack repeated into a (2, B, w) batch. The cone is that
     of ``steps`` steps, or, if the walk will be ``swept`` back by
     ``_adjoint_sweep``, of ``2 * steps``, so that the sweep can run on the
-    same array. Returns the final amplitudes on the window, (2, w) or
-    (2, B, w); the window's w ring sites, or None for the whole ring; and
+    same array. Returns the final amplitudes on the cone, (2, w) or
+    (2, B, w); the cone's w ring sites, or None for the whole ring; and
     the start's (2, w) amplitudes on them. Every amplitude outside the
     start's ``steps``-step cone stays an exact zero.
     """
-    sites = _window(init.num_positions, init._occupied, 2 * steps if swept else steps)
+    sites = _light_cone(init.num_positions, init._occupied, 2 * steps if swept else steps)
     start = init.amps if sites is None else init.amps[:, sites]
     out = np.repeat(start[:, None], len(coin1), axis=1) if coin1.ndim == 3 else start.copy()
     return _steps_in_place(out, coin1, coin2, steps), sites, start
@@ -365,7 +347,7 @@ def _walk(
 def _ring_walk(state: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> WalkerState:
     """``_walk`` from ``state`` under one coin pair, scattered onto the
     whole ring. Values equal the full-ring run; only the signs of exact
-    zeros outside the window may differ."""
+    zeros outside the cone may differ."""
     final, sites, _ = _walk(state, coin1, coin2, steps)
     if sites is None:
         return WalkerState(final)
@@ -414,12 +396,12 @@ def _adjoint_sweep(
     gets one (B, 2, 2) stack of them per coin.
 
     The sweep runs on the w sites it is given, as a ring. That is exact
-    for the window ``_walk`` steps when ``swept``, the start's cone of
-    ``2 * steps``, if ``seed`` is zero wherever ``amps`` is, as the MSE's
-    (2/n)(p - q) psi is: after j undone steps psi and lambda lie within
-    the final support widened by j sites, so within the start's cone of
-    ``steps + j``. Nothing reaches the window's ends, and its wrap-around
-    only moves zeros.
+    for the sites ``_walk`` steps when ``swept``, the start's cone of
+    ``2 * steps`` or the whole ring, if ``seed`` is zero wherever ``amps``
+    is, as the MSE's (2/n)(p - q) psi is: after j undone steps psi and
+    lambda lie within the final support widened by j sites, so within the
+    start's cone of ``steps + j``. Nothing reaches the cone's ends, and its
+    wrap-around only moves zeros.
     """
     z = np.stack([amps, seed], axis=1)
     up, dn = z

@@ -102,6 +102,18 @@ def test_gen_target_usage_errors(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("missing", ["--s0", "--k", "--r", "--t", "--sigma"])
+def test_gen_target_bs_names_the_missing_flag(tmp_path, capsys, missing):
+    values = {"--s0": "2", "--k": "2", "--r": "0.05", "--t": "40", "--sigma": "0.4"}
+    del values[missing]
+    argv = ["gen-target", "--kind", "bs", "--out", str(tmp_path / "x.json")]
+    for flag, value in values.items():
+        argv += [flag, value]
+    capsys.readouterr()
+    assert_usage_error(capsys, run(*argv), f"--kind bs requires {missing}")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_gen_target_unrepresentable_exit3(tmp_path):
     code = run(
         "gen-target", "--kind", "normal", "--mu", "1000", "--sigma", "0.1",
@@ -203,6 +215,25 @@ def test_train_mse_gate(tmp_path):
     )
     assert code == 1
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, needle",
+    [("--mse-gate", "nan", "--mse-gate"), ("--mse-gate", "inf", "--mse-gate"),
+     ("--rhobeg", "1e400", "both finite"), ("--rhobeg", "nan", "both finite"),
+     ("--rhoend", "inf", "both finite")],
+)
+def test_train_flag_must_be_finite_exit2(tmp_path, capsys, flag, value, needle):
+    # best_mse > nan is always False, so a NaN gate would pass every fit,
+    # and an infinite radius would be echoed into the result as Infinity,
+    # which is not JSON.
+    target = gen_normal_target(tmp_path)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run("train", "--target", str(target), "--out", str(out), "--max-iters", "20", flag, value)
+    err = capsys.readouterr().err
+    assert code == 2 and needle in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_self_loading_gate_passes(tmp_path):
@@ -356,6 +387,25 @@ def test_price_domain_mismatch_exit6(tmp_path):
         "--out", str(tmp_path / "p.json"),
     )
     assert code == 6
+
+
+def test_price_trained_dist_length_differs_from_n_bins_exit2(tmp_path, capsys):
+    # The file disagrees with itself, not with the target: a usage error
+    # naming the file, as for a target file, not a grid mismatch (exit 6).
+    target = gen_normal_target(tmp_path)
+    result = tmp_path / "r.json"
+    assert run("train", "--target", str(target), "--out", str(result), "--max-iters", "4") == 0
+    payload = read_json(result)
+    payload["trained_dist"] = payload["trained_dist"][:-1]
+    result.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(
+        "price", "--target", str(target), "--trained", str(result),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert_usage_error(capsys, code, f"{result}: n_bins disagrees with probability count")
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_price_trained_without_n_bins_exit2(tmp_path, capsys):
@@ -569,8 +619,10 @@ def test_ingest_bad_csv_exit7(tmp_path):
     assert run("ingest", "--csv", str(p), "--out", str(tmp_path / "t.json")) == 7
 
 
-def test_ingest_missing_file_exit4(tmp_path):
-    assert run("ingest", "--csv", str(tmp_path / "nope.csv")) == 4
+def test_ingest_missing_file_exit4(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    assert run("ingest", "--csv", str(missing)) == 4
+    assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
 
 
 # ------------------------------------------------------------------ repro

@@ -434,7 +434,7 @@ def test_train_custom_init_state():
 def test_train_init_size_mismatch():
     target = ring_symmetric_target()
     init = initial_state(3, 1.0, 0.0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="initial state has 8 positions but target has 16 bins"):
         train(target, OptimizerConfig(max_iters=10), init)
 
 
@@ -629,6 +629,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(initial_trust_radius=1e-6, final_trust_radius=1e-6)
+    for radii in ({"initial_trust_radius": math.inf}, {"initial_trust_radius": math.nan},
+                  {"final_trust_radius": math.inf}, {"final_trust_radius": math.nan}):
+        with pytest.raises(ValueError, match="both finite"):
+            OptimizerConfig(**radii)
     with pytest.raises(TypeError):
         OptimizerConfig(optimizer="adjoint-bfgs")
 
@@ -744,9 +748,9 @@ def test_windowed_sweep_gradient_equals_full_ring():
     init = initial_state(10, 0.6, 0.8j, m - 9)
     params = SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6))
     schedule = WalkSchedule(8)
-    sites = walk._window(m, evolve(init, params, schedule)._occupied, schedule.steps)
+    sites = _light_cone(m, evolve(init, params, schedule)._occupied, schedule.steps)
     np.testing.assert_array_equal(sites, np.arange(m - 25, m + 8) % m)
-    np.testing.assert_array_equal(sites, walk._window(m, init._occupied, 2 * schedule.steps))
+    np.testing.assert_array_equal(sites, _light_cone(m, init._occupied, 2 * schedule.steps))
     [value], [grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
     widths = []
     half_step = walk._half_step
@@ -756,16 +760,19 @@ def test_windowed_sweep_gradient_equals_full_ring():
         return half_step(up, dn, *args, **kwargs)
 
     with (
-        mock.patch.object(walk, "_window", lambda m, occupied, steps: None),
+        mock.patch.object(walk, "_light_cone", lambda m, occupied, steps: None),
         mock.patch.object(walk, "_half_step", recording),
     ):
         [full_value], [full_grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
         # Forward pass and sweep, then evolve and objective alone: with no
-        # window every half-step runs on all M sites.
+        # cone every half-step runs on all M sites.
         assert widths == [m] * 4 * schedule.steps
         evolve(init, params, schedule)
         objective(params, target, schedule, init)
         assert widths == [m] * 8 * schedule.steps
+        # optimize holds its own reference to _light_cone, so the reach
+        # floor still sees the 17-site cone.
+        assert _reach_floor(target, init, schedule)[0] > 0.0
     assert value == full_value
     assert np.max(np.abs(grad - full_grad)) <= 1e-12 * np.max(np.abs(full_grad))
 

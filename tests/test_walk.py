@@ -340,7 +340,7 @@ def step_loop_widths():
     loop = walk._steps_in_place
 
     def recording(out, *args):
-        widths.append(out.shape[1])
+        widths.append(out.shape[-1])
         return loop(out, *args)
 
     with mock.patch.object(walk, "_steps_in_place", recording):
@@ -352,16 +352,16 @@ def localized_runs(draw):
     """A state on 2**1..2**10 sites with a contiguous support, and 1..40 steps.
 
     The support mostly ends near site M-1, so its light cone wraps past
-    site 0; it may also start near site 0 or itself wrap. Half of the draws
-    put the cone width w + 2t at M/2 - 1, M/2 or M/2 + 1. The end sites may
-    hold amplitude in one coin row only.
+    site 0; it may also start near site 0 or itself wrap. Over half of the
+    draws put the cone width w + 2t between M/2 and M, or at M - 1, M or
+    M + 1. The end sites may hold amplitude in one coin row only.
     """
     m = 1 << draw(st.integers(1, 10))
     steps = draw(st.integers(1, 40))
-    offset = draw(st.sampled_from([None, None, None, -1, 0, 1]))
-    if offset is not None and m // 2 + offset - 2 >= 1:
-        steps = min(steps, (m // 2 + offset - 1) // 2)
-        w = m // 2 + offset - 2 * steps
+    cone = draw(st.sampled_from([None, None, None, m // 2 + 1, 3 * m // 4, m - 1, m, m + 1]))
+    if cone is not None and cone - 2 >= 1:
+        steps = min(steps, (cone - 1) // 2)
+        w = cone - 2 * steps
     else:
         w = draw(st.integers(1, m))
     k = draw(st.integers(0, min(3, m - w)))
@@ -376,6 +376,15 @@ def localized_runs(draw):
     return WalkerState(amps / np.sqrt(np.sum(np.abs(amps) ** 2))), steps
 
 
+def _arc(state):
+    """The first site and the length of the shortest ring arc that holds
+    every occupied site of ``state``, which starts at one of them."""
+    m = state.num_positions
+    occupied = np.flatnonzero(position_distribution(state))
+    span, first = min((int(((occupied - r) % m).max()) + 1, int(r)) for r in occupied)
+    return first, span
+
+
 @settings(max_examples=150, deadline=None)
 @given(run=localized_runs(), angles=angles_tuple())
 def test_windowed_steps_equal_full_ring(run, angles):
@@ -383,17 +392,14 @@ def test_windowed_steps_equal_full_ring(run, angles):
     m = state.num_positions
     params = SsqwParams.from_array(np.array(angles))
     c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
-    occupied = np.flatnonzero(position_distribution(state))
-    # The shortest ring arc holding every occupied site starts at one of them.
-    span = min(int(((occupied - r) % m).max()) for r in occupied) + 1
+    _, span = _arc(state)
 
     def full_ring(coin2, t):
         return walk._steps_in_place(state.amps.copy(), c1, coin2, t)
 
     with step_loop_widths() as widths:
         got = evolve(state, params, WalkSchedule(steps)).amps
-    windowed = 4 * steps < m and span + 2 * steps <= m // 2
-    assert widths == [span + 2 * steps if windowed else m]
+    assert widths == [min(span + 2 * steps, m)]
     # array_equal treats -0.0 and 0.0 as equal: only the signs of exact
     # zeros outside the cone may differ from the full-ring run.
     assert np.array_equal(got, full_ring(c2, steps))
@@ -412,27 +418,56 @@ def test_windowed_steps_equal_full_ring(run, angles):
         np.testing.assert_allclose(dtqw_state.flat, w_dtqw @ state.flat, atol=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(run=localized_runs(), angles=angles_tuple(), swept=st.booleans())
+def test_walk_steps_exactly_the_light_cone(run, angles, swept):
+    # A value steps the start's cone of t steps and a value-and-gradient
+    # call the cone of 2t, whatever share of the ring it covers, and the
+    # whole ring only once the cone reaches all M sites.
+    state, steps = run
+    m = state.num_positions
+    params = SsqwParams.from_array(np.array(angles))
+    t = 2 * steps if swept else steps
+    first, span = _arc(state)
+    cone = np.arange(first - t, first + span + t) % m if span + 2 * t < m else None
+    target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
+    with step_loop_widths() as widths:
+        if swept:
+            _mse_and_gradient(params.to_array()[None], target, WalkSchedule(steps), state)
+        else:
+            evolve(state, params, WalkSchedule(steps))
+    assert widths == [m if cone is None else cone.size]
+    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
+    _, sites, start = walk._walk(state, c1, c2, steps, swept)
+    if cone is None:
+        assert sites is None
+    else:
+        np.testing.assert_array_equal(sites, cone)
+        assert start.tobytes() == state.amps[:, cone].tobytes()
+
+
 def test_step_loop_runs_only_the_light_cone():
     # A work count, not a timing: 64 steps from one site of a 2**16-site
-    # ring touch 129 sites, while the 16-bin, 7-step fit steps all 16.
-    # 20 steps from site M-2 of 2**10 sites touch 41, and 20 more from the
-    # 41 sites that fills, which straddle site 0, touch 81.
+    # ring touch 129 sites, and the 16-bin, 7-step fit's final evolve 15
+    # of the 16. 20 steps from site M-2 of 2**10 sites touch 41, and 20
+    # more from the 41 sites that fills, which straddle site 0, touch 81.
     params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
     with step_loop_widths() as widths:
         evolve(initial_state(16, 1.0, 0.0, 1 << 15), params, WalkSchedule(64))
         evolve(initial_state(4, 1.0, 0.0, 8), params, WalkSchedule(7))
         wrapped = evolve(initial_state(10, 1.0, 0.0, (1 << 10) - 2), params, WalkSchedule(20))
         evolve(wrapped, params, WalkSchedule(20))
-    assert widths == [129, 16, 41, 81]
+    assert widths == [129, 15, 41, 81]
 
 
 def test_adjoint_sweep_runs_only_the_light_cone():
     # A value-and-gradient call steps the start's light cone of twice its
     # steps, forward and back: 64 steps from one site of 2**16 sites touch
-    # 257 sites, while the 16-bin, 7-step fit steps all 16. 20 steps from
-    # site M-2 of 2**10 sites touch 81, straddling site 0. Each step is
-    # two half-steps, and the sweep undoes as many steps as the forward
-    # pass runs.
+    # 257 sites, while the 16-bin, 7-step fit's 29-site cone covers all
+    # 16. 10 steps from the centre of 2**6 sites touch 41, more than half
+    # the ring. 20 steps from site M-2 of 2**10 sites touch 81, straddling
+    # site 0. Each step is two half-steps, and the sweep undoes as many
+    # steps as the forward pass runs.
     params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
     rng = np.random.default_rng(43)
     widths = []
@@ -442,22 +477,22 @@ def test_adjoint_sweep_runs_only_the_light_cone():
         widths.append(up.shape[-1])
         return half_step(up, dn, *args, **kwargs)
 
-    for n, site, steps in ((16, 1 << 15, 64), (4, 8, 7), (10, (1 << 10) - 2, 20)):
+    for n, site, steps in ((16, 1 << 15, 64), (4, 8, 7), (6, 32, 10), (10, (1 << 10) - 2, 20)):
         m = 1 << n
         target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
         init = initial_state(n, 1.0, 0.0, site)
         with mock.patch.object(walk, "_half_step", recording):
             _mse_and_gradient(params.to_array()[None], target, WalkSchedule(steps), init)
-    assert widths == [257] * 256 + [16] * 28 + [81] * 80
+    assert widths == [257] * 256 + [16] * 28 + [41] * 40 + [81] * 80
 
 
 def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
     """Each row of a batched forward run and sweep, as bytes, against its
-    own single call, all on the start's window for a swept walk, which
-    has ``sites`` sites."""
-    window = walk._window(init.shape[-1], WalkerState(init)._occupied, 2 * steps)
-    if window is not None:
-        init = init[:, window]
+    own single call, all on the start's light cone for a swept walk,
+    which has ``sites`` sites."""
+    cone = walk._light_cone(init.shape[-1], WalkerState(init)._occupied, 2 * steps)
+    if cone is not None:
+        init = init[:, cone]
     assert init.shape[-1] == sites
     batch = np.repeat(init[:, None], len(coins1), axis=1)
     final = walk._steps_in_place(batch, coins1, coins2, steps)
