@@ -200,11 +200,18 @@ def _default_spec(
 ) -> DistSpec:
     """The target centred on the domain, for whichever of mu and sigma is
     not given: a normal at the centre with std width/8, or a lognormal with
-    log-std 0.5 whose mean is the centre (log-mean ln(centre) - sigma^2/2)."""
+    log-std 0.5 whose mean is the centre (log-mean ln(centre) - sigma^2/2),
+    which needs a centre above 0. A uniform target records the lognormal's
+    defaults, which it does not use."""
     if sigma is None:
         sigma = domain.width / 8.0 if kind == "normal" else 0.5
     if mu is None:
         center = 0.5 * (domain.lo + domain.hi)
+        if kind != "normal" and not center > 0.0:
+            raise ValueError(
+                f"the default log-mean ln(centre) - sigma^2/2 needs a domain centre above 0, "
+                f"got {center!r}; pass --mu instead"
+            )
         mu = center if kind == "normal" else math.log(center) - 0.5 * sigma**2
     return DistSpec(kind, mu, sigma)
 

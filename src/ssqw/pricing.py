@@ -22,6 +22,7 @@ from .target import (
     _bin_table_csv,
     _cdf,
     _check_n_bins,
+    _exp_or_inf,
     _maturity_law,
 )
 
@@ -71,7 +72,7 @@ class PayoffReport:
 
 def _lognormal_tail_mass(sigma_t: float, alpha: float, domain: Domain) -> float:
     if sigma_t == 0.0:
-        point = math.exp(alpha)
+        point = _exp_or_inf(alpha)
         inside = 1.0 if domain.lo < point < domain.hi else 0.0
         return 1.0 - inside
     spec = DistSpec("lognormal", alpha, sigma_t)
@@ -106,7 +107,11 @@ def price_report(
     pay_w = expected_payoff(trained, grid, option.strike)
     factor = 1.0
     if discount:
-        factor = math.exp(-option.rate * option.maturity)
+        factor = _exp_or_inf(-option.rate * option.maturity)
+        if factor == math.inf:
+            raise ValueError(
+                f"discount factor exp(-r t) overflows for --r {option.rate!r} and --t {option.maturity!r}"
+            )
         pay_t *= factor
         pay_w *= factor
     tail = _lognormal_tail_mass(sigma_t, alpha, target.domain)

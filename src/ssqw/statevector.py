@@ -111,18 +111,27 @@ class WalkerState:
         return float(np.sum(a.real * a.real + a.imag * a.imag))
 
     @functools.cached_property
-    def _occupied(self) -> np.ndarray:
-        """``_occupied_sites`` of ``amps``, scanned once per state: the
-        amplitudes are read-only, and so is the cached result."""
-        sites = _occupied_sites(self.amps)
-        sites.setflags(write=False)
-        return sites
+    def _arc(self) -> tuple[int, int] | None:
+        """``(first, span)`` of the shortest ring arc that holds every site
+        with a non-zero amplitude in either coin row: it runs from site
+        ``first`` over ``span`` sites, wrapping past site M-1. None when no
+        site is occupied. Found once per state: the amplitudes are
+        read-only.
 
-
-def _occupied_sites(amps: np.ndarray) -> np.ndarray:
-    """The sites, in increasing order, that hold a non-zero amplitude in
-    either coin row of raw (2, M) amplitudes."""
-    return np.flatnonzero(np.any(amps != 0, axis=0))
+        The arc is the complement of the largest cyclic gap between
+        consecutive occupied sites, so a support that straddles site 0
+        counts as the short arc it is.
+        """
+        m = self.num_positions
+        occupied = np.flatnonzero(np.any(self.amps != 0, axis=0))
+        if occupied.size == 0:
+            return None
+        # gaps[i] is the distance back from occupied[i] to the occupied site
+        # before it. gaps[0] spans site 0 and wins ties, so the arc runs from
+        # occupied[0] to occupied[-1] unless an inner gap is strictly longer.
+        gaps = np.diff(occupied, prepend=occupied[-1] - m)
+        k = int(np.argmax(gaps))
+        return int(occupied[k]), m - int(gaps[k]) + 1
 
 
 def initial_state(num_position_qubits: int, alpha: complex, beta: complex, x0: int = 0) -> WalkerState:

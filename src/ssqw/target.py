@@ -139,6 +139,14 @@ def _ndtr(z: float) -> float:
     return 1.0 - y if x > 0.0 else y
 
 
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where that overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _cdf(spec: DistSpec, x) -> np.ndarray:
     """CDF of a normal or lognormal spec at x, a scalar or an array.
 
@@ -151,11 +159,8 @@ def _cdf(spec: DistSpec, x) -> np.ndarray:
     if spec.kind == "normal":
         z = (x - spec.mu) / spec.sigma
     elif spec.kind == "lognormal":
-        try:
-            scale = math.exp(spec.mu)
-        except OverflowError:
-            # As SciPy's lognorm(scale=inf): every finite x has CDF 0.
-            scale = math.inf
+        # At scale inf, as SciPy's lognorm(scale=inf): every finite x has CDF 0.
+        scale = _exp_or_inf(spec.mu)
         z = np.full(x.shape, -math.inf)
         pos = x > 0.0
         with np.errstate(divide="ignore"):
@@ -356,11 +361,22 @@ class OptionSpec:
 
 
 def _maturity_law(opt: OptionSpec, sigma_reading: str) -> tuple[float, float]:
-    """(sigma_T, alpha) of log(S_T) for the option under a sigma reading."""
+    """(sigma_T, alpha) of log(S_T) for the option under a sigma reading.
+
+    A sigma_T whose square overflows raises ValueError naming the flags
+    it comes from.
+    """
     if sigma_reading not in ("total", "per-sqrt-time"):
         raise ValueError(f"sigma_reading must be 'total' or 'per-sqrt-time', got {sigma_reading!r}")
     sigma_t = opt.vol if sigma_reading == "total" else opt.vol * math.sqrt(opt.maturity)
-    alpha = math.log(opt.s0) + (opt.effective_mu - opt.rate - 0.5 * sigma_t**2) * opt.maturity
+    try:
+        var = sigma_t**2
+    except OverflowError:
+        var = math.inf
+    if var == math.inf:
+        flags = "--sigma" if sigma_reading == "total" else "--sigma and --t"
+        raise ValueError(f"sigma_T = {sigma_t!r} is too large: sigma_T**2 overflows (check {flags})")
+    alpha = math.log(opt.s0) + (opt.effective_mu - opt.rate - 0.5 * var) * opt.maturity
     return sigma_t, alpha
 
 
@@ -395,7 +411,8 @@ def bs_lognormal_target(
         "alpha": alpha,
     }
     if sigma_t == 0.0:
-        point = math.exp(alpha)
+        # A point that overflows to inf lies outside every domain.
+        point = _exp_or_inf(alpha)
         if not domain.lo < point < domain.hi:
             raise UnrepresentableTargetError(
                 f"degenerate terminal price {point:.6g} lies outside ({domain.lo}, {domain.hi})"

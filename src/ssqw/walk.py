@@ -28,24 +28,27 @@ light cone first-t..last+t. One rule, ``_light_cone``, decides which sites
 a walk steps: that cone, whenever it is narrower than the ring, else the
 whole ring. This is exact, not a truncation: every site outside the cone
 stays an exact zero in the full-ring run too, and nothing reaches the
-cone's ends, so its own wrap-around only moves zeros. The one forward
-entry, ``_walk``, steps the start's cone: ``evolve`` and the one-step
-operators scatter its result onto the ring, and the MSE objective scores
-it in place. A walk that will be swept back steps the start's cone of
-twice its steps instead, and the sweep runs on that same array: undoing t
-steps from the final state, which lies within the start's cone of t,
-stays within the cone of 2t. A ``WalkerState`` caches its occupied sites,
-so a start is scanned for its cone once, and nothing else is scanned.
+cone's ends, so its own wrap-around only moves zeros. A ``WalkerState``
+caches its arc (``WalkerState._arc``), so a start is scanned once, and the
+cone is arithmetic on that arc.
 
-The forward kernel and the sweep also run a batch: B coins stacked as a
-(B, 2, 2) array, with states of shape (2, B, M). Every row shares the
-start, and so its cone. Each row is stepped by the same half-steps as
-it would be alone, so its result equals its own single call bit for bit.
+One entry, ``_walk``, owns every walk. It takes B coin pairs stacked as
+(B, 2, 2) arrays, repeats the start's cone into a (2, B, w) batch, steps
+it, and checks the result once: finite amplitudes, and each row's norm
+kept against the start's. ``evolve`` and the one-step operators are its
+B = 1 case, scattered onto the ring; the MSE objective scores its batch
+in place. A walk that will be swept back steps the start's cone of twice
+its steps instead, and the sweep runs on that same array: undoing t steps
+from the final state, which lies within the start's cone of t, stays
+within the cone of 2t. Every row shares the start, and so its cone. Each
+row is stepped by the same half-steps as it would be alone, so its result
+equals its own B = 1 call bit for bit.
 
 Coins are built from angle arrays: ``_coin_factors`` takes the cosines
 and sines of a (K, 3) array of (theta, phi, lam) rows from one np.cos and
 one np.sin call, and ``_coins`` evaluates the scalar formula on them into
-(K, 2, 2) coins (``coin_matrix`` is the one-row case); ``_coin_stacks``
+(K, 2, 2) coins (``coin_matrix`` is the one-row case, and ``_coin_pair``
+gives a parameter set's two coins as (1, 2, 2) stacks); ``_coin_stacks``
 adds their (K, 3, 2, 2) angle derivatives for the gradient. Each walk
 copies its coins' entries once to the shape of the rows it steps
 (``_entries``), so that the half-steps multiply contiguous arrays of equal
@@ -62,7 +65,7 @@ import numpy as np
 
 # apply_coin stays importable as ssqw.walk.apply_coin: benchmarks/spans.py
 # hooks it by that name.
-from .statevector import WalkerState, apply_coin  # noqa: F401
+from .statevector import WalkerState, _position_probs, apply_coin  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,7 +137,7 @@ class WalkSchedule:
     steps: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
 
 
@@ -148,7 +151,7 @@ def _check_finite_angles(angles: np.ndarray) -> None:
         raise ValueError(f"coin angle {_ANGLE_NAMES[i % 3]} must be finite, got {angles.flat[i]!r}")
 
 
-def coin_matrix(params: CoinParams) -> np.ndarray:
+def coin_matrix(coin: CoinParams) -> np.ndarray:
     """Coin unitary
 
         [[ cos(theta/2),              -exp(i lam) sin(theta/2)       ],
@@ -157,7 +160,7 @@ def coin_matrix(params: CoinParams) -> np.ndarray:
     which is unitary for any real angles. theta = pi/2, phi = 0, lam = pi
     gives the Hadamard coin.
     """
-    angles = np.array([[params.theta, params.phi, params.lam]], dtype=np.float64)
+    angles = np.array([[coin.theta, coin.phi, coin.lam]], dtype=np.float64)
     return _coins(_coin_factors(angles))[0]
 
 
@@ -200,6 +203,13 @@ def _coin_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _coins(factors), np.array(derivatives, dtype=np.complex128).reshape(len(factors), 3, 2, 2)
 
 
+def _coin_pair(params: SsqwParams) -> tuple[np.ndarray, np.ndarray]:
+    """The two coins of ``params`` as (1, 2, 2) stacks, coin1 then coin2,
+    from one ``_coins`` call: each equals ``coin_matrix`` of its angles."""
+    coins = _coins(_coin_factors(params.to_array().reshape(2, 3)))
+    return coins[:1], coins[1:]
+
+
 # Handy named coins within the convention above, checked against their
 # matrices in the test suite.
 IDENTITY_COIN = CoinParams(0.0, 0.0, 0.0)
@@ -208,7 +218,7 @@ PAULI_X_COIN = CoinParams(math.pi, 0.0, math.pi)
 PAULI_Y_COIN = CoinParams(math.pi, math.pi / 2.0, math.pi / 2.0)
 PAULI_Z_COIN = CoinParams(0.0, 0.0, math.pi)
 
-_IDENTITY_MATRIX = np.eye(2, dtype=np.complex128)
+_IDENTITY_MATRIX = np.eye(2, dtype=np.complex128)[None]
 
 
 def apply_shift_dtqw(state: WalkerState) -> WalkerState:
@@ -247,31 +257,25 @@ def _move(dst: np.ndarray, src: np.ndarray, right: bool) -> None:
         dst[..., -1:] = src[..., :1]
 
 
-def _light_cone(m: int, occupied: np.ndarray, steps: int) -> np.ndarray | None:
-    """The light cone of ``steps`` steps from the increasing ``occupied``
-    sites of an ``m``-site ring.
+def _light_cone(state: WalkerState, steps: int) -> np.ndarray | None:
+    """The light cone of ``steps`` steps from ``state``.
 
-    The occupied sites lie on the shortest arc of the ring that holds them
-    all: the complement of the largest cyclic gap between consecutive
-    occupied sites, so a support that straddles site 0 counts as the
-    short arc it is. With ``first`` and ``last`` that arc's ends, the cone
-    is ``first - steps`` to ``last + steps``, returned as ring indices
-    (mod m) in walk order. Each step moves an amplitude by -1, 0 or +1
-    site, so no site outside the cone is ever non-zero. Returns None when
-    the cone covers the whole ring, or when no site is occupied.
+    With ``first`` and ``span`` the state's cached arc
+    (``WalkerState._arc``), the cone is ``first - steps`` to
+    ``first + span - 1 + steps``, returned as ring indices (mod M) in walk
+    order. Each step moves an amplitude by -1, 0 or +1 site, so no site
+    outside the cone is ever non-zero. Returns None when the cone covers
+    the whole ring, or when no site is occupied.
     """
+    m = state.num_positions
     # Any cone holds at least 2 * steps + 1 sites, so the arc need not be
-    # found when that covers the ring: 16-bin fits skip it on every
-    # gradient call.
-    if occupied.size == 0 or 2 * steps + 1 >= m:
+    # found when that covers the ring: a 16-bin fit's gradient calls never
+    # find it.
+    if 2 * steps + 1 >= m:
         return None
-    # gaps[i] is the distance back from occupied[i] to the occupied site
-    # before it. gaps[0] spans site 0 and wins ties, so the arc runs from
-    # occupied[0] to occupied[-1] unless an inner gap is strictly longer.
-    gaps = np.diff(occupied, prepend=occupied[-1] - m)
-    k = int(np.argmax(gaps))
-    first = int(occupied[k])
-    span = m - int(gaps[k]) + 1
+    if state._arc is None:
+        return None
+    first, span = state._arc
     if span + 2 * steps >= m:
         return None
     return np.arange(first - steps, first + span + steps) % m
@@ -300,9 +304,9 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
 
 
 def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:
-    """The entries (c00, c01, c10, c11) of a 2x2 coin, or of each coin of
-    a (B, 2, 2) stack, each copied to a contiguous array of the row
-    ``shape``, whose second-to-last axis is the batch's.
+    """The entries (c00, c01, c10, c11) of each coin of a (B, 2, 2) stack,
+    each copied to a contiguous array of the row ``shape``, whose
+    second-to-last axis is the batch's (or of length 1, for B = 1).
 
     A walk copies its coins once, so that every multiply in
     ``_half_step`` is between contiguous arrays of equal shape, numpy's
@@ -316,7 +320,7 @@ def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:
     Xeon, numpy 2.4). No benchmark workload steps rows that long.
     """
     out = np.empty((4,) + shape, dtype=np.complex128)
-    # Each entry as a (1, 1) or (B, 1) column, broadcast along the sites.
+    # Each entry as a (B, 1) column, broadcast along the sites.
     columns = coin.reshape(-1, 4).T[..., None]
     for k in range(4):
         out[k] = columns[k]
@@ -325,45 +329,56 @@ def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:
 
 def _walk(
     init: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int, swept: bool = False
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Run ``steps`` split steps from ``init`` under a pair of 2x2 coins,
-    or under B pairs stacked as (B, 2, 2) arrays.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Run ``steps`` split steps from ``init`` under each of B coin pairs,
+    stacked as (B, 2, 2) arrays, and check the result.
 
-    Only the start's ``_light_cone`` is stepped: its sites are gathered,
-    and for a coin stack repeated into a (2, B, w) batch. The cone is that
-    of ``steps`` steps, or, if the walk will be ``swept`` back by
-    ``_adjoint_sweep``, of ``2 * steps``, so that the sweep can run on the
-    same array. Returns the final amplitudes on the cone, (2, w) or
-    (2, B, w); the cone's w ring sites, or None for the whole ring; and
-    the start's (2, w) amplitudes on them. Every amplitude outside the
-    start's ``steps``-step cone stays an exact zero.
+    Only the start's ``_light_cone`` is stepped: its sites are gathered
+    and repeated into a (2, B, w) batch. The cone is that of ``steps``
+    steps, or, if the walk will be ``swept`` back by ``_adjoint_sweep``, of
+    ``2 * steps``, so that the sweep can run on the same array. Returns
+    the final (2, B, w) amplitudes and the cone's w ring sites, or None
+    for the whole ring. Every amplitude outside the start's
+    ``steps``-step cone stays an exact zero.
+
+    This is where every walk is checked, once: a non-finite amplitude
+    raises ValueError, and a row whose norm moved from the start's by more
+    than 1e-10 per step (relative to max(1, norm)) raises ArithmeticError,
+    which ``python -O`` does not strip.
     """
-    sites = _light_cone(init.num_positions, init._occupied, 2 * steps if swept else steps)
+    sites = _light_cone(init, 2 * steps if swept else steps)
     start = init.amps if sites is None else init.amps[:, sites]
-    out = np.repeat(start[:, None], len(coin1), axis=1) if coin1.ndim == 3 else start.copy()
-    return _steps_in_place(out, coin1, coin2, steps), sites, start
+    final = _steps_in_place(np.repeat(start[:, None], len(coin1), axis=1), coin1, coin2, steps)
+    if not np.all(np.isfinite(final.view(np.float64))):
+        raise ValueError("amplitudes must be finite")
+    n0 = float(np.sum(start.real * start.real + start.imag * start.imag))
+    norms = _position_probs(final).sum(axis=-1)
+    if not np.all(np.abs(norms - n0) <= 1e-10 * steps * max(1.0, n0)):
+        raise ArithmeticError(f"{steps} steps moved the norm from {n0!r} to {norms.tolist()!r}")
+    return final, sites
 
 
 def _ring_walk(state: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> WalkerState:
-    """``_walk`` from ``state`` under one coin pair, scattered onto the
-    whole ring. Values equal the full-ring run; only the signs of exact
-    zeros outside the cone may differ."""
-    final, sites, _ = _walk(state, coin1, coin2, steps)
+    """``_walk`` from ``state`` under one coin pair, (1, 2, 2) stacks,
+    scattered onto the whole ring. Values equal the full-ring run; only
+    the signs of exact zeros outside the cone may differ."""
+    final, sites = _walk(state, coin1, coin2, steps)
     if sites is None:
-        return WalkerState(final)
+        return WalkerState(final[:, 0])
     out = np.zeros(state.amps.shape, dtype=np.complex128)
-    out[:, sites] = final
+    out[:, sites] = final[:, 0]
     return WalkerState(out)
 
 
 def _steps_in_place(out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
-    """Run ``steps`` split steps in place on a (2, w) ring, or a (2, B, w)
-    batch, and return it.
+    """Run ``steps`` split steps in place on a (2, B, w) batch under
+    (B, 2, 2) coin stacks, and return it.
 
     Each step is two half-steps: coin1 with the up row moving right, then
-    coin2 with the down row moving left. Nothing is validated here: the
-    public wrappers pass amplitudes from a ``WalkerState`` and unitary
-    coins. A step equals the composed public operators bit for bit.
+    coin2 with the down row moving left. Nothing is validated here:
+    ``_walk`` passes amplitudes from a ``WalkerState`` and unitary coins,
+    and checks what comes back. A step equals the composed public
+    operators bit for bit.
     """
     up, dn = out
     c1, c2 = _entries(coin1, up.shape), _entries(coin2, up.shape)
@@ -379,12 +394,12 @@ def _adjoint_sweep(
     """Reverse sweep for the coin gradients of a real loss L of the final
     state of ``_walk``.
 
-    ``amps`` is the final (2, w) state psi and ``seed`` the adjoint lambda
-    of L at it, so that dL = 2 Re sum(conj(lambda) * d psi); both may
-    instead be (2, B, w) batches, with (B, 2, 2) coin stacks. The
-    sweep undoes the ``steps`` split steps one at a time, carrying psi and
-    lambda back together through ``_half_step`` on their stacked rows, so
-    it stores no trajectory. Its half-steps use C-dagger and the opposite
+    ``amps`` is the final (2, B, w) batch psi under (B, 2, 2) coin stacks
+    and ``seed`` the adjoint lambda of L at it, so that
+    dL = 2 Re sum(conj(lambda) * d psi). The sweep undoes the ``steps``
+    split steps one at a time, carrying psi and lambda back together
+    through ``_half_step`` on their stacked rows, so it stores no
+    trajectory. Its half-steps use C-dagger and the opposite
     moves: the later step's C1-dagger (the identity for the last step)
     with the down row moving back right, then C2-dagger with the up row
     moving back left. It returns the accumulators
@@ -392,8 +407,8 @@ def _adjoint_sweep(
         G_k = sum over steps and sites of conj(lambda_out) psi_in^T
 
     at coin k (lambda after the coin, psi before it), for which
-    dL/da = 2 Re sum(dC_k/da * G_k) for each angle a of coin k; a batch
-    gets one (B, 2, 2) stack of them per coin.
+    dL/da = 2 Re sum(dC_k/da * G_k) for each angle a of coin k, as one
+    (B, 2, 2) stack per coin.
 
     The sweep runs on the w sites it is given, as a ring. That is exact
     for the sites ``_walk`` steps when ``swept``, the start's cone of
@@ -405,8 +420,8 @@ def _adjoint_sweep(
     """
     z = np.stack([amps, seed], axis=1)
     up, dn = z
-    # Views of z that the half-steps update in place. The batch axis, if
-    # any, leads both factors of the accumulator's product.
+    # Views of z that the half-steps update in place. The batch axis leads
+    # both factors of the accumulator's product.
     lam_rows = np.swapaxes(z[:, 1], 0, -2)
     psi_cols = np.moveaxis(z[:, 0], 0, -1)
     inv1 = _entries(np.swapaxes(coin1, -1, -2).conj(), up.shape)
@@ -429,23 +444,17 @@ def apply_dtqw_step(state: WalkerState, coin: CoinParams) -> WalkerState:
 
     This is a split step whose second coin is the identity.
     """
-    return _ring_walk(state, coin_matrix(coin), _IDENTITY_MATRIX, 1)
+    return _ring_walk(state, coin_matrix(coin)[None], _IDENTITY_MATRIX, 1)
 
 
 def apply_ssqw_step(state: WalkerState, params: SsqwParams) -> WalkerState:
     """One split step: coin1, S_plus, coin2, S_minus, in that order."""
-    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
-    return _ring_walk(state, c1, c2, 1)
+    return _ring_walk(state, *_coin_pair(params), 1)
 
 
 def evolve(state: WalkerState, params: SsqwParams, schedule: WalkSchedule) -> WalkerState:
     """Apply ``schedule.steps`` identical split steps."""
-    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
-    out = _ring_walk(state, c1, c2, schedule.steps)
-    n0, n1 = state.norm_sq(), out.norm_sq()
-    if not abs(n1 - n0) <= 1e-10 * schedule.steps * max(1.0, n0):
-        raise ArithmeticError(f"{schedule.steps} steps moved the norm from {n0!r} to {n1!r}")
-    return out
+    return _ring_walk(state, *_coin_pair(params), schedule.steps)
 
 
 def dense_operator(transform, num_position_qubits: int) -> np.ndarray:
@@ -468,13 +477,13 @@ def dense_operator(transform, num_position_qubits: int) -> np.ndarray:
 
 def ssqw_step_dense(params: SsqwParams, num_position_qubits: int) -> np.ndarray:
     """``apply_ssqw_step`` as a dense matrix; its coins are built once."""
-    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
-    return dense_operator(lambda s: _ring_walk(s, c1, c2, 1), num_position_qubits)
+    coins = _coin_pair(params)
+    return dense_operator(lambda s: _ring_walk(s, *coins, 1), num_position_qubits)
 
 
 def dtqw_step_dense(coin: CoinParams, num_position_qubits: int) -> np.ndarray:
     """``apply_dtqw_step`` as a dense matrix; its coin is built once."""
-    c = coin_matrix(coin)
+    c = coin_matrix(coin)[None]
     return dense_operator(lambda s: _ring_walk(s, c, _IDENTITY_MATRIX, 1), num_position_qubits)
 
 

@@ -133,6 +133,46 @@ def test_gen_target_lognormal_overflowing_scale_exit3(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_gen_target_lognormal_default_mu_needs_a_positive_centre_exit2(tmp_path, capsys):
+    # ln(centre) of the domain (-10, 5) has no value: the error says so,
+    # and that --mu can be passed instead.
+    out = tmp_path / "x.json"
+    code = run("gen-target", "--kind", "lognormal", "--analytic", "--lo", "-10", "--hi", "5", "--out", str(out))
+    assert_usage_error(capsys, code, "needs a domain centre above 0", "-2.5", "pass --mu instead")
+    assert not out.exists()
+    assert run(
+        "gen-target", "--kind", "lognormal", "--analytic", "--lo", "-10", "--hi", "5", "--mu", "0.5",
+        "--out", str(out),
+    ) == 0
+
+
+# An option whose degenerate (sigma 0) terminal price exp(alpha) overflows:
+# alpha = log 2 + 100 * 10.
+DEGENERATE_OVERFLOW = ("--s0", "2", "--k", "2", "--r", "0.05", "--sigma", "0", "--t", "10", "--mu-drift", "100")
+
+
+def test_gen_target_bs_degenerate_price_overflow_exit3(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = run("gen-target", "--kind", "bs", *DEGENERATE_OVERFLOW, "--out", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate terminal price inf lies outside") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-target", "price"])
+def test_overflowing_sigma_squared_exit2(tmp_path, capsys, command):
+    option = ("--s0", "2", "--k", "2", "--r", "0.05", "--sigma", "1e200", "--t", "1")
+    out = tmp_path / "x.json"
+    if command == "gen-target":
+        code = run("gen-target", "--kind", "bs", *option, "--out", str(out))
+    else:
+        target = str(gen_normal_target(tmp_path))
+        code = run("price", "--target", target, "--trained", target, *option, "--out", str(out))
+    assert_usage_error(capsys, code, "sigma_T**2 overflows", "--sigma")
+    assert not out.exists()
+
+
 def test_gen_target_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SSQW_OUTDIR", str(tmp_path))
     assert run("gen-target", "--kind", "uniform", "--analytic") == 0
@@ -357,6 +397,27 @@ def test_price_strike_above_domain(tmp_path):
     payload = read_json(tmp_path / "p.json")
     assert payload["payoff_target"] == 0.0
     assert payload["payoff_trained"] == 0.0
+
+
+def test_price_degenerate_price_overflow_tail_mass_1(tmp_path):
+    # The overflowing point lies outside the domain, as an overflowing
+    # lognormal scale does: all of the law's mass is truncated.
+    target = str(gen_normal_target(tmp_path))
+    out = tmp_path / "p.json"
+    assert run("price", "--target", target, "--trained", target, *DEGENERATE_OVERFLOW, "--out", str(out)) == 0
+    assert read_json(out)["metadata"]["truncation_tail_mass"] == 1.0
+
+
+def test_price_discount_factor_overflow_exit2(tmp_path, capsys):
+    # exp(-r t) = exp(1e6) overflows.
+    target = str(gen_normal_target(tmp_path))
+    out = tmp_path / "p.json"
+    code = run(
+        "price", "--target", target, "--trained", target, "--s0", "2", "--k", "2",
+        "--r", "-1000", "--sigma", "0.4", "--t", "1000", "--discount", "--out", str(out),
+    )
+    assert_usage_error(capsys, code, "discount factor exp(-r t) overflows", "--r", "--t")
+    assert not out.exists()
 
 
 def test_price_grid_mismatch_exit6(tmp_path):

@@ -39,7 +39,7 @@ from ssqw.optimize import (
     _reach_floor,
     _start_state,
 )
-from ssqw import optimize, statevector, walk
+from ssqw import optimize, walk
 from ssqw.statevector import WalkerState, _position_probs
 from ssqw.walk import _light_cone
 
@@ -252,22 +252,16 @@ def test_objective_rejects_a_walk_whose_mass_is_not_1():
 
 def test_localized_objective_builds_no_ring_state():
     # A one-site start on 2**12 sites, 8 steps: neither objective nor a
-    # value-and-gradient call builds a WalkerState or calls evolve, and
-    # the start's 4096 sites are scanned once, for every window.
+    # value-and-gradient call builds a WalkerState or calls evolve.
     m = 1 << 12
     init = initial_state(12, 1.0, 0.0, 100)
     target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(59), m), Domain(0.0, float(m)))
     schedule = WalkSchedule(8)
-    built, scanned = [], []
+    built = []
     post_init = WalkerState.__post_init__
-    scan = statevector._occupied_sites
 
     def refuse(*args, **kwargs):
         raise AssertionError("evolve called")
-
-    def recording_scan(amps):
-        scanned.append(amps.shape[-1])
-        return scan(amps)
 
     def recording_post_init(self):
         built.append(self)
@@ -276,19 +270,51 @@ def test_localized_objective_builds_no_ring_state():
     with (
         mock.patch.object(optimize, "evolve", refuse),
         mock.patch.object(walk, "evolve", refuse),
-        mock.patch.object(statevector, "_occupied_sites", recording_scan),
         mock.patch.object(WalkerState, "__post_init__", recording_post_init),
     ):
         objective(KNOWN_PARAMS, target, schedule, init)
         objective(KNOWN_PARAMS, target, schedule, init)
         _mse_and_gradient(KNOWN_PARAMS.to_array()[None], target, schedule, init)
     assert built == []
-    assert scanned == [m]
+
+
+def test_start_arc_is_found_once_per_state():
+    # A one-site start on 2**12 sites, 8 steps: two objective values, a
+    # value-and-gradient call and the reach floor all read the start's
+    # cached arc, so its 4096 sites are searched once. On 16 sites the
+    # 16-bin fit's gradient calls, and any 8-step walk, have cones that
+    # cover the ring, so that start's arc is never searched.
+    m = 1 << 12
+    init = initial_state(12, 1.0, 0.0, 100)
+    target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(59), m), Domain(0.0, float(m)))
+    schedule = WalkSchedule(8)
+    small = initial_state(4, 1.0, 0.0, 8)
+    small_target = self_generated_target()
+    searched = []
+    arc = WalkerState.__dict__["_arc"]
+    search = arc.func
+
+    def recording(state):
+        searched.append(state.num_positions)
+        return search(state)
+
+    with mock.patch.object(arc, "func", recording):
+        objective(KNOWN_PARAMS, target, schedule, init)
+        objective(KNOWN_PARAMS, target, schedule, init)
+        _mse_and_gradient(KNOWN_PARAMS.to_array()[None], target, schedule, init)
+        assert _reach_floor(target, init, schedule)[0] > 0.0
+        _mse_and_gradient(KNOWN_PARAMS.to_array()[None], small_target, WalkSchedule(7), small)
+        objective(KNOWN_PARAMS, small_target, WalkSchedule(8), small)
+        assert _reach_floor(small_target, small, WalkSchedule(8)) == (0.0, 0.0)
+    assert searched == [m]
+    assert "_arc" not in vars(small)
 
 
 def test_norm_checks_survive_python_O(tmp_path):
     # Under -O, with the step kernel scaling the amplitudes by 1.1, every
-    # norm check still raises ArithmeticError, and ssqw train exits 5.
+    # norm check still raises ArithmeticError: evolve's, the one-step
+    # operators', the objective's and the gradient's, all in walk._walk,
+    # and apply_coin's. ssqw train exits 5.
     # The script itself cannot use assert, which -O strips.
     code = f"""
 import numpy as np
@@ -321,6 +347,8 @@ for n, x0, steps in ((4, 8, 7), (10, 1020, 8)):
     init = initial_state(n, 1.0, 0.0, x0)
     target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
     raises_arithmetic(evolve, init, params, WalkSchedule(steps))
+    raises_arithmetic(apply_ssqw_step, init, params)
+    raises_arithmetic(apply_dtqw_step, init, params.coin1)
     raises_arithmetic(objective, params, target, WalkSchedule(steps), init)
     raises_arithmetic(optimize._mse_and_gradient, params.to_array()[None], target, WalkSchedule(steps), init)
 state = initial_state(2, 1.0, 0.0, 1)
@@ -637,6 +665,18 @@ def test_optimizer_config_validation():
         OptimizerConfig(optimizer="adjoint-bfgs")
 
 
+def test_booleans_are_not_counts():
+    # bool is an int subclass, but True is no count: it would train and be
+    # written to the result JSON as "max_iters": true.
+    for field in ("max_iters", "restarts"):
+        for value in (True, False):
+            with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+                OptimizerConfig(**{field: value})
+    for value in (True, False):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            WalkSchedule(value)
+
+
 def test_training_result_json_wrapped_angles():
     target = self_generated_target()
     config = OptimizerConfig(initial_params=KNOWN_PARAMS, restarts=1, seed=0)
@@ -681,7 +721,7 @@ def test_default_train_never_calls_numpy_roll(monkeypatch):
 def test_default_start_cannot_reach_bin_0_only():
     # 16 bins, start site 8, 7 steps: the light cone is sites 1..15.
     init, _ = _start_state(16, symmetric=False)
-    np.testing.assert_array_equal(_light_cone(16, init._occupied, 7), np.arange(1, 16))
+    np.testing.assert_array_equal(_light_cone(init, 7), np.arange(1, 16))
     q = np.arange(1.0, 17.0) / 136.0
     result = train(TargetDistribution(q, DOM), OptimizerConfig(max_iters=1))
     assert result.metadata["unreachable_mass"] == q[0]
@@ -748,9 +788,9 @@ def test_windowed_sweep_gradient_equals_full_ring():
     init = initial_state(10, 0.6, 0.8j, m - 9)
     params = SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6))
     schedule = WalkSchedule(8)
-    sites = _light_cone(m, evolve(init, params, schedule)._occupied, schedule.steps)
+    sites = _light_cone(evolve(init, params, schedule), schedule.steps)
     np.testing.assert_array_equal(sites, np.arange(m - 25, m + 8) % m)
-    np.testing.assert_array_equal(sites, _light_cone(m, init._occupied, 2 * schedule.steps))
+    np.testing.assert_array_equal(sites, _light_cone(init, 2 * schedule.steps))
     [value], [grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
     widths = []
     half_step = walk._half_step
@@ -760,7 +800,7 @@ def test_windowed_sweep_gradient_equals_full_ring():
         return half_step(up, dn, *args, **kwargs)
 
     with (
-        mock.patch.object(walk, "_light_cone", lambda m, occupied, steps: None),
+        mock.patch.object(walk, "_light_cone", lambda state, steps: None),
         mock.patch.object(walk, "_half_step", recording),
     ):
         [full_value], [full_grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)

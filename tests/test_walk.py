@@ -391,11 +391,11 @@ def test_windowed_steps_equal_full_ring(run, angles):
     state, steps = run
     m = state.num_positions
     params = SsqwParams.from_array(np.array(angles))
-    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
+    c1, c2 = walk._coin_pair(params)
     _, span = _arc(state)
 
     def full_ring(coin2, t):
-        return walk._steps_in_place(state.amps.copy(), c1, coin2, t)
+        return walk._steps_in_place(state.amps[:, None].copy(), c1, coin2, t)[:, 0]
 
     with step_loop_widths() as widths:
         got = evolve(state, params, WalkSchedule(steps)).amps
@@ -409,7 +409,7 @@ def test_windowed_steps_equal_full_ring(run, angles):
         ssqw_state = apply_ssqw_step(ssqw_state, params)
         dtqw_state = apply_dtqw_step(dtqw_state, params.coin1)
     assert np.array_equal(ssqw_state.amps, got)
-    assert np.array_equal(dtqw_state.amps, full_ring(np.eye(2, dtype=np.complex128), steps))
+    assert np.array_equal(dtqw_state.amps, full_ring(np.eye(2, dtype=np.complex128)[None], steps))
 
     if m <= 32:
         w_ssqw = np.linalg.matrix_power(oracles.dense_ssqw_step(angles, m), steps)
@@ -429,6 +429,7 @@ def test_walk_steps_exactly_the_light_cone(run, angles, swept):
     params = SsqwParams.from_array(np.array(angles))
     t = 2 * steps if swept else steps
     first, span = _arc(state)
+    assert state._arc == (first, span)
     cone = np.arange(first - t, first + span + t) % m if span + 2 * t < m else None
     target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
     with step_loop_widths() as widths:
@@ -437,13 +438,17 @@ def test_walk_steps_exactly_the_light_cone(run, angles, swept):
         else:
             evolve(state, params, WalkSchedule(steps))
     assert widths == [m if cone is None else cone.size]
-    c1, c2 = coin_matrix(params.coin1), coin_matrix(params.coin2)
-    _, sites, start = walk._walk(state, c1, c2, steps, swept)
+    final, sites = walk._walk(state, *walk._coin_pair(params), steps, swept)
     if cone is None:
         assert sites is None
+        sites = np.arange(m)
     else:
         np.testing.assert_array_equal(sites, cone)
-        assert start.tobytes() == state.amps[:, cone].tobytes()
+    # The batch of one row, on either cone, scatters to evolve's state.
+    assert final.shape == (2, 1, sites.size)
+    ring = np.zeros((2, m), dtype=np.complex128)
+    ring[:, sites] = final[:, 0]
+    assert np.array_equal(ring, evolve(state, params, WalkSchedule(steps)).amps)
 
 
 def test_step_loop_runs_only_the_light_cone():
@@ -488,9 +493,9 @@ def test_adjoint_sweep_runs_only_the_light_cone():
 
 def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
     """Each row of a batched forward run and sweep, as bytes, against its
-    own single call, all on the start's light cone for a swept walk,
+    own batch of one row, all on the start's light cone for a swept walk,
     which has ``sites`` sites."""
-    cone = walk._light_cone(init.shape[-1], WalkerState(init)._occupied, 2 * steps)
+    cone = walk._light_cone(WalkerState(init), 2 * steps)
     if cone is not None:
         init = init[:, cone]
     assert init.shape[-1] == sites
@@ -499,11 +504,12 @@ def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
     # An MSE-style seed: zero wherever the final state is.
     seed = final * np.linspace(-1.0, 1.0, sites)
     k1, k2 = walk._adjoint_sweep(final, seed, coins1, coins2, steps)
-    for b, (c1, c2) in enumerate(zip(coins1, coins2)):
-        single = walk._steps_in_place(init.copy(), c1, c2, steps)
-        assert final[:, b].tobytes() == single.tobytes()
-        g1, g2 = walk._adjoint_sweep(single, seed[:, b], c1, c2, steps)
-        assert (k1[b].tobytes(), k2[b].tobytes()) == (g1.tobytes(), g2.tobytes())
+    for b in range(len(coins1)):
+        c1, c2 = coins1[b : b + 1], coins2[b : b + 1]
+        single = walk._steps_in_place(init[:, None].copy(), c1, c2, steps)
+        assert final[:, b].tobytes() == single[:, 0].tobytes()
+        g1, g2 = walk._adjoint_sweep(single, seed[:, b : b + 1], c1, c2, steps)
+        assert (k1[b].tobytes(), k2[b].tobytes()) == (g1[0].tobytes(), g2[0].tobytes())
 
 
 def test_batched_kernel_rows_equal_single_calls():
