@@ -201,8 +201,11 @@ def _default_spec(
     """The target centred on the domain, for whichever of mu and sigma is
     not given: a normal at the centre with std width/8, or a lognormal with
     log-std 0.5 whose mean is the centre (log-mean ln(centre) - sigma^2/2),
-    which needs a centre above 0. A uniform target records the lognormal's
-    defaults, which it does not use."""
+    which needs a centre above 0. A uniform target uses neither and records
+    ``DistSpec``'s defaults for them."""
+    if kind == "uniform":
+        default = DistSpec(kind)
+        return DistSpec(kind, default.mu if mu is None else mu, default.sigma if sigma is None else sigma)
     if sigma is None:
         sigma = domain.width / 8.0 if kind == "normal" else 0.5
     if mu is None:

@@ -13,11 +13,13 @@ objective() and train's values share one value path, ``_scores``. It
 scores the walk on the window that ``walk._walk`` stepped, which for a
 localized start is a light cone of the start alone: outside it the
 walk's probabilities are exact zeros, so each bin there costs q^2, and
-the MSE equals that of the M-site distribution bit for bit. A value
-steps the start's cone of the walk's steps; a value-and-gradient call
-steps the cone of twice as many, and its adjoint sweep runs back on that
-same window. Only the results a caller gets back as M-site arrays
-(evolve's state, train's ``trained_dist``) are built on the whole ring.
+the MSE equals that of the M-site distribution bit for bit. A value and
+a value-and-gradient call step the same window, the start's cone of the
+walk's steps. The gradient's forward pass records the states that enter
+its coins, and its adjoint sweep runs back on that window from them, so
+its gradients equal those of the same formula on the whole ring bit for
+bit. Only the results a caller gets back as M-site arrays (evolve's
+state, train's ``trained_dist``) are built on the whole ring.
 
 The restarts are independent, so train() runs them in lockstep: each
 round evaluates the pending point of every live restart in one batched
@@ -35,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .statevector import WalkerState, _position_probs, initial_state, position_distribution
+from .statevector import WalkerState, initial_state, position_distribution
 from .target import TargetDistribution
 from .walk import (
     SsqwParams,
@@ -45,6 +47,7 @@ from .walk import (
     _coin_pair,
     _coin_stacks,
     _light_cone,
+    _Walk,
     _walk,
     evolve,
 )
@@ -106,30 +109,28 @@ def _scores(
     target: TargetDistribution,
     schedule: WalkSchedule,
     init: WalkerState,
-    swept: bool = False,
-) -> tuple[list[float], np.ndarray, np.ndarray]:
+    record: bool = False,
+) -> tuple[list[float], _Walk, np.ndarray]:
     """The walk from ``init`` under each of B coin pairs, stacked as
     (B, 2, 2) arrays, and its MSE against the target.
 
-    Returns the B values, the final amplitudes (2, B, w) and their
-    distributions' differences p - q from the target (B, w), on the w
-    sites of the window ``walk._walk`` stepped, which is widened for the
-    adjoint sweep if ``swept``. Outside the window every amplitude stays
-    an exact zero, so p = 0 there and each squared difference is q^2 bit
-    for bit; the values equal ``mse`` of each row's M-site distribution.
-    ``_walk`` checks the amplitudes and their norm; the check kept here is
-    that of ``mse``, each row's probabilities summing to 1 (the target's
-    sum is checked when it is built).
+    Returns the B values, the ``walk._walk`` result (its states entering
+    each coin kept if ``record``) and the differences p - q of its
+    distributions from the target (B, w), on the w sites of the light cone
+    it stepped. Outside the cone every amplitude stays an exact zero, so
+    p = 0 there and each squared difference is q^2 bit for bit; the values
+    equal ``mse`` of each row's M-site distribution. ``_walk`` checks the
+    amplitudes and their norm; the check kept here is that of ``mse``, each
+    row's probabilities summing to 1 (the target's sum is checked when it
+    is built).
     """
     n = target.n_bins
     if init.num_positions != n:
         raise ValueError(f"initial state has {init.num_positions} positions but target has {n} bins")
-    final, sites = _walk(init, coin1, coin2, schedule.steps, swept)
-    p = _position_probs(final)
-    sums = p.sum(axis=-1)
-    if not np.all(np.abs(sums - 1.0) <= MSE_SUM_TOL):
-        raise ValueError(f"walk distributions sum to {sums.tolist()!r}, not 1 within {MSE_SUM_TOL}")
-    q = target.probs
+    run = _walk(init, coin1, coin2, schedule.steps, record)
+    if not np.all(np.abs(run.norms - 1.0) <= MSE_SUM_TOL):
+        raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
+    p, q, sites = run.probs, target.probs, run.sites
     if sites is None:
         d = p - q
         dd = d * d
@@ -137,7 +138,7 @@ def _scores(
         d = p - q[sites]
         dd = np.multiply(q, q, out=np.empty((len(p), n)))
         dd[:, sites] = d * d
-    return np.mean(dd, axis=-1).tolist(), final, d
+    return np.mean(dd, axis=-1).tolist(), run, d
 
 
 def _mse_and_gradient(
@@ -151,13 +152,14 @@ def _mse_and_gradient(
     array: a list of B values and a (B, 6) array of gradients.
 
     The B sets run as one batch through ``_scores``, which gives each
-    objective()'s value and checks bit for bit, and their gradients
-    through one adjoint sweep back through the steps (Jones & Gacon,
-    arXiv:2009.02823), seeded with lambda = (2/n)(p - q) psi, where p is
-    the walk's distribution, q the target and n the number of bins. The
-    forward pass and the sweep run on one window, the start's cone of
-    twice the steps (see ``walk``). A row's gradient equals that of a
-    one-row call.
+    objective()'s value and checks bit for bit, on the same light cone
+    that objective() steps. Its forward pass records the states entering
+    each coin, and one adjoint sweep back through the steps (Jones &
+    Gacon, arXiv:2009.02823), seeded with lambda = (2/n)(p - q) psi, where
+    p is the walk's distribution, q the target and n the number of bins,
+    gives the gradients from them on that cone (see ``walk``). A row's
+    gradient equals that of a one-row call, and that of the same formula
+    on the whole ring, bit for bit.
 
     A non-finite angle raises the ValueError that ``CoinParams`` raises.
     """
@@ -165,14 +167,13 @@ def _mse_and_gradient(
     b = len(angles)
     # All coin1s, then all coin2s, as the rows of one (2B, 3) array.
     coins, dcoins = _coin_stacks(angles.reshape(b, 2, 3).swapaxes(0, 1).reshape(2 * b, 3))
-    coin1, coin2, dcoin1, dcoin2 = coins[:b], coins[b:], dcoins[:b], dcoins[b:]
-    values, final, d = _scores(coin1, coin2, target, schedule, init, swept=True)
-    seed = (2.0 / target.n_bins) * d * final
-    g1, g2 = _adjoint_sweep(final, seed, coin1, coin2, schedule.steps)
-    grad = [
-        2.0 * np.real(np.sum(dc * g[:, None], axis=(2, 3))) for dc, g in ((dcoin1, g1), (dcoin2, g2))
-    ]
-    return values, np.concatenate(grad, axis=1)
+    coin1, coin2 = coins[:b], coins[b:]
+    values, run, d = _scores(coin1, coin2, target, schedule, init, record=True)
+    seed = (2.0 / target.n_bins) * d * run.final
+    # (coin, row, 1, 2, 2) accumulators against (coin, row, angle, 2, 2) derivatives.
+    g = _adjoint_sweep(run.states, seed, coin1, coin2, run.sites)[:, :, None]
+    grad = 2.0 * np.real(np.sum(dcoins.reshape(2, b, 3, 2, 2) * g, axis=(3, 4)))
+    return values, grad.swapaxes(0, 1).reshape(b, 6)
 
 
 def _reach_floor(

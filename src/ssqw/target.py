@@ -363,8 +363,8 @@ class OptionSpec:
 def _maturity_law(opt: OptionSpec, sigma_reading: str) -> tuple[float, float]:
     """(sigma_T, alpha) of log(S_T) for the option under a sigma reading.
 
-    A sigma_T whose square overflows raises ValueError naming the flags
-    it comes from.
+    A sigma_T whose square overflows, or an alpha that does, raises
+    ValueError naming the flags it comes from.
     """
     if sigma_reading not in ("total", "per-sqrt-time"):
         raise ValueError(f"sigma_reading must be 'total' or 'per-sqrt-time', got {sigma_reading!r}")
@@ -377,6 +377,10 @@ def _maturity_law(opt: OptionSpec, sigma_reading: str) -> tuple[float, float]:
         flags = "--sigma" if sigma_reading == "total" else "--sigma and --t"
         raise ValueError(f"sigma_T = {sigma_t!r} is too large: sigma_T**2 overflows (check {flags})")
     alpha = math.log(opt.s0) + (opt.effective_mu - opt.rate - 0.5 * var) * opt.maturity
+    if not math.isfinite(alpha):
+        raise ValueError(
+            f"the log-mean alpha of log(S_T) overflows to {alpha!r} (check --t, --mu-drift and --r)"
+        )
     return sigma_t, alpha
 
 

@@ -16,11 +16,13 @@ half-shifts with no coin in between reproduces the plain shift exactly.
 One half-step, ``_half_step``, moves the amplitudes of every walk the
 package runs: a coin on both coin rows, then one row shifted one site by
 slicing. The forward kernel runs each split step as two of them (C1 with
-the up row moving right, C2 with the down row moving left). The adjoint
-sweep that gives the coin gradients runs the same half-step backwards,
-with the conjugate-transposed coins and the opposite moves. The half-step
-and the public ``apply_shift_*`` operators move a row by one helper,
-``_move``.
+the up row moving right, C2 with the down row moving left), and can
+record the state that enters each coin. The adjoint sweep that gives the
+coin gradients carries the adjoint state alone back through the same
+half-step, with the conjugate-transposed coins and the opposite moves,
+and one contraction of its record with the forward record gives both
+coins' gradient accumulators. The half-step and the public
+``apply_shift_*`` operators move a row by one helper, ``_move``.
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
@@ -37,12 +39,15 @@ One entry, ``_walk``, owns every walk. It takes B coin pairs stacked as
 it, and checks the result once: finite amplitudes, and each row's norm
 kept against the start's. ``evolve`` and the one-step operators are its
 B = 1 case, scattered onto the ring; the MSE objective scores its batch
-in place. A walk that will be swept back steps the start's cone of twice
-its steps instead, and the sweep runs on that same array: undoing t steps
-from the final state, which lies within the start's cone of t, stays
-within the cone of 2t. Every row shares the start, and so its cone. Each
-row is stepped by the same half-steps as it would be alone, so its result
-equals its own B = 1 call bit for bit.
+in place. A value-and-gradient call steps the same cone and records the
+2t states that enter its coins; the sweep runs back on that window from
+the record, and rebuilds no state. That is exact too: the gradient reads
+the adjoint state at step i only where the state entering a coin can be
+non-zero, within the start's cone of i steps (i + 1 for C2), and the
+window's wrap-around, moving in from its ends one site a step, never gets
+there. Every row shares the start, and so its cone. Each row is stepped
+by the same half-steps as it would be alone, so its result equals its own
+B = 1 call bit for bit.
 
 Coins are built from angle arrays: ``_coin_factors`` takes the cosines
 and sines of a (K, 3) array of (theta, phi, lam) rows from one np.cos and
@@ -60,6 +65,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -269,8 +275,8 @@ def _light_cone(state: WalkerState, steps: int) -> np.ndarray | None:
     """
     m = state.num_positions
     # Any cone holds at least 2 * steps + 1 sites, so the arc need not be
-    # found when that covers the ring: a 16-bin fit's gradient calls never
-    # find it.
+    # found when that covers the ring: a 16-bin walk of 8 or more steps
+    # never finds it.
     if 2 * steps + 1 >= m:
         return None
     if state._arc is None:
@@ -289,17 +295,24 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
     axis; ``coin`` is the 2x2 coin as its four entries (c00, c01, c10,
     c11), each an array of the rows' shape (``_entries``).
     Each new row is formed as ``c[r, 0] * up + c[r, 1] * dn``, the
-    expression ``apply_coin`` uses. Then the up row if ``move_up``, else
-    the down row, moves one site right if ``right``, else left (``_move``).
+    expression ``apply_coin`` uses, bit for bit: the row that stays is
+    scaled in place and the other product added to it, which keeps each
+    product's operand order and only swaps the terms of an exact-rounded
+    sum. Then the up row if ``move_up``, else the down row, moves one site
+    right if ``right``, else left (``_move``).
     """
     c00, c01, c10, c11 = coin
     if move_up:
-        moved = c00 * up + c01 * dn
-        dn[...] = c10 * up + c11 * dn
+        moved = c00 * up
+        moved += c01 * dn
+        np.multiply(c11, dn, out=dn)
+        dn += c10 * up
         _move(up, moved, right)
     else:
-        moved = c10 * up + c11 * dn
-        up[...] = c00 * up + c01 * dn
+        moved = c10 * up
+        moved += c11 * dn
+        np.multiply(c00, up, out=up)
+        up += c01 * dn
         _move(dn, moved, right)
 
 
@@ -327,116 +340,178 @@ def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:
     return out[0], out[1], out[2], out[3]
 
 
+class _Walk(NamedTuple):
+    """What ``_walk`` returns for a batch of B rows stepped on w sites."""
+
+    # The final amplitudes, (2, B, w).
+    final: np.ndarray
+    # The w ring sites stepped, in walk order, or None for the whole ring.
+    sites: np.ndarray | None
+    # Each row's position distribution, (B, w), and its sum, (B,).
+    probs: np.ndarray
+    norms: np.ndarray
+    # The states that entered the coins, if recorded (``_steps_in_place``).
+    states: np.ndarray | None
+
+
 def _walk(
-    init: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int, swept: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
+    init: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int, record: bool = False
+) -> _Walk:
     """Run ``steps`` split steps from ``init`` under each of B coin pairs,
     stacked as (B, 2, 2) arrays, and check the result.
 
-    Only the start's ``_light_cone`` is stepped: its sites are gathered
-    and repeated into a (2, B, w) batch. The cone is that of ``steps``
-    steps, or, if the walk will be ``swept`` back by ``_adjoint_sweep``, of
-    ``2 * steps``, so that the sweep can run on the same array. Returns
-    the final (2, B, w) amplitudes and the cone's w ring sites, or None
-    for the whole ring. Every amplitude outside the start's
-    ``steps``-step cone stays an exact zero.
+    Only the start's ``_light_cone`` of ``steps`` steps is stepped: its
+    sites are gathered and repeated into a (2, B, w) batch. If ``record``,
+    the forward pass also keeps the 2 * steps states that enter its coins,
+    which is all that ``_adjoint_sweep`` needs of it.
 
     This is where every walk is checked, once: a non-finite amplitude
     raises ValueError, and a row whose norm moved from the start's by more
     than 1e-10 per step (relative to max(1, norm)) raises ArithmeticError,
     which ``python -O`` does not strip.
     """
-    sites = _light_cone(init, 2 * steps if swept else steps)
+    sites = _light_cone(init, steps)
     start = init.amps if sites is None else init.amps[:, sites]
-    final = _steps_in_place(np.repeat(start[:, None], len(coin1), axis=1), coin1, coin2, steps)
+    batch = np.repeat(start[:, None], len(coin1), axis=1)
+    states = np.empty((steps, len(start[0]), 2, 2, len(coin1)), dtype=np.complex128) if record else None
+    final = _steps_in_place(batch, coin1, coin2, steps, states)
     if not np.all(np.isfinite(final.view(np.float64))):
         raise ValueError("amplitudes must be finite")
     n0 = float(np.sum(start.real * start.real + start.imag * start.imag))
-    norms = _position_probs(final).sum(axis=-1)
+    probs = _position_probs(final)
+    norms = probs.sum(axis=-1)
     if not np.all(np.abs(norms - n0) <= 1e-10 * steps * max(1.0, n0)):
         raise ArithmeticError(f"{steps} steps moved the norm from {n0!r} to {norms.tolist()!r}")
-    return final, sites
+    return _Walk(final, sites, probs, norms, states)
 
 
 def _ring_walk(state: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> WalkerState:
     """``_walk`` from ``state`` under one coin pair, (1, 2, 2) stacks,
     scattered onto the whole ring. Values equal the full-ring run; only
     the signs of exact zeros outside the cone may differ."""
-    final, sites = _walk(state, coin1, coin2, steps)
-    if sites is None:
-        return WalkerState(final[:, 0])
+    run = _walk(state, coin1, coin2, steps)
+    if run.sites is None:
+        return WalkerState(run.final[:, 0])
     out = np.zeros(state.amps.shape, dtype=np.complex128)
-    out[:, sites] = final[:, 0]
+    out[:, run.sites] = run.final[:, 0]
     return WalkerState(out)
 
 
-def _steps_in_place(out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
+def _steps_in_place(
+    out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int, states: np.ndarray | None = None
+) -> np.ndarray:
     """Run ``steps`` split steps in place on a (2, B, w) batch under
     (B, 2, 2) coin stacks, and return it.
 
     Each step is two half-steps: coin1 with the up row moving right, then
-    coin2 with the down row moving left. Nothing is validated here:
-    ``_walk`` passes amplitudes from a ``WalkerState`` and unitary coins,
-    and checks what comes back. A step equals the composed public
-    operators bit for bit.
+    coin2 with the down row moving left. If a record ``states`` is given,
+    the batch is copied into it as it enters each coin, ``states[i, :, :,
+    0]`` before step i's coin1 and ``states[i, :, :, 1]`` before its
+    coin2: its axes are step, site, coin row, coin and batch row, so
+    (steps, w, 2, 2, B), the layout ``_accumulators`` reads. Nothing is
+    validated here: ``_walk`` passes amplitudes from a ``WalkerState`` and
+    unitary coins, and checks what comes back. A step equals the composed
+    public operators bit for bit.
     """
     up, dn = out
     c1, c2 = _entries(coin1, up.shape), _entries(coin2, up.shape)
-    for _ in range(steps):
+    # The record as (steps, coin, 2, B, w): each coin's slot shaped like out.
+    into = None if states is None else states.transpose(0, 3, 2, 4, 1)
+    for i in range(steps):
+        if into is not None:
+            into[i, 0] = out
         _half_step(up, dn, c1, move_up=True, right=True)
+        if into is not None:
+            into[i, 1] = out
         _half_step(up, dn, c2, move_up=False, right=False)
     return out
 
 
+# The most bytes of accumulator terms ``_accumulators`` holds at once.
+_TERMS_BYTES = 1 << 22
+
+
 def _adjoint_sweep(
-    amps: np.ndarray, seed: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
+    states: np.ndarray, seed: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, sites: np.ndarray | None
+) -> np.ndarray:
     """Reverse sweep for the coin gradients of a real loss L of the final
     state of ``_walk``.
 
-    ``amps`` is the final (2, B, w) batch psi under (B, 2, 2) coin stacks
-    and ``seed`` the adjoint lambda of L at it, so that
-    dL = 2 Re sum(conj(lambda) * d psi). The sweep undoes the ``steps``
-    split steps one at a time, carrying psi and lambda back together
-    through ``_half_step`` on their stacked rows, so it stores no
-    trajectory. Its half-steps use C-dagger and the opposite
-    moves: the later step's C1-dagger (the identity for the last step)
-    with the down row moving back right, then C2-dagger with the up row
-    moving back left. It returns the accumulators
+    ``states`` is the record of the states psi_in that entered the coins
+    of a ``_walk`` under (B, 2, 2) coin stacks (``_steps_in_place``), on
+    its w ``sites``, and ``seed`` is the adjoint lambda of L at the final
+    (2, B, w) state psi, so that dL = 2 Re sum(conj(lambda) * d psi). The
+    sweep undoes the last step's S_minus by moving the down row back
+    right, then carries lambda alone back through ``_half_step`` with
+    C-dagger and the opposite moves: C2-dagger with the up row moving back
+    left, then C1-dagger with the down row moving back right, which undoes
+    the step before. It records conj(lambda_out), lambda as it leaves each
+    coin of the forward pass, in the same layout, and one contraction of
+    the two records (``_accumulators``) gives
 
         G_k = sum over steps and sites of conj(lambda_out) psi_in^T
 
-    at coin k (lambda after the coin, psi before it), for which
-    dL/da = 2 Re sum(dC_k/da * G_k) for each angle a of coin k, as one
-    (B, 2, 2) stack per coin.
+    at coin k, for which dL/da = 2 Re sum(dC_k/da * G_k) for each angle a
+    of coin k, as a (2, B, 2, 2) array: G_1 then G_2.
 
-    The sweep runs on the w sites it is given, as a ring. That is exact
-    for the sites ``_walk`` steps when ``swept``, the start's cone of
-    ``2 * steps`` or the whole ring, if ``seed`` is zero wherever ``amps``
-    is, as the MSE's (2/n)(p - q) psi is: after j undone steps psi and
-    lambda lie within the final support widened by j sites, so within the
-    start's cone of ``steps + j``. Nothing reaches the cone's ends, and its
-    wrap-around only moves zeros.
+    The sweep runs on the w sites ``_walk`` stepped, the start's cone of
+    ``steps`` steps or the whole ring, as a ring. That is exact if
+    ``seed`` is zero wherever psi is, as the MSE's (2/n)(p - q) psi is. At
+    step i psi_in lies within the start's cone of i steps (of i + 1 for
+    coin2), and lambda there depends only on lambda one site further out.
+    The window's wrap-around moves in from its ends one site a step, so it
+    only reaches sites where psi_in is zero.
     """
-    z = np.stack([amps, seed], axis=1)
-    up, dn = z
-    # Views of z that the half-steps update in place. The batch axis leads
-    # both factors of the accumulator's product.
-    lam_rows = np.swapaxes(z[:, 1], 0, -2)
-    psi_cols = np.moveaxis(z[:, 0], 0, -1)
+    lam = np.empty_like(seed)
+    up, dn = lam
+    # The last step's S_minus undone: it has no later coin to undo first.
+    up[...] = seed[0]
+    _move(dn, seed[1], right=True)
+    lams = np.empty_like(states)
+    into = lams.transpose(0, 3, 2, 4, 1)
     inv1 = _entries(np.swapaxes(coin1, -1, -2).conj(), up.shape)
     inv2 = _entries(np.swapaxes(coin2, -1, -2).conj(), up.shape)
-    k1 = np.zeros(coin1.shape, dtype=np.complex128)
-    k2 = np.zeros(coin2.shape, dtype=np.complex128)
-    c1 = _entries(_IDENTITY_MATRIX, up.shape)
-    for _ in range(steps):
-        _half_step(up, dn, c1, move_up=False, right=True)
-        # K is taken at the coin's output; G = K conj(C) once the sweep ends.
-        k2 += lam_rows.conj() @ psi_cols
+    for i in reversed(range(len(states))):
+        np.conjugate(lam, out=into[i, 1])
         _half_step(up, dn, inv2, move_up=True, right=False)
-        k1 += lam_rows.conj() @ psi_cols
-        c1 = inv1
-    return k1 @ coin1.conj(), k2 @ coin2.conj()
+        np.conjugate(lam, out=into[i, 0])
+        if i:
+            _half_step(up, dn, inv1, move_up=False, right=True)
+    return _accumulators(lams, states, sites)
+
+
+def _accumulators(lam: np.ndarray, psi: np.ndarray, sites: np.ndarray | None) -> np.ndarray:
+    """The sum over steps i and sites x of lam[i, x, :, k, b] times
+    psi[i, x, :, k, b]^T for each coin k and batch row b of two records
+    laid out as ``_steps_in_place`` writes them, (steps, w, 2, 2, B), as a
+    (2, B, 2, 2) array.
+
+    The terms are added one at a time, steps in order and each step's
+    sites in ring order (of ``sites``, or of the whole ring if None), by
+    np.add.reduce over the leading axis. A sum that starts at +0 never
+    becomes -0, so the exact zeros of a wider window add nothing, and a
+    window's sums equal the full ring's bit for bit. A pairwise or BLAS
+    sum, whose order moves with the window's width and offset, does not.
+    At most ``_TERMS_BYTES`` of terms are held at once: a long record is
+    summed a chunk of steps at a time, each chunk after the running sum.
+    """
+    if sites is not None and sites[0] > sites[-1]:
+        # A window that wraps past site 0, in ring order.
+        order = np.argsort(sites)
+        lam, psi = lam[:, order], psi[:, order]
+    steps, w, _, _, b = psi.shape
+    # Terms (step and site, lam's row, psi's row, coin, batch row).
+    lam_cols = lam[:, :, :, None]
+    psi_rows = psi[:, :, None]
+    chunk = max(1, min(steps, _TERMS_BYTES // (w * 8 * b * 16)))
+    # Row 0 holds the running sum, and the chunk's terms follow it.
+    terms = np.zeros((1 + chunk * w, 2, 2, 2, b), dtype=np.complex128)
+    for i in range(0, steps, chunk):
+        n = min(chunk, steps - i)
+        out = terms[1 : 1 + n * w].reshape(n, w, 2, 2, 2, b)
+        np.multiply(lam_cols[i : i + n], psi_rows[i : i + n], out=out)
+        terms[0] = np.add.reduce(terms[: 1 + n * w], axis=0)
+    return terms[0].transpose(2, 3, 0, 1)
 
 
 def apply_dtqw_step(state: WalkerState, coin: CoinParams) -> WalkerState:

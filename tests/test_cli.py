@@ -173,6 +173,33 @@ def test_overflowing_sigma_squared_exit2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_gen_target_uniform_records_distspec_defaults(tmp_path):
+    # A uniform target uses neither mu nor sigma. It records DistSpec's
+    # defaults, 0 and 1, not the lognormal's, so a domain centred below 0
+    # needs no --mu; given values are recorded as given.
+    out = tmp_path / "u.json"
+    code = run("gen-target", "--kind", "uniform", "--analytic", "--lo", "-10", "--hi", "5", "--out", str(out))
+    assert code == 0
+    payload = read_json(out)
+    assert (payload["provenance"]["mu"], payload["provenance"]["sigma"]) == (0.0, 1.0)
+    assert payload["probs"] == [1.0 / 16] * 16
+    assert run("gen-target", "--kind", "uniform", "--mu", "3", "--sigma", "2", "--out", str(out)) == 0
+    provenance = read_json(out)["provenance"]
+    assert (provenance["mu"], provenance["sigma"]) == (3.0, 2.0)
+
+
+def test_gen_target_bs_overflowing_log_mean_exit2(tmp_path, capsys):
+    # alpha = log 2 + (10 - 0.05 - 0.08) * 1e308 overflows through the
+    # maturity, not through sigma_T^2.
+    out = tmp_path / "x.json"
+    code = run(
+        "gen-target", "--kind", "bs", "--s0", "2", "--k", "2", "--r", "0.05", "--sigma", "0.4",
+        "--t", "1e308", "--mu-drift", "10", "--out", str(out),
+    )
+    assert_usage_error(capsys, code, "alpha of log(S_T) overflows", "--t, --mu-drift and --r")
+    assert not out.exists()
+
+
 def test_gen_target_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SSQW_OUTDIR", str(tmp_path))
     assert run("gen-target", "--kind", "uniform", "--analytic") == 0

@@ -199,11 +199,12 @@ def full_ring_mse_and_gradient(angles, target, schedule, init):
         walk._coin_stacks(angles[:, 3:]),
     )
     amps = np.broadcast_to(init.amps[:, None], (2, len(angles), init.num_positions))
-    final = walk._steps_in_place(np.array(amps), coin1, coin2, schedule.steps)
+    states = np.empty((schedule.steps, init.num_positions, 2, 2, len(angles)), dtype=np.complex128)
+    final = walk._steps_in_place(np.array(amps), coin1, coin2, schedule.steps, states)
     p = _position_probs(final)
     values = [mse(target.probs, row) for row in p]
     seed = (2.0 / p.shape[-1]) * (p - target.probs) * final
-    g1, g2 = walk._adjoint_sweep(final, seed, coin1, coin2, schedule.steps)
+    g1, g2 = walk._adjoint_sweep(states, seed, coin1, coin2, None)
     grad = [2.0 * np.real(np.sum(d * g[:, None], axis=(2, 3))) for d, g in ((dcoin1, g1), (dcoin2, g2))]
     return values, np.concatenate(grad, axis=1)
 
@@ -211,14 +212,16 @@ def full_ring_mse_and_gradient(angles, target, schedule, init):
 def test_windowed_gradient_equals_the_full_ring_formula():
     rng = np.random.default_rng(53)
     starts = [
-        # The window wraps past site 0.
+        # The window M-17..M-1 ends at the ring's last site.
         (initial_state(10, 0.6, 0.8j, (1 << 10) - 9), 8),
-        # A one-site start: a window of 33 sites.
+        # The window wraps past site 0, and so does the walk's support
+        # from step 2 on: the sums run in ring order, not walk order.
+        (initial_state(10, 0.6, 0.8j, 1), 8),
+        # A one-site start: a window of 17 sites.
         (initial_state(12, 1.0, 0.0, 5), 8),
-        # The start's cone of 16 steps is more than half of 64 sites, so
-        # the call runs on the whole ring.
-        (initial_state(6, 1.0, 0.0, 32), 8),
-        # The 16-bin fit: no window.
+        # The start's cone of 33 steps covers all 64 sites: the whole ring.
+        (initial_state(6, 1.0, 0.0, 32), 33),
+        # The 16-bin fit: a window of 15 of the 16 sites.
         (initial_state(4, 1.0, 0.0, 8), 7),
     ]
     for init, steps in starts:
@@ -235,6 +238,23 @@ def test_windowed_gradient_equals_the_full_ring_formula():
             full_values, full_grads = full_ring_mse_and_gradient(rows, target, schedule, init)
             assert np.array(values).tobytes() == np.array(full_values).tobytes()
             assert grads.tobytes() == full_grads.tobytes()
+
+
+def test_accumulators_summed_in_step_chunks_keep_their_bits():
+    # With room for one step's terms, or for three, the sums run a chunk of
+    # steps at a time and give the bits of one chunk, on a window that
+    # wraps past site 0 and on the whole ring.
+    rng = np.random.default_rng(61)
+    for init, steps in ((initial_state(10, 0.6, 0.8j, 1), 8), (initial_state(4, 1.0, 0.0, 8), 9)):
+        m = init.num_positions
+        target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+        rows = rng.uniform(0.0, 2.0 * math.pi, (3, 6))
+        _, grads = _mse_and_gradient(rows, target, WalkSchedule(steps), init)
+        w = min(2 * steps + 1, m)
+        for room in (1, 3 * w * 8 * len(rows) * 16):
+            with mock.patch.object(walk, "_TERMS_BYTES", room):
+                _, chunked = _mse_and_gradient(rows, target, WalkSchedule(steps), init)
+            assert chunked.tobytes() == grads.tobytes()
 
 
 def test_objective_rejects_a_walk_whose_mass_is_not_1():
@@ -282,8 +302,9 @@ def test_start_arc_is_found_once_per_state():
     # A one-site start on 2**12 sites, 8 steps: two objective values, a
     # value-and-gradient call and the reach floor all read the start's
     # cached arc, so its 4096 sites are searched once. On 16 sites the
-    # 16-bin fit's gradient calls, and any 8-step walk, have cones that
-    # cover the ring, so that start's arc is never searched.
+    # 16-bin fit's 7-step value-and-gradient call and value share one
+    # search of their start's arc, and an 8-step walk, whose cone covers
+    # the ring, reads no arc.
     m = 1 << 12
     init = initial_state(12, 1.0, 0.0, 100)
     target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(59), m), Domain(0.0, float(m)))
@@ -304,10 +325,10 @@ def test_start_arc_is_found_once_per_state():
         _mse_and_gradient(KNOWN_PARAMS.to_array()[None], target, schedule, init)
         assert _reach_floor(target, init, schedule)[0] > 0.0
         _mse_and_gradient(KNOWN_PARAMS.to_array()[None], small_target, WalkSchedule(7), small)
+        objective(KNOWN_PARAMS, small_target, WalkSchedule(7), small)
         objective(KNOWN_PARAMS, small_target, WalkSchedule(8), small)
         assert _reach_floor(small_target, small, WalkSchedule(8)) == (0.0, 0.0)
-    assert searched == [m]
-    assert "_arc" not in vars(small)
+    assert searched == [m, 16]
 
 
 def test_norm_checks_survive_python_O(tmp_path):
@@ -624,7 +645,7 @@ def test_lockstep_restarts_equal_sequential_runs():
     config = OptimizerConfig(initial_params=KNOWN_PARAMS, restarts=3)
     _assert_lockstep_equals_sequential(self_generated_target(), config)
     # A custom start at M-9 of 2**10 sites: the window of a
-    # value-and-gradient call wraps past site 0.
+    # value-and-gradient call ends at site M-1.
     rng = np.random.default_rng(43)
     m = 1 << 10
     wide = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
@@ -772,25 +793,32 @@ def test_mse_gradient_matches_both_oracles():
             q = oracles.random_prob_vec(rng, m)
             _assert_gradient_matches_both_oracles(x, psi0, q, steps)
     # A one-site start on 64 sites: the forward pass and the adjoint sweep
-    # step only its 21-site light cone of 10 steps.
+    # step only its 11-site light cone of 5 steps.
     x = rng.uniform(0.0, 2.0 * math.pi, 6)
     psi0 = initial_state(6, 0.6, 0.8j, 32).flat
     _assert_gradient_matches_both_oracles(x, psi0, oracles.random_prob_vec(rng, 64), 5)
+    # The acceptance shape: 7 steps from site 8 of 16 run on the 15-site
+    # window 1..15, not on the ring.
+    for coin in ((1.0, 0.0), (0.6, 0.8j)):
+        x = rng.uniform(0.0, 2.0 * math.pi, 6)
+        psi0 = initial_state(4, *coin, 8).flat
+        _assert_gradient_matches_both_oracles(x, psi0, oracles.random_prob_vec(rng, 16), 7)
 
 
 def test_windowed_sweep_gradient_equals_full_ring():
     # A start near site M-1 of a 2**10-site ring: the final state fills
-    # sites M-17..M-1, and the sweep steps only their light cone, the
-    # start's cone of 16 steps, which wraps past site 0.
+    # sites M-13..M+3, and the forward pass and the sweep step only the
+    # start's cone of 8 steps, the same sites, which wrap past site 0.
     rng = np.random.default_rng(37)
     m = 1 << 10
     target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
-    init = initial_state(10, 0.6, 0.8j, m - 9)
+    init = initial_state(10, 0.6, 0.8j, m - 5)
     params = SsqwParams.from_array(rng.uniform(0.0, 2.0 * math.pi, 6))
     schedule = WalkSchedule(8)
-    sites = _light_cone(evolve(init, params, schedule), schedule.steps)
-    np.testing.assert_array_equal(sites, np.arange(m - 25, m + 8) % m)
-    np.testing.assert_array_equal(sites, _light_cone(init, 2 * schedule.steps))
+    sites = _light_cone(init, schedule.steps)
+    np.testing.assert_array_equal(sites, np.arange(m - 13, m + 4) % m)
+    p = position_distribution(evolve(init, params, schedule))
+    np.testing.assert_array_equal(np.sort(sites), np.flatnonzero(p))
     [value], [grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
     widths = []
     half_step = walk._half_step
@@ -804,12 +832,13 @@ def test_windowed_sweep_gradient_equals_full_ring():
         mock.patch.object(walk, "_half_step", recording),
     ):
         [full_value], [full_grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
-        # Forward pass and sweep, then evolve and objective alone: with no
-        # cone every half-step runs on all M sites.
-        assert widths == [m] * 4 * schedule.steps
+        # Forward pass and sweep (one half-step fewer: the last step's
+        # S_minus is undone by a move alone), then evolve and objective:
+        # with no cone every half-step runs on all M sites.
+        assert widths == [m] * (4 * schedule.steps - 1)
         evolve(init, params, schedule)
         objective(params, target, schedule, init)
-        assert widths == [m] * 8 * schedule.steps
+        assert widths == [m] * (8 * schedule.steps - 1)
         # optimize holds its own reference to _light_cone, so the reach
         # floor still sees the 17-site cone.
         assert _reach_floor(target, init, schedule)[0] > 0.0

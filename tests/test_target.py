@@ -177,6 +177,18 @@ def test_lognormal_cdf_with_an_overflowing_scale_is_zero():
     assert _cdf(spec, 15.0) == 0.0
 
 
+def test_an_overflowing_log_mean_names_its_flags():
+    # (mu - r - sigma^2 / 2) * T overflows through the product with T, not
+    # through sigma_T^2: the error names the flags alpha comes from.
+    opt = OptionSpec(2.0, 2.0, 0.05, 0.4, 1e308, mu=10.0)
+    message = "alpha of log\\(S_T\\) overflows to inf .check --t, --mu-drift and --r"
+    with pytest.raises(ValueError, match=message):
+        bs_lognormal_target(opt, DOM, 16)
+    # Read per sqrt(T), sigma_T^2 / 2 = 8e306 outweighs the drift.
+    with pytest.raises(ValueError, match="overflows to -inf"):
+        bs_lognormal_target(opt, DOM, 16, sigma_reading="per-sqrt-time")
+
+
 def test_scalar_cdf_calls_match_scipy():
     # The scalar calls made by sample_histogram's acceptance rate and by
     # pricing's truncation tail mass, at the stock targets' domain.

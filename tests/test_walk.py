@@ -419,36 +419,41 @@ def test_windowed_steps_equal_full_ring(run, angles):
 
 
 @settings(max_examples=150, deadline=None)
-@given(run=localized_runs(), angles=angles_tuple(), swept=st.booleans())
-def test_walk_steps_exactly_the_light_cone(run, angles, swept):
-    # A value steps the start's cone of t steps and a value-and-gradient
-    # call the cone of 2t, whatever share of the ring it covers, and the
-    # whole ring only once the cone reaches all M sites.
+@given(run=localized_runs(), angles=angles_tuple(), gradient=st.booleans())
+def test_walk_steps_exactly_the_light_cone(run, angles, gradient):
+    # A value and a value-and-gradient call both step the start's cone of
+    # t steps, whatever share of the ring it covers, and the whole ring
+    # only once the cone reaches all M sites.
     state, steps = run
     m = state.num_positions
     params = SsqwParams.from_array(np.array(angles))
-    t = 2 * steps if swept else steps
     first, span = _arc(state)
     assert state._arc == (first, span)
-    cone = np.arange(first - t, first + span + t) % m if span + 2 * t < m else None
+    cone = np.arange(first - steps, first + span + steps) % m if span + 2 * steps < m else None
     target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
     with step_loop_widths() as widths:
-        if swept:
+        if gradient:
             _mse_and_gradient(params.to_array()[None], target, WalkSchedule(steps), state)
         else:
             evolve(state, params, WalkSchedule(steps))
     assert widths == [m if cone is None else cone.size]
-    final, sites = walk._walk(state, *walk._coin_pair(params), steps, swept)
+    final, sites, _, _, states = walk._walk(state, *walk._coin_pair(params), steps, record=gradient)
     if cone is None:
         assert sites is None
         sites = np.arange(m)
     else:
         np.testing.assert_array_equal(sites, cone)
-    # The batch of one row, on either cone, scatters to evolve's state.
+    # The batch of one row, recorded or not, scatters to evolve's state.
     assert final.shape == (2, 1, sites.size)
     ring = np.zeros((2, m), dtype=np.complex128)
     ring[:, sites] = final[:, 0]
     assert np.array_equal(ring, evolve(state, params, WalkSchedule(steps)).amps)
+    if gradient:
+        # The record opens with the start, on the cone.
+        assert states.shape == (steps, sites.size, 2, 2, 1)
+        assert np.array_equal(states[0, :, :, 0, 0], state.amps[:, sites].T)
+    else:
+        assert states is None
 
 
 def test_step_loop_runs_only_the_light_cone():
@@ -466,13 +471,13 @@ def test_step_loop_runs_only_the_light_cone():
 
 
 def test_adjoint_sweep_runs_only_the_light_cone():
-    # A value-and-gradient call steps the start's light cone of twice its
-    # steps, forward and back: 64 steps from one site of 2**16 sites touch
-    # 257 sites, while the 16-bin, 7-step fit's 29-site cone covers all
-    # 16. 10 steps from the centre of 2**6 sites touch 41, more than half
-    # the ring. 20 steps from site M-2 of 2**10 sites touch 81, straddling
-    # site 0. Each step is two half-steps, and the sweep undoes as many
-    # steps as the forward pass runs.
+    # A value-and-gradient call steps the start's light cone of its steps,
+    # forward and back: 64 steps from one site of 2**16 sites touch 129
+    # sites, and the 16-bin, 7-step fit 15 of its 16. 10 steps from the
+    # centre of 2**6 sites touch 21. 20 steps from site M-2 of 2**10 sites
+    # touch 41, straddling site 0. Each step is two half-steps. The sweep
+    # undoes as many steps, but the last step's S_minus needs no coin and
+    # is a move alone, so it runs one half-step fewer.
     params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
     rng = np.random.default_rng(43)
     widths = []
@@ -488,27 +493,31 @@ def test_adjoint_sweep_runs_only_the_light_cone():
         init = initial_state(n, 1.0, 0.0, site)
         with mock.patch.object(walk, "_half_step", recording):
             _mse_and_gradient(params.to_array()[None], target, WalkSchedule(steps), init)
-    assert widths == [257] * 256 + [16] * 28 + [41] * 40 + [81] * 80
+    assert widths == [129] * 255 + [15] * 27 + [21] * 39 + [41] * 79
 
 
 def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
     """Each row of a batched forward run and sweep, as bytes, against its
-    own batch of one row, all on the start's light cone for a swept walk,
-    which has ``sites`` sites."""
-    cone = walk._light_cone(WalkerState(init), 2 * steps)
+    own batch of one row, all on the start's light cone, which has
+    ``sites`` sites."""
+    cone = walk._light_cone(WalkerState(init), steps)
     if cone is not None:
         init = init[:, cone]
     assert init.shape[-1] == sites
-    batch = np.repeat(init[:, None], len(coins1), axis=1)
-    final = walk._steps_in_place(batch, coins1, coins2, steps)
+
+    def recorded(batch, c1, c2):
+        states = np.empty((steps, sites, 2, 2, len(c1)), dtype=np.complex128)
+        return walk._steps_in_place(batch, c1, c2, steps, states), states
+
+    final, states = recorded(np.repeat(init[:, None], len(coins1), axis=1), coins1, coins2)
     # An MSE-style seed: zero wherever the final state is.
     seed = final * np.linspace(-1.0, 1.0, sites)
-    k1, k2 = walk._adjoint_sweep(final, seed, coins1, coins2, steps)
+    k1, k2 = walk._adjoint_sweep(states, seed, coins1, coins2, cone)
     for b in range(len(coins1)):
         c1, c2 = coins1[b : b + 1], coins2[b : b + 1]
-        single = walk._steps_in_place(init[:, None].copy(), c1, c2, steps)
+        single, single_states = recorded(init[:, None].copy(), c1, c2)
         assert final[:, b].tobytes() == single[:, 0].tobytes()
-        g1, g2 = walk._adjoint_sweep(single, seed[:, b : b + 1], c1, c2, steps)
+        g1, g2 = walk._adjoint_sweep(single_states, seed[:, b : b + 1], c1, c2, cone)
         assert (k1[b].tobytes(), k2[b].tobytes()) == (g1[0].tobytes(), g2[0].tobytes())
 
 
@@ -528,12 +537,15 @@ def test_batched_kernel_rows_equal_single_calls():
     init = oracles.random_walker_vec(rng, 16).reshape(2, 16)
     _batched_rows_equal_single_calls(init, *coins(*random_params(5)), 7, 16)
     # A coin-up start at M-9 of 2**10 sites, 8 steps. The identity row's
-    # final state is the one site M-1 and the random rows fill M-17..M-1;
-    # every row runs on the start's 16-step cone M-25..M+7.
+    # final state is the one site M-1 and the random rows fill M-17..M-1,
+    # the start's cone, on which every row runs.
     m = 1 << 10
     init = initial_state(10, 1.0, 0.0, m - 9).amps
     identity = SsqwParams(IDENTITY_COIN, IDENTITY_COIN)
-    _batched_rows_equal_single_calls(init, *coins(identity, *random_params(4)), 8, 33)
+    _batched_rows_equal_single_calls(init, *coins(identity, *random_params(4)), 8, 17)
+    # From site 1, the cone wraps past site 0.
+    init = initial_state(10, 0.6, 0.8j, 1).amps
+    _batched_rows_equal_single_calls(init, *coins(*random_params(3)), 8, 17)
 
 
 def test_evolve_linearity():
