@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .statevector import WalkerState, initial_state, position_distribution
+from .statevector import WalkerState, _check_count, initial_state, position_distribution
 from .target import TargetDistribution
 from .walk import (
     SsqwParams,
@@ -130,14 +130,10 @@ def _scores(
     run = _walk(init, coin1, coin2, schedule.steps, record)
     if not np.all(np.abs(run.norms - 1.0) <= MSE_SUM_TOL):
         raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
-    p, q, sites = run.probs, target.probs, run.sites
-    if sites is None:
-        d = p - q
-        dd = d * d
-    else:
-        d = p - q[sites]
-        dd = np.multiply(q, q, out=np.empty((len(p), n)))
-        dd[:, sites] = d * d
+    q = target.probs
+    d = run.probs - q[run.sites]
+    dd = np.multiply(q, q, out=np.empty((len(d), n)))
+    dd[:, run.sites] = d * d
     return np.mean(dd, axis=-1).tolist(), run, d
 
 
@@ -189,8 +185,6 @@ def _reach_floor(
     """
     n = target.n_bins
     cone = _light_cone(init, schedule.steps)
-    if cone is None:
-        return 0.0, 0.0
     outside = np.ones(n, dtype=bool)
     outside[cone] = False
     q = target.probs[outside]
@@ -230,11 +224,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but True is no count.
         for name in ("max_iters", "restarts"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            _check_count(getattr(self, name), name)
+        _check_count(self.seed, "seed", least=0)
         if not (0.0 < self.final_trust_radius < self.initial_trust_radius < math.inf):
             raise ValueError(
                 "need 0 < final_trust_radius < initial_trust_radius, both finite, got "

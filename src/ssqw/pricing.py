@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .target import (
-    DistSpec,
     Domain,
     OptionSpec,
     TargetDistribution,
     _bin_table_csv,
-    _cdf,
     _check_n_bins,
     _exp_or_inf,
+    _lognormal_tail_mass,
     _maturity_law,
 )
 
@@ -68,15 +67,6 @@ class PayoffReport:
     per_bin_payoff: np.ndarray
     discounted: bool
     metadata: dict = field(default_factory=dict)
-
-
-def _lognormal_tail_mass(sigma_t: float, alpha: float, domain: Domain) -> float:
-    if sigma_t == 0.0:
-        point = _exp_or_inf(alpha)
-        inside = 1.0 if domain.lo < point < domain.hi else 0.0
-        return 1.0 - inside
-    spec = DistSpec("lognormal", alpha, sigma_t)
-    return float(1.0 - (_cdf(spec, domain.hi) - _cdf(spec, domain.lo)))
 
 
 def price_report(

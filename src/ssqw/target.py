@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import _json_floats, _json_object
+from .statevector import _check_count, _json_floats, _json_object
 
 TARGET_FORMAT_VERSION = 1
 
@@ -291,8 +291,8 @@ def sample_histogram(
     effectively never terminate and the target is refused instead.
     """
     _check_n_bins(n_bins)
-    if not isinstance(n_samples, int) or n_samples < 1:
-        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+    _check_count(n_samples, "n_samples")
+    _check_count(seed, "seed", least=0)
     if spec.kind == "uniform":
         accept = 1.0
     else:
@@ -384,6 +384,18 @@ def _maturity_law(opt: OptionSpec, sigma_reading: str) -> tuple[float, float]:
     return sigma_t, alpha
 
 
+def _lognormal_tail_mass(sigma_t: float, alpha: float, domain: Domain) -> float:
+    """The mass of the lognormal law (sigma_T, alpha) of S_T outside the
+    domain: the truncation tail that a target on it drops. A degenerate
+    law (sigma_T = 0) is a point at exp(alpha), with tail 0 or 1."""
+    if sigma_t == 0.0:
+        point = _exp_or_inf(alpha)
+        inside = 1.0 if domain.lo < point < domain.hi else 0.0
+        return 1.0 - inside
+    spec = DistSpec("lognormal", alpha, sigma_t)
+    return float(1.0 - (_cdf(spec, domain.hi) - _cdf(spec, domain.lo)))
+
+
 def bs_lognormal_target(
     opt: OptionSpec,
     domain: Domain,
@@ -413,6 +425,7 @@ def bs_lognormal_target(
         "sigma_reading": sigma_reading,
         "sigma_t": sigma_t,
         "alpha": alpha,
+        "truncation_tail_mass": _lognormal_tail_mass(sigma_t, alpha, domain),
     }
     if sigma_t == 0.0:
         # A point that overflows to inf lies outside every domain.
@@ -425,10 +438,8 @@ def bs_lognormal_target(
         idx = min(int(np.searchsorted(edges, point, side="right")) - 1, n_bins - 1)
         probs = np.zeros(n_bins)
         probs[idx] = 1.0
-        prov["truncation_tail_mass"] = 0.0
         return TargetDistribution(probs, domain, prov)
     base = analytic_histogram(DistSpec("lognormal", alpha, sigma_t), domain, n_bins)
-    prov["truncation_tail_mass"] = 1.0 - base.provenance["in_domain_mass"]
     return TargetDistribution(base.probs, domain, prov)
 
 

@@ -28,11 +28,11 @@ Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
 light cone first-t..last+t. One rule, ``_light_cone``, decides which sites
 a walk steps: that cone, whenever it is narrower than the ring, else the
-whole ring. This is exact, not a truncation: every site outside the cone
-stays an exact zero in the full-ring run too, and nothing reaches the
-cone's ends, so its own wrap-around only moves zeros. A ``WalkerState``
-caches its arc (``WalkerState._arc``), so a start is scanned once, and the
-cone is arithmetic on that arc.
+whole ring as the window 0..M-1. This is exact, not a truncation: every
+site outside the cone stays an exact zero in the full-ring run too, and
+nothing reaches the cone's ends, so its own wrap-around only moves zeros.
+A ``WalkerState`` caches its arc (``WalkerState._arc``), so a start is
+scanned once, and the cone is arithmetic on that arc.
 
 One entry, ``_walk``, owns every walk. It takes B coin pairs stacked as
 (B, 2, 2) arrays, repeats the start's cone into a (2, B, w) batch, steps
@@ -71,7 +71,7 @@ import numpy as np
 
 # apply_coin stays importable as ssqw.walk.apply_coin: benchmarks/spans.py
 # hooks it by that name.
-from .statevector import WalkerState, _position_probs, apply_coin  # noqa: F401
+from .statevector import WalkerState, _check_count, _position_probs, apply_coin  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,8 +143,7 @@ class WalkSchedule:
     steps: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
+        _check_count(self.steps, "steps")
 
 
 def _check_finite_angles(angles: np.ndarray) -> None:
@@ -263,27 +262,22 @@ def _move(dst: np.ndarray, src: np.ndarray, right: bool) -> None:
         dst[..., -1:] = src[..., :1]
 
 
-def _light_cone(state: WalkerState, steps: int) -> np.ndarray | None:
-    """The light cone of ``steps`` steps from ``state``.
+def _light_cone(state: WalkerState, steps: int) -> np.ndarray:
+    """The light cone of ``steps`` steps from ``state``, as ring indices
+    in walk order.
 
     With ``first`` and ``span`` the state's cached arc
     (``WalkerState._arc``), the cone is ``first - steps`` to
-    ``first + span - 1 + steps``, returned as ring indices (mod M) in walk
-    order. Each step moves an amplitude by -1, 0 or +1 site, so no site
-    outside the cone is ever non-zero. Returns None when the cone covers
-    the whole ring, or when no site is occupied.
+    ``first + span - 1 + steps`` (mod M). Each step moves an amplitude by
+    -1, 0 or +1 site, so no site outside the cone is ever non-zero. When
+    the cone covers the ring, or no site is occupied, it is the whole ring
+    as the window 0..M-1.
     """
     m = state.num_positions
-    # Any cone holds at least 2 * steps + 1 sites, so the arc need not be
-    # found when that covers the ring: a 16-bin walk of 8 or more steps
-    # never finds it.
-    if 2 * steps + 1 >= m:
-        return None
-    if state._arc is None:
-        return None
-    first, span = state._arc
+    # A state with no occupied site has no arc: take the whole ring.
+    first, span = state._arc or (0, m)
     if span + 2 * steps >= m:
-        return None
+        return np.arange(m)
     return np.arange(first - steps, first + span + steps) % m
 
 
@@ -299,21 +293,18 @@ def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right
     scaled in place and the other product added to it, which keeps each
     product's operand order and only swaps the terms of an exact-rounded
     sum. Then the up row if ``move_up``, else the down row, moves one site
-    right if ``right``, else left (``_move``).
+    right if ``right``, else left (``_move``). A down-row move runs the
+    up-row move's expressions on the rows and coin entries swapped, which
+    again only swaps the terms of a sum.
     """
     c00, c01, c10, c11 = coin
-    if move_up:
-        moved = c00 * up
-        moved += c01 * dn
-        np.multiply(c11, dn, out=dn)
-        dn += c10 * up
-        _move(up, moved, right)
-    else:
-        moved = c10 * up
-        moved += c11 * dn
-        np.multiply(c00, up, out=up)
-        up += c01 * dn
-        _move(dn, moved, right)
+    if not move_up:
+        up, dn, c00, c01, c10, c11 = dn, up, c11, c10, c01, c00
+    moved = c00 * up
+    moved += c01 * dn
+    np.multiply(c11, dn, out=dn)
+    dn += c10 * up
+    _move(up, moved, right)
 
 
 def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:
@@ -345,8 +336,8 @@ class _Walk(NamedTuple):
 
     # The final amplitudes, (2, B, w).
     final: np.ndarray
-    # The w ring sites stepped, in walk order, or None for the whole ring.
-    sites: np.ndarray | None
+    # The w ring sites stepped, in walk order.
+    sites: np.ndarray
     # Each row's position distribution, (B, w), and its sum, (B,).
     probs: np.ndarray
     norms: np.ndarray
@@ -371,7 +362,7 @@ def _walk(
     which ``python -O`` does not strip.
     """
     sites = _light_cone(init, steps)
-    start = init.amps if sites is None else init.amps[:, sites]
+    start = init.amps[:, sites]
     batch = np.repeat(start[:, None], len(coin1), axis=1)
     states = np.empty((steps, len(start[0]), 2, 2, len(coin1)), dtype=np.complex128) if record else None
     final = _steps_in_place(batch, coin1, coin2, steps, states)
@@ -390,8 +381,6 @@ def _ring_walk(state: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: 
     scattered onto the whole ring. Values equal the full-ring run; only
     the signs of exact zeros outside the cone may differ."""
     run = _walk(state, coin1, coin2, steps)
-    if run.sites is None:
-        return WalkerState(run.final[:, 0])
     out = np.zeros(state.amps.shape, dtype=np.complex128)
     out[:, run.sites] = run.final[:, 0]
     return WalkerState(out)
@@ -432,7 +421,7 @@ _TERMS_BYTES = 1 << 22
 
 
 def _adjoint_sweep(
-    states: np.ndarray, seed: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, sites: np.ndarray | None
+    states: np.ndarray, seed: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, sites: np.ndarray
 ) -> np.ndarray:
     """Reverse sweep for the coin gradients of a real loss L of the final
     state of ``_walk``.
@@ -455,12 +444,12 @@ def _adjoint_sweep(
     of coin k, as a (2, B, 2, 2) array: G_1 then G_2.
 
     The sweep runs on the w sites ``_walk`` stepped, the start's cone of
-    ``steps`` steps or the whole ring, as a ring. That is exact if
-    ``seed`` is zero wherever psi is, as the MSE's (2/n)(p - q) psi is. At
-    step i psi_in lies within the start's cone of i steps (of i + 1 for
-    coin2), and lambda there depends only on lambda one site further out.
-    The window's wrap-around moves in from its ends one site a step, so it
-    only reaches sites where psi_in is zero.
+    ``steps`` steps, as a ring. That is exact if ``seed`` is zero wherever
+    psi is, as the MSE's (2/n)(p - q) psi is. At step i psi_in lies within
+    the start's cone of i steps (of i + 1 for coin2), and lambda there
+    depends only on lambda one site further out. The window's wrap-around
+    moves in from its ends one site a step, so it only reaches sites where
+    psi_in is zero.
     """
     lam = np.empty_like(seed)
     up, dn = lam
@@ -480,22 +469,22 @@ def _adjoint_sweep(
     return _accumulators(lams, states, sites)
 
 
-def _accumulators(lam: np.ndarray, psi: np.ndarray, sites: np.ndarray | None) -> np.ndarray:
+def _accumulators(lam: np.ndarray, psi: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """The sum over steps i and sites x of lam[i, x, :, k, b] times
     psi[i, x, :, k, b]^T for each coin k and batch row b of two records
     laid out as ``_steps_in_place`` writes them, (steps, w, 2, 2, B), as a
     (2, B, 2, 2) array.
 
     The terms are added one at a time, steps in order and each step's
-    sites in ring order (of ``sites``, or of the whole ring if None), by
-    np.add.reduce over the leading axis. A sum that starts at +0 never
-    becomes -0, so the exact zeros of a wider window add nothing, and a
-    window's sums equal the full ring's bit for bit. A pairwise or BLAS
-    sum, whose order moves with the window's width and offset, does not.
-    At most ``_TERMS_BYTES`` of terms are held at once: a long record is
-    summed a chunk of steps at a time, each chunk after the running sum.
+    ``sites`` in ring order, by np.add.reduce over the leading axis. A sum
+    that starts at +0 never becomes -0, so the exact zeros of a wider
+    window add nothing, and a window's sums equal the full ring's bit for
+    bit. A pairwise or BLAS sum, whose order moves with the window's width
+    and offset, does not. At most ``_TERMS_BYTES`` of terms are held at
+    once: a long record is summed a chunk of steps at a time, each chunk
+    after the running sum.
     """
-    if sites is not None and sites[0] > sites[-1]:
+    if sites[0] > sites[-1]:
         # A window that wraps past site 0, in ring order.
         order = np.argsort(sites)
         lam, psi = lam[:, order], psi[:, order]

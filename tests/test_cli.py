@@ -285,6 +285,24 @@ def test_train_mse_gate(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("train", "--max-iters", "20", "--seed", "-1"),
+     ("gen-target", "--kind", "normal", "--samples", "100", "--seed", "-3")],
+)
+def test_negative_seed_exit2(tmp_path, capsys, argv):
+    # numpy's own "expected non-negative integer" names no flag.
+    target = gen_normal_target(tmp_path)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    extra = ("--target", str(target)) if argv[0] == "train" else ()
+    code = run(*argv, *extra, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: seed must be a non-negative integer") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, needle",
     [("--mse-gate", "nan", "--mse-gate"), ("--mse-gate", "inf", "--mse-gate"),
      ("--rhobeg", "1e400", "both finite"), ("--rhobeg", "nan", "both finite"),

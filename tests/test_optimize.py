@@ -204,7 +204,7 @@ def full_ring_mse_and_gradient(angles, target, schedule, init):
     p = _position_probs(final)
     values = [mse(target.probs, row) for row in p]
     seed = (2.0 / p.shape[-1]) * (p - target.probs) * final
-    g1, g2 = walk._adjoint_sweep(states, seed, coin1, coin2, None)
+    g1, g2 = walk._adjoint_sweep(states, seed, coin1, coin2, np.arange(init.num_positions))
     grad = [2.0 * np.real(np.sum(d * g[:, None], axis=(2, 3))) for d, g in ((dcoin1, g1), (dcoin2, g2))]
     return values, np.concatenate(grad, axis=1)
 
@@ -304,7 +304,7 @@ def test_start_arc_is_found_once_per_state():
     # cached arc, so its 4096 sites are searched once. On 16 sites the
     # 16-bin fit's 7-step value-and-gradient call and value share one
     # search of their start's arc, and an 8-step walk, whose cone covers
-    # the ring, reads no arc.
+    # the ring, reads the same cached arc.
     m = 1 << 12
     init = initial_state(12, 1.0, 0.0, 100)
     target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(59), m), Domain(0.0, float(m)))
@@ -684,6 +684,12 @@ def test_optimizer_config_validation():
             OptimizerConfig(**radii)
     with pytest.raises(TypeError):
         OptimizerConfig(optimizer="adjoint-bfgs")
+    # A bad seed is refused here, by name, not inside train by numpy; 0 is
+    # a seed.
+    for seed in (-1, 1.5, "7", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            OptimizerConfig(seed=seed)
+    assert OptimizerConfig(seed=0).seed == 0
 
 
 def test_booleans_are_not_counts():
@@ -696,6 +702,9 @@ def test_booleans_are_not_counts():
     for value in (True, False):
         with pytest.raises(ValueError, match="steps must be a positive integer"):
             WalkSchedule(value)
+        # True would train and be written as "seed": true.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            OptimizerConfig(seed=value)
 
 
 def test_training_result_json_wrapped_angles():
@@ -828,13 +837,13 @@ def test_windowed_sweep_gradient_equals_full_ring():
         return half_step(up, dn, *args, **kwargs)
 
     with (
-        mock.patch.object(walk, "_light_cone", lambda state, steps: None),
+        mock.patch.object(walk, "_light_cone", lambda state, steps: np.arange(state.num_positions)),
         mock.patch.object(walk, "_half_step", recording),
     ):
         [full_value], [full_grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
         # Forward pass and sweep (one half-step fewer: the last step's
         # S_minus is undone by a move alone), then evolve and objective:
-        # with no cone every half-step runs on all M sites.
+        # on the window 0..M-1 every half-step runs on all M sites.
         assert widths == [m] * (4 * schedule.steps - 1)
         evolve(init, params, schedule)
         objective(params, target, schedule, init)

@@ -139,12 +139,20 @@ def test_price_report_discount_flag():
 
 
 def test_price_report_truncation_metadata():
-    opt = OptionSpec(4.0, 2.0, 0.0, 0.9, 1.0)
-    target = bs_lognormal_target(opt, DOM, 16)
-    report = price_report(opt, target, target.probs)
-    assert abs(report.metadata["truncation_tail_mass"] - target.provenance["truncation_tail_mass"]) < 1e-12
-    assert report.metadata["grid_mapping"] == "bin-center"
-    assert report.metadata["mu_equals_rate"] is True
+    # The target and the report take the tail mass from one formula, so
+    # the two agree to the bit. For the second option, 1 minus the binned
+    # in-domain mass and 1 minus the CDF difference at the domain's ends
+    # differ in the last bits (5.631171069923058e-4, 5.631171069921947e-4).
+    for opt, domain, n_bins, reading in (
+        (OptionSpec(4.0, 2.0, 0.0, 0.9, 1.0), DOM, 16, "total"),
+        (OptionSpec(100.0, 100.0, 0.03, 0.2, 1.0), Domain(50.0, 200.0), 64, "per-sqrt-time"),
+    ):
+        target = bs_lognormal_target(opt, domain, n_bins, sigma_reading=reading)
+        report = price_report(opt, target, target.probs, sigma_reading=reading)
+        assert report.metadata["truncation_tail_mass"] == target.provenance["truncation_tail_mass"]
+        assert report.metadata["truncation_tail_mass"] > 0.0
+        assert report.metadata["grid_mapping"] == "bin-center"
+        assert report.metadata["mu_equals_rate"] is True
 
 
 def test_price_report_reference_annotation_mismatch():

@@ -290,6 +290,15 @@ def test_sampled_validation():
         sample_histogram(DistSpec("normal", 7.5, 1.0), DOM, 16, 0, seed=0)
     with pytest.raises(ValueError):
         sample_histogram(DistSpec("normal", 7.5, 1.0), DOM, 17, 100, seed=0)
+    # True would be recorded as "seed": true, and numpy's own error for a
+    # negative seed does not name it.
+    for seed in (True, False, -1, 1.5):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_histogram(DistSpec("normal", 7.5, 1.0), DOM, 16, 100, seed=seed)
+    for n_samples in (True, 2.0):
+        with pytest.raises(ValueError, match="n_samples must be a positive integer"):
+            sample_histogram(DistSpec("normal", 7.5, 1.0), DOM, 16, n_samples, seed=0)
+    assert sample_histogram(DistSpec("normal", 7.5, 1.0), DOM, 16, 100, seed=0).provenance["seed"] == 0
 
 
 def test_sampled_provenance_records_rng():

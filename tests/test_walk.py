@@ -422,27 +422,23 @@ def test_windowed_steps_equal_full_ring(run, angles):
 @given(run=localized_runs(), angles=angles_tuple(), gradient=st.booleans())
 def test_walk_steps_exactly_the_light_cone(run, angles, gradient):
     # A value and a value-and-gradient call both step the start's cone of
-    # t steps, whatever share of the ring it covers, and the whole ring
-    # only once the cone reaches all M sites.
+    # t steps, whatever share of the ring it covers, and the whole ring,
+    # as the window 0..M-1, only once the cone reaches all M sites.
     state, steps = run
     m = state.num_positions
     params = SsqwParams.from_array(np.array(angles))
     first, span = _arc(state)
     assert state._arc == (first, span)
-    cone = np.arange(first - steps, first + span + steps) % m if span + 2 * steps < m else None
+    cone = np.arange(first - steps, first + span + steps) % m if span + 2 * steps < m else np.arange(m)
     target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
     with step_loop_widths() as widths:
         if gradient:
             _mse_and_gradient(params.to_array()[None], target, WalkSchedule(steps), state)
         else:
             evolve(state, params, WalkSchedule(steps))
-    assert widths == [m if cone is None else cone.size]
+    assert widths == [cone.size]
     final, sites, _, _, states = walk._walk(state, *walk._coin_pair(params), steps, record=gradient)
-    if cone is None:
-        assert sites is None
-        sites = np.arange(m)
-    else:
-        np.testing.assert_array_equal(sites, cone)
+    np.testing.assert_array_equal(sites, cone)
     # The batch of one row, recorded or not, scatters to evolve's state.
     assert final.shape == (2, 1, sites.size)
     ring = np.zeros((2, m), dtype=np.complex128)
@@ -501,8 +497,7 @@ def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
     own batch of one row, all on the start's light cone, which has
     ``sites`` sites."""
     cone = walk._light_cone(WalkerState(init), steps)
-    if cone is not None:
-        init = init[:, cone]
+    init = init[:, cone]
     assert init.shape[-1] == sites
 
     def recorded(batch, c1, c2):
