@@ -36,7 +36,7 @@ from .optimize import (
     training_result_json_dict,
 )
 from .pricing import OptionSpec, PayoffReport, payoff_csv, payoff_report_to_json, price_report
-from .statevector import _json_floats, _json_object
+from .statevector import _check_count, _json_floats, _json_object
 from .target import (
     DistSpec,
     Domain,
@@ -220,6 +220,8 @@ def _default_spec(
 
 
 def cmd_gen_target(args: argparse.Namespace) -> int:
+    # --seed is checked for every kind, though only a sampled target uses it.
+    _check_count(args.seed, "seed", least=0)
     domain = Domain(args.lo, args.hi)
     if args.kind == "bs":
         for name in ("s0", "strike", "r", "t", "sigma"):
@@ -350,6 +352,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_repro(args: argparse.Namespace) -> int:
+    # The options are checked before the directory is made, so that a bad
+    # one leaves nothing behind.
+    config = OptimizerConfig(
+        max_iters=args.max_iters,
+        steps=WalkSchedule(args.steps),
+        restarts=args.restarts,
+        seed=args.seed,
+    )
     outdir = args.outdir if args.outdir is not None else _outdir()
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -357,12 +367,6 @@ def cmd_repro(args: argparse.Namespace) -> int:
         raise _Usage(f"cannot create output directory {outdir}: {exc.strerror or exc}") from exc
     domain = Domain(0.0, 15.0)
     n_bins = 16
-    config = OptimizerConfig(
-        max_iters=args.max_iters,
-        steps=WalkSchedule(args.steps),
-        restarts=args.restarts,
-        seed=args.seed,
-    )
     summary: dict = {"format_version": 1}
 
     recipes = [

@@ -13,16 +13,20 @@ so C1 is applied first, then S_plus (up moves right, down stays), then
 C2, then S_minus (down moves left, up stays). Composing the two
 half-shifts with no coin in between reproduces the plain shift exactly.
 
-One half-step, ``_half_step``, moves the amplitudes of every walk the
-package runs: a coin on both coin rows, then one row shifted one site by
-slicing. The forward kernel runs each split step as two of them (C1 with
-the up row moving right, C2 with the down row moving left), and can
-record the state that enters each coin. The adjoint sweep that gives the
-coin gradients carries the adjoint state alone back through the same
-half-step, with the conjugate-transposed coins and the opposite moves,
-and one contraction of its record with the forward record gives both
-coins' gradient accumulators. The half-step and the public
-``apply_shift_*`` operators move a row by one helper, ``_move``.
+One half-step moves the amplitudes of every walk the package runs: a
+coin on both coin rows, then one row shifted one site by slicing. Each
+walk plans its half-steps once (``_half_step``): five in-place ufunc calls
+on views of the state, its coins and one product buffer, which ``_run``
+makes on every step with no temporaries and no new views. The forward
+kernel runs each split step as two of them (C1 with the up row moving
+right, C2 with the down row moving left), and can record the state that
+enters each coin. The adjoint sweep that gives the coin gradients
+carries the adjoint state alone back through the same half-step, with
+the conjugate-transposed coins and the opposite moves, and one
+contraction of its record with the forward record gives both coins'
+gradient accumulators. Where a row moves is known in one place,
+``_shifts``, which the plans and the public ``apply_shift_*`` operators
+(through ``_move``) take their shifted views from.
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
@@ -35,7 +39,7 @@ A ``WalkerState`` caches its arc (``WalkerState._arc``), so a start is
 scanned once, and the cone is arithmetic on that arc.
 
 One entry, ``_walk``, owns every walk. It takes B coin pairs stacked as
-(B, 2, 2) arrays, repeats the start's cone into a (2, B, w) batch, steps
+(B, 2, 2) arrays, copies the start's cone into a (2, B, w) batch, steps
 it, and checks the result once: finite amplitudes, and each row's norm
 kept against the start's. ``evolve`` and the one-step operators are its
 B = 1 case, scattered onto the ring; the MSE objective scores its batch
@@ -55,9 +59,9 @@ one np.sin call, and ``_coins`` evaluates the scalar formula on them into
 (K, 2, 2) coins (``coin_matrix`` is the one-row case, and ``_coin_pair``
 gives a parameter set's two coins as (1, 2, 2) stacks); ``_coin_stacks``
 adds their (K, 3, 2, 2) angle derivatives for the gradient. Each walk
-copies its coins' entries once to the shape of the rows it steps
-(``_entries``), so that the half-steps multiply contiguous arrays of equal
-shape.
+copies its coins' entries once to one contiguous (2, 2, B, w) array
+(``_entries``), so that each half-step multiplies each coin row by the
+whole (2, B, w) state in one call on contiguous arrays of equal shape.
 """
 
 from __future__ import annotations
@@ -249,17 +253,22 @@ def apply_shift_minus(state: WalkerState) -> WalkerState:
     return WalkerState(out)
 
 
-def _move(dst: np.ndarray, src: np.ndarray, right: bool) -> None:
-    """Write ``src`` into ``dst`` moved one site around the ring, along
-    the last axis: right (x -> x+1) if ``right``, else left. The arrays
-    must not overlap. This is the only place that knows how a row moves.
+def _shifts(right: bool) -> tuple:
+    """How a row moves one site around the ring along its last axis,
+    right (x -> x+1) if ``right``, else left: two (to, from) pairs of
+    index expressions, the body of the row and then the one site that
+    wraps around. This is the only place that knows how a row moves.
     """
     if right:
-        dst[..., 1:] = src[..., :-1]
-        dst[..., :1] = src[..., -1:]
-    else:
-        dst[..., :-1] = src[..., 1:]
-        dst[..., -1:] = src[..., :1]
+        return (np.s_[..., 1:], np.s_[..., :-1]), (np.s_[..., 0], np.s_[..., -1])
+    return (np.s_[..., :-1], np.s_[..., 1:]), (np.s_[..., -1], np.s_[..., 0])
+
+
+def _move(dst: np.ndarray, src: np.ndarray, right: bool) -> None:
+    """Write ``src`` into ``dst`` moved one site around the ring
+    (``_shifts``). The arrays must not overlap."""
+    for to, frm in _shifts(right):
+        dst[to] = src[frm]
 
 
 def _light_cone(state: WalkerState, steps: int) -> np.ndarray:
@@ -281,54 +290,73 @@ def _light_cone(state: WalkerState, steps: int) -> np.ndarray:
     return np.arange(first - steps, first + span + steps) % m
 
 
-def _half_step(up: np.ndarray, dn: np.ndarray, coin: tuple, move_up: bool, right: bool) -> None:
-    """Half of a split step, in place: a coin on both coin rows, then one
-    row moved one site around the ring.
+def _half_step(
+    state: np.ndarray, entries: np.ndarray, products: np.ndarray, move_up: bool, right: bool
+) -> tuple:
+    """Plan half of a split step on a (2, B, w) ``state``, in place: a
+    coin on both coin rows, then one row moved one site around the ring.
 
-    ``up`` and ``dn`` are the two coin rows, with sites along their last
-    axis; ``coin`` is the 2x2 coin as its four entries (c00, c01, c10,
-    c11), each an array of the rows' shape (``_entries``).
-    Each new row is formed as ``c[r, 0] * up + c[r, 1] * dn``, the
-    expression ``apply_coin`` uses, bit for bit: the row that stays is
-    scaled in place and the other product added to it, which keeps each
-    product's operand order and only swaps the terms of an exact-rounded
-    sum. Then the up row if ``move_up``, else the down row, moves one site
-    right if ``right``, else left (``_move``). A down-row move runs the
-    up-row move's expressions on the rows and coin entries swapped, which
-    again only swaps the terms of a sum.
+    ``entries`` is the coin stack as ``_entries`` lays it out, and
+    ``products`` a (2, 2, B, w) buffer. The plan is five calls
+    (ufunc, a, b, out), made in order by ``_run``, on views built here once:
+
+    1. and 2. ``products[r] = entries[r] * state``, coin row r times both
+       coin rows of the state, for r = 0 and 1;
+    3. the row r that stays, ``products[r, 0] + products[r, 1]``;
+    4. the moved row's body, the same sum on the flattened B * w buffers,
+       shifted by one site (``_shifts``). That also writes each batch
+       row's first site (last, moving left) from its neighbour's last;
+    5. the B sites that wrap around, which overwrites those.
+
+    The up row moves if ``move_up``, else the down row, right if
+    ``right``, else left. Each new amplitude is ``c[r, 0] * up + c[r, 1]
+    * dn`` with ``apply_coin``'s operand order, up to the order of the
+    two terms of an exact-rounded sum, so bit for bit. A flattened view of
+    a state that is not C-contiguous would be a copy, so such a state is
+    refused.
     """
-    c00, c01, c10, c11 = coin
-    if not move_up:
-        up, dn, c00, c01, c10, c11 = dn, up, c11, c10, c01, c00
-    moved = c00 * up
-    moved += c01 * dn
-    np.multiply(c11, dn, out=dn)
-    dn += c10 * up
-    _move(up, moved, right)
+    if not state.flags.c_contiguous:
+        raise ValueError("a half-step plan needs a C-contiguous state")
+    moves, stays = (0, 1) if move_up else (1, 0)
+    (body_to, body_from), (wrap_to, wrap_from) = _shifts(right)
+    # The moved row and its two terms, and their flattened views.
+    rows = state[moves], products[moves, 0], products[moves, 1]
+    flat = [row.reshape(-1) for row in rows]
+    return (
+        (np.multiply, entries[0], state, products[0]),
+        (np.multiply, entries[1], state, products[1]),
+        (np.add, products[stays, 0], products[stays, 1], state[stays]),
+        (np.add, flat[1][body_from], flat[2][body_from], flat[0][body_to]),
+        (np.add, rows[1][wrap_from], rows[2][wrap_from], rows[0][wrap_to]),
+    )
 
 
-def _entries(coin: np.ndarray, shape: tuple[int, ...]) -> tuple:
-    """The entries (c00, c01, c10, c11) of each coin of a (B, 2, 2) stack,
-    each copied to a contiguous array of the row ``shape``, whose
-    second-to-last axis is the batch's (or of length 1, for B = 1).
+def _run(plan: tuple) -> None:
+    """Run one half-step: the calls of its plan (``_half_step``), in order."""
+    for ufunc, a, b, out in plan:
+        ufunc(a, b, out)
 
-    A walk copies its coins once, so that every multiply in
-    ``_half_step`` is between contiguous arrays of equal shape, numpy's
-    fastest path: at 8 rows of 16 sites it took 0.6 us against 1.3 us for
-    a (B, 1) column or a stride-0 view, and on one row of 129 sites 0.6 us
-    against 1.1 us for a (1, 1)-column view. Rows of tens of thousands of
-    elements pay for the copies in memory traffic instead: one row of
-    65536 sites took 137 us per multiply against 61 us for a stride-0
-    view, and a full-ring ``evolve`` on 2**12 to 2**16 sites 1.3 to 2.0
-    times the time of Python scalar coins (timed on one core of a 2-core
-    Xeon, numpy 2.4). No benchmark workload steps rows that long.
+
+def _entries(coin: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The entries of each coin of a (B, 2, 2) stack, copied once to one
+    C-contiguous (2, 2, B, w) array for rows of ``shape`` (B, w): element
+    [r, c, b, x] is coin b's entry in row r and column c, so that each
+    coin row ``[r]`` is laid out like a (2, B, w) state, which
+    ``_half_step`` multiplies it by.
+
+    That multiply is then one call on three contiguous arrays of equal
+    shape, numpy's fastest path: broadcasting one state row across both
+    coin rows instead took about twice as long, at one row of 129 sites
+    and at 8 rows of 15. Rows of tens of thousands of sites pay for the
+    copies and the product buffer in memory traffic instead: a full-ring
+    ``evolve`` on 2**12 to 2**16 sites took 0.98 to 1.28 times as long as
+    with eight calls and three temporaries per half-step (timed on one
+    core of a 2-core Xeon, numpy 2.4). No benchmark workload steps rows
+    that long.
     """
-    out = np.empty((4,) + shape, dtype=np.complex128)
-    # Each entry as a (B, 1) column, broadcast along the sites.
-    columns = coin.reshape(-1, 4).T[..., None]
-    for k in range(4):
-        out[k] = columns[k]
-    return out[0], out[1], out[2], out[3]
+    out = np.empty((2, 2) + shape, dtype=np.complex128)
+    out[...] = coin.transpose(1, 2, 0)[..., None]
+    return out
 
 
 class _Walk(NamedTuple):
@@ -352,9 +380,10 @@ def _walk(
     stacked as (B, 2, 2) arrays, and check the result.
 
     Only the start's ``_light_cone`` of ``steps`` steps is stepped: its
-    sites are gathered and repeated into a (2, B, w) batch. If ``record``,
-    the forward pass also keeps the 2 * steps states that enter its coins,
-    which is all that ``_adjoint_sweep`` needs of it.
+    sites are gathered and broadcast to a (2, B, w) batch, which
+    ``_steps_in_place`` copies once. If ``record``, the forward pass also
+    keeps the 2 * steps states that enter its coins, which is all that
+    ``_adjoint_sweep`` needs of it.
 
     This is where every walk is checked, once: a non-finite amplitude
     raises ValueError, and a row whose norm moved from the start's by more
@@ -363,8 +392,8 @@ def _walk(
     """
     sites = _light_cone(init, steps)
     start = init.amps[:, sites]
-    batch = np.repeat(start[:, None], len(coin1), axis=1)
-    states = np.empty((steps, len(start[0]), 2, 2, len(coin1)), dtype=np.complex128) if record else None
+    batch = np.broadcast_to(start[:, None], (2, len(coin1), len(sites)))
+    states = np.empty((steps, len(sites), 2, 2, len(coin1)), dtype=np.complex128) if record else None
     final = _steps_in_place(batch, coin1, coin2, steps, states)
     if not np.all(np.isfinite(final.view(np.float64))):
         raise ValueError("amplitudes must be finite")
@@ -387,32 +416,38 @@ def _ring_walk(state: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: 
 
 
 def _steps_in_place(
-    out: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int, states: np.ndarray | None = None
+    batch: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int, states: np.ndarray | None = None
 ) -> np.ndarray:
-    """Run ``steps`` split steps in place on a (2, B, w) batch under
-    (B, 2, 2) coin stacks, and return it.
+    """Run ``steps`` split steps on a (2, B, w) batch under (B, 2, 2) coin
+    stacks, and return the result.
 
-    Each step is two half-steps: coin1 with the up row moving right, then
-    coin2 with the down row moving left. If a record ``states`` is given,
-    the batch is copied into it as it enters each coin, ``states[i, :, :,
-    0]`` before step i's coin1 and ``states[i, :, :, 1]`` before its
-    coin2: its axes are step, site, coin row, coin and batch row, so
-    (steps, w, 2, 2, B), the layout ``_accumulators`` reads. Nothing is
-    validated here: ``_walk`` passes amplitudes from a ``WalkerState`` and
-    unitary coins, and checks what comes back. A step equals the composed
-    public operators bit for bit.
+    The steps run in place on a C-contiguous copy of ``batch`` that this
+    call owns, so the batch may be any array of that shape, a broadcast
+    view too. Each step is two half-steps, each planned once
+    (``_half_step``): coin1 with the up row moving right, then coin2 with
+    the down row moving left. If a record ``states`` is given, the batch
+    is copied into it as it enters each coin, ``states[i, :, :, 0]``
+    before step i's coin1 and ``states[i, :, :, 1]`` before its coin2: its
+    axes are step, site, coin row, coin and batch row, so (steps, w, 2, 2,
+    B), the layout ``_accumulators`` reads. Nothing is validated here:
+    ``_walk`` passes amplitudes from a ``WalkerState`` and unitary coins,
+    and checks what comes back. A step equals the composed public
+    operators bit for bit.
     """
-    up, dn = out
-    c1, c2 = _entries(coin1, up.shape), _entries(coin2, up.shape)
+    out = np.array(batch, dtype=np.complex128, order="C")
+    shape = out.shape[1:]
+    products = np.empty((2, 2) + shape, dtype=np.complex128)
+    first = _half_step(out, _entries(coin1, shape), products, move_up=True, right=True)
+    second = _half_step(out, _entries(coin2, shape), products, move_up=False, right=False)
     # The record as (steps, coin, 2, B, w): each coin's slot shaped like out.
     into = None if states is None else states.transpose(0, 3, 2, 4, 1)
     for i in range(steps):
         if into is not None:
             into[i, 0] = out
-        _half_step(up, dn, c1, move_up=True, right=True)
+        _run(first)
         if into is not None:
             into[i, 1] = out
-        _half_step(up, dn, c2, move_up=False, right=False)
+        _run(second)
     return out
 
 
@@ -451,21 +486,25 @@ def _adjoint_sweep(
     moves in from its ends one site a step, so it only reaches sites where
     psi_in is zero.
     """
-    lam = np.empty_like(seed)
+    lam = np.empty(seed.shape, dtype=np.complex128)
     up, dn = lam
     # The last step's S_minus undone: it has no later coin to undo first.
     up[...] = seed[0]
     _move(dn, seed[1], right=True)
     lams = np.empty_like(states)
     into = lams.transpose(0, 3, 2, 4, 1)
-    inv1 = _entries(np.swapaxes(coin1, -1, -2).conj(), up.shape)
-    inv2 = _entries(np.swapaxes(coin2, -1, -2).conj(), up.shape)
+    shape = lam.shape[1:]
+    products = np.empty((2, 2) + shape, dtype=np.complex128)
+    inv1 = _entries(np.swapaxes(coin1, -1, -2).conj(), shape)
+    inv2 = _entries(np.swapaxes(coin2, -1, -2).conj(), shape)
+    back2 = _half_step(lam, inv2, products, move_up=True, right=False)
+    back1 = _half_step(lam, inv1, products, move_up=False, right=True)
     for i in reversed(range(len(states))):
         np.conjugate(lam, out=into[i, 1])
-        _half_step(up, dn, inv2, move_up=True, right=False)
+        _run(back2)
         np.conjugate(lam, out=into[i, 0])
         if i:
-            _half_step(up, dn, inv1, move_up=False, right=True)
+            _run(back1)
     return _accumulators(lams, states, sites)
 
 

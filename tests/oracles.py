@@ -56,6 +56,21 @@ def coin_stack_ref(angles) -> tuple[np.ndarray, np.ndarray]:
     return np.array(coins, dtype=np.complex128), np.array(derivatives, dtype=np.complex128)
 
 
+def half_step_ref(state: np.ndarray, coin: np.ndarray, move_up: bool, right: bool) -> np.ndarray:
+    """Half of a split step on a (2, B, w) state under a (B, 2, 2) coin
+    stack, as a new array: each new coin row c[r, 0] * up + c[r, 1] * dn,
+    with the coin's entries copied to full (B, w) arrays and each product
+    written entry first, then the up row if ``move_up``, else the down
+    row, rolled one site right if ``right``, else left, by np.roll.
+    """
+    up, dn = np.asarray(state, dtype=np.complex128)
+    c = [[np.repeat(coin[:, r, k, None], up.shape[-1], axis=-1) for k in (0, 1)] for r in (0, 1)]
+    rows = [c[r][0] * up + c[r][1] * dn for r in (0, 1)]
+    moved = 0 if move_up else 1
+    rows[moved] = np.roll(rows[moved], 1 if right else -1, axis=-1)
+    return np.stack(rows)
+
+
 def roll_matrix(m: int, k: int) -> np.ndarray:
     """Permutation R with R|x> = |x + k mod m>."""
     r = np.zeros((m, m))

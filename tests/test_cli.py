@@ -287,10 +287,14 @@ def test_train_mse_gate(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [("train", "--max-iters", "20", "--seed", "-1"),
-     ("gen-target", "--kind", "normal", "--samples", "100", "--seed", "-3")],
+     ("gen-target", "--kind", "normal", "--samples", "100", "--seed", "-3"),
+     ("gen-target", "--kind", "normal", "--analytic", "--seed", "-3"),
+     ("gen-target", "--kind", "bs", "--s0", "2", "--k", "2", "--r", "0.05", "--sigma", "0.4",
+      "--t", "40", "--seed", "-3")],
 )
 def test_negative_seed_exit2(tmp_path, capsys, argv):
-    # numpy's own "expected non-negative integer" names no flag.
+    # numpy's own "expected non-negative integer" names no flag. An
+    # analytic or BS target draws no samples, but its --seed is checked too.
     target = gen_normal_target(tmp_path)
     out = tmp_path / "r.json"
     capsys.readouterr()
@@ -821,6 +825,16 @@ def test_repro_outdir_is_a_file_exit2(tmp_path, capsys):
     outdir.write_text("")
     code = run("repro", "--outdir", str(outdir), "--max-iters", "1")
     assert_usage_error(capsys, code, str(outdir))
+
+
+@pytest.mark.parametrize("option", [("--seed", "-1"), ("--max-iters", "0")])
+def test_repro_bad_option_leaves_no_outdir(tmp_path, capsys, option):
+    # The options are checked before --outdir is made.
+    outdir = tmp_path / "d"
+    code = run("repro", "--outdir", str(outdir), *option)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])

@@ -830,15 +830,16 @@ def test_windowed_sweep_gradient_equals_full_ring():
     np.testing.assert_array_equal(np.sort(sites), np.flatnonzero(p))
     [value], [grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
     widths = []
-    half_step = walk._half_step
+    run = walk._run
 
-    def recording(up, dn, *args, **kwargs):
-        widths.append(up.shape[-1])
-        return half_step(up, dn, *args, **kwargs)
+    def recording(plan):
+        # A half-step's third call writes the row that stays, (B, w).
+        widths.append(plan[2][3].shape[-1])
+        return run(plan)
 
     with (
         mock.patch.object(walk, "_light_cone", lambda state, steps: np.arange(state.num_positions)),
-        mock.patch.object(walk, "_half_step", recording),
+        mock.patch.object(walk, "_run", recording),
     ):
         [full_value], [full_grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
         # Forward pass and sweep (one half-step fewer: the last step's

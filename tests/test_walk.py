@@ -477,19 +477,75 @@ def test_adjoint_sweep_runs_only_the_light_cone():
     params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
     rng = np.random.default_rng(43)
     widths = []
-    half_step = walk._half_step
+    run = walk._run
 
-    def recording(up, dn, *args, **kwargs):
-        widths.append(up.shape[-1])
-        return half_step(up, dn, *args, **kwargs)
+    def recording(plan):
+        # A half-step's third call writes the row that stays, (B, w).
+        widths.append(plan[2][3].shape[-1])
+        return run(plan)
 
     for n, site, steps in ((16, 1 << 15, 64), (4, 8, 7), (6, 32, 10), (10, (1 << 10) - 2, 20)):
         m = 1 << n
         target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
         init = initial_state(n, 1.0, 0.0, site)
-        with mock.patch.object(walk, "_half_step", recording):
+        with mock.patch.object(walk, "_run", recording):
             _mse_and_gradient(params.to_array()[None], target, WalkSchedule(steps), init)
     assert widths == [129] * 255 + [15] * 27 + [21] * 39 + [41] * 79
+
+
+@st.composite
+def half_step_cases(draw):
+    """A (2, B, w) state and a (B, 2, 2) stack of unitary coins, B in 1..9
+    and w in 2..40, from a seed."""
+    b, w = draw(st.integers(1, 9)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rng.normal(size=(2, b, w)) + 1j * rng.normal(size=(2, b, w))
+    coins = walk._coin_stacks(rng.uniform(0.0, 2.0 * math.pi, (b, 3)))[0]
+    return state, coins
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=half_step_cases(), move_up=st.booleans(), right=st.booleans())
+def test_half_step_plan_equals_the_two_term_expressions(case, move_up, right):
+    # Every planned half-step, the forward ones (up right, down left) and
+    # the sweep's (up left, down right), against the reference bit for bit.
+    state, coins = case
+    want = oracles.half_step_ref(state, coins, move_up, right)
+    got = state.copy()
+    products = np.empty((2,) + got.shape, dtype=np.complex128)
+    plan = walk._half_step(got, walk._entries(coins, got.shape[1:]), products, move_up, right)
+    walk._run(plan)
+    assert got.tobytes() == want.tobytes()
+    # Run again, the same views step the state the plan was built on.
+    walk._run(plan)
+    assert got.tobytes() == oracles.half_step_ref(want, coins, move_up, right).tobytes()
+    # A state that is not C-contiguous would be flattened into copies.
+    entries = walk._entries(coins, state.shape[1:])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        walk._half_step(np.asfortranarray(state), entries, products, move_up, right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=half_step_cases(), copied=st.booleans())
+def test_broadcast_batches_step_like_contiguous_ones(case, copied):
+    # _walk passes a batch broadcast from the start; np.array of such a view
+    # keeps its strides and, for B > 1, is writeable but not C-contiguous.
+    # Either way the steps run on a copy of their own, which equals the
+    # reference, and the batch is left as it was.
+    state, coins = case
+    batch = np.broadcast_to(state[:, :1], state.shape)
+    if copied:
+        batch = np.array(batch)
+        assert batch.flags.c_contiguous == (batch.shape[1] == 1)
+    before = batch.copy()
+    coins2 = coins[::-1]
+    want = batch
+    for _ in range(2):
+        want = oracles.half_step_ref(want, coins, move_up=True, right=True)
+        want = oracles.half_step_ref(want, coins2, move_up=False, right=False)
+    got = walk._steps_in_place(batch, coins, coins2, 2)
+    assert got.tobytes() == want.tobytes()
+    assert batch.tobytes() == before.tobytes()
 
 
 def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
