@@ -4,6 +4,9 @@ For each coin the walker starts at the center site and evolves for a fixed
 number of steps from three initial coin states: up, down, and the balanced
 superposition (|up> + i|down>)/sqrt(2). One CSV per coin, one probability
 column per initial state, ready for plotting.
+
+A plain walk step is a split step whose second coin is the identity, so
+each profile is one ``evolve`` under that pair.
 """
 
 import argparse
@@ -16,10 +19,13 @@ from ssqw import (
     PAULI_X_COIN,
     PAULI_Y_COIN,
     PAULI_Z_COIN,
-    apply_dtqw_step,
+    SsqwParams,
+    WalkSchedule,
+    evolve,
     initial_state,
     position_distribution,
 )
+from ssqw.target import _bin_table_csv
 
 COINS = {
     "hadamard": HADAMARD_COIN,
@@ -38,9 +44,7 @@ INITS = {
 
 def profile(coin, n, steps, alpha, beta):
     state = initial_state(n, alpha, beta, 2 ** (n - 1))
-    for _ in range(steps):
-        state = apply_dtqw_step(state, coin)
-    return position_distribution(state)
+    return position_distribution(evolve(state, SsqwParams(coin, IDENTITY_COIN), WalkSchedule(steps)))
 
 
 def main() -> int:
@@ -61,11 +65,7 @@ def main() -> int:
         }
         path = os.path.join(args.outdir, f"dtqw_{name}_t{args.steps}.csv")
         with open(path, "w") as fh:
-            fh.write("position,p_up,p_down,p_balanced\n")
-            for x in range(m):
-                fh.write(
-                    f"{x},{dists['up'][x]!r},{dists['down'][x]!r},{dists['balanced'][x]!r}\n"
-                )
+            fh.write(_bin_table_csv(["position", *(f"p_{label}" for label in INITS)], *dists.values()))
         peak = int(dists["balanced"].argmax()) - m // 2
         print(f"{name:9s} wrote {path} (balanced-init peak at center{peak:+d})")
     return 0

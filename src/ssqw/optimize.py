@@ -161,15 +161,15 @@ def _mse_and_gradient(
     """
     _check_finite_angles(angles)
     b = len(angles)
-    # All coin1s, then all coin2s, as the rows of one (2B, 3) array.
-    coins, dcoins = _coin_stacks(angles.reshape(b, 2, 3).swapaxes(0, 1).reshape(2 * b, 3))
-    coin1, coin2 = coins[:b], coins[b:]
+    # Each row's coin1, then its coin2, as the rows of one (2B, 3) array.
+    coins, dcoins = _coin_stacks(angles.reshape(2 * b, 3))
+    coin1, coin2 = coins[0::2], coins[1::2]
     values, run, d = _scores(coin1, coin2, target, schedule, init, record=True)
     seed = (2.0 / target.n_bins) * d * run.final
-    # (coin, row, 1, 2, 2) accumulators against (coin, row, angle, 2, 2) derivatives.
-    g = _adjoint_sweep(run.states, seed, coin1, coin2, run.sites)[:, :, None]
-    grad = 2.0 * np.real(np.sum(dcoins.reshape(2, b, 3, 2, 2) * g, axis=(3, 4)))
-    return values, grad.swapaxes(0, 1).reshape(b, 6)
+    # (row, coin, 1, 2, 2) accumulators against (row, coin, angle, 2, 2) derivatives.
+    g = _adjoint_sweep(run.states, seed, coin1, coin2).swapaxes(0, 1)[:, :, None]
+    grad = 2.0 * np.real(np.sum(dcoins.reshape(b, 2, 3, 2, 2) * g, axis=(3, 4)))
+    return values, grad.reshape(b, 6)
 
 
 def _reach_floor(
@@ -247,16 +247,15 @@ class TrainingResult:
 
 def _adjoint_bfgs(
     x0: np.ndarray, config: OptimizerConfig
-) -> Generator[tuple[int, np.ndarray], tuple[float, np.ndarray], str]:
+) -> Generator[np.ndarray, tuple[float, np.ndarray], tuple[str, int]]:
     """One restart of BFGS on exact gradients with Armijo backtracking.
 
     A generator, so that train() can run every restart in lockstep: it
-    yields ``(charge, x)`` for each point it needs, the forward
-    evaluations to charge and the free angles, is sent back ``(f, g)``,
+    yields each point it needs, the free angles, is sent back ``(f, g)``,
     the MSE and its gradient by the free angles there, and returns its
-    stop reason. Its sequence of points depends only on the values sent
-    back, so running restarts in lockstep or one after another gives the
-    same result.
+    stop reason and the forward evaluations charged to it. Its sequence
+    of points depends only on the values sent back, so running restarts in
+    lockstep or one after another gives the same result.
 
     The first direction is minus the gradient; later ones come from the
     inverse-Hessian estimate, scaled at its first update by s.y / y.y. No
@@ -266,14 +265,15 @@ def _adjoint_bfgs(
     value-and-gradient call would take the restart past ``max_iters``,
     "short-step" when a trial step would be shorter than
     ``final_trust_radius``, and "no-descent" when the direction is not one
-    of descent. A budget below one gradient call buys the start value
-    alone, charged one evaluation, and stops for "budget".
+    of descent. Each point is charged ``EVALS_PER_GRADIENT``, except that
+    a budget below that buys the start value alone, charged one
+    evaluation, and stops for "budget".
     """
     if config.max_iters < EVALS_PER_GRADIENT:
-        yield 1, x0
-        return "budget"
+        yield x0
+        return "budget", 1
     x = x0
-    f, g = yield EVALS_PER_GRADIENT, x
+    f, g = yield x
     charged = EVALS_PER_GRADIENT
     h = None  # inverse-Hessian estimate, set at the first curvature update
     eye = np.eye(x.size)
@@ -281,7 +281,7 @@ def _adjoint_bfgs(
         d = -g if h is None else -(h @ g)
         slope = float(g @ d)
         if not slope < 0.0:
-            return "no-descent"
+            return "no-descent", charged
         norm = math.sqrt(float(d @ d))
         if norm > config.initial_trust_radius:
             scale = config.initial_trust_radius / norm
@@ -289,11 +289,11 @@ def _adjoint_bfgs(
         t = 1.0
         while True:
             if t * norm < config.final_trust_radius:
-                return "short-step"
+                return "short-step", charged
             if charged + EVALS_PER_GRADIENT > config.max_iters:
-                return "budget"
+                return "budget", charged
             x_new = x + t * d
-            f_new, g_new = yield EVALS_PER_GRADIENT, x_new
+            f_new, g_new = yield x_new
             charged += EVALS_PER_GRADIENT
             if f_new <= f + _ARMIJO * t * slope:
                 break
@@ -341,7 +341,8 @@ def train(
     full evaluation history. Ties between restarts go to the earlier one.
     The metadata's ``stop_reasons`` names why each restart run stopped, as
     ``_adjoint_bfgs`` returns it, or "exact" for a restart that reached an
-    MSE of exactly 0, after which no further restart counts.
+    MSE of exactly 0, after which no further restart counts, and its
+    ``evals_per_restart`` the evaluations ``_adjoint_bfgs`` charged each.
 
     The restarts run in lockstep, one batched value-and-gradient call per
     round; restarts after an exact hit are computed and then discarded.
@@ -360,26 +361,24 @@ def train(
     rng = np.random.default_rng(config.seed)
     starts = [x_init] + [rng.uniform(0.0, TWO_PI, x_init.size) for _ in range(config.restarts - 1)]
 
-    # Lockstep rounds: one batched call evaluates the pending (charge, x)
-    # of every live restart, and each gets its (f, g) back.
+    # Lockstep rounds: one batched call evaluates the pending point of
+    # every live restart, and each gets its (f, g) back.
     runs = [_adjoint_bfgs(np.asarray(x0, dtype=np.float64), config) for x0 in starts]
     pending = {r: next(run) for r, run in enumerate(runs)}
     evaluated: list[list[tuple[np.ndarray, float]]] = [[] for _ in runs]
-    charged = [0] * len(runs)
-    reasons = [""] * len(runs)
+    stopped: list[tuple[str, int]] = [("", 0)] * len(runs)
     while pending:
         live = list(pending)
-        points = [pending[r][1] for r in live]
+        points = [pending.pop(r) for r in live]
         angles = np.zeros((len(live), 6))
         angles[:, free] = points
         values, grads = _mse_and_gradient(angles, target, config.steps, init)
         for r, x, f, g in zip(live, points, values, grads):
-            charged[r] += pending.pop(r)[0]
             evaluated[r].append((x, f))
             try:
                 pending[r] = runs[r].send((f, g[free]))
             except StopIteration as stop:
-                reasons[r] = stop.value
+                stopped[r] = stop.value
 
     # Everything below reads the restarts in order, as if each had run
     # alone after the one before it.
@@ -387,16 +386,16 @@ def train(
     best_val, best_x, best_restart = math.inf, x_init, 0
     evals_per_restart: list[int] = []
     stop_reasons: list[str] = []
-    for r, points in enumerate(evaluated):
+    for r, (points, (reason, charged)) in enumerate(zip(evaluated, stopped)):
         for x, f in points:
             history.append(f)
             if f < best_val:
                 best_val, best_x, best_restart = f, x, r
-        evals_per_restart.append(charged[r])
+        evals_per_restart.append(charged)
         if best_val == 0.0:
             stop_reasons.append("exact")
             break
-        stop_reasons.append(reasons[r])
+        stop_reasons.append(reason)
 
     best_angles = np.zeros(6)
     best_angles[free] = best_x

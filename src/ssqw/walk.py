@@ -31,10 +31,13 @@ gradient accumulators. Where a row moves is known in one place,
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
 light cone first-t..last+t. One rule, ``_light_cone``, decides which sites
-a walk steps: that cone, whenever it is narrower than the ring, else the
-whole ring as the window 0..M-1. This is exact, not a truncation: every
-site outside the cone stays an exact zero in the full-ring run too, and
-nothing reaches the cone's ends, so its own wrap-around only moves zeros.
+a walk steps, and in which order: that cone, whenever it is narrower than
+the ring, else the whole ring as the window 0..M-1, its sites in ring
+order. A cone that wraps past site 0 is the same cyclic sequence rotated
+to start there, and everything that reads a window reads it in that order.
+This is exact, not a truncation: every site outside the cone stays an
+exact zero in the full-ring run too, and nothing reaches the cone's ends,
+so its own wrap-around only moves zeros.
 A ``WalkerState`` caches its arc (``WalkerState._arc``), so a start is
 scanned once, and the cone is arithmetic on that arc.
 
@@ -44,12 +47,13 @@ it, and checks the result once: finite amplitudes, and each row's norm
 kept against the start's. ``evolve`` and the one-step operators are its
 B = 1 case, scattered onto the ring; the MSE objective scores its batch
 in place. A value-and-gradient call steps the same cone and records the
-2t states that enter its coins; the sweep runs back on that window from
-the record, and rebuilds no state. That is exact too: the gradient reads
-the adjoint state at step i only where the state entering a coin can be
-non-zero, within the start's cone of i steps (i + 1 for C2), and the
-window's wrap-around, moving in from its ends one site a step, never gets
-there. Every row shares the start, and so its cone. Each row is stepped
+2t states that enter its coins, in a (steps, coin, 2, B, w) record laid
+out like those states; the sweep runs back on that window from the record,
+and rebuilds no state. That is exact too: the gradient reads the adjoint
+state at step i only where the state entering a coin can be non-zero,
+within the start's cone of i steps (i + 1 for C2), and the window's
+wrap-around, moving in from its ends one site a step, never gets there.
+Every row shares the start, and so its cone. Each row is stepped
 by the same half-steps as it would be alone, so its result equals its own
 B = 1 call bit for bit.
 
@@ -273,21 +277,23 @@ def _move(dst: np.ndarray, src: np.ndarray, right: bool) -> None:
 
 def _light_cone(state: WalkerState, steps: int) -> np.ndarray:
     """The light cone of ``steps`` steps from ``state``, as ring indices
-    in walk order.
+    in ring order.
 
     With ``first`` and ``span`` the state's cached arc
     (``WalkerState._arc``), the cone is ``first - steps`` to
     ``first + span - 1 + steps`` (mod M). Each step moves an amplitude by
     -1, 0 or +1 site, so no site outside the cone is ever non-zero. When
     the cone covers the ring, or no site is occupied, it is the whole ring
-    as the window 0..M-1.
+    as the window 0..M-1. A cone that wraps past site 0 is the same cyclic
+    sequence of sites rotated to start there, so stepped as a ring each
+    site keeps its two neighbours.
     """
     m = state.num_positions
     # A state with no occupied site has no arc: take the whole ring.
     first, span = state._arc or (0, m)
     if span + 2 * steps >= m:
         return np.arange(m)
-    return np.arange(first - steps, first + span + steps) % m
+    return np.sort(np.arange(first - steps, first + span + steps) % m)
 
 
 def _half_step(
@@ -364,7 +370,7 @@ class _Walk(NamedTuple):
 
     # The final amplitudes, (2, B, w).
     final: np.ndarray
-    # The w ring sites stepped, in walk order.
+    # The w ring sites stepped, in ring order.
     sites: np.ndarray
     # Each row's position distribution, (B, w), and its sum, (B,).
     probs: np.ndarray
@@ -393,7 +399,7 @@ def _walk(
     sites = _light_cone(init, steps)
     start = init.amps[:, sites]
     batch = np.broadcast_to(start[:, None], (2, len(coin1), len(sites)))
-    states = np.empty((steps, len(sites), 2, 2, len(coin1)), dtype=np.complex128) if record else None
+    states = np.empty((steps, 2, 2, len(coin1), len(sites)), dtype=np.complex128) if record else None
     final = _steps_in_place(batch, coin1, coin2, steps, states)
     if not np.all(np.isfinite(final.view(np.float64))):
         raise ValueError("amplitudes must be finite")
@@ -426,27 +432,24 @@ def _steps_in_place(
     view too. Each step is two half-steps, each planned once
     (``_half_step``): coin1 with the up row moving right, then coin2 with
     the down row moving left. If a record ``states`` is given, the batch
-    is copied into it as it enters each coin, ``states[i, :, :, 0]``
-    before step i's coin1 and ``states[i, :, :, 1]`` before its coin2: its
-    axes are step, site, coin row, coin and batch row, so (steps, w, 2, 2,
-    B), the layout ``_accumulators`` reads. Nothing is validated here:
-    ``_walk`` passes amplitudes from a ``WalkerState`` and unitary coins,
-    and checks what comes back. A step equals the composed public
-    operators bit for bit.
+    is copied into it as it enters each coin, ``states[i, 0]`` before step
+    i's coin1 and ``states[i, 1]`` before its coin2: its axes are step and
+    coin, then those of the state, so (steps, 2, 2, B, w). Nothing is
+    validated here: ``_walk`` passes amplitudes from a ``WalkerState`` and
+    unitary coins, and checks what comes back. A step equals the composed
+    public operators bit for bit.
     """
     out = np.array(batch, dtype=np.complex128, order="C")
     shape = out.shape[1:]
     products = np.empty((2, 2) + shape, dtype=np.complex128)
     first = _half_step(out, _entries(coin1, shape), products, move_up=True, right=True)
     second = _half_step(out, _entries(coin2, shape), products, move_up=False, right=False)
-    # The record as (steps, coin, 2, B, w): each coin's slot shaped like out.
-    into = None if states is None else states.transpose(0, 3, 2, 4, 1)
     for i in range(steps):
-        if into is not None:
-            into[i, 0] = out
+        if states is not None:
+            states[i, 0] = out
         _run(first)
-        if into is not None:
-            into[i, 1] = out
+        if states is not None:
+            states[i, 1] = out
         _run(second)
     return out
 
@@ -455,23 +458,21 @@ def _steps_in_place(
 _TERMS_BYTES = 1 << 22
 
 
-def _adjoint_sweep(
-    states: np.ndarray, seed: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, sites: np.ndarray
-) -> np.ndarray:
+def _adjoint_sweep(states: np.ndarray, seed: np.ndarray, coin1: np.ndarray, coin2: np.ndarray) -> np.ndarray:
     """Reverse sweep for the coin gradients of a real loss L of the final
     state of ``_walk``.
 
     ``states`` is the record of the states psi_in that entered the coins
-    of a ``_walk`` under (B, 2, 2) coin stacks (``_steps_in_place``), on
-    its w ``sites``, and ``seed`` is the adjoint lambda of L at the final
-    (2, B, w) state psi, so that dL = 2 Re sum(conj(lambda) * d psi). The
-    sweep undoes the last step's S_minus by moving the down row back
-    right, then carries lambda alone back through ``_half_step`` with
-    C-dagger and the opposite moves: C2-dagger with the up row moving back
-    left, then C1-dagger with the down row moving back right, which undoes
-    the step before. It records conj(lambda_out), lambda as it leaves each
-    coin of the forward pass, in the same layout, and one contraction of
-    the two records (``_accumulators``) gives
+    of a ``_walk`` under (B, 2, 2) coin stacks (``_steps_in_place``), and
+    ``seed`` is the adjoint lambda of L at the final (2, B, w) state psi,
+    so that dL = 2 Re sum(conj(lambda) * d psi). The sweep undoes the last
+    step's S_minus by moving the down row back right, then carries lambda
+    alone back through ``_half_step`` with C-dagger and the opposite
+    moves: C2-dagger with the up row moving back left, then C1-dagger with
+    the down row moving back right, which undoes the step before. It
+    records conj(lambda_out), lambda as it leaves each coin of the forward
+    pass, in the same layout, and one contraction of the two records
+    (``_accumulators``) gives
 
         G_k = sum over steps and sites of conj(lambda_out) psi_in^T
 
@@ -492,7 +493,6 @@ def _adjoint_sweep(
     up[...] = seed[0]
     _move(dn, seed[1], right=True)
     lams = np.empty_like(states)
-    into = lams.transpose(0, 3, 2, 4, 1)
     shape = lam.shape[1:]
     products = np.empty((2, 2) + shape, dtype=np.complex128)
     inv1 = _entries(np.swapaxes(coin1, -1, -2).conj(), shape)
@@ -500,33 +500,31 @@ def _adjoint_sweep(
     back2 = _half_step(lam, inv2, products, move_up=True, right=False)
     back1 = _half_step(lam, inv1, products, move_up=False, right=True)
     for i in reversed(range(len(states))):
-        np.conjugate(lam, out=into[i, 1])
+        np.conjugate(lam, out=lams[i, 1])
         _run(back2)
-        np.conjugate(lam, out=into[i, 0])
+        np.conjugate(lam, out=lams[i, 0])
         if i:
             _run(back1)
-    return _accumulators(lams, states, sites)
+    return _accumulators(lams, states)
 
 
-def _accumulators(lam: np.ndarray, psi: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """The sum over steps i and sites x of lam[i, x, :, k, b] times
-    psi[i, x, :, k, b]^T for each coin k and batch row b of two records
-    laid out as ``_steps_in_place`` writes them, (steps, w, 2, 2, B), as a
+def _accumulators(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The sum over steps i and sites x of lam[i, k, :, b, x] times
+    psi[i, k, :, b, x]^T for each coin k and batch row b of two records
+    laid out as ``_steps_in_place`` writes them, (steps, 2, 2, B, w), as a
     (2, B, 2, 2) array.
 
     The terms are added one at a time, steps in order and each step's
-    ``sites`` in ring order, by np.add.reduce over the leading axis. A sum
-    that starts at +0 never becomes -0, so the exact zeros of a wider
-    window add nothing, and a window's sums equal the full ring's bit for
-    bit. A pairwise or BLAS sum, whose order moves with the window's width
-    and offset, does not. At most ``_TERMS_BYTES`` of terms are held at
-    once: a long record is summed a chunk of steps at a time, each chunk
-    after the running sum.
+    sites in ring order, the window's, by np.add.reduce over the leading
+    axis. A sum that starts at +0 never becomes -0, so the exact zeros of
+    a wider window add nothing, and a window's sums equal the full ring's
+    bit for bit. A pairwise or BLAS sum, whose order moves with the
+    window's width and offset, does not. At most ``_TERMS_BYTES`` of terms
+    are held at once: a long record is summed a chunk of steps at a time,
+    each chunk after the running sum.
     """
-    if sites[0] > sites[-1]:
-        # A window that wraps past site 0, in ring order.
-        order = np.argsort(sites)
-        lam, psi = lam[:, order], psi[:, order]
+    # The records as (step, site, coin row, coin, batch row).
+    lam, psi = lam.transpose(0, 4, 2, 1, 3), psi.transpose(0, 4, 2, 1, 3)
     steps, w, _, _, b = psi.shape
     # Terms (step and site, lam's row, psi's row, coin, batch row).
     lam_cols = lam[:, :, :, None]

@@ -880,3 +880,24 @@ def test_unknown_flag_usage_error(tmp_path):
     assert run("gen-target", "--kind", "normal", "--bogus", "1") == 2
     # train --optimizer was removed along with the Nelder-Mead choice.
     assert run("train", "--target", "t.json", "--optimizer", "adjoint-bfgs") == 2
+
+
+def test_profile_script_writes_numeric_csv(tmp_path):
+    # Every cell of every profile parses as a number: repr of a numpy
+    # float would write np.float64(...).
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_dtqw_profiles.py"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, str(script), "--qubits", "3", "--steps", "2", "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert [p.name for p in paths] == [f"dtqw_{c}_t2.csv" for c in ("hadamard", "pauli_x", "pauli_z")]
+    for path in paths:
+        header, *rows = path.read_text().splitlines()
+        assert header == "position,p_up,p_down,p_balanced"
+        table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+        assert table.shape == (8, 4)
+        np.testing.assert_array_equal(table[:, 0], np.arange(8))
+        np.testing.assert_allclose(table[:, 1:].sum(axis=0), 1.0, rtol=0, atol=1e-12)
