@@ -257,16 +257,21 @@ def cmd_train(args: argparse.Namespace) -> int:
         CoinParams(args.theta1, args.phi1, args.lam1),
         CoinParams(args.theta2, args.phi2, args.lam2),
     )
-    config = OptimizerConfig(
-        max_iters=args.max_iters,
-        initial_params=params0,
-        steps=WalkSchedule(args.steps),
-        initial_trust_radius=args.rhobeg,
-        final_trust_radius=args.rhoend,
-        symmetric_mode=args.symmetric,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    try:
+        config = OptimizerConfig(
+            max_iters=args.max_iters,
+            initial_params=params0,
+            steps=WalkSchedule(args.steps),
+            initial_trust_radius=args.rhobeg,
+            final_trust_radius=args.rhoend,
+            symmetric_mode=args.symmetric,
+            restarts=args.restarts,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        # Name the flags that set the trust radii, not the config fields.
+        message = str(exc).replace("initial_trust_radius", "--rhobeg").replace("final_trust_radius", "--rhoend")
+        raise ValueError(message) from exc
     init = _build_init(args, target.n_bins)
     result = _fit(target, config, *_out_paths(args, "result.json"), init)
     if args.mse_gate is not None and result.best_mse > args.mse_gate:
@@ -421,6 +426,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _mse_gate(text: str) -> float:
+    """A finite gate of 0 or more: no MSE passes a negative gate."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssqw",
@@ -464,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
             t.add_argument(f"--{angle}{k}", type=float, default=getattr(coin, angle))
     t.add_argument("--x0", type=int, default=None, help="start site; default: centre of the ring")
     t.add_argument("--coin-init", choices=["up", "balanced"], default=None)
-    t.add_argument("--mse-gate", type=_finite_float, default=None, help="exit 1 if best MSE lands above this")
+    t.add_argument("--mse-gate", type=_mse_gate, default=None, help="exit 1 if best MSE lands above this")
     t.set_defaults(func=cmd_train)
 
     p = sub.add_parser("price", help="evaluate call payoffs for target and trained distributions")

@@ -15,18 +15,22 @@ localized start is a light cone of the start alone: outside it the
 walk's probabilities are exact zeros, so each bin there costs q^2, and
 the MSE equals that of the M-site distribution bit for bit. A value and
 a value-and-gradient call step the same window, the start's cone of the
-walk's steps. The gradient's forward pass records the states that enter
-its coins, and its adjoint sweep runs back on that window from them, so
-its gradients equal those of the same formula on the whole ring bit for
-bit. Only the results a caller gets back as M-site arrays (evolve's
-state, train's ``trained_dist``) are built on the whole ring.
+walk's steps. The gradient runs on a ``walk._RecordedWalk``, whose
+forward pass records the states that enter its coins and whose adjoint
+sweep runs back on that window from them, so its gradients equal those of
+the same formula on the whole ring bit for bit. Only the results a caller
+gets back as M-site arrays (evolve's state, train's ``trained_dist``) are
+built on the whole ring.
 
 The restarts are independent, so train() runs them in lockstep: each
 round evaluates the pending point of every live restart in one batched
 value-and-gradient call, which steps all of them through the walk kernel
 and the adjoint sweep together. Each row of that call equals its own
 single call bit for bit, so results equal running the restarts one after
-another.
+another. The recorded walk is built once per fit, with a row per
+restart, and called every round; a stopped restart's row idles on its
+last point until the live rows are half of the rows or fewer, when the
+walk is rebuilt with the live rows alone.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ from .target import TargetDistribution
 from .walk import (
     SsqwParams,
     WalkSchedule,
-    _adjoint_sweep,
     _check_finite_angles,
     _coin_pair,
     _coin_stacks,
     _light_cone,
+    _RecordedWalk,
     _Walk,
     _walk,
     evolve,
@@ -62,10 +66,10 @@ MSE_SUM_TOL = 1e-6
 OPTIMIZER_NAME = "adjoint-bfgs"
 
 # Forward evaluations that one value-and-gradient call is charged against
-# max_iters. The forward pass plus the reverse sweep measured 1.1-3.0
-# forward passes at 4, 10 and 16 position qubits (centre start, 7 steps,
-# numpy 2.4, one core of a 2-core Xeon), and the charge must not be below
-# that.
+# max_iters. One call on train's recorded walk measured 1.1-1.3 objective()
+# calls at 4, 10 and 16 position qubits (one row, centre start, 7 steps,
+# numpy 2.4, one pinned core of a 2-core Xeon), and the charge must not be
+# below that. It stays 4: a new charge would change every result.
 EVALS_PER_GRADIENT = 4
 
 # Sufficient-decrease constant of the adjoint-bfgs line search.
@@ -100,41 +104,32 @@ def objective(
     M-site state is built. Pure function of its arguments; evaluating
     twice gives bitwise equal results.
     """
-    return _scores(*_coin_pair(params), target, schedule, init)[0][0]
+    return _scores(_walk(init, *_coin_pair(params), schedule.steps), target, init)[0][0]
 
 
-def _scores(
-    coin1: np.ndarray,
-    coin2: np.ndarray,
-    target: TargetDistribution,
-    schedule: WalkSchedule,
-    init: WalkerState,
-    record: bool = False,
-) -> tuple[list[float], _Walk, np.ndarray]:
-    """The walk from ``init`` under each of B coin pairs, stacked as
-    (B, 2, 2) arrays, and its MSE against the target.
+def _scores(run: _Walk, target: TargetDistribution, init: WalkerState) -> tuple[list[float], np.ndarray]:
+    """The MSE against the target of a walk from ``init`` under B coin
+    pairs, ``walk._walk``'s or a ``walk._RecordedWalk``'s.
 
-    Returns the B values, the ``walk._walk`` result (its states entering
-    each coin kept if ``record``) and the differences p - q of its
-    distributions from the target (B, w), on the w sites of the light cone
-    it stepped. Outside the cone every amplitude stays an exact zero, so
-    p = 0 there and each squared difference is q^2 bit for bit; the values
-    equal ``mse`` of each row's M-site distribution. ``_walk`` checks the
-    amplitudes and their norm; the check kept here is that of ``mse``, each
-    row's probabilities summing to 1 (the target's sum is checked when it
-    is built).
+    Returns the B values and the differences p - q of its distributions
+    from the target (B, w), on the w sites of the light cone it stepped.
+    Outside the cone every amplitude stays an exact zero, so p = 0 there
+    and each squared difference is q^2 bit for bit; the values equal
+    ``mse`` of each row's M-site distribution. The walk checked the
+    amplitudes and their norm; the checks kept here are that the start
+    has one site per bin and that of ``mse``, each row's probabilities
+    summing to 1 (the target's sum is checked when it is built).
     """
     n = target.n_bins
     if init.num_positions != n:
         raise ValueError(f"initial state has {init.num_positions} positions but target has {n} bins")
-    run = _walk(init, coin1, coin2, schedule.steps, record)
     if not np.all(np.abs(run.norms - 1.0) <= MSE_SUM_TOL):
         raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
     q = target.probs
     d = run.probs - q[run.sites]
     dd = np.multiply(q, q, out=np.empty((len(d), n)))
     dd[:, run.sites] = d * d
-    return np.mean(dd, axis=-1).tolist(), run, d
+    return np.mean(dd, axis=-1).tolist(), d
 
 
 def _mse_and_gradient(
@@ -147,15 +142,28 @@ def _mse_and_gradient(
     ``SsqwParams.to_array`` order, at each row of a (B, 6) float64 angle
     array: a list of B values and a (B, 6) array of gradients.
 
-    The B sets run as one batch through ``_scores``, which gives each
-    objective()'s value and checks bit for bit, on the same light cone
-    that objective() steps. Its forward pass records the states entering
-    each coin, and one adjoint sweep back through the steps (Jones &
-    Gacon, arXiv:2009.02823), seeded with lambda = (2/n)(p - q) psi, where
-    p is the walk's distribution, q the target and n the number of bins,
-    gives the gradients from them on that cone (see ``walk``). A row's
-    gradient equals that of a one-row call, and that of the same formula
-    on the whole ring, bit for bit.
+    Builds the recorded walk of B rows from ``init`` and calls it once
+    (``_values_and_gradients``); train() builds one and calls it every
+    round.
+    """
+    return _values_and_gradients(_RecordedWalk(init, schedule.steps, len(angles)), angles, target, init)
+
+
+def _values_and_gradients(
+    recorded: _RecordedWalk, angles: np.ndarray, target: TargetDistribution, init: WalkerState
+) -> tuple[list[float], np.ndarray]:
+    """``_mse_and_gradient`` at the rows of ``angles`` on a recorded walk
+    from ``init`` built for as many rows.
+
+    The B sets run as one batch: the walk's forward pass is scored by
+    ``_scores``, which gives each objective()'s value and checks bit for
+    bit, on the same light cone that objective() steps. One adjoint sweep
+    back through the steps (Jones & Gacon, arXiv:2009.02823), seeded with
+    lambda = (2/n)(p - q) psi, where p is the walk's distribution, q the
+    target and n the number of bins, gives the gradients on that cone from
+    the states the forward pass recorded (see ``walk``). A row's gradient
+    equals that of a one-row call, and that of the same formula on the
+    whole ring, bit for bit.
 
     A non-finite angle raises the ValueError that ``CoinParams`` raises.
     """
@@ -163,11 +171,9 @@ def _mse_and_gradient(
     b = len(angles)
     # Each row's coin1, then its coin2, as the rows of one (2B, 3) array.
     coins, dcoins = _coin_stacks(angles.reshape(2 * b, 3))
-    coin1, coin2 = coins[0::2], coins[1::2]
-    values, run, d = _scores(coin1, coin2, target, schedule, init, record=True)
-    seed = (2.0 / target.n_bins) * d * run.final
+    values, d = _scores(recorded.forward(coins.reshape(b, 2, 2, 2)), target, init)
     # (row, coin, 1, 2, 2) accumulators against (row, coin, angle, 2, 2) derivatives.
-    g = _adjoint_sweep(run.states, seed, coin1, coin2).swapaxes(0, 1)[:, :, None]
+    g = recorded.sweep((2.0 / target.n_bins) * d).swapaxes(0, 1)[:, :, None]
     grad = 2.0 * np.real(np.sum(dcoins.reshape(b, 2, 3, 2, 2) * g, axis=(3, 4)))
     return values, grad.reshape(b, 6)
 
@@ -345,8 +351,9 @@ def train(
     ``evals_per_restart`` the evaluations ``_adjoint_bfgs`` charged each.
 
     The restarts run in lockstep, one batched value-and-gradient call per
-    round; restarts after an exact hit are computed and then discarded.
-    The result equals that of running them one after another.
+    round on one recorded walk, rebuilt at most log2(restarts) times as
+    restarts stop; restarts after an exact hit are computed and then
+    discarded. The result equals that of running them one after another.
     """
     if config is None:
         config = OptimizerConfig()
@@ -362,21 +369,31 @@ def train(
     starts = [x_init] + [rng.uniform(0.0, TWO_PI, x_init.size) for _ in range(config.restarts - 1)]
 
     # Lockstep rounds: one batched call evaluates the pending point of
-    # every live restart, and each gets its (f, g) back.
+    # every live restart, and each gets its (f, g) back. The call runs on
+    # one recorded walk, built once, whose row i belongs to restart
+    # rows[i]. A stopped restart's row stays on its last point and its
+    # output is dropped, until the live rows are half of the rows or fewer:
+    # then the walk is rebuilt with the live rows alone.
     runs = [_adjoint_bfgs(np.asarray(x0, dtype=np.float64), config) for x0 in starts]
     pending = {r: next(run) for r, run in enumerate(runs)}
     evaluated: list[list[tuple[np.ndarray, float]]] = [[] for _ in runs]
     stopped: list[tuple[str, int]] = [("", 0)] * len(runs)
+    rows = list(pending)
+    angles = np.zeros((len(rows), 6))
+    recorded = _RecordedWalk(init, config.steps.steps, len(rows))
     while pending:
-        live = list(pending)
-        points = [pending.pop(r) for r in live]
-        angles = np.zeros((len(live), 6))
-        angles[:, free] = points
-        values, grads = _mse_and_gradient(angles, target, config.steps, init)
-        for r, x, f, g in zip(live, points, values, grads):
-            evaluated[r].append((x, f))
+        if 2 * len(pending) <= len(rows):
+            keep = [i for i, r in enumerate(rows) if r in pending]
+            rows, angles = [rows[i] for i in keep], angles[keep]
+            recorded = _RecordedWalk(init, config.steps.steps, len(rows))
+        live = [(i, r, pending.pop(r)) for i, r in enumerate(rows) if r in pending]
+        for i, _, x in live:
+            angles[i, free] = x
+        values, grads = _values_and_gradients(recorded, angles, target, init)
+        for i, r, x in live:
+            evaluated[r].append((x, values[i]))
             try:
-                pending[r] = runs[r].send((f, g[free]))
+                pending[r] = runs[r].send((values[i], grads[i, free]))
             except StopIteration as stop:
                 stopped[r] = stop.value
 

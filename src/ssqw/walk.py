@@ -15,18 +15,22 @@ half-shifts with no coin in between reproduces the plain shift exactly.
 
 One half-step moves the amplitudes of every walk the package runs: a
 coin on both coin rows, then one row shifted one site by slicing. Each
-walk plans its half-steps once (``_half_step``): five in-place ufunc calls
-on views of the state, its coins and one product buffer, which ``_run``
-makes on every step with no temporaries and no new views. The forward
-kernel runs each split step as two of them (C1 with the up row moving
-right, C2 with the down row moving left), and can record the state that
-enters each coin. The adjoint sweep that gives the coin gradients
-carries the adjoint state alone back through the same half-step, with
-the conjugate-transposed coins and the opposite moves, and one
-contraction of its record with the forward record gives both coins'
-gradient accumulators. Where a row moves is known in one place,
-``_shifts``, which the plans and the public ``apply_shift_*`` operators
-(through ``_move``) take their shifted views from.
+walk plans its half-steps once (``_half_step``): five ufunc calls on
+views of a source state, a destination, its coins and one product
+buffer, which ``_run`` makes on every step with no temporaries and no
+new views. The forward kernel runs each split step as two of them (C1
+with the up row moving right, C2 with the down row moving left), in place
+on one state. The gradient's walk, ``_RecordedWalk``, is built once per
+fit: it plans every half-step of its forward pass and of the adjoint
+sweep out of place, each from one slot of a record into the next, so the
+states that enter the coins and the adjoint states that leave them are
+recorded as they are stepped, with no copy. The sweep carries the adjoint
+state alone back through the same half-step, with the conjugate-transposed
+coins and the opposite moves, and one contraction of its record with the
+forward record gives both coins' gradient accumulators. Where a row moves
+is known in one place, ``_shifts``, which the plans and the public
+``apply_shift_*`` operators (through ``_move``) take their shifted views
+from.
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
@@ -41,15 +45,16 @@ so its own wrap-around only moves zeros.
 A ``WalkerState`` caches its arc (``WalkerState._arc``), so a start is
 scanned once, and the cone is arithmetic on that arc.
 
-One entry, ``_walk``, owns every walk. It takes B coin pairs stacked as
-(B, 2, 2) arrays, copies the start's cone into a (2, B, w) batch, steps
-it, and checks the result once: finite amplitudes, and each row's norm
-kept against the start's. ``evolve`` and the one-step operators are its
-B = 1 case, scattered onto the ring; the MSE objective scores its batch
-in place. A value-and-gradient call steps the same cone and records the
-2t states that enter its coins, in a (steps, coin, 2, B, w) record laid
-out like those states; the sweep runs back on that window from the record,
-and rebuilds no state. That is exact too: the gradient reads the adjoint
+One entry, ``_walk``, owns every unrecorded walk. It takes B coin pairs
+stacked as (B, 2, 2) arrays, copies the start's cone into a (2, B, w)
+batch, steps it, and checks the result once (``_checked``): finite
+amplitudes, and each row's norm kept against the start's. ``evolve`` and
+the one-step operators are its B = 1 case, scattered onto the ring; the
+MSE objective scores its batch in place. A value-and-gradient call steps
+the same cone in a ``_RecordedWalk``, which is checked by the same rule;
+its forward record holds the 2t states that enter the coins and the
+final state, and the sweep runs back on that window from the record, and
+rebuilds no state. That is exact too: the gradient reads the adjoint
 state at step i only where the state entering a coin can be non-zero,
 within the start's cone of i steps (i + 1 for C2), and the window's
 wrap-around, moving in from its ends one site a step, never gets there.
@@ -64,8 +69,9 @@ one np.sin call, and ``_coins`` evaluates the scalar formula on them into
 gives a parameter set's two coins as (1, 2, 2) stacks); ``_coin_stacks``
 adds their (K, 3, 2, 2) angle derivatives for the gradient. Each walk
 copies its coins' entries once to one contiguous (2, 2, B, w) array
-(``_entries``), so that each half-step multiplies each coin row by the
-whole (2, B, w) state in one call on contiguous arrays of equal shape.
+(``_entries``; a ``_RecordedWalk`` refills its own on each call), so that
+each half-step multiplies each coin row by the whole (2, B, w) state in
+one call on contiguous arrays of equal shape.
 """
 
 from __future__ import annotations
@@ -297,16 +303,18 @@ def _light_cone(state: WalkerState, steps: int) -> np.ndarray:
 
 
 def _half_step(
-    state: np.ndarray, entries: np.ndarray, products: np.ndarray, move_up: bool, right: bool
+    src: np.ndarray, dst: np.ndarray, entries: np.ndarray, products: np.ndarray, move_up: bool, right: bool
 ) -> tuple:
-    """Plan half of a split step on a (2, B, w) ``state``, in place: a
-    coin on both coin rows, then one row moved one site around the ring.
+    """Plan half of a split step from a (2, B, w) state ``src`` into
+    ``dst``: a coin on both coin rows, then one row moved one site around
+    the ring. An unrecorded walk passes one array as both and steps it in
+    place; a recorded walk steps from one slot of its record into the next.
 
     ``entries`` is the coin stack as ``_entries`` lays it out, and
     ``products`` a (2, 2, B, w) buffer. The plan is five calls
     (ufunc, a, b, out), made in order by ``_run``, on views built here once:
 
-    1. and 2. ``products[r] = entries[r] * state``, coin row r times both
+    1. and 2. ``products[r] = entries[r] * src``, coin row r times both
        coin rows of the state, for r = 0 and 1;
     3. the row r that stays, ``products[r, 0] + products[r, 1]``;
     4. the moved row's body, the same sum on the flattened B * w buffers,
@@ -314,24 +322,25 @@ def _half_step(
        row's first site (last, moving left) from its neighbour's last;
     5. the B sites that wrap around, which overwrites those.
 
-    The up row moves if ``move_up``, else the down row, right if
+    ``src`` is read only by the first two calls, so ``dst`` may be
+    ``src``. The up row moves if ``move_up``, else the down row, right if
     ``right``, else left. Each new amplitude is ``c[r, 0] * up + c[r, 1]
     * dn`` with ``apply_coin``'s operand order, up to the order of the
     two terms of an exact-rounded sum, so bit for bit. A flattened view of
-    a state that is not C-contiguous would be a copy, so such a state is
+    a ``dst`` that is not C-contiguous would be a copy, so such a state is
     refused.
     """
-    if not state.flags.c_contiguous:
+    if not dst.flags.c_contiguous:
         raise ValueError("a half-step plan needs a C-contiguous state")
     moves, stays = (0, 1) if move_up else (1, 0)
     (body_to, body_from), (wrap_to, wrap_from) = _shifts(right)
     # The moved row and its two terms, and their flattened views.
-    rows = state[moves], products[moves, 0], products[moves, 1]
+    rows = dst[moves], products[moves, 0], products[moves, 1]
     flat = [row.reshape(-1) for row in rows]
     return (
-        (np.multiply, entries[0], state, products[0]),
-        (np.multiply, entries[1], state, products[1]),
-        (np.add, products[stays, 0], products[stays, 1], state[stays]),
+        (np.multiply, entries[0], src, products[0]),
+        (np.multiply, entries[1], src, products[1]),
+        (np.add, products[stays, 0], products[stays, 1], dst[stays]),
         (np.add, flat[1][body_from], flat[2][body_from], flat[0][body_to]),
         (np.add, rows[1][wrap_from], rows[2][wrap_from], rows[0][wrap_to]),
     )
@@ -366,7 +375,7 @@ def _entries(coin: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 class _Walk(NamedTuple):
-    """What ``_walk`` returns for a batch of B rows stepped on w sites."""
+    """What a walk returns for a batch of B rows stepped on w sites."""
 
     # The final amplitudes, (2, B, w).
     final: np.ndarray
@@ -375,40 +384,43 @@ class _Walk(NamedTuple):
     # Each row's position distribution, (B, w), and its sum, (B,).
     probs: np.ndarray
     norms: np.ndarray
-    # The states that entered the coins, if recorded (``_steps_in_place``).
-    states: np.ndarray | None
 
 
-def _walk(
-    init: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int, record: bool = False
-) -> _Walk:
-    """Run ``steps`` split steps from ``init`` under each of B coin pairs,
-    stacked as (B, 2, 2) arrays, and check the result.
+def _norm_sq(amps: np.ndarray) -> float:
+    """The squared norm of a start's amplitudes, against which every
+    walk from it is checked."""
+    return float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
 
-    Only the start's ``_light_cone`` of ``steps`` steps is stepped: its
-    sites are gathered and broadcast to a (2, B, w) batch, which
-    ``_steps_in_place`` copies once. If ``record``, the forward pass also
-    keeps the 2 * steps states that enter its coins, which is all that
-    ``_adjoint_sweep`` needs of it.
 
-    This is where every walk is checked, once: a non-finite amplitude
-    raises ValueError, and a row whose norm moved from the start's by more
-    than 1e-10 per step (relative to max(1, norm)) raises ArithmeticError,
-    which ``python -O`` does not strip.
-    """
-    sites = _light_cone(init, steps)
-    start = init.amps[:, sites]
-    batch = np.broadcast_to(start[:, None], (2, len(coin1), len(sites)))
-    states = np.empty((steps, 2, 2, len(coin1), len(sites)), dtype=np.complex128) if record else None
-    final = _steps_in_place(batch, coin1, coin2, steps, states)
+def _checked(final: np.ndarray, sites: np.ndarray, n0: float, steps: int) -> _Walk:
+    """The ``_Walk`` of a final (2, B, w) batch stepped ``steps`` steps on
+    ``sites`` from a start of squared norm ``n0``, checked once: a
+    non-finite amplitude raises ValueError, and a row whose norm moved
+    from ``n0`` by more than 1e-10 per step (relative to max(1, n0))
+    raises ArithmeticError, which ``python -O`` does not strip. Every
+    walk, recorded or not, is checked here."""
     if not np.all(np.isfinite(final.view(np.float64))):
         raise ValueError("amplitudes must be finite")
-    n0 = float(np.sum(start.real * start.real + start.imag * start.imag))
     probs = _position_probs(final)
     norms = probs.sum(axis=-1)
     if not np.all(np.abs(norms - n0) <= 1e-10 * steps * max(1.0, n0)):
         raise ArithmeticError(f"{steps} steps moved the norm from {n0!r} to {norms.tolist()!r}")
-    return _Walk(final, sites, probs, norms, states)
+    return _Walk(final, sites, probs, norms)
+
+
+def _walk(init: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> _Walk:
+    """Run ``steps`` split steps from ``init`` under each of B coin pairs,
+    stacked as (B, 2, 2) arrays, and check the result (``_checked``).
+
+    Only the start's ``_light_cone`` of ``steps`` steps is stepped: its
+    sites are gathered and broadcast to a (2, B, w) batch, which
+    ``_steps_in_place`` copies once. A walk that the gradient needs
+    recorded is a ``_RecordedWalk`` instead.
+    """
+    sites = _light_cone(init, steps)
+    start = init.amps[:, sites]
+    batch = np.broadcast_to(start[:, None], (2, len(coin1), len(sites)))
+    return _checked(_steps_in_place(batch, coin1, coin2, steps), sites, _norm_sq(start), steps)
 
 
 def _ring_walk(state: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> WalkerState:
@@ -421,123 +433,180 @@ def _ring_walk(state: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: 
     return WalkerState(out)
 
 
-def _steps_in_place(
-    batch: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int, states: np.ndarray | None = None
-) -> np.ndarray:
+def _steps_in_place(batch: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
     """Run ``steps`` split steps on a (2, B, w) batch under (B, 2, 2) coin
     stacks, and return the result.
 
     The steps run in place on a C-contiguous copy of ``batch`` that this
     call owns, so the batch may be any array of that shape, a broadcast
     view too. Each step is two half-steps, each planned once
-    (``_half_step``): coin1 with the up row moving right, then coin2 with
-    the down row moving left. If a record ``states`` is given, the batch
-    is copied into it as it enters each coin, ``states[i, 0]`` before step
-    i's coin1 and ``states[i, 1]`` before its coin2: its axes are step and
-    coin, then those of the state, so (steps, 2, 2, B, w). Nothing is
-    validated here: ``_walk`` passes amplitudes from a ``WalkerState`` and
-    unitary coins, and checks what comes back. A step equals the composed
-    public operators bit for bit.
+    (``_half_step``) on that copy as both source and destination: coin1
+    with the up row moving right, then coin2 with the down row moving
+    left. Nothing is validated here: ``_walk`` passes amplitudes from a
+    ``WalkerState`` and unitary coins, and checks what comes back. A step
+    equals the composed public operators bit for bit.
     """
     out = np.array(batch, dtype=np.complex128, order="C")
     shape = out.shape[1:]
     products = np.empty((2, 2) + shape, dtype=np.complex128)
-    first = _half_step(out, _entries(coin1, shape), products, move_up=True, right=True)
-    second = _half_step(out, _entries(coin2, shape), products, move_up=False, right=False)
-    for i in range(steps):
-        if states is not None:
-            states[i, 0] = out
+    first = _half_step(out, out, _entries(coin1, shape), products, move_up=True, right=True)
+    second = _half_step(out, out, _entries(coin2, shape), products, move_up=False, right=False)
+    for _ in range(steps):
         _run(first)
-        if states is not None:
-            states[i, 1] = out
         _run(second)
     return out
 
 
-# The most bytes of accumulator terms ``_accumulators`` holds at once.
-_TERMS_BYTES = 1 << 22
+# The most bytes of accumulator terms, and as many of their products, that
+# a ``_RecordedWalk`` holds at once. Both buffers then stay in a core's
+# cache: at 256 bins x 64 steps x 8 rows the reduce took about half the
+# time it took with 4 MiB of terms made by one strided multiply (one core
+# of a 2-core Xeon, 2 MiB of L2 per core, numpy 2.4).
+_TERMS_BYTES = 1 << 18
 
 
-def _adjoint_sweep(states: np.ndarray, seed: np.ndarray, coin1: np.ndarray, coin2: np.ndarray) -> np.ndarray:
-    """Reverse sweep for the coin gradients of a real loss L of the final
-    state of ``_walk``.
+class _RecordedWalk:
+    """The forward walk and the adjoint sweep behind the coin gradients of
+    a real loss L of the final state, for B rows of coin pairs from
+    ``init``, built once and called once per set of coins.
 
-    ``states`` is the record of the states psi_in that entered the coins
-    of a ``_walk`` under (B, 2, 2) coin stacks (``_steps_in_place``), and
-    ``seed`` is the adjoint lambda of L at the final (2, B, w) state psi,
-    so that dL = 2 Re sum(conj(lambda) * d psi). The sweep undoes the last
-    step's S_minus by moving the down row back right, then carries lambda
-    alone back through ``_half_step`` with C-dagger and the opposite
-    moves: C2-dagger with the up row moving back left, then C1-dagger with
-    the down row moving back right, which undoes the step before. It
-    records conj(lambda_out), lambda as it leaves each coin of the forward
-    pass, in the same layout, and one contraction of the two records
-    (``_accumulators``) gives
+    Construction does all the set-up, for the start's ``_light_cone`` of
+    ``steps`` steps, w sites, which every row shares:
 
-        G_k = sum over steps and sites of conj(lambda_out) psi_in^T
+    - the forward record ``states``, (2 * steps + 1, 2, B, w): slot 2i + k
+      holds the state that enters coin k (0 for C1, 1 for C2) of step i,
+      and the last slot the final state. The start is written into slot 0
+      here, once;
+    - the adjoint record ``lams``, (2 * steps, 2, B, w): slot 2i + k holds
+      the adjoint lambda as it leaves coin k of step i;
+    - the (2, 2, 2, B, w) entry arrays of the coins and of their conjugate
+      transposes, coin k first, each laid out as ``_entries`` lays out a
+      stack, and one product buffer;
+    - every half-step plan (``_half_step``), each stepping out of place
+      from one record slot into the next: 2 * steps forward, C1 with the
+      up row moving right and C2 with the down row moving left, and
+      2 * steps - 1 back, C2-dagger with the up row moving back left and
+      C1-dagger with the down row moving back right;
+    - the accumulator terms and their products, at most ``_TERMS_BYTES``
+      of each, and the views of both records that fill them.
 
-    at coin k, for which dL/da = 2 Re sum(dC_k/da * G_k) for each angle a
-    of coin k, as a (2, B, 2, 2) array: G_1 then G_2.
+    A call then only refills the entries, runs the plans and reduces.
+    ``forward`` steps coin pairs from the start and checks the result
+    (``_checked``); ``sweep`` then gives their gradient accumulators for
+    a seed. Each row is stepped by the same half-steps as it would be
+    alone, so its results equal a one-row walk's bit for bit, and rows
+    do not mix: a row's coins may stay as they were across calls.
 
-    The sweep runs on the w sites ``_walk`` stepped, the start's cone of
-    ``steps`` steps, as a ring. That is exact if ``seed`` is zero wherever
-    psi is, as the MSE's (2/n)(p - q) psi is. At step i psi_in lies within
-    the start's cone of i steps (of i + 1 for coin2), and lambda there
-    depends only on lambda one site further out. The window's wrap-around
-    moves in from its ends one site a step, so it only reaches sites where
-    psi_in is zero.
+    The records take 32 (4 * steps + 1) B w bytes.
     """
-    lam = np.empty(seed.shape, dtype=np.complex128)
-    up, dn = lam
-    # The last step's S_minus undone: it has no later coin to undo first.
-    up[...] = seed[0]
-    _move(dn, seed[1], right=True)
-    lams = np.empty_like(states)
-    shape = lam.shape[1:]
-    products = np.empty((2, 2) + shape, dtype=np.complex128)
-    inv1 = _entries(np.swapaxes(coin1, -1, -2).conj(), shape)
-    inv2 = _entries(np.swapaxes(coin2, -1, -2).conj(), shape)
-    back2 = _half_step(lam, inv2, products, move_up=True, right=False)
-    back1 = _half_step(lam, inv1, products, move_up=False, right=True)
-    for i in reversed(range(len(states))):
-        np.conjugate(lam, out=lams[i, 1])
-        _run(back2)
-        np.conjugate(lam, out=lams[i, 0])
-        if i:
-            _run(back1)
-    return _accumulators(lams, states)
 
+    def __init__(self, init: WalkerState, steps: int, rows: int) -> None:
+        self.steps = steps
+        self.sites = _light_cone(init, steps)
+        start = init.amps[:, self.sites]
+        self.n0 = _norm_sq(start)
+        shape = (rows, len(self.sites))
+        self.states = np.empty((2 * steps + 1, 2) + shape, dtype=np.complex128)
+        self.states[0] = start[:, None]
+        self.lams = np.empty((2 * steps, 2) + shape, dtype=np.complex128)
+        self.entries = np.empty((2, 2, 2) + shape, dtype=np.complex128)
+        self.inverse = np.empty_like(self.entries)
+        self.products = np.empty((2, 2) + shape, dtype=np.complex128)
+        # Slot j is followed by slot j + 1 forward, and by slot j - 1 back.
+        # Both walks alternate coins, and an even slot enters or leaves C1.
+        states, lams, products = self.states, self.lams, self.products
+        self.forward_plans = [
+            _half_step(states[j], states[j + 1], self.entries[j % 2], products, j % 2 == 0, j % 2 == 0)
+            for j in range(2 * steps)
+        ]
+        self.back_plans = [
+            _half_step(lams[j], lams[j - 1], self.inverse[j % 2], products, j % 2 == 1, j % 2 == 0)
+            for j in range(2 * steps - 1, 0, -1)
+        ]
+        self._plan_terms(steps, *shape)
 
-def _accumulators(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The sum over steps i and sites x of lam[i, k, :, b, x] times
-    psi[i, k, :, b, x]^T for each coin k and batch row b of two records
-    laid out as ``_steps_in_place`` writes them, (steps, 2, 2, B, w), as a
-    (2, B, 2, 2) array.
+    def _plan_terms(self, steps: int, b: int, w: int) -> None:
+        """The terms of ``sweep``'s reduce, lam[i, k, :, b, x] times
+        psi[i, k, :, b, x]^T for each step i, coin k, batch row b and
+        site x, a chunk of steps at a time: one multiply of the records as
+        they lie, sites last, then one copy of its products into ``terms``, as (step and site, lam's row, psi's row, coin,
+        batch row). Row 0 of ``terms`` holds the running sum, and a
+        chunk's terms follow it."""
+        # (step, coin, lam's row, -, batch row, site) and
+        # (step, coin, -, psi's row, batch row, site).
+        lam = self.lams.reshape(steps, 2, 2, b, w)[:, :, :, None]
+        psi = self.states[:-1].reshape(steps, 2, 2, b, w)[:, :, None]
+        chunk = max(1, min(steps, _TERMS_BYTES // (w * 8 * b * 16)))
+        made = np.empty((chunk, 2, 2, 2, b, w), dtype=np.complex128)
+        self.terms = np.zeros((1 + chunk * w, 2, 2, 2, b), dtype=np.complex128)
+        self.term_chunks = []
+        for i in range(0, steps, chunk):
+            n = min(chunk, steps - i)
+            out = self.terms[1 : 1 + n * w].reshape(n, w, 2, 2, 2, b)
+            moved = made[:n].transpose(0, 5, 2, 3, 1, 4)
+            self.term_chunks.append((lam[i : i + n], psi[i : i + n], made[:n], moved, out, self.terms[: 1 + n * w]))
 
-    The terms are added one at a time, steps in order and each step's
-    sites in ring order, the window's, by np.add.reduce over the leading
-    axis. A sum that starts at +0 never becomes -0, so the exact zeros of
-    a wider window add nothing, and a window's sums equal the full ring's
-    bit for bit. A pairwise or BLAS sum, whose order moves with the
-    window's width and offset, does not. At most ``_TERMS_BYTES`` of terms
-    are held at once: a long record is summed a chunk of steps at a time,
-    each chunk after the running sum.
-    """
-    # The records as (step, site, coin row, coin, batch row).
-    lam, psi = lam.transpose(0, 4, 2, 1, 3), psi.transpose(0, 4, 2, 1, 3)
-    steps, w, _, _, b = psi.shape
-    # Terms (step and site, lam's row, psi's row, coin, batch row).
-    lam_cols = lam[:, :, :, None]
-    psi_rows = psi[:, :, None]
-    chunk = max(1, min(steps, _TERMS_BYTES // (w * 8 * b * 16)))
-    # Row 0 holds the running sum, and the chunk's terms follow it.
-    terms = np.zeros((1 + chunk * w, 2, 2, 2, b), dtype=np.complex128)
-    for i in range(0, steps, chunk):
-        n = min(chunk, steps - i)
-        out = terms[1 : 1 + n * w].reshape(n, w, 2, 2, 2, b)
-        np.multiply(lam_cols[i : i + n], psi_rows[i : i + n], out=out)
-        terms[0] = np.add.reduce(terms[: 1 + n * w], axis=0)
-    return terms[0].transpose(2, 3, 0, 1)
+    def forward(self, coins: np.ndarray) -> _Walk:
+        """Step the start under each row's coin pair of a (B, 2, 2, 2)
+        stack, coin1 then coin2, recording the states that enter the
+        coins, and return the checked walk. Its ``final`` is the record's
+        last slot, which the next call overwrites."""
+        self.entries[...] = coins.transpose(1, 2, 3, 0)[..., None]
+        np.conjugate(coins.transpose(1, 3, 2, 0)[..., None], out=self.inverse)
+        for plan in self.forward_plans:
+            _run(plan)
+        return _checked(self.states[-1], self.sites, self.n0, self.steps)
+
+    def sweep(self, coef: np.ndarray) -> np.ndarray:
+        """Reverse sweep for the coin gradients of L after ``forward``.
+
+        The adjoint lambda of L at the final state psi is ``coef * psi``,
+        for a real ``coef`` of a shape that broadcasts to psi's, so that
+        dL = 2 Re sum(conj(lambda) * d psi). The sweep undoes the last
+        step's S_minus by moving the down row back right, then carries
+        lambda alone back through the planned half-steps, from each slot
+        of the adjoint record into the one before. The record is then
+        conjugated in place, so that slot 2i + k holds conj(lambda_out),
+        lambda as it left coin k of step i, and one contraction of the two
+        records gives
+
+            G_k = sum over steps and sites of conj(lambda_out) psi_in^T
+
+        at coin k, for which dL/da = 2 Re sum(dC_k/da * G_k) for each
+        angle a of coin k, as a (2, B, 2, 2) array: G_1 then G_2.
+
+        The sweep runs on the w sites ``forward`` stepped, the start's
+        cone of ``steps`` steps, as a ring. That is exact if lambda is zero
+        wherever psi is, as the MSE's (2/n)(p - q) psi is. At step i
+        psi_in lies within the start's cone of i steps (of i + 1 for
+        coin2), and lambda there depends only on lambda one site further
+        out. The window's wrap-around moves in from its ends one site a
+        step, so it only reaches sites where psi_in is zero.
+
+        The terms are added one at a time, steps in order and each step's
+        sites in ring order, the window's, by np.add.reduce over the
+        leading axis. A sum that starts at +0 never becomes -0, so the
+        exact zeros of a wider window add nothing, and a window's sums
+        equal the full ring's bit for bit. A pairwise or BLAS sum, whose
+        order moves with the window's width and offset, does not. A long
+        record is summed a chunk of steps at a time, each chunk after the
+        running sum.
+        """
+        seed = np.multiply(coef, self.states[-1], out=self.products[0])
+        lam = self.lams[-1]
+        # The last step's S_minus undone: it has no later coin to undo first.
+        lam[0] = seed[0]
+        _move(lam[1], seed[1], right=True)
+        for plan in self.back_plans:
+            _run(plan)
+        np.conjugate(self.lams, out=self.lams)
+        self.terms[0] = 0.0
+        for lam, psi, made, moved, out, summed in self.term_chunks:
+            np.multiply(lam, psi, out=made)
+            np.copyto(out, moved)
+            total = np.add.reduce(summed, axis=0)
+            self.terms[0] = total
+        return total.transpose(2, 3, 0, 1)
 
 
 def apply_dtqw_step(state: WalkerState, coin: CoinParams) -> WalkerState:

@@ -325,6 +325,31 @@ def test_train_flag_must_be_finite_exit2(tmp_path, capsys, flag, value, needle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gate", [("--mse-gate", "-1"), ("--mse-gate=-1e-300",)], ids=["-1", "-1e-300"])
+def test_train_negative_mse_gate_exit2(tmp_path, capsys, gate):
+    # No MSE can pass a negative gate, so it is refused before the fit, as
+    # a non-finite one is, instead of fitting the full budget to exit 1.
+    # argparse reads a separate "-1e-300" as an option, hence the = form.
+    target = gen_normal_target(tmp_path)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run("train", "--target", str(target), "--out", str(out), "--max-iters", "20", *gate)
+    err = capsys.readouterr().err
+    assert code == 2 and "error:" in err and "--mse-gate" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_trust_radii_name_their_flags_exit2(tmp_path, capsys):
+    # --rhoend must lie below --rhobeg; the message names those flags,
+    # not the config fields they fill.
+    target = gen_normal_target(tmp_path)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run("train", "--target", str(target), "--out", str(out), "--rhobeg", "1e-7", "--rhoend", "1e-6")
+    assert_usage_error(capsys, code, "--rhoend", "--rhobeg", "both finite")
+    assert not out.exists()
+
+
 def test_train_self_loading_gate_passes(tmp_path):
     params = SsqwParams(CoinParams(1.1, 0.4, 5.9), CoinParams(2.0, 0.9, 0.2))
     init = initial_state(4, 1.0, 0.0, 8)
@@ -340,6 +365,14 @@ def test_train_self_loading_gate_passes(tmp_path):
     )
     assert code == 0
     assert read_json(tmp_path / "r.json")["best_mse"] == 0.0
+    # A gate of 0 is valid, and an exact fit passes it.
+    code = run(
+        "train", "--target", str(tfile), "--out", str(tmp_path / "r0.json"),
+        "--theta1", "1.1", "--phi1", "0.4", "--lam1", "5.9",
+        "--theta2", "2.0", "--phi2", "0.9", "--lam2", "0.2",
+        "--restarts", "1", "--mse-gate", "0",
+    )
+    assert code == 0
 
 
 def test_train_repeat_seed_byte_identical(tmp_path):
@@ -796,8 +829,13 @@ def test_repro_equals_the_command_line_pipeline(tmp_path):
 
 def test_repro_optimiser_failure_exit5(tmp_path, capsys):
     # As train does, not exit 1, which reads as a missed --mse-gate.
-    kernel = walk._steps_in_place
-    with mock.patch.object(walk, "_steps_in_place", lambda out, *args: kernel(out, *args) * 1.1):
+    kernel = walk._half_step
+
+    def leaky(src, dst, *args, **kwargs):
+        # Every planned half-step, recorded or not, scales its output by 1.1.
+        return kernel(src, dst, *args, **kwargs) + ((np.multiply, dst, 1.1, dst),)
+
+    with mock.patch.object(walk, "_half_step", leaky):
         code = run("repro", "--outdir", str(tmp_path), "--max-iters", "4")
     assert code == 5
     assert "error: optimiser failed" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -192,19 +193,19 @@ def test_objective_equals_mse_of_the_full_ring_walk(fit, angles):
 
 
 def full_ring_mse_and_gradient(angles, target, schedule, init):
-    """_mse_and_gradient on M-site arrays: the walk scattered onto the
-    ring, mse() per row, and the sweep from the ring."""
+    """_mse_and_gradient on M-site arrays: the recorded walk on the window
+    0..M-1, mse() per row, and the sweep from the ring."""
     (coin1, dcoin1), (coin2, dcoin2) = (
         walk._coin_stacks(angles[:, :3]),
         walk._coin_stacks(angles[:, 3:]),
     )
-    amps = np.broadcast_to(init.amps[:, None], (2, len(angles), init.num_positions))
-    states = np.empty((schedule.steps, 2, 2, len(angles), init.num_positions), dtype=np.complex128)
-    final = walk._steps_in_place(np.array(amps), coin1, coin2, schedule.steps, states)
+    with mock.patch.object(walk, "_light_cone", lambda state, steps: np.arange(state.num_positions)):
+        ring = walk._RecordedWalk(init, schedule.steps, len(angles))
+    final = ring.forward(np.stack([coin1, coin2], axis=1)).final
+    assert final.shape[-1] == init.num_positions
     p = _position_probs(final)
     values = [mse(target.probs, row) for row in p]
-    seed = (2.0 / p.shape[-1]) * (p - target.probs) * final
-    g1, g2 = walk._adjoint_sweep(states, seed, coin1, coin2)
+    g1, g2 = ring.sweep((2.0 / p.shape[-1]) * (p - target.probs))
     grad = [2.0 * np.real(np.sum(d * g[:, None], axis=(2, 3))) for d, g in ((dcoin1, g1), (dcoin2, g2))]
     return values, np.concatenate(grad, axis=1)
 
@@ -332,9 +333,9 @@ def test_start_arc_is_found_once_per_state():
 
 
 def test_norm_checks_survive_python_O(tmp_path):
-    # Under -O, with the step kernel scaling the amplitudes by 1.1, every
-    # norm check still raises ArithmeticError: evolve's, the one-step
-    # operators', the objective's and the gradient's, all in walk._walk,
+    # Under -O, with every planned half-step scaling the amplitudes by 1.1,
+    # every norm check still raises ArithmeticError: evolve's, the one-step
+    # operators', the objective's and the gradient's, all in walk._checked,
     # and apply_coin's. ssqw train exits 5.
     # The script itself cannot use assert, which -O strips.
     code = f"""
@@ -344,14 +345,14 @@ from ssqw import *
 
 if __debug__:
     raise SystemExit("not run under -O")
-kernel = walk._steps_in_place
+kernel = walk._half_step
 
 
-def leaky(out, *args):
-    return kernel(out, *args) * 1.1
+def leaky(src, dst, *args, **kwargs):
+    return kernel(src, dst, *args, **kwargs) + ((np.multiply, dst, 1.1, dst),)
 
 
-walk._steps_in_place = leaky
+walk._half_step = leaky
 
 
 def raises_arithmetic(fn, *args):
@@ -537,11 +538,12 @@ def test_stop_reason_exact_ends_the_restarts():
 def test_stop_reason_no_descent_on_a_zero_gradient():
     target = ring_symmetric_target()
 
-    def flat(angles, target, schedule, init):
+    def flat(recorded, angles, target, init):
+        schedule = WalkSchedule(recorded.steps)
         values = [objective(SsqwParams.from_array(a), target, schedule, init) for a in angles]
         return values, np.zeros((len(angles), 6))
 
-    with mock.patch("ssqw.optimize._mse_and_gradient", flat):
+    with mock.patch("ssqw.optimize._values_and_gradients", flat):
         result = train(target, OptimizerConfig(max_iters=40, restarts=2, seed=1))
     assert result.metadata["stop_reasons"] == ["no-descent"] * 2
     assert result.metadata["evals_per_restart"] == [EVALS_PER_GRADIENT] * 2
@@ -649,6 +651,76 @@ def test_lockstep_restarts_equal_sequential_runs():
     wide = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
     config = OptimizerConfig(max_iters=100, restarts=3, seed=7, steps=WalkSchedule(8))
     _assert_lockstep_equals_sequential(wide, config, initial_state(10, 0.6, 0.8j, m - 9))
+    # Restarts that stop in different rounds, so that train() narrows its
+    # gradient walk (test_train_narrows_its_recorded_walk_to_the_live_rows).
+    target = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
+    _assert_lockstep_equals_sequential(target, OptimizerConfig(max_iters=800, restarts=3, seed=1))
+
+
+@contextlib.contextmanager
+def recorded_walk_widths():
+    """Record the number of rows of every recorded walk train() builds."""
+    widths = []
+    build = optimize._RecordedWalk
+
+    def recording(init, steps, rows):
+        widths.append(rows)
+        return build(init, steps, rows)
+
+    with mock.patch.object(optimize, "_RecordedWalk", recording):
+        yield widths
+
+
+def test_train_narrows_its_recorded_walk_to_the_live_rows():
+    # One recorded walk per fit, rebuilt only when the live restarts fall
+    # to half its rows or fewer, at the live count: at most log2(restarts)
+    # rebuilds. Until then a stopped restart's row stays on its last point:
+    # at 8 x 100 two restarts stop early, and the walk keeps its 8 rows.
+    target = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
+    cases = (
+        (3, 800, 1, [96, 460, 204], [3, 1]),
+        (8, 800, 7, [96, 212, 88, 148, 324, 352, 252, 408], [8, 4, 2, 1]),
+        (8, 800, 1, [96, 460, 204, 152, 196, 328, 120, 328], [8, 4, 1]),
+        (5, 800, 7, [96, 212, 88, 148, 324], [5, 2, 1]),
+        (8, 100, 7, [96, 100, 88, 100, 100, 100, 100, 100], [8]),
+        (1, 100, 7, [96], [1]),
+    )
+    for restarts, max_iters, seed, charged, want in cases:
+        config = OptimizerConfig(max_iters=max_iters, restarts=restarts, seed=seed)
+        with recorded_walk_widths() as widths:
+            result = train(target, config)
+        assert result.metadata["evals_per_restart"] == charged
+        assert widths == want, config
+
+
+@pytest.mark.parametrize(
+    "n, site, steps, w",
+    [(4, 8, 7, 15), (4, 8, 8, 16), (10, 2, 8, 17)],
+    ids=["15-site-cone", "whole-ring", "cone-wraps-past-0"],
+)
+def test_recorded_walk_rounds_equal_one_shot_calls(n, site, steps, w):
+    # One recorded walk called over several rounds of new angles, at full
+    # width and then narrowed as train() narrows it, gives every round's
+    # values and gradients the bits of a fresh one-shot call. Rows whose
+    # angles stay as they were, as a stopped restart's do, repeat their
+    # own results.
+    rng = np.random.default_rng(67)
+    m = 1 << n
+    target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+    init = initial_state(n, 0.6, 0.8j, site)
+    assert _light_cone(init, steps).size == w
+    schedule = WalkSchedule(steps)
+    angles = rng.uniform(0.0, 2.0 * math.pi, (5, 6))
+    for rows in (5, 2):
+        angles = angles[:rows].copy()
+        recorded = optimize._RecordedWalk(init, steps, rows)
+        for _ in range(4):
+            values, grads = optimize._values_and_gradients(recorded, angles, target, init)
+            fresh_values, fresh_grads = _mse_and_gradient(angles, target, schedule, init)
+            assert np.array(values).tobytes() == np.array(fresh_values).tobytes()
+            assert grads.tobytes() == fresh_grads.tobytes()
+            # Row 0 keeps its angles, the others move.
+            angles[1:] = rng.uniform(0.0, 2.0 * math.pi, (rows - 1, 6))
 
 
 def test_batched_gradient_rows_equal_single_calls():

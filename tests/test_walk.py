@@ -335,15 +335,17 @@ def test_evolve_preserves_norm(angles, t, seed):
 
 @contextlib.contextmanager
 def step_loop_widths():
-    """Record the number of sites of every array the step loop receives."""
+    """Record the number of sites of every walk's final batch, as the walk
+    checks it: every walk, recorded or not, is checked once, on the
+    sites it stepped."""
     widths = []
-    loop = walk._steps_in_place
+    check = walk._checked
 
-    def recording(out, *args):
-        widths.append(out.shape[-1])
-        return loop(out, *args)
+    def recording(final, *args):
+        widths.append(final.shape[-1])
+        return check(final, *args)
 
-    with mock.patch.object(walk, "_steps_in_place", recording):
+    with mock.patch.object(walk, "_checked", recording):
         yield widths
 
 
@@ -437,7 +439,12 @@ def test_walk_steps_exactly_the_light_cone(run, angles, gradient):
         else:
             evolve(state, params, WalkSchedule(steps))
     assert widths == [cone.size]
-    final, sites, _, _, states = walk._walk(state, *walk._coin_pair(params), steps, record=gradient)
+    coin1, coin2 = walk._coin_pair(params)
+    if gradient:
+        recorded = walk._RecordedWalk(state, steps, 1)
+        final, sites, _, _ = recorded.forward(np.stack([coin1, coin2], axis=1))
+    else:
+        final, sites, _, _ = walk._walk(state, coin1, coin2, steps)
     np.testing.assert_array_equal(sites, cone)
     # The batch of one row, recorded or not, scatters to evolve's state.
     assert final.shape == (2, 1, sites.size)
@@ -445,11 +452,11 @@ def test_walk_steps_exactly_the_light_cone(run, angles, gradient):
     ring[:, sites] = final[:, 0]
     assert np.array_equal(ring, evolve(state, params, WalkSchedule(steps)).amps)
     if gradient:
-        # The record opens with the start, on the cone.
-        assert states.shape == (steps, 2, 2, 1, sites.size)
-        assert np.array_equal(states[0, 0, :, 0], state.amps[:, sites])
-    else:
-        assert states is None
+        # The record opens with the start, on the cone, and ends with the
+        # final state.
+        assert recorded.states.shape == (2 * steps + 1, 2, 1, sites.size)
+        assert np.array_equal(recorded.states[0, :, 0], state.amps[:, sites])
+        assert np.shares_memory(final, recorded.states[-1])
 
 
 def test_step_loop_runs_only_the_light_cone():
@@ -513,7 +520,7 @@ def test_half_step_plan_equals_the_two_term_expressions(case, move_up, right):
     want = oracles.half_step_ref(state, coins, move_up, right)
     got = state.copy()
     products = np.empty((2,) + got.shape, dtype=np.complex128)
-    plan = walk._half_step(got, walk._entries(coins, got.shape[1:]), products, move_up, right)
+    plan = walk._half_step(got, got, walk._entries(coins, got.shape[1:]), products, move_up, right)
     walk._run(plan)
     assert got.tobytes() == want.tobytes()
     # Run again, the same views step the state the plan was built on.
@@ -521,8 +528,32 @@ def test_half_step_plan_equals_the_two_term_expressions(case, move_up, right):
     assert got.tobytes() == oracles.half_step_ref(want, coins, move_up, right).tobytes()
     # A state that is not C-contiguous would be flattened into copies.
     entries = walk._entries(coins, state.shape[1:])
+    fortran = np.asfortranarray(state)
     with pytest.raises(ValueError, match="C-contiguous"):
-        walk._half_step(np.asfortranarray(state), entries, products, move_up, right)
+        walk._half_step(fortran, fortran, entries, products, move_up, right)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=half_step_cases(), move_up=st.booleans(), right=st.booleans())
+def test_out_of_place_half_step_equals_the_in_place_plan(case, move_up, right):
+    # A recorded walk steps from one slot of its record into the next: the
+    # plan from src into dst writes what the in-place plan writes, bit for
+    # bit, and leaves src as it was.
+    state, coins = case
+    entries = walk._entries(coins, state.shape[1:])
+    products = np.empty((2,) + state.shape, dtype=np.complex128)
+    in_place = state.copy()
+    walk._run(walk._half_step(in_place, in_place, entries, products, move_up, right))
+    src, dst = state.copy(), np.full_like(state, np.nan)
+    plan = walk._half_step(src, dst, entries, products, move_up, right)
+    walk._run(plan)
+    assert dst.tobytes() == in_place.tobytes()
+    assert src.tobytes() == state.tobytes()
+    # Run again from a new source through the same views.
+    src[...] = in_place
+    walk._run(plan)
+    walk._run(walk._half_step(in_place, in_place, entries, products, move_up, right))
+    assert dst.tobytes() == in_place.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -549,26 +580,25 @@ def test_broadcast_batches_step_like_contiguous_ones(case, copied):
 
 
 def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
-    """Each row of a batched forward run and sweep, as bytes, against its
-    own batch of one row, all on the start's light cone, which has
-    ``sites`` sites."""
-    cone = walk._light_cone(WalkerState(init), steps)
-    init = init[:, cone]
-    assert init.shape[-1] == sites
+    """Each row of a batched recorded walk and sweep, as bytes, against
+    its own recorded walk of one row, all on the start's light cone,
+    which has ``sites`` sites."""
+    init = WalkerState(init)
+    assert walk._light_cone(init, steps).size == sites
 
-    def recorded(batch, c1, c2):
-        states = np.empty((steps, 2, 2, len(c1), sites), dtype=np.complex128)
-        return walk._steps_in_place(batch, c1, c2, steps, states), states
+    def recorded(c1, c2):
+        run = walk._RecordedWalk(init, steps, len(c1))
+        return run, run.forward(np.stack([c1, c2], axis=1)).final.copy()
 
-    final, states = recorded(np.repeat(init[:, None], len(coins1), axis=1), coins1, coins2)
+    batched, final = recorded(coins1, coins2)
     # An MSE-style seed: zero wherever the final state is.
-    seed = final * np.linspace(-1.0, 1.0, sites)
-    k1, k2 = walk._adjoint_sweep(states, seed, coins1, coins2)
+    coef = np.linspace(-1.0, 1.0, sites)
+    k1, k2 = batched.sweep(coef)
     for b in range(len(coins1)):
         c1, c2 = coins1[b : b + 1], coins2[b : b + 1]
-        single, single_states = recorded(init[:, None].copy(), c1, c2)
-        assert final[:, b].tobytes() == single[:, 0].tobytes()
-        g1, g2 = walk._adjoint_sweep(single_states, seed[:, b : b + 1], c1, c2)
+        single, single_final = recorded(c1, c2)
+        assert final[:, b].tobytes() == single_final[:, 0].tobytes()
+        g1, g2 = single.sweep(coef)
         assert (k1[b].tobytes(), k2[b].tobytes()) == (g1[0].tobytes(), g2[0].tobytes())
 
 
