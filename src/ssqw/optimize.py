@@ -10,17 +10,17 @@ Everything is seeded and exact (probabilities, not shot counts), so a
 given configuration always reproduces the same result.
 
 objective() and train's values share one value path, ``_scores``. It
-scores the walk on the window that ``walk._walk`` stepped, which for a
-localized start is a light cone of the start alone: outside it the
-walk's probabilities are exact zeros, so each bin there costs q^2, and
-the MSE equals that of the M-site distribution bit for bit. A value and
-a value-and-gradient call step the same window, the start's cone of the
-walk's steps. The gradient runs on a ``walk._RecordedWalk``, whose
-forward pass records the states that enter its coins and whose adjoint
-sweep runs back on that window from them, so its gradients equal those of
-the same formula on the whole ring bit for bit. Only the results a caller
-gets back as M-site arrays (evolve's state, train's ``trained_dist``) are
-built on the whole ring.
+scores a ``walk._Walker`` on the window it stepped, which for a localized
+start is a light cone of the start alone: outside it the walk's
+probabilities are exact zeros, so each bin there costs q^2, and the MSE
+equals that of the M-site distribution bit for bit. A value and a
+value-and-gradient call step the same window, the start's cone of the
+walk's steps. A value's walk keeps no record; the gradient's is
+recorded: its forward pass records the states that enter its coins and
+its adjoint sweep runs back on that window from them, so its gradients
+equal those of the same formula on the whole ring bit for bit. Only the
+results a caller gets back as M-site arrays (evolve's state, train's
+``trained_dist``) are built on the whole ring.
 
 The restarts are independent, so train() runs them in lockstep: each
 round evaluates the pending point of every live restart in one batched
@@ -50,9 +50,8 @@ from .walk import (
     _coin_pair,
     _coin_stacks,
     _light_cone,
-    _RecordedWalk,
     _Walk,
-    _walk,
+    _Walker,
     evolve,
 )
 
@@ -83,8 +82,11 @@ def mse(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     for name, v in (("first", p), ("second", q)):
-        s = float(v.sum())
-        if abs(s - 1.0) > MSE_SUM_TOL:
+        # A NaN sum, also inf - inf's (not warned about), fails "<= tol",
+        # where it would pass "> tol".
+        with np.errstate(invalid="ignore"):
+            s = float(v.sum())
+        if not abs(s - 1.0) <= MSE_SUM_TOL:
             raise ValueError(f"{name} vector sums to {s!r}, not 1 within {MSE_SUM_TOL}")
     d = p - q
     return float(np.mean(d * d))
@@ -104,12 +106,13 @@ def objective(
     M-site state is built. Pure function of its arguments; evaluating
     twice gives bitwise equal results.
     """
-    return _scores(_walk(init, *_coin_pair(params), schedule.steps), target, init)[0][0]
+    run = _Walker(init, schedule.steps, 1, record=False).forward(_coin_pair(params))
+    return _scores(run, target, init)[0][0]
 
 
 def _scores(run: _Walk, target: TargetDistribution, init: WalkerState) -> tuple[list[float], np.ndarray]:
     """The MSE against the target of a walk from ``init`` under B coin
-    pairs, ``walk._walk``'s or a ``walk._RecordedWalk``'s.
+    pairs, recorded or not (``walk._Walker``).
 
     Returns the B values and the differences p - q of its distributions
     from the target (B, w), on the w sites of the light cone it stepped.
@@ -146,11 +149,12 @@ def _mse_and_gradient(
     (``_values_and_gradients``); train() builds one and calls it every
     round.
     """
-    return _values_and_gradients(_RecordedWalk(init, schedule.steps, len(angles)), angles, target, init)
+    recorded = _Walker(init, schedule.steps, len(angles), record=True)
+    return _values_and_gradients(recorded, angles, target, init)
 
 
 def _values_and_gradients(
-    recorded: _RecordedWalk, angles: np.ndarray, target: TargetDistribution, init: WalkerState
+    recorded: _Walker, angles: np.ndarray, target: TargetDistribution, init: WalkerState
 ) -> tuple[list[float], np.ndarray]:
     """``_mse_and_gradient`` at the rows of ``angles`` on a recorded walk
     from ``init`` built for as many rows.
@@ -380,12 +384,12 @@ def train(
     stopped: list[tuple[str, int]] = [("", 0)] * len(runs)
     rows = list(pending)
     angles = np.zeros((len(rows), 6))
-    recorded = _RecordedWalk(init, config.steps.steps, len(rows))
+    recorded = _Walker(init, config.steps.steps, len(rows), record=True)
     while pending:
         if 2 * len(pending) <= len(rows):
             keep = [i for i, r in enumerate(rows) if r in pending]
             rows, angles = [rows[i] for i in keep], angles[keep]
-            recorded = _RecordedWalk(init, config.steps.steps, len(rows))
+            recorded = _Walker(init, config.steps.steps, len(rows), record=True)
         live = [(i, r, pending.pop(r)) for i, r in enumerate(rows) if r in pending]
         for i, _, x in live:
             angles[i, free] = x

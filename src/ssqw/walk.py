@@ -14,23 +14,26 @@ C2, then S_minus (down moves left, up stays). Composing the two
 half-shifts with no coin in between reproduces the plain shift exactly.
 
 One half-step moves the amplitudes of every walk the package runs: a
-coin on both coin rows, then one row shifted one site by slicing. Each
-walk plans its half-steps once (``_half_step``): five ufunc calls on
-views of a source state, a destination, its coins and one product
-buffer, which ``_run`` makes on every step with no temporaries and no
-new views. The forward kernel runs each split step as two of them (C1
-with the up row moving right, C2 with the down row moving left), in place
-on one state. The gradient's walk, ``_RecordedWalk``, is built once per
-fit: it plans every half-step of its forward pass and of the adjoint
-sweep out of place, each from one slot of a record into the next, so the
-states that enter the coins and the adjoint states that leave them are
-recorded as they are stepped, with no copy. The sweep carries the adjoint
-state alone back through the same half-step, with the conjugate-transposed
-coins and the opposite moves, and one contraction of its record with the
-forward record gives both coins' gradient accumulators. Where a row moves
-is known in one place, ``_shifts``, which the plans and the public
-``apply_shift_*`` operators (through ``_move``) take their shifted views
-from.
+coin on both coin rows, then one row shifted one site by slicing. Every
+walk is a ``_Walker``, built once for a start, a number of steps and of
+rows, and called once per set of coin pairs. It plans its half-steps when
+it is built (``_half_step``): five ufunc calls on views of a source state,
+a destination, its coins and one product buffer, which ``_run`` makes on
+every step with no temporaries and no new views. The views that do not
+depend on the source and the destination are built once per coin and
+direction (``_coin_views``). Each split step is two half-steps (C1 with
+the up row moving right, C2 with the down row moving left). An unrecorded
+walk plans those two and runs them in turn, in place on one state. A
+recorded walk, the gradient's, plans every half-step of its forward pass
+and of the adjoint sweep out of place, each from one slot of a record into
+the next, so the states that enter the coins and the adjoint states that
+leave them are recorded as they are stepped, with no copy. The sweep
+carries the adjoint state alone back through the same half-step, with the
+conjugate-transposed coins and the opposite moves, and one contraction of
+its record with the forward record gives both coins' gradient
+accumulators. Where a row moves is known in one place, ``_shifts``, which
+the plans and the public ``apply_shift_*`` operators (through ``_move``)
+take their shifted views from.
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
@@ -45,33 +48,32 @@ so its own wrap-around only moves zeros.
 A ``WalkerState`` caches its arc (``WalkerState._arc``), so a start is
 scanned once, and the cone is arithmetic on that arc.
 
-One entry, ``_walk``, owns every unrecorded walk. It takes B coin pairs
-stacked as (B, 2, 2) arrays, copies the start's cone into a (2, B, w)
-batch, steps it, and checks the result once (``_checked``): finite
-amplitudes, and each row's norm kept against the start's. ``evolve`` and
-the one-step operators are its B = 1 case, scattered onto the ring; the
-MSE objective scores its batch in place. A value-and-gradient call steps
-the same cone in a ``_RecordedWalk``, which is checked by the same rule;
-its forward record holds the 2t states that enter the coins and the
-final state, and the sweep runs back on that window from the record, and
-rebuilds no state. That is exact too: the gradient reads the adjoint
-state at step i only where the state entering a coin can be non-zero,
-within the start's cone of i steps (i + 1 for C2), and the window's
-wrap-around, moving in from its ends one site a step, never gets there.
-Every row shares the start, and so its cone. Each row is stepped
-by the same half-steps as it would be alone, so its result equals its own
-B = 1 call bit for bit.
+A walk takes B coin pairs stacked as one (B, 2, 2, 2) array, coin1 then
+coin2, copies the start's cone into each of the (2, B, w) batch's rows,
+steps it, and checks the result once (``_checked``): finite amplitudes,
+and each row's norm kept against the start's. ``evolve`` and the one-step
+operators are its one-row case, scattered onto the ring (``_ring_walk``);
+the MSE objective scores its batch in place. A value-and-gradient call
+steps the same cone in a recorded walk; its forward record holds the 2t
+states that enter the coins and the final state, and the sweep runs back
+on that window from the record, and rebuilds no state. That is exact too:
+the gradient reads the adjoint state at step i only where the state
+entering a coin can be non-zero, within the start's cone of i steps (i + 1
+for C2), and the window's wrap-around, moving in from its ends one site a
+step, never gets there. Every row shares the start, and so its cone. Each
+row is stepped by the same half-steps as it would be alone, so its result
+equals its own B = 1 call bit for bit.
 
 Coins are built from angle arrays: ``_coin_factors`` takes the cosines
 and sines of a (K, 3) array of (theta, phi, lam) rows from one np.cos and
 one np.sin call, and ``_coins`` evaluates the scalar formula on them into
-(K, 2, 2) coins (``coin_matrix`` is the one-row case, and ``_coin_pair``
-gives a parameter set's two coins as (1, 2, 2) stacks); ``_coin_stacks``
-adds their (K, 3, 2, 2) angle derivatives for the gradient. Each walk
-copies its coins' entries once to one contiguous (2, 2, B, w) array
-(``_entries``; a ``_RecordedWalk`` refills its own on each call), so that
-each half-step multiplies each coin row by the whole (2, B, w) state in
-one call on contiguous arrays of equal shape.
+(K, 2, 2) coins (``coin_matrix`` is the one-row case, ``_coin_pair``
+gives a parameter set's pair as a (1, 2, 2, 2) stack, and ``_plain_pair``
+a plain step's, its coin and then the identity); ``_coin_stacks`` adds
+their (K, 3, 2, 2) angle derivatives for the gradient. A walk copies its
+coins' entries on each call to one contiguous (2, 2, 2, B, w) array, so
+that each half-step multiplies each coin row by the whole (2, B, w) state
+in one call on contiguous arrays of equal shape.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -222,11 +225,18 @@ def _coin_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _coins(factors), np.array(derivatives, dtype=np.complex128).reshape(len(factors), 3, 2, 2)
 
 
-def _coin_pair(params: SsqwParams) -> tuple[np.ndarray, np.ndarray]:
-    """The two coins of ``params`` as (1, 2, 2) stacks, coin1 then coin2,
-    from one ``_coins`` call: each equals ``coin_matrix`` of its angles."""
-    coins = _coins(_coin_factors(params.to_array().reshape(2, 3)))
-    return coins[:1], coins[1:]
+def _coin_pair(params: SsqwParams) -> np.ndarray:
+    """The two coins of ``params`` as a (1, 2, 2, 2) stack, coin1 then
+    coin2, from one ``_coins`` call: each equals ``coin_matrix`` of its
+    angles."""
+    return _coins(_coin_factors(params.to_array().reshape(2, 3)))[None]
+
+
+def _plain_pair(coin: CoinParams) -> np.ndarray:
+    """A plain step's coin pair as a (1, 2, 2, 2) stack: ``coin``, then
+    the identity, so that the split step under it is the coin followed by
+    the full conditional shift."""
+    return np.stack([coin_matrix(coin), np.eye(2, dtype=np.complex128)])[None]
 
 
 # Handy named coins within the convention above, checked against their
@@ -236,8 +246,6 @@ HADAMARD_COIN = CoinParams(math.pi / 2.0, 0.0, math.pi)
 PAULI_X_COIN = CoinParams(math.pi, 0.0, math.pi)
 PAULI_Y_COIN = CoinParams(math.pi, math.pi / 2.0, math.pi / 2.0)
 PAULI_Z_COIN = CoinParams(0.0, 0.0, math.pi)
-
-_IDENTITY_MATRIX = np.eye(2, dtype=np.complex128)[None]
 
 
 def apply_shift_dtqw(state: WalkerState) -> WalkerState:
@@ -302,17 +310,37 @@ def _light_cone(state: WalkerState, steps: int) -> np.ndarray:
     return np.sort(np.arange(first - steps, first + span + steps) % m)
 
 
-def _half_step(
-    src: np.ndarray, dst: np.ndarray, entries: np.ndarray, products: np.ndarray, move_up: bool, right: bool
-) -> tuple:
+def _coin_views(entries: np.ndarray, products: np.ndarray, move_up: bool, right: bool) -> tuple:
+    """The views of a half-step under one coin, its (2, 2, B, w)
+    ``entries``, that do not depend on its source and destination, built
+    once for every plan that shares them (``_half_step``): the coin rows,
+    the (2, 2, B, w) ``products`` buffer and its terms, those of the moved
+    row flattened and shifted (``_shifts``), and where the destination is
+    written. The up row moves if ``move_up``, else the down row, right if
+    ``right``, else left."""
+    moves, stays = (0, 1) if move_up else (1, 0)
+    (body_to, body_from), (wrap_to, wrap_from) = _shifts(right)
+    terms = products[moves, 0], products[moves, 1]
+    flat = [term.reshape(-1) for term in terms]
+    return (
+        (entries[0], products[0]),
+        (entries[1], products[1]),
+        (products[stays, 0], products[stays, 1]),
+        (flat[0][body_from], flat[1][body_from]),
+        (terms[0][wrap_from], terms[1][wrap_from]),
+        (moves, stays, body_to, wrap_to),
+    )
+
+
+def _half_step(src: np.ndarray, dst: np.ndarray, views: tuple) -> tuple:
     """Plan half of a split step from a (2, B, w) state ``src`` into
     ``dst``: a coin on both coin rows, then one row moved one site around
     the ring. An unrecorded walk passes one array as both and steps it in
     place; a recorded walk steps from one slot of its record into the next.
 
-    ``entries`` is the coin stack as ``_entries`` lays it out, and
-    ``products`` a (2, 2, B, w) buffer. The plan is five calls
-    (ufunc, a, b, out), made in order by ``_run``, on views built here once:
+    ``views`` are the coin's and the product buffer's (``_coin_views``),
+    so only the views of ``dst`` are built here. The plan is five calls
+    (ufunc, a, b, out), made in order by ``_run``:
 
     1. and 2. ``products[r] = entries[r] * src``, coin row r times both
        coin rows of the state, for r = 0 and 1;
@@ -323,26 +351,21 @@ def _half_step(
     5. the B sites that wrap around, which overwrites those.
 
     ``src`` is read only by the first two calls, so ``dst`` may be
-    ``src``. The up row moves if ``move_up``, else the down row, right if
-    ``right``, else left. Each new amplitude is ``c[r, 0] * up + c[r, 1]
-    * dn`` with ``apply_coin``'s operand order, up to the order of the
-    two terms of an exact-rounded sum, so bit for bit. A flattened view of
-    a ``dst`` that is not C-contiguous would be a copy, so such a state is
-    refused.
+    ``src``. Each new amplitude is ``c[r, 0] * up + c[r, 1] * dn`` with
+    ``apply_coin``'s operand order, up to the order of the two terms of an
+    exact-rounded sum, so bit for bit. A flattened view of a ``dst`` that
+    is not C-contiguous would be a copy, so such a state is refused.
     """
     if not dst.flags.c_contiguous:
         raise ValueError("a half-step plan needs a C-contiguous state")
-    moves, stays = (0, 1) if move_up else (1, 0)
-    (body_to, body_from), (wrap_to, wrap_from) = _shifts(right)
-    # The moved row and its two terms, and their flattened views.
-    rows = dst[moves], products[moves, 0], products[moves, 1]
-    flat = [row.reshape(-1) for row in rows]
+    (row0, made0), (row1, made1), stay, body, wrap, (moves, stays, body_to, wrap_to) = views
+    moved = dst[moves]
     return (
-        (np.multiply, entries[0], src, products[0]),
-        (np.multiply, entries[1], src, products[1]),
-        (np.add, products[stays, 0], products[stays, 1], dst[stays]),
-        (np.add, flat[1][body_from], flat[2][body_from], flat[0][body_to]),
-        (np.add, rows[1][wrap_from], rows[2][wrap_from], rows[0][wrap_to]),
+        (np.multiply, row0, src, made0),
+        (np.multiply, row1, src, made1),
+        (np.add, *stay, dst[stays]),
+        (np.add, *body, moved.reshape(-1)[body_to]),
+        (np.add, *wrap, moved[wrap_to]),
     )
 
 
@@ -350,28 +373,6 @@ def _run(plan: tuple) -> None:
     """Run one half-step: the calls of its plan (``_half_step``), in order."""
     for ufunc, a, b, out in plan:
         ufunc(a, b, out)
-
-
-def _entries(coin: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The entries of each coin of a (B, 2, 2) stack, copied once to one
-    C-contiguous (2, 2, B, w) array for rows of ``shape`` (B, w): element
-    [r, c, b, x] is coin b's entry in row r and column c, so that each
-    coin row ``[r]`` is laid out like a (2, B, w) state, which
-    ``_half_step`` multiplies it by.
-
-    That multiply is then one call on three contiguous arrays of equal
-    shape, numpy's fastest path: broadcasting one state row across both
-    coin rows instead took about twice as long, at one row of 129 sites
-    and at 8 rows of 15. Rows of tens of thousands of sites pay for the
-    copies and the product buffer in memory traffic instead: a full-ring
-    ``evolve`` on 2**12 to 2**16 sites took 0.98 to 1.28 times as long as
-    with eight calls and three temporaries per half-step (timed on one
-    core of a 2-core Xeon, numpy 2.4). No benchmark workload steps rows
-    that long.
-    """
-    out = np.empty((2, 2) + shape, dtype=np.complex128)
-    out[...] = coin.transpose(1, 2, 0)[..., None]
-    return out
 
 
 class _Walk(NamedTuple):
@@ -408,130 +409,105 @@ def _checked(final: np.ndarray, sites: np.ndarray, n0: float, steps: int) -> _Wa
     return _Walk(final, sites, probs, norms)
 
 
-def _walk(init: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> _Walk:
-    """Run ``steps`` split steps from ``init`` under each of B coin pairs,
-    stacked as (B, 2, 2) arrays, and check the result (``_checked``).
-
-    Only the start's ``_light_cone`` of ``steps`` steps is stepped: its
-    sites are gathered and broadcast to a (2, B, w) batch, which
-    ``_steps_in_place`` copies once. A walk that the gradient needs
-    recorded is a ``_RecordedWalk`` instead.
-    """
-    sites = _light_cone(init, steps)
-    start = init.amps[:, sites]
-    batch = np.broadcast_to(start[:, None], (2, len(coin1), len(sites)))
-    return _checked(_steps_in_place(batch, coin1, coin2, steps), sites, _norm_sq(start), steps)
-
-
-def _ring_walk(state: WalkerState, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> WalkerState:
-    """``_walk`` from ``state`` under one coin pair, (1, 2, 2) stacks,
-    scattered onto the whole ring. Values equal the full-ring run; only
-    the signs of exact zeros outside the cone may differ."""
-    run = _walk(state, coin1, coin2, steps)
-    out = np.zeros(state.amps.shape, dtype=np.complex128)
-    out[:, run.sites] = run.final[:, 0]
-    return WalkerState(out)
-
-
-def _steps_in_place(batch: np.ndarray, coin1: np.ndarray, coin2: np.ndarray, steps: int) -> np.ndarray:
-    """Run ``steps`` split steps on a (2, B, w) batch under (B, 2, 2) coin
-    stacks, and return the result.
-
-    The steps run in place on a C-contiguous copy of ``batch`` that this
-    call owns, so the batch may be any array of that shape, a broadcast
-    view too. Each step is two half-steps, each planned once
-    (``_half_step``) on that copy as both source and destination: coin1
-    with the up row moving right, then coin2 with the down row moving
-    left. Nothing is validated here: ``_walk`` passes amplitudes from a
-    ``WalkerState`` and unitary coins, and checks what comes back. A step
-    equals the composed public operators bit for bit.
-    """
-    out = np.array(batch, dtype=np.complex128, order="C")
-    shape = out.shape[1:]
-    products = np.empty((2, 2) + shape, dtype=np.complex128)
-    first = _half_step(out, out, _entries(coin1, shape), products, move_up=True, right=True)
-    second = _half_step(out, out, _entries(coin2, shape), products, move_up=False, right=False)
-    for _ in range(steps):
-        _run(first)
-        _run(second)
-    return out
-
-
 # The most bytes of accumulator terms, and as many of their products, that
-# a ``_RecordedWalk`` holds at once. Both buffers then stay in a core's
+# a recorded ``_Walker`` holds at once. Both buffers then stay in a core's
 # cache: at 256 bins x 64 steps x 8 rows the reduce took about half the
 # time it took with 4 MiB of terms made by one strided multiply (one core
 # of a 2-core Xeon, 2 MiB of L2 per core, numpy 2.4).
 _TERMS_BYTES = 1 << 18
 
 
-class _RecordedWalk:
-    """The forward walk and the adjoint sweep behind the coin gradients of
-    a real loss L of the final state, for B rows of coin pairs from
-    ``init``, built once and called once per set of coins.
+class _Walker:
+    """``steps`` split steps from ``init`` under each of B rows of coin
+    pairs, built once and called once per set of coins: every walk the
+    package runs. The gradient's is built with ``record``.
 
     Construction does all the set-up, for the start's ``_light_cone`` of
     ``steps`` steps, w sites, which every row shares:
 
-    - the forward record ``states``, (2 * steps + 1, 2, B, w): slot 2i + k
-      holds the state that enters coin k (0 for C1, 1 for C2) of step i,
-      and the last slot the final state. The start is written into slot 0
-      here, once;
-    - the adjoint record ``lams``, (2 * steps, 2, B, w): slot 2i + k holds
-      the adjoint lambda as it leaves coin k of step i;
-    - the (2, 2, 2, B, w) entry arrays of the coins and of their conjugate
-      transposes, coin k first, each laid out as ``_entries`` lays out a
-      stack, and one product buffer;
-    - every half-step plan (``_half_step``), each stepping out of place
-      from one record slot into the next: 2 * steps forward, C1 with the
-      up row moving right and C2 with the down row moving left, and
-      2 * steps - 1 back, C2-dagger with the up row moving back left and
-      C1-dagger with the down row moving back right;
-    - the accumulator terms and their products, at most ``_TERMS_BYTES``
-      of each, and the views of both records that fill them.
+    - the start's sites and their squared norm;
+    - the state record ``states``, 2 * steps + 1 slots of (2, B, w) if
+      ``record``, else one;
+    - the (2, 2, 2, B, w) ``entries``: element [k, r, c, b, x] is row b's
+      coin k (0 for C1, 1 for C2) entry in row r and column c, so that each
+      coin row [k, r] is laid out like a (2, B, w) state, which
+      ``_half_step`` multiplies it by; and one product buffer;
+    - the views of each coin and direction (``_coin_views``), and the
+      forward plans (``_half_step``): plan j steps slot j % slots into slot
+      (j + 1) % slots, C1 with the up row moving right for even j and C2
+      with the down row moving left for odd j. So an unrecorded walk plans
+      two and runs them in turn in place, and a recorded walk plans all
+      2 * steps out of place: slot 2i + k holds the state that enters coin
+      k of step i, and the last slot the final state.
+
+    A recorded walk also holds what ``sweep`` needs: the adjoint record
+    ``lams``, (2 * steps, 2, B, w), whose slot 2i + k holds the adjoint
+    lambda as it leaves coin k of step i; the entries of the coins'
+    conjugate transposes and their views; 2 * steps - 1 back plans, from
+    each adjoint slot into the one before, C2-dagger with the up row moving
+    back left and C1-dagger with the down row moving back right; and the
+    accumulator terms and their products, at most ``_TERMS_BYTES`` of each,
+    with the views of both records that fill them.
+
+    Copying the entries makes each multiply one call on three contiguous
+    arrays of equal shape, numpy's fastest path: broadcasting one state
+    row across both coin rows instead took about twice as long, at one row
+    of 129 sites and at 8 rows of 15. Rows of tens of thousands of sites
+    pay for the copies and the product buffer in memory traffic instead: a
+    full-ring ``evolve`` on 2**12 to 2**16 sites took 0.98 to 1.28 times
+    as long as with eight calls and three temporaries per half-step (timed
+    on one core of a 2-core Xeon, numpy 2.4). No benchmark workload steps
+    rows that long.
 
     A call then only refills the entries, runs the plans and reduces.
     ``forward`` steps coin pairs from the start and checks the result
     (``_checked``); ``sweep`` then gives their gradient accumulators for
-    a seed. Each row is stepped by the same half-steps as it would be
-    alone, so its results equal a one-row walk's bit for bit, and rows
-    do not mix: a row's coins may stay as they were across calls.
+    a seed. Nothing is validated in between: a walk starts from a
+    ``WalkerState``'s amplitudes, takes unitary coins and checks what
+    comes back. A step equals the composed public operators bit for bit.
+    Each row is stepped by the same half-steps as it would be alone, so
+    its results equal a one-row walk's bit for bit, and rows do not mix: a
+    row's coins may stay as they were across calls.
 
-    The records take 32 (4 * steps + 1) B w bytes.
+    A recorded walk's records take 32 (4 * steps + 1) B w bytes.
     """
 
-    def __init__(self, init: WalkerState, steps: int, rows: int) -> None:
+    def __init__(self, init: WalkerState, steps: int, rows: int, record: bool) -> None:
         self.steps = steps
         self.sites = _light_cone(init, steps)
         start = init.amps[:, self.sites]
         self.n0 = _norm_sq(start)
+        self.start = start[:, None]
         shape = (rows, len(self.sites))
-        self.states = np.empty((2 * steps + 1, 2) + shape, dtype=np.complex128)
-        self.states[0] = start[:, None]
-        self.lams = np.empty((2 * steps, 2) + shape, dtype=np.complex128)
+        slots = 2 * steps + 1 if record else 1
+        self.states = np.empty((slots, 2) + shape, dtype=np.complex128)
         self.entries = np.empty((2, 2, 2) + shape, dtype=np.complex128)
-        self.inverse = np.empty_like(self.entries)
         self.products = np.empty((2, 2) + shape, dtype=np.complex128)
-        # Slot j is followed by slot j + 1 forward, and by slot j - 1 back.
-        # Both walks alternate coins, and an even slot enters or leaves C1.
-        states, lams, products = self.states, self.lams, self.products
-        self.forward_plans = [
-            _half_step(states[j], states[j + 1], self.entries[j % 2], products, j % 2 == 0, j % 2 == 0)
-            for j in range(2 * steps)
+        # Steps alternate coins: an even slot enters C1.
+        coins = [_coin_views(self.entries[k], self.products, k == 0, k == 0) for k in (0, 1)]
+        self.plans = [
+            _half_step(self.states[j % slots], self.states[(j + 1) % slots], coins[j % 2])
+            for j in range(2 * steps if record else 2)
         ]
-        self.back_plans = [
-            _half_step(lams[j], lams[j - 1], self.inverse[j % 2], products, j % 2 == 1, j % 2 == 0)
-            for j in range(2 * steps - 1, 0, -1)
-        ]
-        self._plan_terms(steps, *shape)
+        if record:
+            self._plan_sweep(steps, *shape)
 
-    def _plan_terms(self, steps: int, b: int, w: int) -> None:
-        """The terms of ``sweep``'s reduce, lam[i, k, :, b, x] times
-        psi[i, k, :, b, x]^T for each step i, coin k, batch row b and
-        site x, a chunk of steps at a time: one multiply of the records as
-        they lie, sites last, then one copy of its products into ``terms``, as (step and site, lam's row, psi's row, coin,
-        batch row). Row 0 of ``terms`` holds the running sum, and a
-        chunk's terms follow it."""
+    def _plan_sweep(self, steps: int, b: int, w: int) -> None:
+        """The adjoint record, the inverse entries, the back plans and the
+        terms of ``sweep``'s reduce, lam[i, k, :, b, x] times
+        psi[i, k, :, b, x]^T for each step i, coin k, batch row b and site
+        x, a chunk of steps at a time: one multiply of the records as they
+        lie, sites last, then one copy of its products into ``terms``, as
+        (step and site, lam's row, psi's row, coin, batch row). Row 0 of
+        ``terms`` holds the running sum, and a chunk's terms follow it."""
+        self.lams = np.empty((2 * steps, 2, b, w), dtype=np.complex128)
+        self.inverse = np.empty_like(self.entries)
+        # Slot j of the adjoint record is followed by slot j - 1; an even
+        # slot leaves C1.
+        coins = [_coin_views(self.inverse[k], self.products, k == 1, k == 0) for k in (0, 1)]
+        self.back_plans = [
+            _half_step(self.lams[j], self.lams[j - 1], coins[j % 2]) for j in range(2 * steps - 1, 0, -1)
+        ]
         # (step, coin, lam's row, -, batch row, site) and
         # (step, coin, -, psi's row, batch row, site).
         lam = self.lams.reshape(steps, 2, 2, b, w)[:, :, :, None]
@@ -548,12 +524,13 @@ class _RecordedWalk:
 
     def forward(self, coins: np.ndarray) -> _Walk:
         """Step the start under each row's coin pair of a (B, 2, 2, 2)
-        stack, coin1 then coin2, recording the states that enter the
-        coins, and return the checked walk. Its ``final`` is the record's
-        last slot, which the next call overwrites."""
+        stack, coin1 then coin2, and return the checked walk. Each call
+        writes the start into slot 0 first, so it never goes on from the
+        last call's final state. Its ``final`` is the record's last slot,
+        which the next call overwrites."""
         self.entries[...] = coins.transpose(1, 2, 3, 0)[..., None]
-        np.conjugate(coins.transpose(1, 3, 2, 0)[..., None], out=self.inverse)
-        for plan in self.forward_plans:
+        self.states[0] = self.start
+        for plan in islice(cycle(self.plans), 2 * self.steps):
             _run(plan)
         return _checked(self.states[-1], self.sites, self.n0, self.steps)
 
@@ -592,6 +569,7 @@ class _RecordedWalk:
         record is summed a chunk of steps at a time, each chunk after the
         running sum.
         """
+        np.conjugate(self.entries.transpose(0, 2, 1, 3, 4), out=self.inverse)
         seed = np.multiply(coef, self.states[-1], out=self.products[0])
         lam = self.lams[-1]
         # The last step's S_minus undone: it has no later coin to undo first.
@@ -609,22 +587,32 @@ class _RecordedWalk:
         return total.transpose(2, 3, 0, 1)
 
 
+def _ring_walk(state: WalkerState, coins: np.ndarray, steps: int) -> WalkerState:
+    """A walk from ``state`` under one coin pair, a (1, 2, 2, 2) stack,
+    scattered onto the whole ring. Values equal the full-ring run; only
+    the signs of exact zeros outside the cone may differ."""
+    run = _Walker(state, steps, 1, record=False).forward(coins)
+    out = np.zeros(state.amps.shape, dtype=np.complex128)
+    out[:, run.sites] = run.final[:, 0]
+    return WalkerState(out)
+
+
 def apply_dtqw_step(state: WalkerState, coin: CoinParams) -> WalkerState:
     """One plain walk step: coin, then the full conditional shift.
 
     This is a split step whose second coin is the identity.
     """
-    return _ring_walk(state, coin_matrix(coin)[None], _IDENTITY_MATRIX, 1)
+    return _ring_walk(state, _plain_pair(coin), 1)
 
 
 def apply_ssqw_step(state: WalkerState, params: SsqwParams) -> WalkerState:
     """One split step: coin1, S_plus, coin2, S_minus, in that order."""
-    return _ring_walk(state, *_coin_pair(params), 1)
+    return _ring_walk(state, _coin_pair(params), 1)
 
 
 def evolve(state: WalkerState, params: SsqwParams, schedule: WalkSchedule) -> WalkerState:
     """Apply ``schedule.steps`` identical split steps."""
-    return _ring_walk(state, *_coin_pair(params), schedule.steps)
+    return _ring_walk(state, _coin_pair(params), schedule.steps)
 
 
 def dense_operator(transform, num_position_qubits: int) -> np.ndarray:
@@ -647,14 +635,14 @@ def dense_operator(transform, num_position_qubits: int) -> np.ndarray:
 
 def ssqw_step_dense(params: SsqwParams, num_position_qubits: int) -> np.ndarray:
     """``apply_ssqw_step`` as a dense matrix; its coins are built once."""
-    coins = _coin_pair(params)
-    return dense_operator(lambda s: _ring_walk(s, *coins, 1), num_position_qubits)
+    pair = _coin_pair(params)
+    return dense_operator(lambda s: _ring_walk(s, pair, 1), num_position_qubits)
 
 
 def dtqw_step_dense(coin: CoinParams, num_position_qubits: int) -> np.ndarray:
     """``apply_dtqw_step`` as a dense matrix; its coin is built once."""
-    c = coin_matrix(coin)[None]
-    return dense_operator(lambda s: _ring_walk(s, c, _IDENTITY_MATRIX, 1), num_position_qubits)
+    pair = _plain_pair(coin)
+    return dense_operator(lambda s: _ring_walk(s, pair, 1), num_position_qubits)
 
 
 def operator_to_json(mat: np.ndarray) -> str:

@@ -1,4 +1,11 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import ssqw
+import ssqw.cli
+
+SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
 
 def test_public_names_are_pinned():
@@ -58,3 +65,19 @@ def test_public_names_are_pinned():
         "__version__",
     ]
     assert all(hasattr(ssqw, name) for name in ssqw.__all__)
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # The traced benchmark wraps these module attributes by name, so each
+    # must resolve from the package. Loaded by path, with no bytecode
+    # written next to it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.HOOKS
+    for path, attr, _ in spans.HOOKS:
+        owner = ssqw
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(getattr(owner, attr)), (path, attr)

@@ -96,6 +96,12 @@ def test_mse_validation():
         mse(np.full(8, 1.0 / 8.0), np.full(16, 1.0 / 16.0))
     with pytest.raises(ValueError):
         mse(np.full(8, 0.2), np.full(8, 1.0 / 8.0))
+    # A non-finite vector has no sum near 1: a NaN sum, and inf - inf.
+    q = np.full(3, 1.0 / 3.0)
+    for bad in ([math.nan, 0.5, 0.5], [math.inf, -math.inf, 1.0]):
+        for p, r in ((bad, q), (q, bad)):
+            with pytest.raises(ValueError, match="sums to nan"):
+                mse(p, r)
 
 
 @settings(max_examples=50, deadline=None)
@@ -200,7 +206,7 @@ def full_ring_mse_and_gradient(angles, target, schedule, init):
         walk._coin_stacks(angles[:, 3:]),
     )
     with mock.patch.object(walk, "_light_cone", lambda state, steps: np.arange(state.num_positions)):
-        ring = walk._RecordedWalk(init, schedule.steps, len(angles))
+        ring = walk._Walker(init, schedule.steps, len(angles), record=True)
     final = ring.forward(np.stack([coin1, coin2], axis=1)).final
     assert final.shape[-1] == init.num_positions
     p = _position_probs(final)
@@ -659,15 +665,17 @@ def test_lockstep_restarts_equal_sequential_runs():
 
 @contextlib.contextmanager
 def recorded_walk_widths():
-    """Record the number of rows of every recorded walk train() builds."""
+    """Record the number of rows of every walk train() builds: each is
+    recorded."""
     widths = []
-    build = optimize._RecordedWalk
+    build = optimize._Walker
 
-    def recording(init, steps, rows):
+    def recording(init, steps, rows, record):
+        assert record
         widths.append(rows)
-        return build(init, steps, rows)
+        return build(init, steps, rows, record)
 
-    with mock.patch.object(optimize, "_RecordedWalk", recording):
+    with mock.patch.object(optimize, "_Walker", recording):
         yield widths
 
 
@@ -713,7 +721,7 @@ def test_recorded_walk_rounds_equal_one_shot_calls(n, site, steps, w):
     angles = rng.uniform(0.0, 2.0 * math.pi, (5, 6))
     for rows in (5, 2):
         angles = angles[:rows].copy()
-        recorded = optimize._RecordedWalk(init, steps, rows)
+        recorded = optimize._Walker(init, steps, rows, record=True)
         for _ in range(4):
             values, grads = optimize._values_and_gradients(recorded, angles, target, init)
             fresh_values, fresh_grads = _mse_and_gradient(angles, target, schedule, init)

@@ -37,7 +37,7 @@ from ssqw import (
     wrap_angle,
 )
 from ssqw import walk
-from ssqw.optimize import _mse_and_gradient
+from ssqw.optimize import _mse_and_gradient, objective
 
 import oracles
 
@@ -393,25 +393,27 @@ def test_windowed_steps_equal_full_ring(run, angles):
     state, steps = run
     m = state.num_positions
     params = SsqwParams.from_array(np.array(angles))
-    c1, c2 = walk._coin_pair(params)
     _, span = _arc(state)
 
-    def full_ring(coin2, t):
-        return walk._steps_in_place(state.amps[:, None].copy(), c1, coin2, t)[:, 0]
+    def full_ring(pair):
+        # The walk on the window 0..M-1, whatever the start's cone.
+        with mock.patch.object(walk, "_light_cone", lambda state, steps: np.arange(state.num_positions)):
+            ring = walk._Walker(state, steps, 1, record=False)
+        return ring.forward(pair).final[:, 0]
 
     with step_loop_widths() as widths:
         got = evolve(state, params, WalkSchedule(steps)).amps
     assert widths == [min(span + 2 * steps, m)]
     # array_equal treats -0.0 and 0.0 as equal: only the signs of exact
     # zeros outside the cone may differ from the full-ring run.
-    assert np.array_equal(got, full_ring(c2, steps))
+    assert np.array_equal(got, full_ring(walk._coin_pair(params)))
 
     ssqw_state, dtqw_state = state, state
     for _ in range(steps):
         ssqw_state = apply_ssqw_step(ssqw_state, params)
         dtqw_state = apply_dtqw_step(dtqw_state, params.coin1)
     assert np.array_equal(ssqw_state.amps, got)
-    assert np.array_equal(dtqw_state.amps, full_ring(np.eye(2, dtype=np.complex128)[None], steps))
+    assert np.array_equal(dtqw_state.amps, full_ring(walk._plain_pair(params.coin1)))
 
     if m <= 32:
         w_ssqw = np.linalg.matrix_power(oracles.dense_ssqw_step(angles, m), steps)
@@ -439,24 +441,22 @@ def test_walk_steps_exactly_the_light_cone(run, angles, gradient):
         else:
             evolve(state, params, WalkSchedule(steps))
     assert widths == [cone.size]
-    coin1, coin2 = walk._coin_pair(params)
-    if gradient:
-        recorded = walk._RecordedWalk(state, steps, 1)
-        final, sites, _, _ = recorded.forward(np.stack([coin1, coin2], axis=1))
-    else:
-        final, sites, _, _ = walk._walk(state, coin1, coin2, steps)
+    walker = walk._Walker(state, steps, 1, record=gradient)
+    final, sites, _, _ = walker.forward(walk._coin_pair(params))
     np.testing.assert_array_equal(sites, cone)
     # The batch of one row, recorded or not, scatters to evolve's state.
     assert final.shape == (2, 1, sites.size)
     ring = np.zeros((2, m), dtype=np.complex128)
     ring[:, sites] = final[:, 0]
     assert np.array_equal(ring, evolve(state, params, WalkSchedule(steps)).amps)
+    # The record opens with the start, on the cone, and ends with the
+    # final state; an unrecorded walk steps its one slot from the one to
+    # the other.
+    slots = 2 * steps + 1 if gradient else 1
+    assert walker.states.shape == (slots, 2, 1, sites.size)
+    assert np.shares_memory(final, walker.states[-1])
     if gradient:
-        # The record opens with the start, on the cone, and ends with the
-        # final state.
-        assert recorded.states.shape == (2 * steps + 1, 2, 1, sites.size)
-        assert np.array_equal(recorded.states[0, :, 0], state.amps[:, sites])
-        assert np.shares_memory(final, recorded.states[-1])
+        assert np.array_equal(walker.states[0, :, 0], state.amps[:, sites])
 
 
 def test_step_loop_runs_only_the_light_cone():
@@ -500,6 +500,16 @@ def test_adjoint_sweep_runs_only_the_light_cone():
     assert widths == [129] * 255 + [15] * 27 + [21] * 39 + [41] * 79
 
 
+def coin_views(coins, shape, move_up, right):
+    """``walk._coin_views`` of a (B, 2, 2) coin stack for states of
+    ``shape`` (B, w), its entries laid out as a ``walk._Walker`` lays out
+    each coin's, and its own product buffer."""
+    entries = np.empty((2, 2) + shape, dtype=np.complex128)
+    entries[...] = coins.transpose(1, 2, 0)[..., None]
+    products = np.empty((2, 2) + shape, dtype=np.complex128)
+    return walk._coin_views(entries, products, move_up, right)
+
+
 @st.composite
 def half_step_cases(draw):
     """A (2, B, w) state and a (B, 2, 2) stack of unitary coins, B in 1..9
@@ -519,18 +529,17 @@ def test_half_step_plan_equals_the_two_term_expressions(case, move_up, right):
     state, coins = case
     want = oracles.half_step_ref(state, coins, move_up, right)
     got = state.copy()
-    products = np.empty((2,) + got.shape, dtype=np.complex128)
-    plan = walk._half_step(got, got, walk._entries(coins, got.shape[1:]), products, move_up, right)
+    views = coin_views(coins, got.shape[1:], move_up, right)
+    plan = walk._half_step(got, got, views)
     walk._run(plan)
     assert got.tobytes() == want.tobytes()
     # Run again, the same views step the state the plan was built on.
     walk._run(plan)
     assert got.tobytes() == oracles.half_step_ref(want, coins, move_up, right).tobytes()
     # A state that is not C-contiguous would be flattened into copies.
-    entries = walk._entries(coins, state.shape[1:])
     fortran = np.asfortranarray(state)
     with pytest.raises(ValueError, match="C-contiguous"):
-        walk._half_step(fortran, fortran, entries, products, move_up, right)
+        walk._half_step(fortran, fortran, views)
 
 
 @settings(max_examples=150, deadline=None)
@@ -540,43 +549,87 @@ def test_out_of_place_half_step_equals_the_in_place_plan(case, move_up, right):
     # plan from src into dst writes what the in-place plan writes, bit for
     # bit, and leaves src as it was.
     state, coins = case
-    entries = walk._entries(coins, state.shape[1:])
-    products = np.empty((2,) + state.shape, dtype=np.complex128)
+    views = coin_views(coins, state.shape[1:], move_up, right)
     in_place = state.copy()
-    walk._run(walk._half_step(in_place, in_place, entries, products, move_up, right))
+    walk._run(walk._half_step(in_place, in_place, views))
     src, dst = state.copy(), np.full_like(state, np.nan)
-    plan = walk._half_step(src, dst, entries, products, move_up, right)
+    plan = walk._half_step(src, dst, views)
     walk._run(plan)
     assert dst.tobytes() == in_place.tobytes()
     assert src.tobytes() == state.tobytes()
     # Run again from a new source through the same views.
     src[...] = in_place
     walk._run(plan)
-    walk._run(walk._half_step(in_place, in_place, entries, products, move_up, right))
+    walk._run(walk._half_step(in_place, in_place, views))
     assert dst.tobytes() == in_place.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=half_step_cases(), copied=st.booleans())
-def test_broadcast_batches_step_like_contiguous_ones(case, copied):
-    # _walk passes a batch broadcast from the start; np.array of such a view
-    # keeps its strides and, for B > 1, is writeable but not C-contiguous.
-    # Either way the steps run on a copy of their own, which equals the
-    # reference, and the batch is left as it was.
+@given(case=half_step_cases(), record=st.booleans())
+def test_walker_leaves_its_start_as_it_was(case, record):
+    # Every row of a walk starts from the start's amplitudes, which each
+    # call copies into the walk's first slot: the rows step as the
+    # reference steps a batch broadcast from the start, and the start's
+    # amplitudes are left as they were.
     state, coins = case
-    batch = np.broadcast_to(state[:, :1], state.shape)
-    if copied:
-        batch = np.array(batch)
-        assert batch.flags.c_contiguous == (batch.shape[1] == 1)
-    before = batch.copy()
+    m = 1 << (state.shape[-1].bit_length() - 1)
+    init = WalkerState(state[:, 0, :m])
+    before = init.amps.tobytes()
     coins2 = coins[::-1]
-    want = batch
+    want = np.broadcast_to(init.amps[:, None], (2, len(coins), m))
     for _ in range(2):
         want = oracles.half_step_ref(want, coins, move_up=True, right=True)
         want = oracles.half_step_ref(want, coins2, move_up=False, right=False)
-    got = walk._steps_in_place(batch, coins, coins2, 2)
-    assert got.tobytes() == want.tobytes()
-    assert batch.tobytes() == before.tobytes()
+    got = walk._Walker(init, 2, len(coins), record).forward(np.stack([coins, coins2], axis=1))
+    assert np.array_equal(got.sites, np.arange(m))
+    assert got.final.tobytes() == want.tobytes()
+    assert init.amps.tobytes() == before
+
+
+@contextlib.contextmanager
+def planned():
+    """Count the half-step plans and the coin and direction view sets of
+    every walk built inside."""
+    counts = {"plans": 0, "views": 0}
+    half_step, coin_views = walk._half_step, walk._coin_views
+
+    def plan(*args):
+        counts["plans"] += 1
+        return half_step(*args)
+
+    def views(*args):
+        counts["views"] += 1
+        return coin_views(*args)
+
+    with mock.patch.object(walk, "_half_step", plan), mock.patch.object(walk, "_coin_views", views):
+        yield counts
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+def test_planning_stays_flat_in_the_steps(record):
+    # An unrecorded walk plans its two half-steps, one per coin, whatever
+    # its steps, and a recorded walk its 2t forward and 2t - 1 back ones.
+    # Either builds the views of each coin and direction once: 2 sets, and
+    # 2 more for the sweep. A second forward call starts from the start
+    # again, so it repeats the first one's final state.
+    params = [SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4)), SsqwParams.balanced()]
+    pairs = np.concatenate([walk._coin_pair(p) for p in params])
+    init = initial_state(10, 0.6, 0.8j, 3)
+    for steps in (1, 64):
+        with planned() as counts:
+            walker = walk._Walker(init, steps, len(pairs), record)
+        assert counts == ({"plans": 4 * steps - 1, "views": 4} if record else {"plans": 2, "views": 2})
+        first = walker.forward(pairs).final.copy()
+        if record:
+            walker.sweep(np.linspace(-1.0, 1.0, first.shape[-1]))
+        assert walker.forward(pairs).final.tobytes() == first.tobytes()
+    if not record:
+        # The evolve-wide objective: 64 steps on 2**16 sites, two plans.
+        m = 1 << 16
+        target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
+        with planned() as counts:
+            objective(params[0], target, WalkSchedule(64), initial_state(16, 1.0, 0.0, m // 2))
+        assert counts == {"plans": 2, "views": 2}
 
 
 def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
@@ -587,7 +640,7 @@ def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
     assert walk._light_cone(init, steps).size == sites
 
     def recorded(c1, c2):
-        run = walk._RecordedWalk(init, steps, len(c1))
+        run = walk._Walker(init, steps, len(c1), record=True)
         return run, run.forward(np.stack([c1, c2], axis=1)).final.copy()
 
     batched, final = recorded(coins1, coins2)
