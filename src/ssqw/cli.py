@@ -166,7 +166,7 @@ def _fit(target: TargetDistribution, config: OptimizerConfig, out: str, csv_out:
         f"best_mse {result.best_mse:.6e} (floor {result.metadata['mse_floor']:.6e}) "
         f"after {result.iterations_used} evaluations ({result.metadata['restarts_run']} restarts)"
     )
-    print(f"fit took {wall:.1f}s", file=sys.stderr)
+    print(f"fit took {wall * 1e3:.1f} ms", file=sys.stderr)
     return result
 
 

@@ -126,13 +126,14 @@ def _scores(run: _Walk, target: TargetDistribution, init: WalkerState) -> tuple[
     n = target.n_bins
     if init.num_positions != n:
         raise ValueError(f"initial state has {init.num_positions} positions but target has {n} bins")
-    if not np.all(np.abs(run.norms - 1.0) <= MSE_SUM_TOL):
+    if not (np.abs(run.norms - 1.0) <= MSE_SUM_TOL).all():
         raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
     q = target.probs
     d = run.probs - q[run.sites]
     dd = np.multiply(q, q, out=np.empty((len(d), n)))
     dd[:, run.sites] = d * d
-    return np.mean(dd, axis=-1).tolist(), d
+    # np.mean's two operations, without its Python-level wrapper.
+    return (np.add.reduce(dd, axis=-1) / n).tolist(), d
 
 
 def _mse_and_gradient(
@@ -178,7 +179,7 @@ def _values_and_gradients(
     values, d = _scores(recorded.forward(coins.reshape(b, 2, 2, 2)), target, init)
     # (row, coin, 1, 2, 2) accumulators against (row, coin, angle, 2, 2) derivatives.
     g = recorded.sweep((2.0 / target.n_bins) * d).swapaxes(0, 1)[:, :, None]
-    grad = 2.0 * np.real(np.sum(dcoins.reshape(b, 2, 3, 2, 2) * g, axis=(3, 4)))
+    grad = 2.0 * np.add.reduce(dcoins.reshape(b, 2, 3, 2, 2) * g, axis=(3, 4)).real
     return values, grad.reshape(b, 6)
 
 
@@ -202,10 +203,11 @@ def _reach_floor(
     return u, (math.fsum(q * q) + u * u / cone.size) / n
 
 
-def _free_angles(symmetric: bool) -> np.ndarray:
+def _free_angles(symmetric: bool) -> np.ndarray | slice:
     """Indices, in ``SsqwParams.to_array`` order, of the angles train()
-    optimises: all six, or the two thetas in symmetric mode."""
-    return np.array([0, 3]) if symmetric else np.arange(6)
+    optimises: all six, as a slice, so that a row is read and written
+    without fancy indexing, or the two thetas in symmetric mode."""
+    return np.array([0, 3]) if symmetric else slice(None)
 
 
 @dataclass(frozen=True)
@@ -287,12 +289,13 @@ def _adjoint_bfgs(
     charged = EVALS_PER_GRADIENT
     h = None  # inverse-Hessian estimate, set at the first curvature update
     eye = np.eye(x.size)
+    # ndarray.dot makes the same BLAS calls as @, with less dispatch.
     while True:
-        d = -g if h is None else -(h @ g)
-        slope = float(g @ d)
+        d = -g if h is None else -h.dot(g)
+        slope = float(g.dot(d))
         if not slope < 0.0:
             return "no-descent", charged
-        norm = math.sqrt(float(d @ d))
+        norm = math.sqrt(float(d.dot(d)))
         if norm > config.initial_trust_radius:
             scale = config.initial_trust_radius / norm
             d, slope, norm = d * scale, slope * scale, config.initial_trust_radius
@@ -309,12 +312,13 @@ def _adjoint_bfgs(
                 break
             t *= 0.5
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         if sy > 0.0:
             if h is None:
-                h = (sy / float(y @ y)) * eye
-            v = eye - s[:, None] * y / sy
-            h = v @ h @ v.T + s[:, None] * s / sy
+                h = (sy / float(y.dot(y))) * eye
+            column = s[:, None]
+            v = eye - column * y / sy
+            h = v.dot(h).dot(v.T) + column * s / sy
         x, f, g = x_new, f_new, g_new
 
 

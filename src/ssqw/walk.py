@@ -64,13 +64,13 @@ step, never gets there. Every row shares the start, and so its cone. Each
 row is stepped by the same half-steps as it would be alone, so its result
 equals its own B = 1 call bit for bit.
 
-Coins are built from angle arrays: ``_coin_factors`` takes the cosines
+Coins are built from angle arrays: ``_coin_stacks`` takes the cosines
 and sines of a (K, 3) array of (theta, phi, lam) rows from one np.cos and
-one np.sin call, and ``_coins`` evaluates the scalar formula on them into
-(K, 2, 2) coins (``coin_matrix`` is the one-row case, ``_coin_pair``
-gives a parameter set's pair as a (1, 2, 2, 2) stack, and ``_plain_pair``
-a plain step's, its coin and then the identity); ``_coin_stacks`` adds
-their (K, 3, 2, 2) angle derivatives for the gradient. A walk copies its
+one np.sin call, and evaluates the scalar formula on them into (K, 2, 2)
+coins and their (K, 3, 2, 2) angle derivatives for the gradient
+(``coin_matrix`` is the one-row case, ``_coin_pair`` gives a parameter
+set's pair as a (1, 2, 2, 2) stack, and ``_plain_pair`` a plain step's,
+its coin and then the identity). A walk copies its
 coins' entries on each call to one contiguous (2, 2, 2, B, w) array, so
 that each half-step multiplies each coin row by the whole (2, B, w) state
 in one call on contiguous arrays of equal shape.
@@ -183,53 +183,44 @@ def coin_matrix(coin: CoinParams) -> np.ndarray:
     gives the Hadamard coin.
     """
     angles = np.array([[coin.theta, coin.phi, coin.lam]], dtype=np.float64)
-    return _coins(_coin_factors(angles))[0]
-
-
-def _coin_factors(angles: np.ndarray) -> list[tuple[float, float, complex, complex]]:
-    """cos(theta/2), sin(theta/2), exp(i lam) and exp(i phi) for each row
-    (theta, phi, lam) of a (K, 3) float64 angle array: the factors that
-    ``coin_matrix`` and its derivatives are built from. One np.cos and one
-    np.sin call give them all."""
-    half = angles / (2.0, 1.0, 1.0)
-    return [
-        (c, s, complex(cl, sl), complex(cp, sp))
-        for (c, cp, cl), (s, sp, sl) in zip(np.cos(half).tolist(), np.sin(half).tolist())
-    ]
-
-
-def _coins(factors: list) -> np.ndarray:
-    """``coin_matrix`` of each of K coins, from their ``_coin_factors``,
-    stacked into a (K, 2, 2) array."""
-    entries = [v for c, s, el, ep in factors for v in (c, -el * s, ep * s, el * ep * c)]
-    return np.array(entries, dtype=np.complex128).reshape(len(factors), 2, 2)
+    return _coin_stacks(angles)[0][0]
 
 
 def _coin_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``coin_matrix`` of each row (theta, phi, lam) of a (K, 3) float64
     angle array, stacked into a (K, 2, 2) array, and its derivatives by
     theta, phi and lam, from differentiating its formula entry by entry,
-    stacked into a (K, 3, 2, 2) array.
+    stacked into a (K, 3, 2, 2) array: two views of one (K, 4, 2, 2)
+    array, built by one np.fromiter call.
+
+    The cosines and sines of theta/2, phi and lam come from one np.cos and
+    one np.sin call. The formula is then evaluated on Python scalars, each
+    subexpression that entries share (-exp(i lam)/2, and i exp(i lam)
+    exp(i phi) cos(theta/2)) formed once. The coins stay Python scalars
+    for two reasons. numpy's complex multiply fuses with FMA, so the same
+    products on arrays differ from Python's in the last bit (43,842 of
+    100,000 random products did), and every result would move. And an
+    array replay that is exact, each product written out in float64
+    parts, is no faster at 16 coins: 89 us against 36 (one core of a
+    2-core Xeon, numpy 2.4).
     """
-    factors = _coin_factors(angles)
-    # The 2x2 entries by theta, then by phi, then by lam.
-    derivatives = [
-        v
-        for c, s, el, ep in factors
-        for v in (
-            *(-0.5 * s, -0.5 * el * c, 0.5 * ep * c, -0.5 * el * ep * s),
-            *(0.0, 0.0, 1j * ep * s, 1j * el * ep * c),
-            *(0.0, -1j * el * s, 0.0, 1j * el * ep * c),
-        )
-    ]
-    return _coins(factors), np.array(derivatives, dtype=np.complex128).reshape(len(factors), 3, 2, 2)
+    half = angles / (2.0, 1.0, 1.0)
+    entries: list[complex] = []
+    for (c, cp, cl), (s, sp, sl) in zip(np.cos(half).tolist(), np.sin(half).tolist()):
+        el, ep = complex(cl, sl), complex(cp, sp)
+        h, k = -0.5 * el, 1j * el * ep * c
+        # The coin, then its 2x2 entries by theta, by phi and by lam.
+        entries += (c, -el * s, ep * s, el * ep * c, -0.5 * s, h * c, 0.5 * ep * c, h * ep * s)
+        entries += (0.0, 0.0, 1j * ep * s, k, 0.0, -1j * el * s, 0.0, k)
+    stack = np.fromiter(entries, dtype=np.complex128, count=len(entries)).reshape(-1, 4, 2, 2)
+    return stack[:, 0], stack[:, 1:]
 
 
 def _coin_pair(params: SsqwParams) -> np.ndarray:
     """The two coins of ``params`` as a (1, 2, 2, 2) stack, coin1 then
-    coin2, from one ``_coins`` call: each equals ``coin_matrix`` of its
-    angles."""
-    return _coins(_coin_factors(params.to_array().reshape(2, 3)))[None]
+    coin2, from one ``_coin_stacks`` call: each equals ``coin_matrix`` of
+    its angles."""
+    return _coin_stacks(params.to_array().reshape(2, 3))[0][None]
 
 
 def _plain_pair(coin: CoinParams) -> np.ndarray:
@@ -400,11 +391,13 @@ def _checked(final: np.ndarray, sites: np.ndarray, n0: float, steps: int) -> _Wa
     from ``n0`` by more than 1e-10 per step (relative to max(1, n0))
     raises ArithmeticError, which ``python -O`` does not strip. Every
     walk, recorded or not, is checked here."""
-    if not np.all(np.isfinite(final.view(np.float64))):
-        raise ValueError("amplitudes must be finite")
     probs = _position_probs(final)
-    norms = probs.sum(axis=-1)
-    if not np.all(np.abs(norms - n0) <= 1e-10 * steps * max(1.0, n0)):
+    norms = np.add.reduce(probs, axis=-1)
+    if not (np.abs(norms - n0) <= 1e-10 * steps * max(1.0, n0)).all():
+        # A non-finite amplitude makes its row's norm non-finite, which
+        # fails the check above: only then are the amplitudes scanned.
+        if not np.isfinite(final.view(np.float64)).all():
+            raise ValueError("amplitudes must be finite")
         raise ArithmeticError(f"{steps} steps moved the norm from {n0!r} to {norms.tolist()!r}")
     return _Walk(final, sites, probs, norms)
 

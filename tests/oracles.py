@@ -71,6 +71,59 @@ def half_step_ref(state: np.ndarray, coin: np.ndarray, move_up: bool, right: boo
     return np.stack(rows)
 
 
+# The constants of the BFGS generator below, frozen with it.
+EVALS_PER_GRADIENT = 4
+_ARMIJO = 1e-4
+
+
+def bfgs_ref(x0: np.ndarray, config):
+    """A frozen copy of the package's adjoint-bfgs restart generator
+    (``ssqw.optimize._adjoint_bfgs``), with its algebra written with @.
+
+    It yields each point, the free angles, is sent back ``(f, g)`` there,
+    and returns its stop reason and the evaluations charged to it. Driving
+    the package's restarts with it checks that an edit to the package's
+    generator moves no bit of any result.
+    """
+    if config.max_iters < EVALS_PER_GRADIENT:
+        yield x0
+        return "budget", 1
+    x = x0
+    f, g = yield x
+    charged = EVALS_PER_GRADIENT
+    h = None  # inverse-Hessian estimate, set at the first curvature update
+    eye = np.eye(x.size)
+    while True:
+        d = -g if h is None else -(h @ g)
+        slope = float(g @ d)
+        if not slope < 0.0:
+            return "no-descent", charged
+        norm = math.sqrt(float(d @ d))
+        if norm > config.initial_trust_radius:
+            scale = config.initial_trust_radius / norm
+            d, slope, norm = d * scale, slope * scale, config.initial_trust_radius
+        t = 1.0
+        while True:
+            if t * norm < config.final_trust_radius:
+                return "short-step", charged
+            if charged + EVALS_PER_GRADIENT > config.max_iters:
+                return "budget", charged
+            x_new = x + t * d
+            f_new, g_new = yield x_new
+            charged += EVALS_PER_GRADIENT
+            if f_new <= f + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = (sy / float(y @ y)) * eye
+            v = eye - s[:, None] * y / sy
+            h = v @ h @ v.T + s[:, None] * s / sy
+        x, f, g = x_new, f_new, g_new
+
+
 def roll_matrix(m: int, k: int) -> np.ndarray:
     """Permutation R with R|x> = |x + k mod m>."""
     r = np.zeros((m, m))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -395,8 +396,11 @@ def test_train_summary_prints_mse_floor(tmp_path, capsys):
     floor = read_json(out)["metadata"]["mse_floor"]
     captured = capsys.readouterr()
     assert f"(floor {floor:.6e})" in captured.out
-    # The wall time differs from run to run, so it goes to stderr.
-    assert captured.out.rstrip().endswith(" restarts)") and "fit took" in captured.err
+    # The wall time differs from run to run, so it goes to stderr, in
+    # milliseconds: a fit this size takes a few, which "0.0s" hid.
+    assert captured.out.rstrip().endswith(" restarts)")
+    took = re.fullmatch(r"fit took (\d+\.\d) ms", captured.err.strip())
+    assert took and float(took.group(1)) > 0.0, captured.err
 
 
 def test_train_symmetric_flag(tmp_path):

@@ -106,7 +106,6 @@ def test_coin_stacks_replay_the_scalar_formula(rows):
     ref_coins, ref_derivatives = oracles.coin_stack_ref(angles)
     assert coins.tobytes() == ref_coins.tobytes()
     assert derivatives.tobytes() == ref_derivatives.tobytes()
-    assert walk._coins(walk._coin_factors(angles)).tobytes() == ref_coins.tobytes()
     # coin_matrix is the one-row case.
     row = angles[:1]
     assert coin_matrix(CoinParams(*row[0])).tobytes() == oracles.coin_stack_ref(row)[0][0].tobytes()
@@ -328,6 +327,24 @@ def test_evolve_preserves_norm(angles, t, seed):
     s = WalkerState(oracles.random_walker_vec(rng, 16))
     out = evolve(s, SsqwParams.from_array(np.array(angles)), WalkSchedule(t))
     assert abs(out.norm_sq() - 1.0) <= 1e-10 * t
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_walk_check_puts_finiteness_before_the_norm(record):
+    # A non-finite coin entry makes its row's amplitudes and norm
+    # non-finite: the walk raises the ValueError for the amplitudes, not
+    # the ArithmeticError for the norm. A finite coin that is not unitary
+    # raises the ArithmeticError.
+    walker = walk._Walker(initial_state(4, 0.6, 0.8j, 8), 3, 2, record)
+    unitary = walk._coin_pair(SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4)))
+    for bad in (math.nan, math.inf):
+        coins = np.concatenate([unitary, unitary])
+        coins[1, 0, 1, 0] = bad
+        # inf times an exact zero amplitude warns of an invalid value.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            walker.forward(coins)
+    with pytest.raises(ArithmeticError, match="3 steps moved the norm"):
+        walker.forward(2.0 * np.concatenate([unitary, unitary]))
 
 
 # ------------------------------------------------------------- light cone
