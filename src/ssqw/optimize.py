@@ -13,14 +13,21 @@ objective() and train's values share one value path, ``_scores``. It
 scores a ``walk._Walker`` on the window it stepped, which for a localized
 start is a light cone of the start alone: outside it the walk's
 probabilities are exact zeros, so each bin there costs q^2, and the MSE
-equals that of the M-site distribution bit for bit. A value and a
-value-and-gradient call step the same window, the start's cone of the
-walk's steps. A value's walk keeps no record; the gradient's is
-recorded: its forward pass records the states that enter its coins and
-its adjoint sweep runs back on that window from them, so its gradients
-equal those of the same formula on the whole ring bit for bit. Only the
-results a caller gets back as M-site arrays (evolve's state, train's
-``trained_dist``) are built on the whole ring.
+equals that of the M-site distribution bit for bit. Each walk is scored
+in its own score row, (B, n) float64 built once with the walk and
+holding q^2 in every bin: a call overwrites only the cone's bins with
+(p - q)^2 and takes the mean of the row, the same reduce of the same
+values as a row built anew, so the values keep their bits. objective()
+keeps its one-row walk and its row between calls, for the last start,
+step count and target it was called with (see objective), so a solver's
+repeated calls build neither again. A value and a value-and-gradient
+call step the same window, the start's cone of the walk's steps. A
+value's walk keeps no record; the gradient's is recorded: its forward
+pass records the states that enter its coins and its adjoint sweep runs
+back on that window from them, so its gradients equal those of the same
+formula on the whole ring bit for bit. Only the results a caller gets
+back as M-site arrays (evolve's state, train's ``trained_dist``) are
+built on the whole ring.
 
 The restarts are independent, so train() runs them in lockstep: each
 round evaluates the pending point of every live restart in one batched
@@ -36,8 +43,10 @@ walk is rebuilt with the live rows alone.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Generator
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +101,30 @@ def mse(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
+def _check_grid(init: WalkerState, target: TargetDistribution) -> None:
+    """Raise ValueError unless the start has one site per target bin:
+    checked once, where objective() and train() take their inputs."""
+    if init.num_positions != target.n_bins:
+        raise ValueError(f"initial state has {init.num_positions} positions but target has {target.n_bins} bins")
+
+
+class _Kept(NamedTuple):
+    """objective()'s walk and score row, and the start, step count and
+    target they were built for, the first two held by weak reference."""
+
+    init: weakref.ref
+    steps: int
+    target: weakref.ref
+    walk: _Walker
+    row: np.ndarray
+
+
+# The one entry objective() keeps between calls: empty, or a list of one
+# _Kept. A call pops it, an atomic list operation, and puts one back only
+# when it returns a value.
+_kept: list[_Kept] = []
+
+
 def objective(
     params: SsqwParams,
     target: TargetDistribution,
@@ -103,37 +136,63 @@ def objective(
     Equals ``mse(target.probs, position_distribution(evolve(init, params,
     schedule)))`` bit for bit, with the same checks, but a localized start
     is stepped and scored on its light cone alone (``_scores``), so no
-    M-site state is built. Pure function of its arguments; evaluating
-    twice gives bitwise equal results.
+    M-site state is built. Evaluating twice gives bitwise equal results.
+
+    A variational solver calls it again and again on one start, schedule
+    and target, so it keeps one unrecorded one-row ``_Walker`` and one
+    score row (``_score_row``) for the last ``(init, steps, target)`` it
+    was called with, matched by identity and held by weak reference, so
+    a caller's state is never kept alive. A start and a target are frozen,
+    with read-only arrays, so the walk and the row built for them stay
+    theirs. A call writes the start into the walk and the cone's squared
+    differences into the row before it reads either, so a kept entry gives
+    the bits of a new one. A call takes the entry out while it runs and
+    puts it back only once it has its value: a nested, concurrent or
+    failed call builds its own.
     """
-    run = _Walker(init, schedule.steps, 1, record=False).forward(_coin_pair(params))
-    return _scores(run, target, init)[0][0]
+    _check_grid(init, target)
+    steps = schedule.steps
+    try:
+        kept = _kept.pop()
+    except IndexError:
+        kept = None
+    if kept is None or kept.init() is not init or kept.steps != steps or kept.target() is not target:
+        walk = _Walker(init, steps, 1, record=False)
+        kept = _Kept(weakref.ref(init), steps, weakref.ref(target), walk, _score_row(target, 1))
+    value = _scores(kept.walk.forward(_coin_pair(params)), kept.row, target)[0][0]
+    _kept[:] = (kept,)
+    return value
 
 
-def _scores(run: _Walk, target: TargetDistribution, init: WalkerState) -> tuple[list[float], np.ndarray]:
-    """The MSE against the target of a walk from ``init`` under B coin
-    pairs, recorded or not (``walk._Walker``).
+def _score_row(target: TargetDistribution, rows: int) -> np.ndarray:
+    """The score row of ``_scores`` for a walk of B = ``rows`` rows: a
+    C-contiguous (B, n) float64 array holding the target's q^2 in every
+    row, built once per walk and kept with it."""
+    q = target.probs
+    return np.multiply(q, q, out=np.empty((rows, q.size)))
+
+
+def _scores(run: _Walk, row: np.ndarray, target: TargetDistribution) -> tuple[list[float], np.ndarray]:
+    """The MSE against the target of a walk under B coin pairs, recorded
+    or not (``walk._Walker``), scored in its score row (``_score_row``).
 
     Returns the B values and the differences p - q of its distributions
     from the target (B, w), on the w sites of the light cone it stepped.
     Outside the cone every amplitude stays an exact zero, so p = 0 there
-    and each squared difference is q^2 bit for bit; the values equal
-    ``mse`` of each row's M-site distribution. The walk checked the
-    amplitudes and their norm; the checks kept here are that the start
-    has one site per bin and that of ``mse``, each row's probabilities
-    summing to 1 (the target's sum is checked when it is built).
+    and each squared difference is q^2 bit for bit: the row holds those,
+    and each call overwrites the cone's sites with their (p - q)^2, the
+    same sites on every call of one walk. So the values equal ``mse`` of
+    each row's M-site distribution. The walk checked the amplitudes and
+    their norm, and the caller that the start has one site per bin; the
+    check kept here is that of ``mse``, each row's probabilities summing
+    to 1 (the target's sum is checked when it is built).
     """
-    n = target.n_bins
-    if init.num_positions != n:
-        raise ValueError(f"initial state has {init.num_positions} positions but target has {n} bins")
     if not (np.abs(run.norms - 1.0) <= MSE_SUM_TOL).all():
         raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
-    q = target.probs
-    d = run.probs - q[run.sites]
-    dd = np.multiply(q, q, out=np.empty((len(d), n)))
-    dd[:, run.sites] = d * d
+    d = run.probs - target.probs[run.sites]
+    row[:, run.sites] = d * d
     # np.mean's two operations, without its Python-level wrapper.
-    return (np.add.reduce(dd, axis=-1) / n).tolist(), d
+    return (np.add.reduce(row, axis=-1) / target.n_bins).tolist(), d
 
 
 def _mse_and_gradient(
@@ -146,19 +205,25 @@ def _mse_and_gradient(
     ``SsqwParams.to_array`` order, at each row of a (B, 6) float64 angle
     array: a list of B values and a (B, 6) array of gradients.
 
-    Builds the recorded walk of B rows from ``init`` and calls it once
-    (``_values_and_gradients``); train() builds one and calls it every
-    round.
+    Builds the recorded walk of B rows from ``init`` and its score row,
+    and calls it once (``_values_and_gradients``); train() builds one and
+    calls it every round.
     """
-    recorded = _Walker(init, schedule.steps, len(angles), record=True)
-    return _values_and_gradients(recorded, angles, target, init)
+    _check_grid(init, target)
+    recorded, row = _recorded(init, schedule.steps, target, len(angles))
+    return _values_and_gradients(recorded, row, angles, target)
+
+
+def _recorded(init: WalkerState, steps: int, target: TargetDistribution, rows: int) -> tuple[_Walker, np.ndarray]:
+    """A recorded walk of ``rows`` rows from ``init`` and its score row."""
+    return _Walker(init, steps, rows, record=True), _score_row(target, rows)
 
 
 def _values_and_gradients(
-    recorded: _Walker, angles: np.ndarray, target: TargetDistribution, init: WalkerState
+    recorded: _Walker, row: np.ndarray, angles: np.ndarray, target: TargetDistribution
 ) -> tuple[list[float], np.ndarray]:
     """``_mse_and_gradient`` at the rows of ``angles`` on a recorded walk
-    from ``init`` built for as many rows.
+    built for as many rows, and its score row.
 
     The B sets run as one batch: the walk's forward pass is scored by
     ``_scores``, which gives each objective()'s value and checks bit for
@@ -176,7 +241,7 @@ def _values_and_gradients(
     b = len(angles)
     # Each row's coin1, then its coin2, as the rows of one (2B, 3) array.
     coins, dcoins = _coin_stacks(angles.reshape(2 * b, 3))
-    values, d = _scores(recorded.forward(coins.reshape(b, 2, 2, 2)), target, init)
+    values, d = _scores(recorded.forward(coins.reshape(b, 2, 2, 2)), row, target)
     # (row, coin, 1, 2, 2) accumulators against (row, coin, angle, 2, 2) derivatives.
     g = recorded.sweep((2.0 / target.n_bins) * d).swapaxes(0, 1)[:, :, None]
     grad = 2.0 * np.add.reduce(dcoins.reshape(b, 2, 3, 2, 2) * g, axis=(3, 4)).real
@@ -369,6 +434,7 @@ def train(
     if init is None:
         init, coin_init = _start_state(n_bins, config.symmetric_mode)
     else:
+        _check_grid(init, target)
         coin_init = "custom"
 
     free = _free_angles(config.symmetric_mode)
@@ -381,23 +447,24 @@ def train(
     # one recorded walk, built once, whose row i belongs to restart
     # rows[i]. A stopped restart's row stays on its last point and its
     # output is dropped, until the live rows are half of the rows or fewer:
-    # then the walk is rebuilt with the live rows alone.
+    # then the walk is rebuilt with the live rows alone. Each walk has its
+    # own score row.
     runs = [_adjoint_bfgs(np.asarray(x0, dtype=np.float64), config) for x0 in starts]
     pending = {r: next(run) for r, run in enumerate(runs)}
     evaluated: list[list[tuple[np.ndarray, float]]] = [[] for _ in runs]
     stopped: list[tuple[str, int]] = [("", 0)] * len(runs)
     rows = list(pending)
     angles = np.zeros((len(rows), 6))
-    recorded = _Walker(init, config.steps.steps, len(rows), record=True)
+    recorded, row = _recorded(init, config.steps.steps, target, len(rows))
     while pending:
         if 2 * len(pending) <= len(rows):
             keep = [i for i, r in enumerate(rows) if r in pending]
             rows, angles = [rows[i] for i in keep], angles[keep]
-            recorded = _Walker(init, config.steps.steps, len(rows), record=True)
+            recorded, row = _recorded(init, config.steps.steps, target, len(rows))
         live = [(i, r, pending.pop(r)) for i, r in enumerate(rows) if r in pending]
         for i, _, x in live:
             angles[i, free] = x
-        values, grads = _values_and_gradients(recorded, angles, target, init)
+        values, grads = _values_and_gradients(recorded, row, angles, target)
         for i, r, x in live:
             evaluated[r].append((x, values[i]))
             try:

@@ -1,9 +1,13 @@
 import contextlib
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -338,6 +342,138 @@ def test_start_arc_is_found_once_per_state():
     assert searched == [m, 16]
 
 
+# ------------------------------------------------- objective's kept walk
+
+
+def slot_triples():
+    """Three (init, schedule, target) triples: a one-site start on 2**12
+    sites at 8 steps, a 16-bin 8-step walk whose cone covers the ring, and
+    a cone that wraps past site 0."""
+    rng = np.random.default_rng(71)
+    triples = []
+    for init, steps in (
+        (initial_state(12, 1.0, 0.0, 100), 8),
+        (initial_state(4, 1.0, 0.0, 8), 8),
+        (initial_state(10, 0.6, 0.8j, 1), 8),
+    ):
+        m = init.num_positions
+        target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+        triples.append((init, WalkSchedule(steps), target))
+    return triples
+
+
+def full_ring_value(params, init, schedule, target):
+    return mse(target.probs, position_distribution(evolve(init, params, schedule)))
+
+
+def test_objective_keeps_its_bits_across_alternating_triples():
+    # objective keeps one walk and score row, for the last triple it saw:
+    # calls that alternate three triples, twice in a row on each, miss and
+    # hit it in turn, and every value is that of the M-site walk. So do
+    # triples that differ from one of them in one member alone: the start,
+    # the steps (a 7-step cone of 15 of the 16 sites) or the target.
+    (init, schedule, target), (small, _, small_target), wrapped = slot_triples()
+    rng = np.random.default_rng(73)
+    m = wrapped[2].n_bins
+    assert _light_cone(wrapped[0], 8).tolist() == [*range(10), *range(m - 7, m)]
+    other = TargetDistribution(oracles.random_prob_vec(rng, target.n_bins), target.domain)
+    # Each triple differs from the one before it in one member, but for
+    # the 16-bin one and the wrapped cone.
+    triples = [
+        (init, schedule, target),
+        (initial_state(12, 1.0, 0.0, 200), schedule, target),
+        (init, schedule, target),
+        (init, schedule, other),
+        (small, WalkSchedule(8), small_target),
+        (small, WalkSchedule(7), small_target),
+        wrapped,
+    ]
+    for _ in range(3):
+        for init, schedule, target in triples:
+            for angles in rng.uniform(0.0, 2.0 * math.pi, (2, 6)):
+                params = SsqwParams.from_array(angles)
+                assert objective(params, target, schedule, init) == full_ring_value(params, init, schedule, target)
+
+
+def test_a_failed_objective_leaves_the_next_call_correct():
+    # A call that raises, from a non-unitary coin pair on a kept walk or a
+    # start on the wrong grid, leaves the next call's value exact.
+    init, schedule, target = slot_triples()[0]
+    params = SsqwParams.from_array(np.array([1.3, 0.4, 0.9, 2.0, 0.6, 1.7]))
+    want = full_ring_value(params, init, schedule, target)
+    assert objective(KNOWN_PARAMS, target, schedule, init) != want
+    pair = optimize._coin_pair
+    with mock.patch.object(optimize, "_coin_pair", lambda p: 1.1 * pair(p)):
+        with pytest.raises(ArithmeticError):
+            objective(params, target, schedule, init)
+    assert objective(params, target, schedule, init) == want
+    with pytest.raises(ValueError, match="initial state has 16 positions"):
+        objective(params, target, schedule, initial_state(4, 1.0, 0.0, 8))
+    assert objective(params, target, schedule, init) == want
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-triples", "one-triple"])
+def test_objective_on_threads_gives_the_single_threaded_values(shared):
+    # Three threads each make 200 calls, on a triple of its own or all on
+    # one, with the interpreter switching threads as often as it can: a
+    # call holds the kept entry alone, so no two calls share a walk or a
+    # score row.
+    triples = slot_triples()
+    if shared:
+        triples = triples[1:2] * 3
+    rng = np.random.default_rng(79)
+    params = [[SsqwParams.from_array(a) for a in rng.uniform(0.0, 2.0 * math.pi, (200, 6))] for _ in triples]
+    want = [[objective(p, target, schedule, init) for p in ps] for ps, (init, schedule, target) in zip(params, triples)]
+    got = [[] for _ in triples]
+    barrier = threading.Barrier(len(triples))
+
+    def calls(k):
+        init, schedule, target = triples[k]
+        barrier.wait()
+        got[k].extend(objective(p, target, schedule, init) for p in params[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=calls, args=(k,)) for k in range(len(triples))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+def test_objective_keeps_no_caller_state_alive():
+    init, schedule, target = slot_triples()[0]
+    objective(KNOWN_PARAMS, target, schedule, init)
+    objective(KNOWN_PARAMS, target, schedule, init)
+    refs = weakref.ref(init), weakref.ref(target)
+    del init, target
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_warm_objective_allocates_no_ring_sized_array():
+    # The evolve-wide shape: a one-site start on 2**16 sites, 64 steps. A
+    # second call reuses the first one's walk and score row, so nothing it
+    # allocates grows with the ring: one float64 row of it is 512 KiB.
+    m = 1 << 16
+    init = initial_state(16, 1.0, 0.0, m // 2)
+    target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(83), m), Domain(0.0, float(m)))
+    schedule = WalkSchedule(64)
+    objective(KNOWN_PARAMS, target, schedule, init)
+    tracemalloc.start()
+    try:
+        objective(KNOWN_PARAMS, target, schedule, init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_norm_checks_survive_python_O(tmp_path):
     # Under -O, with every planned half-step scaling the amplitudes by 1.1,
     # every norm check still raises ArithmeticError: evolve's, the one-step
@@ -494,6 +630,22 @@ def test_train_init_size_mismatch():
         train(target, OptimizerConfig(max_iters=10), init)
 
 
+def test_grid_is_checked_before_any_walk_is_built():
+    # train and objective check that the start has one site per bin where
+    # they take their inputs, before they build a walk or a score row.
+    target = ring_symmetric_target()
+    init = initial_state(3, 1.0, 0.0, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walk built")
+
+    with mock.patch.object(optimize, "_Walker", refuse), mock.patch.object(optimize, "_score_row", refuse):
+        with pytest.raises(ValueError, match="initial state has 8 positions but target has 16 bins"):
+            train(target, OptimizerConfig(max_iters=10), init)
+        with pytest.raises(ValueError, match="initial state has 8 positions but target has 16 bins"):
+            objective(KNOWN_PARAMS, target, WalkSchedule(7), init)
+
+
 def test_train_respects_budget_exactly():
     target = ring_symmetric_target()
     result = train(target, OptimizerConfig(max_iters=25, restarts=3, seed=1))
@@ -543,8 +695,9 @@ def test_stop_reason_exact_ends_the_restarts():
 
 def test_stop_reason_no_descent_on_a_zero_gradient():
     target = ring_symmetric_target()
+    init, _ = _start_state(target.n_bins, False)
 
-    def flat(recorded, angles, target, init):
+    def flat(recorded, row, angles, target):
         schedule = WalkSchedule(recorded.steps)
         values = [objective(SsqwParams.from_array(a), target, schedule, init) for a in angles]
         return values, np.zeros((len(angles), 6))
@@ -722,11 +875,11 @@ def test_train_narrows_its_recorded_walk_to_the_live_rows():
     ids=["15-site-cone", "whole-ring", "cone-wraps-past-0"],
 )
 def test_recorded_walk_rounds_equal_one_shot_calls(n, site, steps, w):
-    # One recorded walk called over several rounds of new angles, at full
-    # width and then narrowed as train() narrows it, gives every round's
-    # values and gradients the bits of a fresh one-shot call. Rows whose
-    # angles stay as they were, as a stopped restart's do, repeat their
-    # own results.
+    # One recorded walk and its score row called over several rounds of new
+    # angles, at full width and then narrowed as train() narrows it, gives
+    # every round's values and gradients the bits of a fresh one-shot
+    # call. Rows whose angles stay as they were, as a stopped restart's
+    # do, repeat their own results.
     rng = np.random.default_rng(67)
     m = 1 << n
     target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
@@ -736,9 +889,9 @@ def test_recorded_walk_rounds_equal_one_shot_calls(n, site, steps, w):
     angles = rng.uniform(0.0, 2.0 * math.pi, (5, 6))
     for rows in (5, 2):
         angles = angles[:rows].copy()
-        recorded = optimize._Walker(init, steps, rows, record=True)
+        recorded, row = optimize._recorded(init, steps, target, rows)
         for _ in range(4):
-            values, grads = optimize._values_and_gradients(recorded, angles, target, init)
+            values, grads = optimize._values_and_gradients(recorded, row, angles, target)
             fresh_values, fresh_grads = _mse_and_gradient(angles, target, schedule, init)
             assert np.array(values).tobytes() == np.array(fresh_values).tobytes()
             assert grads.tobytes() == fresh_grads.tobytes()
