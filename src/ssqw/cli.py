@@ -29,6 +29,7 @@ import time
 import numpy as np
 
 from .optimize import (
+    RESULT_FORMAT_VERSION,
     OptimizerConfig,
     TrainingResult,
     _start_state,
@@ -79,19 +80,19 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     print(f"wrote {path}")
 
 
 def _check_writable(path: str) -> None:
-    """Raise the usage error that ``_write_text`` would raise for ``path``
+    """Raise the ValueError that ``_write_text`` would raise for ``path``
     if it cannot be opened for writing; leave the file system as it was."""
     existed = os.path.exists(path)
     try:
         with open(path, "a"):
             pass
     except OSError as exc:
-        raise _Usage(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     if not existed:
         os.remove(path)
 
@@ -226,7 +227,7 @@ def cmd_gen_target(args: argparse.Namespace) -> int:
     if args.kind == "bs":
         for name in ("s0", "strike", "r", "t", "sigma"):
             if getattr(args, name) is None:
-                raise _Usage(f"--kind bs requires --{name if name != 'strike' else 'k'}")
+                raise ValueError(f"--kind bs requires --{name if name != 'strike' else 'k'}")
         target = bs_lognormal_target(_option(args), domain, args.bins, args.sigma_reading)
     else:
         spec = _default_spec(args.kind, domain, args.mu, args.sigma)
@@ -290,6 +291,8 @@ def _distribution_from_json(text: str) -> tuple[np.ndarray, int, dict | None]:
     payload = _json_object(json.loads(text), "trained file")
     if "trained_dist" in payload:
         _json_object(payload, "training result", n_bins="integer", trained_dist="array")
+        if payload.get("format_version") != RESULT_FORMAT_VERSION:
+            raise ValueError(f"unsupported training result format_version: {payload.get('format_version')!r}")
         dom = payload.get("domain")
         if dom is not None:
             _json_object(dom, "training result domain", lo="number", hi="number")
@@ -339,7 +342,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     window = None
     if args.date_from is not None or args.date_to is not None:
         if args.date_from is None or args.date_to is None:
-            raise _Usage("--from and --to must be given together")
+            raise ValueError("--from and --to must be given together")
         window = (args.date_from, args.date_to)
     domain = Domain(args.lo, args.hi)
     target = ingest_returns(args.csv, domain, args.bins, window, args.offset)
@@ -369,7 +372,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
-        raise _Usage(f"cannot create output directory {outdir}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot create output directory {outdir}: {exc.strerror or exc}") from exc
     domain = Domain(0.0, 15.0)
     n_bins = 16
     summary: dict = {"format_version": 1}
@@ -409,10 +412,6 @@ def cmd_repro(args: argparse.Namespace) -> int:
 
 
 # -------------------------------------------------------------------- parser
-
-
-class _Usage(Exception):
-    pass
 
 
 class _OptimizerFailed(Exception):
@@ -527,9 +526,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _OptimizerFailed as exc:
         print(f"error: optimiser failed: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZER

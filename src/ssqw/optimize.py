@@ -9,18 +9,19 @@ through the steps, so its path does not depend on the installed SciPy.
 Everything is seeded and exact (probabilities, not shot counts), so a
 given configuration always reproduces the same result.
 
-objective() and train's values share one value path, ``_scores``. It
-scores a ``walk._Walker`` on the window it stepped, which for a localized
-start is a light cone of the start alone: outside it the walk's
-probabilities are exact zeros, so each bin there costs q^2, and the MSE
-equals that of the M-site distribution bit for bit. Each walk is scored
-in its own score row, (B, n) float64 built once with the walk and
-holding q^2 in every bin: a call overwrites only the cone's bins with
-(p - q)^2 and takes the mean of the row, the same reduce of the same
-values as a row built anew, so the values keep their bits. objective()
-keeps its one-row walk and its row between calls, for the last start,
-step count and target it was called with (see objective), so a solver's
-repeated calls build neither again. A value and a value-and-gradient
+objective() and train run every walk as a ``_ScoredWalk``: a
+``walk._Walker`` built for one start, step count and target, and scored
+against the target on the window it stepped, which for a localized start
+is a light cone of the start alone: outside it the walk's probabilities
+are exact zeros, so each bin there costs q^2, and the MSE equals that of
+the M-site distribution bit for bit. Each walk is scored in its own score
+row, (B, n) float64 built once with the walk and holding q^2 in every
+bin: a call overwrites only the cone's bins with (p - q)^2 and takes the
+mean of the row, the same reduce of the same values as a row built anew,
+so the values keep their bits. objective() keeps its one-row scored walk
+between calls, for the last start, step count and target it was called
+with (see objective), so a solver's repeated calls build neither the
+walk nor its row again. A value and a value-and-gradient
 call step the same window, the start's cone of the walk's steps. A
 value's walk keeps no record; the gradient's is recorded: its forward
 pass records the states that enter its coins and its adjoint sweep runs
@@ -46,7 +47,6 @@ import math
 import weakref
 from collections.abc import Generator
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from .walk import (
     _coin_pair,
     _coin_stacks,
     _light_cone,
-    _Walk,
     _Walker,
     evolve,
 )
@@ -101,28 +100,93 @@ def mse(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-def _check_grid(init: WalkerState, target: TargetDistribution) -> None:
-    """Raise ValueError unless the start has one site per target bin:
-    checked once, where objective() and train() take their inputs."""
-    if init.num_positions != target.n_bins:
-        raise ValueError(f"initial state has {init.num_positions} positions but target has {target.n_bins} bins")
+class _ScoredWalk:
+    """A ``walk._Walker`` of B = ``rows`` rows from ``init``, ``steps``
+    steps long and recorded if ``record``, scored against ``target``: the
+    walk of every objective value and gradient.
+
+    Construction first checks that the start has one site per target bin,
+    the one place that check is made, and then builds the walk and its
+    score row: a C-contiguous (B, n) float64 array holding the target's
+    q^2 in every row, kept with the walk. The start and the target are held
+    by weak reference, so a kept walk keeps no caller's state alive, and
+    each reference's death empties objective()'s slot if it holds this
+    walk (``_forget``). A start and a target are frozen, with read-only
+    arrays, so the walk and the row built for them stay theirs.
+    """
+
+    def __init__(self, init: WalkerState, steps: int, target: TargetDistribution, rows: int, record: bool) -> None:
+        if init.num_positions != target.n_bins:
+            raise ValueError(f"initial state has {init.num_positions} positions but target has {target.n_bins} bins")
+        self.walk = _Walker(init, steps, rows, record)
+        q = target.probs
+        self.row = np.multiply(q, q, out=np.empty((rows, q.size)))
+        self.init, self.steps, self.target = weakref.ref(init, _forget), steps, weakref.ref(target, _forget)
+
+    def values(self, coins: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """The MSE against the target of the walk under each row's coin
+        pair of a (B, 2, 2, 2) stack, scored in the score row.
+
+        Returns the B values and the differences p - q of the walk's
+        distributions from the target (B, w), on the w sites of the light
+        cone it stepped. Outside the cone every amplitude stays an exact
+        zero, so p = 0 there and each squared difference is q^2 bit for
+        bit: the row holds those, and each call overwrites the cone's sites
+        with their (p - q)^2, the same sites on every call. So the values
+        equal ``mse`` of each row's M-site distribution. The walk checked
+        the amplitudes and their norm, and construction the grid; the check
+        kept here is that of ``mse``, each row's probabilities summing to 1
+        (the target's sum is checked when it is built).
+        """
+        run = self.walk.forward(coins)
+        if not (np.abs(run.norms - 1.0) <= MSE_SUM_TOL).all():
+            raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
+        q = self.target().probs
+        d = run.probs - q[run.sites]
+        self.row[:, run.sites] = d * d
+        # np.mean's two operations, without its Python-level wrapper.
+        return (np.add.reduce(self.row, axis=-1) / q.size).tolist(), d
+
+    def values_and_gradients(self, angles: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """``_mse_and_gradient`` at the B rows of ``angles``, on a recorded
+        walk.
+
+        The B sets run as one batch: the walk's forward pass is scored by
+        ``values``, which gives each objective()'s value and checks bit for
+        bit, on the same light cone that objective() steps. One adjoint
+        sweep back through the steps (Jones & Gacon, arXiv:2009.02823),
+        seeded with lambda = (2/n)(p - q) psi, where p is the walk's
+        distribution, q the target and n the number of bins, gives the
+        gradients on that cone from the states the forward pass recorded
+        (see ``walk``). A row's gradient equals that of a one-row call, and
+        that of the same formula on the whole ring, bit for bit.
+
+        A non-finite angle raises the ValueError that ``CoinParams`` raises.
+        """
+        _check_finite_angles(angles)
+        b = len(angles)
+        # Each row's coin1, then its coin2, as the rows of one (2B, 3) array.
+        coins, dcoins = _coin_stacks(angles.reshape(2 * b, 3))
+        values, d = self.values(coins.reshape(b, 2, 2, 2))
+        # (row, coin, 1, 2, 2) accumulators against (row, coin, angle, 2, 2) derivatives.
+        g = self.walk.sweep((2.0 / self.row.shape[1]) * d).swapaxes(0, 1)[:, :, None]
+        grad = 2.0 * np.add.reduce(dcoins.reshape(b, 2, 3, 2, 2) * g, axis=(3, 4)).real
+        return values, grad.reshape(b, 6)
 
 
-class _Kept(NamedTuple):
-    """objective()'s walk and score row, and the start, step count and
-    target they were built for, the first two held by weak reference."""
-
-    init: weakref.ref
-    steps: int
-    target: weakref.ref
-    walk: _Walker
-    row: np.ndarray
+# The one walk objective() keeps between calls: empty, or a list of one
+# _ScoredWalk. A call pops it, an atomic list operation, and puts one back
+# only when it returns a value.
+_kept: list[_ScoredWalk] = []
 
 
-# The one entry objective() keeps between calls: empty, or a list of one
-# _Kept. A call pops it, an atomic list operation, and puts one back only
-# when it returns a value.
-_kept: list[_Kept] = []
+def _forget(ref: weakref.ref) -> None:
+    """Empty objective()'s slot when ``ref``, the dead start or target of
+    a ``_ScoredWalk``, is one of the kept walk's references. A call that
+    puts its walk back in between loses it, which costs the next call a
+    build and no bit of its value."""
+    if any(ref is kept.init or ref is kept.target for kept in _kept[:]):
+        _kept.clear()
 
 
 def objective(
@@ -135,64 +199,30 @@ def objective(
 
     Equals ``mse(target.probs, position_distribution(evolve(init, params,
     schedule)))`` bit for bit, with the same checks, but a localized start
-    is stepped and scored on its light cone alone (``_scores``), so no
+    is stepped and scored on its light cone alone (``_ScoredWalk``), so no
     M-site state is built. Evaluating twice gives bitwise equal results.
 
     A variational solver calls it again and again on one start, schedule
-    and target, so it keeps one unrecorded one-row ``_Walker`` and one
-    score row (``_score_row``) for the last ``(init, steps, target)`` it
-    was called with, matched by identity and held by weak reference, so
-    a caller's state is never kept alive. A start and a target are frozen,
-    with read-only arrays, so the walk and the row built for them stay
-    theirs. A call writes the start into the walk and the cone's squared
-    differences into the row before it reads either, so a kept entry gives
-    the bits of a new one. A call takes the entry out while it runs and
-    puts it back only once it has its value: a nested, concurrent or
-    failed call builds its own.
+    and target, so it keeps one unrecorded one-row ``_ScoredWalk``, a walk
+    and its score row, for the last ``(init, steps, target)`` it was called
+    with, matched by identity and held by weak reference, so a caller's
+    state is never kept alive, and dropped once the start or the target is
+    gone. A call writes the start into the walk and the cone's squared
+    differences into the row before it reads either, so a kept walk gives
+    the bits of a new one. A call takes the walk out while it runs and puts
+    it back only once it has its value: a nested, concurrent or failed call
+    builds its own.
     """
-    _check_grid(init, target)
     steps = schedule.steps
     try:
         kept = _kept.pop()
     except IndexError:
         kept = None
     if kept is None or kept.init() is not init or kept.steps != steps or kept.target() is not target:
-        walk = _Walker(init, steps, 1, record=False)
-        kept = _Kept(weakref.ref(init), steps, weakref.ref(target), walk, _score_row(target, 1))
-    value = _scores(kept.walk.forward(_coin_pair(params)), kept.row, target)[0][0]
+        kept = _ScoredWalk(init, steps, target, 1, record=False)
+    value = kept.values(_coin_pair(params))[0][0]
     _kept[:] = (kept,)
     return value
-
-
-def _score_row(target: TargetDistribution, rows: int) -> np.ndarray:
-    """The score row of ``_scores`` for a walk of B = ``rows`` rows: a
-    C-contiguous (B, n) float64 array holding the target's q^2 in every
-    row, built once per walk and kept with it."""
-    q = target.probs
-    return np.multiply(q, q, out=np.empty((rows, q.size)))
-
-
-def _scores(run: _Walk, row: np.ndarray, target: TargetDistribution) -> tuple[list[float], np.ndarray]:
-    """The MSE against the target of a walk under B coin pairs, recorded
-    or not (``walk._Walker``), scored in its score row (``_score_row``).
-
-    Returns the B values and the differences p - q of its distributions
-    from the target (B, w), on the w sites of the light cone it stepped.
-    Outside the cone every amplitude stays an exact zero, so p = 0 there
-    and each squared difference is q^2 bit for bit: the row holds those,
-    and each call overwrites the cone's sites with their (p - q)^2, the
-    same sites on every call of one walk. So the values equal ``mse`` of
-    each row's M-site distribution. The walk checked the amplitudes and
-    their norm, and the caller that the start has one site per bin; the
-    check kept here is that of ``mse``, each row's probabilities summing
-    to 1 (the target's sum is checked when it is built).
-    """
-    if not (np.abs(run.norms - 1.0) <= MSE_SUM_TOL).all():
-        raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
-    d = run.probs - target.probs[run.sites]
-    row[:, run.sites] = d * d
-    # np.mean's two operations, without its Python-level wrapper.
-    return (np.add.reduce(row, axis=-1) / target.n_bins).tolist(), d
 
 
 def _mse_and_gradient(
@@ -203,49 +233,10 @@ def _mse_and_gradient(
 ) -> tuple[list[float], np.ndarray]:
     """objective() and its exact gradient by the six angles, in
     ``SsqwParams.to_array`` order, at each row of a (B, 6) float64 angle
-    array: a list of B values and a (B, 6) array of gradients.
-
-    Builds the recorded walk of B rows from ``init`` and its score row,
-    and calls it once (``_values_and_gradients``); train() builds one and
-    calls it every round.
-    """
-    _check_grid(init, target)
-    recorded, row = _recorded(init, schedule.steps, target, len(angles))
-    return _values_and_gradients(recorded, row, angles, target)
-
-
-def _recorded(init: WalkerState, steps: int, target: TargetDistribution, rows: int) -> tuple[_Walker, np.ndarray]:
-    """A recorded walk of ``rows`` rows from ``init`` and its score row."""
-    return _Walker(init, steps, rows, record=True), _score_row(target, rows)
-
-
-def _values_and_gradients(
-    recorded: _Walker, row: np.ndarray, angles: np.ndarray, target: TargetDistribution
-) -> tuple[list[float], np.ndarray]:
-    """``_mse_and_gradient`` at the rows of ``angles`` on a recorded walk
-    built for as many rows, and its score row.
-
-    The B sets run as one batch: the walk's forward pass is scored by
-    ``_scores``, which gives each objective()'s value and checks bit for
-    bit, on the same light cone that objective() steps. One adjoint sweep
-    back through the steps (Jones & Gacon, arXiv:2009.02823), seeded with
-    lambda = (2/n)(p - q) psi, where p is the walk's distribution, q the
-    target and n the number of bins, gives the gradients on that cone from
-    the states the forward pass recorded (see ``walk``). A row's gradient
-    equals that of a one-row call, and that of the same formula on the
-    whole ring, bit for bit.
-
-    A non-finite angle raises the ValueError that ``CoinParams`` raises.
-    """
-    _check_finite_angles(angles)
-    b = len(angles)
-    # Each row's coin1, then its coin2, as the rows of one (2B, 3) array.
-    coins, dcoins = _coin_stacks(angles.reshape(2 * b, 3))
-    values, d = _scores(recorded.forward(coins.reshape(b, 2, 2, 2)), row, target)
-    # (row, coin, 1, 2, 2) accumulators against (row, coin, angle, 2, 2) derivatives.
-    g = recorded.sweep((2.0 / target.n_bins) * d).swapaxes(0, 1)[:, :, None]
-    grad = 2.0 * np.add.reduce(dcoins.reshape(b, 2, 3, 2, 2) * g, axis=(3, 4)).real
-    return values, grad.reshape(b, 6)
+    array: a list of B values and a (B, 6) array of gradients, from one
+    call on a new recorded ``_ScoredWalk``; train() builds one and calls
+    it every round."""
+    return _ScoredWalk(init, schedule.steps, target, len(angles), record=True).values_and_gradients(angles)
 
 
 def _reach_floor(
@@ -434,7 +425,6 @@ def train(
     if init is None:
         init, coin_init = _start_state(n_bins, config.symmetric_mode)
     else:
-        _check_grid(init, target)
         coin_init = "custom"
 
     free = _free_angles(config.symmetric_mode)
@@ -447,24 +437,24 @@ def train(
     # one recorded walk, built once, whose row i belongs to restart
     # rows[i]. A stopped restart's row stays on its last point and its
     # output is dropped, until the live rows are half of the rows or fewer:
-    # then the walk is rebuilt with the live rows alone. Each walk has its
-    # own score row.
+    # then the walk is rebuilt with the live rows alone. The first build
+    # checks a custom start's grid before it builds anything.
     runs = [_adjoint_bfgs(np.asarray(x0, dtype=np.float64), config) for x0 in starts]
     pending = {r: next(run) for r, run in enumerate(runs)}
     evaluated: list[list[tuple[np.ndarray, float]]] = [[] for _ in runs]
     stopped: list[tuple[str, int]] = [("", 0)] * len(runs)
     rows = list(pending)
     angles = np.zeros((len(rows), 6))
-    recorded, row = _recorded(init, config.steps.steps, target, len(rows))
+    scored = None
     while pending:
-        if 2 * len(pending) <= len(rows):
+        if scored is None or 2 * len(pending) <= len(rows):
             keep = [i for i, r in enumerate(rows) if r in pending]
             rows, angles = [rows[i] for i in keep], angles[keep]
-            recorded, row = _recorded(init, config.steps.steps, target, len(rows))
+            scored = _ScoredWalk(init, config.steps.steps, target, len(rows), record=True)
         live = [(i, r, pending.pop(r)) for i, r in enumerate(rows) if r in pending]
         for i, _, x in live:
             angles[i, free] = x
-        values, grads = _values_and_gradients(recorded, row, angles, target)
+        values, grads = scored.values_and_gradients(angles)
         for i, r, x in live:
             evaluated[r].append((x, values[i]))
             try:

@@ -491,6 +491,8 @@ def ingest_returns(
     recorded in the provenance.
     """
     _check_n_bins(n_bins)
+    if offset is not None and not math.isfinite(offset):
+        raise ValueError(f"offset must be a finite number, got {offset!r}")
     rows = _parse_quote_rows(path)
     rows.sort(key=lambda r: r[0])
     if window is not None:

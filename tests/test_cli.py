@@ -571,6 +571,29 @@ def test_price_trained_without_n_bins_exit2(tmp_path, capsys):
     assert_usage_error(capsys, code, str(result), "'n_bins'")
 
 
+@pytest.mark.parametrize("version", [99, None], ids=["99", "missing"])
+def test_price_trained_unsupported_format_version_exit2(tmp_path, capsys, version):
+    # A training result is refused at a format_version other than 1, as a
+    # target or a state file is.
+    target = gen_normal_target(tmp_path)
+    result = tmp_path / "r.json"
+    assert run("train", "--target", str(target), "--out", str(result), "--max-iters", "4") == 0
+    payload = read_json(result)
+    if version is None:
+        del payload["format_version"]
+    else:
+        payload["format_version"] = version
+    result.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(
+        "price", "--target", str(target), "--trained", str(result),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert_usage_error(capsys, code, f"{result}: unsupported training result format_version: {version!r}")
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize(
     "domain, needle",
     [(5, "domain is not a JSON object"), ({"lo": 0.0, "hi": "15"}, "'hi' must be a JSON number")],
@@ -749,6 +772,16 @@ def test_ingest_binning_matches_oracle(tmp_path):
     returns = (arr[1:] - arr[:-1]) / arr[:-1] * 100.0
     counts, kept = oracles.histogram_ref(returns + 4.0, 0.0, 15.0, 16)
     np.testing.assert_allclose(payload["probs"], np.array(counts) / kept, atol=1e-15)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_ingest_offset_must_be_finite_exit2(tmp_path, capsys, value):
+    # A bad argument, not a target with no mass on the domain (exit 3).
+    quotes = write_quotes(tmp_path / "q.csv", [("2024-01-02", 100.0), ("2024-01-03", 102.0)])
+    out = tmp_path / "t.json"
+    code = run("ingest", "--csv", quotes, f"--offset={value}", "--out", str(out))
+    assert_usage_error(capsys, code, "offset must be a finite number")
+    assert not out.exists()
 
 
 def test_ingest_empty_window_exit7(tmp_path):

@@ -454,6 +454,15 @@ def test_objective_keeps_no_caller_state_alive():
     del init, target
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+    assert optimize._kept == []
+    # Either one going empties the slot.
+    for drop in ("init", "target"):
+        triple = dict(zip(("init", "schedule", "target"), slot_triples()[0]))
+        objective(KNOWN_PARAMS, triple["target"], triple["schedule"], triple["init"])
+        assert len(optimize._kept) == 1
+        del triple[drop]
+        gc.collect()
+        assert optimize._kept == []
 
 
 def test_warm_objective_allocates_no_ring_sized_array():
@@ -632,14 +641,15 @@ def test_train_init_size_mismatch():
 
 def test_grid_is_checked_before_any_walk_is_built():
     # train and objective check that the start has one site per bin where
-    # they take their inputs, before they build a walk or a score row.
+    # they take their inputs, before they build a walk or a score row: a
+    # _ScoredWalk checks it before it builds its _Walker, and its row after.
     target = ring_symmetric_target()
     init = initial_state(3, 1.0, 0.0, 4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("walk built")
 
-    with mock.patch.object(optimize, "_Walker", refuse), mock.patch.object(optimize, "_score_row", refuse):
+    with mock.patch.object(optimize, "_Walker", refuse):
         with pytest.raises(ValueError, match="initial state has 8 positions but target has 16 bins"):
             train(target, OptimizerConfig(max_iters=10), init)
         with pytest.raises(ValueError, match="initial state has 8 positions but target has 16 bins"):
@@ -697,12 +707,12 @@ def test_stop_reason_no_descent_on_a_zero_gradient():
     target = ring_symmetric_target()
     init, _ = _start_state(target.n_bins, False)
 
-    def flat(recorded, row, angles, target):
-        schedule = WalkSchedule(recorded.steps)
-        values = [objective(SsqwParams.from_array(a), target, schedule, init) for a in angles]
+    def flat(scored, angles):
+        schedule = WalkSchedule(scored.steps)
+        values = [objective(SsqwParams.from_array(a), scored.target(), schedule, init) for a in angles]
         return values, np.zeros((len(angles), 6))
 
-    with mock.patch("ssqw.optimize._values_and_gradients", flat):
+    with mock.patch.object(optimize._ScoredWalk, "values_and_gradients", flat):
         result = train(target, OptimizerConfig(max_iters=40, restarts=2, seed=1))
     assert result.metadata["stop_reasons"] == ["no-descent"] * 2
     assert result.metadata["evals_per_restart"] == [EVALS_PER_GRADIENT] * 2
@@ -875,7 +885,7 @@ def test_train_narrows_its_recorded_walk_to_the_live_rows():
     ids=["15-site-cone", "whole-ring", "cone-wraps-past-0"],
 )
 def test_recorded_walk_rounds_equal_one_shot_calls(n, site, steps, w):
-    # One recorded walk and its score row called over several rounds of new
+    # One recorded scored walk called over several rounds of new
     # angles, at full width and then narrowed as train() narrows it, gives
     # every round's values and gradients the bits of a fresh one-shot
     # call. Rows whose angles stay as they were, as a stopped restart's
@@ -889,9 +899,9 @@ def test_recorded_walk_rounds_equal_one_shot_calls(n, site, steps, w):
     angles = rng.uniform(0.0, 2.0 * math.pi, (5, 6))
     for rows in (5, 2):
         angles = angles[:rows].copy()
-        recorded, row = optimize._recorded(init, steps, target, rows)
+        scored = optimize._ScoredWalk(init, steps, target, rows, record=True)
         for _ in range(4):
-            values, grads = optimize._values_and_gradients(recorded, row, angles, target)
+            values, grads = scored.values_and_gradients(angles)
             fresh_values, fresh_grads = _mse_and_gradient(angles, target, schedule, init)
             assert np.array(values).tobytes() == np.array(fresh_values).tobytes()
             assert grads.tobytes() == fresh_grads.tobytes()

@@ -496,6 +496,14 @@ def test_ingest_offset_out_of_domain_raises(tmp_path):
         ingest_returns(path, DOM, 16, offset=1000.0)
 
 
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_ingest_non_finite_offset_is_a_plain_value_error(tmp_path, offset):
+    path = write_quotes(tmp_path / "q.csv", [("2024-01-02", 100.0), ("2024-01-03", 101.0)])
+    with pytest.raises(ValueError, match="offset must be a finite number") as info:
+        ingest_returns(path, DOM, 16, offset=offset)
+    assert not isinstance(info.value, UnrepresentableTargetError)
+
+
 def test_ingest_json_provenance_roundtrip(tmp_path):
     path = write_quotes(
         tmp_path / "q.csv", [("2024-01-02", 100.0), ("2024-01-03", 101.0), ("2024-01-04", 99.0)]
