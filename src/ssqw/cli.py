@@ -45,7 +45,7 @@ from .target import (
     TargetDistribution,
     UnrepresentableTargetError,
     _bin_table_csv,
-    _check_probs,
+    _ProbsError,
     analytic_histogram,
     bs_lognormal_target,
     ingest_returns,
@@ -322,16 +322,20 @@ def cmd_price(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_GRID_MISMATCH
-    _check_probs(trained, f"{args.trained}: trained probabilities")
-    _price(
-        _option(args),
-        target,
-        trained,
-        *_out_paths(args, "price.json"),
-        discount=args.discount,
-        sigma_reading=args.sigma_reading,
-        reference_payoff=args.reference,
-    )
+    try:
+        _price(
+            _option(args),
+            target,
+            trained,
+            *_out_paths(args, "price.json"),
+            discount=args.discount,
+            sigma_reading=args.sigma_reading,
+            reference_payoff=args.reference,
+        )
+    except _ProbsError as exc:
+        # price_report checks the trained probabilities; the target's were
+        # checked when it was read.
+        raise ValueError(f"{args.trained}: {exc}") from exc
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ from .target import (
     TargetDistribution,
     _bin_table_csv,
     _check_n_bins,
+    _check_probs,
     _exp_or_inf,
     _lognormal_tail_mass,
     _maturity_law,
@@ -47,10 +48,12 @@ class PriceGrid:
 
 
 def expected_payoff(probs: np.ndarray, grid: PriceGrid, strike: float) -> float:
-    """Sum of p_i * max(price_i - strike, 0). Nonnegative by construction."""
+    """Sum of p_i * max(price_i - strike, 0). Nonnegative by construction:
+    ``probs`` must be finite, nonnegative and sum to 1, as a target's do."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size != grid.n_bins:
         raise ValueError(f"distribution has {probs.shape} entries but grid has {grid.n_bins} bins")
+    _check_probs(probs)
     if not math.isfinite(strike) or strike < 0.0:
         raise ValueError(f"strike must be finite and nonnegative, got {strike!r}")
     payoff = np.maximum(grid.prices - strike, 0.0)
@@ -79,9 +82,10 @@ def price_report(
 ) -> PayoffReport:
     """Payoffs of the target histogram and a trained distribution side by side.
 
-    The report carries the truncation tail mass of the lognormal implied by
-    the option inputs, since probability outside the grid silently biases
-    the binned payoff low. When ``reference_payoff`` is given, the relative
+    ``trained`` must be finite, nonnegative and sum to 1, as the target's
+    probabilities do. The report carries the truncation tail mass of the
+    lognormal implied by the option inputs, since probability outside the
+    grid silently biases the binned payoff low. When ``reference_payoff`` is given, the relative
     gap against the target payoff is recorded; disagreement beyond 5% is
     annotated rather than treated as an error, because a quoted reference
     depends on the sigma reading and index-to-price mapping its source used.
@@ -92,9 +96,13 @@ def price_report(
         raise ValueError(
             f"trained distribution has shape {trained.shape} but target has {target.probs.shape}"
         )
+    _check_probs(trained, "trained probabilities")
     grid = PriceGrid(target.domain, target.n_bins)
-    pay_t = expected_payoff(target.probs, grid, option.strike)
-    pay_w = expected_payoff(trained, grid, option.strike)
+    # expected_payoff's sum, on probabilities checked once: the target's
+    # when it was built, the trained ones above.
+    per_bin_payoff = np.maximum(grid.prices - option.strike, 0.0)
+    pay_t = float(np.sum(target.probs * per_bin_payoff))
+    pay_w = float(np.sum(trained * per_bin_payoff))
     factor = 1.0
     if discount:
         factor = _exp_or_inf(-option.rate * option.maturity)
@@ -131,7 +139,7 @@ def price_report(
         payoff_target=pay_t,
         payoff_trained=pay_w,
         gap=pay_w - pay_t,
-        per_bin_payoff=np.maximum(grid.prices - option.strike, 0.0),
+        per_bin_payoff=per_bin_payoff,
         discounted=discount,
         metadata=metadata,
     )

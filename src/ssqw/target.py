@@ -74,16 +74,21 @@ def _check_n_bins(n_bins: int) -> None:
         raise ValueError(f"n_bins must be a power of two >= 2, got {n_bins!r}")
 
 
+class _ProbsError(ValueError):
+    """A probability vector that ``_check_probs`` refused."""
+
+
 def _check_probs(probs: np.ndarray, what: str = "probabilities") -> None:
-    """Raise ValueError unless the float vector ``probs`` is finite,
-    nonnegative and sums to 1 within SUM_TOL; ``what`` names it."""
+    """Raise _ProbsError, a ValueError, unless the float vector ``probs``
+    is finite, nonnegative and sums to 1 within SUM_TOL; ``what`` names
+    it."""
     if not np.all(np.isfinite(probs)):
-        raise ValueError(f"{what} must be finite")
+        raise _ProbsError(f"{what} must be finite")
     if probs.min() < 0.0:
-        raise ValueError(f"{what} must be nonnegative, min = {probs.min()}")
+        raise _ProbsError(f"{what} must be nonnegative, min = {probs.min()}")
     total = float(probs.sum())
     if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"{what} must sum to 1 within {SUM_TOL}, got {total!r}")
+        raise _ProbsError(f"{what} must sum to 1 within {SUM_TOL}, got {total!r}")
 
 
 def _bin_table_csv(header: list[str], *columns) -> str:

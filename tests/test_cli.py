@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -73,6 +74,14 @@ def test_gen_target_sampled_normal(tmp_path, capsys):
     assert abs(sum(payload["probs"]) - 1.0) <= 1e-9
     lines = capsys.readouterr().out
     assert "mean" in lines and "mode bin" in lines
+
+
+def test_gen_target_sampled_bytes_are_pinned(tmp_path):
+    # A sampled target draws from numpy's Generator, as it always has:
+    # the file's bytes are those the command has always written.
+    target = gen_normal_target(tmp_path, analytic=False)
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "e9dbbf8646c30520a0c58f54571c58258457422b9b8ec729b3c2331819953870"
 
 
 def test_gen_target_lognormal_right_skew(tmp_path):
@@ -891,6 +900,34 @@ def test_repro_imports_no_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "summary.json").exists()
+
+
+def test_repro_and_train_import_no_numpy_random(tmp_path):
+    # numpy 2 loads numpy.random on first use, 15-18 ms in a new process;
+    # repro and an acceptance-config train draw their restart starts
+    # without it. numpy 1 loads it with numpy itself.
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    raise SystemExit(3)\n"
+        "from ssqw import DistSpec, Domain, OptimizerConfig, WalkSchedule, analytic_histogram, train\n"
+        "from ssqw.cli import main\n"
+        f"code = main(['repro', '--max-iters', '4', '--outdir', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.random' not in sys.modules, 'repro'\n"
+        "target = analytic_histogram(DistSpec('normal', 7.5, 1.875), Domain(0.0, 15.0), 16)\n"
+        "train(target, OptimizerConfig(max_iters=100, restarts=8, seed=7, steps=WalkSchedule(7)))\n"
+        "assert 'numpy.random' not in sys.modules, 'train'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    if proc.returncode == 3:
+        pytest.skip("this numpy imports numpy.random with numpy")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert (tmp_path / "summary.json").exists()
 

@@ -42,6 +42,7 @@ from ssqw.optimize import (
     _free_angles,
     _mse_and_gradient,
     _reach_floor,
+    _restart_starts,
     _start_state,
 )
 from ssqw import optimize, walk
@@ -601,6 +602,26 @@ def test_train_seed_changes_restart_draws():
     a = train(target, OptimizerConfig(max_iters=40, restarts=2, seed=0))
     b = train(target, OptimizerConfig(max_iters=40, restarts=2, seed=1))
     assert a.mse_history != b.mse_history
+
+
+LARGE_SEEDS = [2**32 - 1, 2**32, 2**40 + 5, 2**63, 2**64 - 1, 2**64, 2**100 + 3, 2**128 + 7, 2**200 + 11]
+
+
+def test_restart_starts_are_numpys_default_rng_stream():
+    # train draws its restart starts itself, without importing numpy's
+    # random module, as the draws of default_rng(seed).uniform(0, 2 pi,
+    # size) made count - 1 times: bit for bit, for seeds of one to seven
+    # 32-bit words, both modes' sizes and 1 to 16 restarts. Every seed is
+    # checked at 16 restarts, and at 1 + seed % 16; the large ones at all.
+    for seed in [*range(500), *LARGE_SEEDS]:
+        for size in (6, 2):
+            rng = np.random.default_rng(seed)
+            draws = [rng.uniform(0.0, 2.0 * math.pi, size).tobytes() for _ in range(15)]
+            counts = range(1, 17) if seed in LARGE_SEEDS else (16, 1 + seed % 16)
+            for count in counts:
+                starts = _restart_starts(seed, count, size)
+                assert all(x.dtype == np.float64 and x.shape == (size,) for x in starts)
+                assert [x.tobytes() for x in starts] == draws[: count - 1], (seed, size, count)
 
 
 def test_train_symmetric_mode_two_free_angles():

@@ -180,6 +180,33 @@ def test_price_report_shape_mismatch():
         price_report(opt, target, np.full(8, 1.0 / 8.0))
 
 
+BAD_TRAINED = {
+    # Each was priced before it was refused, below at strike 2: all-NaN at
+    # NaN, which the report JSON wrote as a bare NaN, not JSON; 16 x 5.0
+    # at 450.6; and -q at -5.01, a negative call payoff.
+    "nan": (lambda q: np.full(q.size, math.nan), "must be finite"),
+    "mass-80": (lambda q: np.full(q.size, 5.0), "must sum to 1"),
+    "negated": (lambda q: -q, "must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TRAINED))
+def test_price_report_refuses_a_trained_vector_that_is_no_distribution(case):
+    target = analytic_histogram(DistSpec("lognormal", 1.9, 0.4), DOM, 16)
+    opt = OptionSpec(7.0, 2.0, 0.05, 0.4, 1.0)
+    make, needle = BAD_TRAINED[case]
+    with pytest.raises(ValueError, match=f"^trained probabilities {needle}"):
+        price_report(opt, target, make(target.probs))
+
+
+@pytest.mark.parametrize("case", list(BAD_TRAINED))
+def test_expected_payoff_refuses_a_vector_that_is_no_distribution(case):
+    target = analytic_histogram(DistSpec("lognormal", 1.9, 0.4), DOM, 16)
+    make, needle = BAD_TRAINED[case]
+    with pytest.raises(ValueError, match=f"^probabilities {needle}"):
+        expected_payoff(make(target.probs), PriceGrid(DOM, 16), 2.0)
+
+
 def test_payoff_report_json_and_csv():
     target = analytic_histogram(DistSpec("lognormal", 1.9, 0.4), DOM, 16)
     opt = OptionSpec(7.0, 2.0, 0.05, 0.4, 1.0)
