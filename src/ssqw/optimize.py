@@ -30,22 +30,19 @@ formula on the whole ring bit for bit. Only the results a caller gets
 back as M-site arrays (evolve's state, train's ``trained_dist``) are
 built on the whole ring.
 
-The restarts are independent, so train() runs them in lockstep: each
-round evaluates the pending point of every live restart in one batched
-value-and-gradient call, which steps all of them through the walk kernel
-and the adjoint sweep together. Each row of that call equals its own
-single call bit for bit, so results equal running the restarts one after
-another. The recorded walk is built once per fit, with a row per
-restart, and called every round; a stopped restart's row idles on its
-last point until the live rows are half of the rows or fewer, when the
-walk is rebuilt with the live rows alone.
+The restarts are independent, so train() runs them as the rows of one
+BFGS state. Each round evaluates every live restart's next point in one
+batched value-and-gradient call, through the walk kernel and the adjoint
+sweep together, and then updates all the rows at once by masks. Each row
+of that call equals its own single call bit for bit, and each row's
+algebra makes the BLAS calls the row alone would make (``_dots``), so
+results equal running the restarts one after another.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Generator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -123,7 +120,7 @@ class _ScoredWalk:
         self.row = np.multiply(q, q, out=np.empty((rows, q.size)))
         self.init, self.steps, self.target = weakref.ref(init, _forget), steps, weakref.ref(target, _forget)
 
-    def values(self, coins: np.ndarray) -> tuple[list[float], np.ndarray]:
+    def values(self, coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The MSE against the target of the walk under each row's coin
         pair of a (B, 2, 2, 2) stack, scored in the score row.
 
@@ -145,9 +142,9 @@ class _ScoredWalk:
         d = run.probs - q[run.sites]
         self.row[:, run.sites] = d * d
         # np.mean's two operations, without its Python-level wrapper.
-        return (np.add.reduce(self.row, axis=-1) / q.size).tolist(), d
+        return np.add.reduce(self.row, axis=-1) / q.size, d
 
-    def values_and_gradients(self, angles: np.ndarray) -> tuple[list[float], np.ndarray]:
+    def values_and_gradients(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_mse_and_gradient`` at the B rows of ``angles``, on a recorded
         walk.
 
@@ -220,7 +217,7 @@ def objective(
         kept = None
     if kept is None or kept.init() is not init or kept.steps != steps or kept.target() is not target:
         kept = _ScoredWalk(init, steps, target, 1, record=False)
-    value = kept.values(_coin_pair(params))[0][0]
+    value = float(kept.values(_coin_pair(params))[0][0])
     _kept[:] = (kept,)
     return value
 
@@ -230,10 +227,10 @@ def _mse_and_gradient(
     target: TargetDistribution,
     schedule: WalkSchedule,
     init: WalkerState,
-) -> tuple[list[float], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """objective() and its exact gradient by the six angles, in
     ``SsqwParams.to_array`` order, at each row of a (B, 6) float64 angle
-    array: a list of B values and a (B, 6) array of gradients, from one
+    array: B values and a (B, 6) array of gradients, from one
     call on a new recorded ``_ScoredWalk``; train() builds one and calls
     it every round."""
     return _ScoredWalk(init, schedule.steps, target, len(angles), record=True).values_and_gradients(angles)
@@ -313,69 +310,11 @@ class TrainingResult:
     metadata: dict
 
 
-def _adjoint_bfgs(
-    x0: np.ndarray, config: OptimizerConfig
-) -> Generator[np.ndarray, tuple[float, np.ndarray], tuple[str, int]]:
-    """One restart of BFGS on exact gradients with Armijo backtracking.
-
-    A generator, so that train() can run every restart in lockstep: it
-    yields each point it needs, the free angles, is sent back ``(f, g)``,
-    the MSE and its gradient by the free angles there, and returns its
-    stop reason and the forward evaluations charged to it. Its sequence
-    of points depends only on the values sent back, so running restarts in
-    lockstep or one after another gives the same result.
-
-    The first direction is minus the gradient; later ones come from the
-    inverse-Hessian estimate, scaled at its first update by s.y / y.y. No
-    step is longer than ``initial_trust_radius``, and each trial halves
-    the step until it decreases the MSE enough. The run stops for one of
-    three reasons, which it returns: "budget" when the next
-    value-and-gradient call would take the restart past ``max_iters``,
-    "short-step" when a trial step would be shorter than
-    ``final_trust_radius``, and "no-descent" when the direction is not one
-    of descent. Each point is charged ``EVALS_PER_GRADIENT``, except that
-    a budget below that buys the start value alone, charged one
-    evaluation, and stops for "budget".
-    """
-    if config.max_iters < EVALS_PER_GRADIENT:
-        yield x0
-        return "budget", 1
-    x = x0
-    f, g = yield x
-    charged = EVALS_PER_GRADIENT
-    h = None  # inverse-Hessian estimate, set at the first curvature update
-    eye = np.eye(x.size)
-    # ndarray.dot makes the same BLAS calls as @, with less dispatch.
-    while True:
-        d = -g if h is None else -h.dot(g)
-        slope = float(g.dot(d))
-        if not slope < 0.0:
-            return "no-descent", charged
-        norm = math.sqrt(float(d.dot(d)))
-        if norm > config.initial_trust_radius:
-            scale = config.initial_trust_radius / norm
-            d, slope, norm = d * scale, slope * scale, config.initial_trust_radius
-        t = 1.0
-        while True:
-            if t * norm < config.final_trust_radius:
-                return "short-step", charged
-            if charged + EVALS_PER_GRADIENT > config.max_iters:
-                return "budget", charged
-            x_new = x + t * d
-            f_new, g_new = yield x_new
-            charged += EVALS_PER_GRADIENT
-            if f_new <= f + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-        s, y = x_new - x, g_new - g
-        sy = float(s.dot(y))
-        if sy > 0.0:
-            if h is None:
-                h = (sy / float(y.dot(y))) * eye
-            column = s[:, None]
-            v = eye - column * y / sy
-            h = v.dot(h).dot(v.T) + column * s / sy
-        x, f, g = x_new, f_new, g_new
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's a.b of two (B, k) arrays. np.matmul on (B, 1, k) @ (B, k,
+    1) makes one ddot call per row, as on (B, k, k) @ (B, k, 1) or (B, k,
+    k) one gemv or gemm, the call ndarray.dot makes on the row alone."""
+    return (a[:, None] @ b[:, :, None])[:, 0, 0]
 
 
 def _start_state(
@@ -473,15 +412,26 @@ def train(
     state is coin-up at the centre site (balanced coin in symmetric mode).
     Returns the best parameters seen across all restarts together with the
     full evaluation history. Ties between restarts go to the earlier one.
-    The metadata's ``stop_reasons`` names why each restart run stopped, as
-    ``_adjoint_bfgs`` returns it, or "exact" for a restart that reached an
-    MSE of exactly 0, after which no further restart counts, and its
-    ``evals_per_restart`` the evaluations ``_adjoint_bfgs`` charged each.
+
+    Each restart runs BFGS on exact gradients with Armijo backtracking. Its
+    first direction is minus the gradient; later ones come from the
+    inverse-Hessian estimate, scaled at its first update by s.y / y.y. No
+    step is longer than ``initial_trust_radius``, and each trial halves the
+    step until it decreases the MSE enough. The metadata's
+    ``stop_reasons`` names why each restart stopped, tested in this order:
+    "no-descent" when its direction is not one of descent, "short-step"
+    when a trial step would be shorter than ``final_trust_radius``, and
+    "budget" when the next value-and-gradient call would take it past
+    ``max_iters``; or "exact" for a restart that reached an MSE of exactly
+    0, after which no further restart counts. ``evals_per_restart`` gives
+    the evaluations charged to each: ``EVALS_PER_GRADIENT`` a point, except
+    that a budget below that buys the start's value alone, charged 1.
 
     The restarts run in lockstep, one batched value-and-gradient call per
-    round on one recorded walk, rebuilt at most log2(restarts) times as
-    restarts stop; restarts after an exact hit are computed and then
-    discarded. The result equals that of running them one after another.
+    round on one recorded walk, rebuilt with the live rows alone when they
+    fall to half its rows or fewer; restarts after an exact hit are
+    computed and then discarded. The result equals that of running them
+    one after another.
     """
     if config is None:
         config = OptimizerConfig()
@@ -493,54 +443,100 @@ def train(
 
     free = _free_angles(config.symmetric_mode)
     x_init = config.initial_params.to_array()[free]
-    starts = [x_init] + _restart_starts(config.seed, config.restarts, x_init.size)
+    # Row r of every array is restart r's: point x, value f, gradient g,
+    # direction d with its slope g.d and length, trial step t, the
+    # inverse-Hessian estimate h it holds once "curved", next point p, and
+    # the round it stopped in and why ("budget" unless another test says
+    # otherwise). f starts at inf, so that every start is accepted.
+    x = np.array([x_init, *_restart_starts(config.seed, config.restarts, x_init.size)])
+    b, k = x.shape
+    p, f, g, d = x.copy(), np.full(b, math.inf), np.zeros((b, k)), np.zeros((b, k))
+    slope, norm, t = np.zeros(b), np.zeros(b), np.ones(b)
+    h, curved, eye = np.zeros((b, k, k)), np.zeros(b, dtype=bool), np.eye(k)
+    live, last, reasons = np.ones(b, dtype=bool), np.zeros(b, dtype=int), np.full(b, "budget", dtype=object)
+    radius, points, seen, f_new, g_new = config.initial_trust_radius, [], [], f, g.copy()
 
-    # Lockstep rounds: one batched call evaluates the pending point of
-    # every live restart, and each gets its (f, g) back. The call runs on
-    # one recorded walk, built once, whose row i belongs to restart
-    # rows[i]. A stopped restart's row stays on its last point and its
-    # output is dropped, until the live rows are half of the rows or fewer:
-    # then the walk is rebuilt with the live rows alone. The first build
-    # checks a custom start's grid before it builds anything.
-    runs = [_adjoint_bfgs(np.asarray(x0, dtype=np.float64), config) for x0 in starts]
-    pending = {r: next(run) for r, run in enumerate(runs)}
-    evaluated: list[list[tuple[np.ndarray, float]]] = [[] for _ in runs]
-    stopped: list[tuple[str, int]] = [("", 0)] * len(runs)
-    rows = list(pending)
-    angles = np.zeros((len(rows), 6))
-    scored = None
-    while pending:
-        if scored is None or 2 * len(pending) <= len(rows):
-            keep = [i for i, r in enumerate(rows) if r in pending]
-            rows, angles = [rows[i] for i in keep], angles[keep]
-            scored = _ScoredWalk(init, config.steps.steps, target, len(rows), record=True)
-        live = [(i, r, pending.pop(r)) for i, r in enumerate(rows) if r in pending]
-        for i, _, x in live:
-            angles[i, free] = x
+    # Walk row i is restart rows[i]'s. A stopped restart's row stays on its
+    # last point, and its output is not read, until the live rows are half
+    # of the rows or fewer: then the walk is rebuilt with those alone. The
+    # first build checks a custom start's grid before it builds anything.
+    n_live, rows = b, None
+    while n_live:
+        if rows is None or 2 * n_live <= rows.size:
+            rows = live.nonzero()[0]
+            scored = _ScoredWalk(init, config.steps.steps, target, rows.size, record=True)
+            angles = np.zeros((rows.size, 6))
+        angles[:, free] = p[rows]
         values, grads = scored.values_and_gradients(angles)
-        for i, r, x in live:
-            evaluated[r].append((x, values[i]))
-            try:
-                pending[r] = runs[r].send((values[i], grads[i, free]))
-            except StopIteration as stop:
-                stopped[r] = stop.value
+        # A restart the walk no longer holds keeps its last, finite, f and g.
+        f_new = f_new.copy()
+        f_new[rows] = values
+        g_new[rows] = grads[:, free]
+        points.append(p)
+        seen.append(f_new)
+        if config.max_iters < EVALS_PER_GRADIENT:
+            break  # the starts' values alone, each charged 1
+        # Armijo: a live row accepts its trial point or halves its step.
+        acc = live & (f_new <= f + _ARMIJO * t * slope)
+        s, y = p - x, g_new - g
+        sy = _dots(s, y)
+        up = (acc & (sy > 0.0)).nonzero()[0]
+        if up.size:
+            # The curvature update; a first one sets h to (s.y / y.y) I.
+            first = up[~curved[up]]
+            if first.size:
+                yf = y[first]
+                h[first] = (sy[first] / _dots(yf, yf))[:, None, None] * eye
+                curved[first] = True
+            column, y_up, sy_up = s[up, :, None], y[up, None], sy[up, None, None]
+            v = eye - column * y_up / sy_up
+            h[up] = v @ h[up] @ v.transpose(0, 2, 1) + column * column.transpose(0, 2, 1) / sy_up
+        a = acc[:, None]
+        np.copyto(x, p, where=a)
+        np.copyto(f, f_new, where=acc)
+        np.copyto(g, g_new, where=a)
+        # An accepted row's new direction: -g until it is curved, then
+        # -h g, clipped to the trust radius, with a trial step of 1.
+        hg = (h @ g[:, :, None])[:, :, 0]
+        np.copyto(hg, g, where=~curved[:, None])
+        d_new = -hg
+        slope_new = _dots(g, d_new)
+        norm_new = np.sqrt(_dots(d_new, d_new))
+        scale = radius / np.maximum(norm_new, radius)
+        np.copyto(d, d_new * scale[:, None], where=a)
+        np.copyto(slope, slope_new * scale, where=acc)
+        np.copyto(norm, np.minimum(norm_new, radius), where=acc)
+        t *= 0.5
+        t[acc] = 1.0
+        # The stop tests: no descent, then a step too short, then the budget,
+        # which every live row has spent alike, EVALS_PER_GRADIENT a round.
+        no_descent = acc & ~(slope_new < 0.0)
+        short = live & ~no_descent & (t * norm < config.final_trust_radius)
+        stop = live if EVALS_PER_GRADIENT * (len(seen) + 1) > config.max_iters else no_descent | short
+        if stop.any():
+            reasons[no_descent] = "no-descent"
+            reasons[short] = "short-step"
+            last[stop] = len(seen) - 1
+            live = live & ~stop
+            n_live = int(np.count_nonzero(live))
+        p = np.where(live[:, None], x + t[:, None] * d, p)
 
     # Everything below reads the restarts in order, as if each had run
     # alone after the one before it.
-    history: list[float] = []
-    best_val, best_x, best_restart = math.inf, x_init, 0
-    evals_per_restart: list[int] = []
-    stop_reasons: list[str] = []
-    for r, (points, (reason, charged)) in enumerate(zip(evaluated, stopped)):
-        for x, f in points:
-            history.append(f)
-            if f < best_val:
-                best_val, best_x, best_restart = f, x, r
-        evals_per_restart.append(charged)
+    seen = np.array(seen)
+    charge = EVALS_PER_GRADIENT if config.max_iters >= EVALS_PER_GRADIENT else 1
+    history, best_val, best_x, best_restart = [], math.inf, x_init, 0
+    for r in range(b):
+        values = seen[: last[r] + 1, r].tolist()
+        history += values
+        low = min(values)
+        if low < best_val:
+            best_val, best_x, best_restart = low, points[values.index(low)][r], r
         if best_val == 0.0:
-            stop_reasons.append("exact")
+            reasons[r] = "exact"
             break
-        stop_reasons.append(reason)
+    evals_per_restart = (charge * (last[: r + 1] + 1)).tolist()
+    stop_reasons = reasons[: r + 1].tolist()
 
     best_angles = np.zeros(6)
     best_angles[free] = best_x

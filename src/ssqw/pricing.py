@@ -89,7 +89,11 @@ def price_report(
     gap against the target payoff is recorded; disagreement beyond 5% is
     annotated rather than treated as an error, because a quoted reference
     depends on the sigma reading and index-to-price mapping its source used.
+    A non-finite ``reference_payoff`` raises ValueError: the report's JSON
+    would carry it as a bare NaN or Infinity, which is not JSON.
     """
+    if reference_payoff is not None and not math.isfinite(reference_payoff):
+        raise ValueError(f"reference_payoff must be finite, got {reference_payoff!r}")
     sigma_t, alpha = _maturity_law(option, sigma_reading)
     trained = np.asarray(trained, dtype=np.float64)
     if trained.shape != target.probs.shape:

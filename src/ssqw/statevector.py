@@ -116,8 +116,7 @@ class WalkerState:
         return self.amps.reshape(-1)
 
     def norm_sq(self) -> float:
-        a = self.amps
-        return float(np.sum(a.real * a.real + a.imag * a.imag))
+        return _norm_sq(self.amps)
 
     @functools.cached_property
     def _arc(self) -> tuple[int, int] | None:
@@ -177,6 +176,12 @@ def _position_probs(amps: np.ndarray) -> np.ndarray:
     axis 0 traced out, any further leading axes kept."""
     p = amps.real * amps.real + amps.imag * amps.imag
     return p[0] + p[1]
+
+
+def _norm_sq(amps: np.ndarray) -> float:
+    """The squared norm of raw amplitudes: of a state, or of a walk's start
+    on its window, against which every walk from it is checked."""
+    return float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
 
 
 def apply_coin(state: WalkerState, coin: np.ndarray) -> WalkerState:

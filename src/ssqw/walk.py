@@ -88,7 +88,7 @@ import numpy as np
 
 # apply_coin stays importable as ssqw.walk.apply_coin: benchmarks/spans.py
 # hooks it by that name.
-from .statevector import WalkerState, _check_count, _position_probs, apply_coin  # noqa: F401
+from .statevector import WalkerState, _check_count, _norm_sq, _position_probs, apply_coin  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -376,12 +376,6 @@ class _Walk(NamedTuple):
     # Each row's position distribution, (B, w), and its sum, (B,).
     probs: np.ndarray
     norms: np.ndarray
-
-
-def _norm_sq(amps: np.ndarray) -> float:
-    """The squared norm of a start's amplitudes, against which every
-    walk from it is checked."""
-    return float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
 
 
 def _checked(final: np.ndarray, sites: np.ndarray, n0: float, steps: int) -> _Walk:

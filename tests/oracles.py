@@ -77,13 +77,15 @@ _ARMIJO = 1e-4
 
 
 def bfgs_ref(x0: np.ndarray, config):
-    """A frozen copy of the package's adjoint-bfgs restart generator
-    (``ssqw.optimize._adjoint_bfgs``), with its algebra written with @.
+    """One restart of adjoint-bfgs alone, frozen, with its algebra written
+    with @ on the restart's own vectors: the per-restart reference that
+    ``ssqw.optimize.train``'s batched state, one row per restart, is
+    checked against.
 
     It yields each point, the free angles, is sent back ``(f, g)`` there,
-    and returns its stop reason and the evaluations charged to it. Driving
-    the package's restarts with it checks that an edit to the package's
-    generator moves no bit of any result.
+    and returns its stop reason and the evaluations charged to it. Running
+    a fit's restarts on it one after another, and comparing with train,
+    checks that an edit to the batched state moves no bit of any result.
     """
     if config.max_iters < EVALS_PER_GRADIENT:
         yield x0

@@ -38,7 +38,6 @@ from ssqw.optimize import (
     EVALS_PER_GRADIENT,
     OPTIMIZER_NAME,
     TrainingResult,
-    _adjoint_bfgs,
     _free_angles,
     _mse_and_gradient,
     _reach_floor,
@@ -741,14 +740,13 @@ def test_stop_reason_no_descent_on_a_zero_gradient():
 
 def test_non_finite_angle_in_a_round_raises_value_error():
     # A round checks its angle array once and raises CoinParams's
-    # ValueError for the first non-finite angle.
-    def runaway(x0, config):
-        yield x0
-        x = x0.copy()
+    # ValueError for the first non-finite angle: here restart 1's phi2.
+    def starts(seed, count, size):
+        x = np.ones(size)
         x[4] = math.nan
-        yield x
+        return [x] * (count - 1)
 
-    with mock.patch.object(optimize, "_adjoint_bfgs", runaway):
+    with mock.patch.object(optimize, "_restart_starts", starts):
         with pytest.raises(ValueError, match="coin angle phi must be finite"):
             train(ring_symmetric_target(), OptimizerConfig(restarts=2))
     angles = np.zeros((2, 6))
@@ -758,9 +756,9 @@ def test_non_finite_angle_in_a_round_raises_value_error():
         _mse_and_gradient(angles, ring_symmetric_target(), WalkSchedule(7), init)
 
 
-def sequential_train(target, config, init=None, bfgs=_adjoint_bfgs):
+def sequential_train(target, config, init=None):
     """train() with its restarts run one after another: each restart's
-    generator, ``bfgs``, runs to completion alone, one row per
+    ``oracles.bfgs_ref`` generator runs to completion alone, one row per
     value-and-gradient call, and an exact hit stops the restarts that
     follow."""
     coin_init = "custom"
@@ -779,7 +777,7 @@ def sequential_train(target, config, init=None, bfgs=_adjoint_bfgs):
     history, best_val, best_x, best_restart = [], math.inf, x_init, 0
     evals_per_restart, stop_reasons = [], []
     for r, x0 in enumerate(starts):
-        run = bfgs(np.asarray(x0, dtype=np.float64), config)
+        run = oracles.bfgs_ref(np.asarray(x0, dtype=np.float64), config)
         x = next(run)
         while True:
             [f], [g] = _mse_and_gradient(to_angles(x)[None], target, config.steps, init)
@@ -816,13 +814,16 @@ def sequential_train(target, config, init=None, bfgs=_adjoint_bfgs):
     return TrainingResult(best_params, best_val, history, trained, len(history), config, metadata)
 
 
-def _assert_lockstep_equals_sequential(target, config, init=None, bfgs=_adjoint_bfgs):
+def _assert_lockstep_equals_sequential(target, config, init=None):
     lockstep = training_result_json_dict(train(target, config, init))
-    sequential = training_result_json_dict(sequential_train(target, config, init, bfgs))
+    sequential = training_result_json_dict(sequential_train(target, config, init))
     assert json.dumps(lockstep) == json.dumps(sequential), config
 
 
 def test_lockstep_restarts_equal_sequential_runs():
+    # train's one batched BFGS state against its restarts run one after
+    # another on oracles.bfgs_ref, a frozen per-restart BFGS, so an edit
+    # that moves one bit of any row's arithmetic fails here.
     target = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
     for seed in (0, 1, 7):
         for restarts in (1, 3, 8):
@@ -844,22 +845,54 @@ def test_lockstep_restarts_equal_sequential_runs():
     _assert_lockstep_equals_sequential(wide, config, initial_state(10, 0.6, 0.8j, m - 9))
     # Restarts that stop in different rounds, so that train() narrows its
     # gradient walk (test_train_narrows_its_recorded_walk_to_the_live_rows).
-    target = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
     _assert_lockstep_equals_sequential(target, OptimizerConfig(max_iters=800, restarts=3, seed=1))
 
 
-def test_train_equals_sequential_restarts_on_a_frozen_bfgs():
-    # The restarts run one after another on oracles.bfgs_ref, a frozen copy
-    # of the generator, so an edit to _adjoint_bfgs that moves one bit of
-    # its arithmetic fails here: the acceptance config at three seeds, a
-    # symmetric fit, and a fit whose rows narrow.
-    normal = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
-    fits = [(normal, OptimizerConfig(max_iters=100, restarts=8, seed=seed)) for seed in (0, 1, 7)]
-    symmetric = OptimizerConfig(max_iters=100, restarts=8, seed=1, symmetric_mode=True)
-    fits.append((ring_symmetric_target(), symmetric))
-    fits.append((normal, OptimizerConfig(max_iters=800, restarts=3, seed=1)))
-    for target, config in fits:
-        _assert_lockstep_equals_sequential(target, config, bfgs=oracles.bfgs_ref)
+def _openblas_linked():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return False
+    return "openblas" in blas.get("name", "")
+
+
+@pytest.mark.skipif(not _openblas_linked(), reason="numpy does not link OpenBLAS")
+def test_lockstep_equals_sequential_runs_under_each_blas_kernel():
+    # The batched state keeps each row's bits only while each row gets the
+    # one BLAS call its one-row algebra makes: an einsum or a broadcast
+    # reduce in its place sums in another order, which only some OpenBLAS
+    # kernels show. So the acceptance config and a fit whose rows narrow
+    # are checked under kernels forced one per process. A kernel the CPU
+    # cannot run kills its child with a signal, and is skipped.
+    code = """
+from ssqw import DistSpec, Domain, OptimizerConfig, analytic_histogram
+from test_optimize import _assert_lockstep_equals_sequential
+
+target = analytic_histogram(DistSpec("normal", 7.5, 1.875), Domain(0.0, 15.0), 16)
+for restarts, max_iters, seed in ((8, 100, 7), (3, 800, 1)):
+    _assert_lockstep_equals_sequential(target, OptimizerConfig(max_iters=max_iters, restarts=restarts, seed=seed))
+"""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    children = {
+        kernel: subprocess.Popen(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=kernel),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        for kernel in ("Haswell", "Prescott", "Nehalem")
+    }
+    ran = []
+    for kernel, child in children.items():
+        out = child.communicate(timeout=120)[0]
+        if child.returncode < 0:
+            continue
+        assert child.returncode == 0, f"{kernel}: {out[-2000:]}"
+        ran.append(kernel)
+    if not ran:
+        pytest.skip("no OpenBLAS kernel could run here")
 
 
 @contextlib.contextmanager

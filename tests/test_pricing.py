@@ -173,6 +173,16 @@ def test_price_report_reference_annotation_match():
     assert "reference_note" not in report.metadata
 
 
+@pytest.mark.parametrize("reference", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_price_report_refuses_a_non_finite_reference(reference):
+    # Each was accepted, and the report JSON wrote it as a bare NaN or
+    # Infinity, which is not JSON.
+    opt = OptionSpec(2.0, 2.0, 0.05, 0.4, 40.0)
+    target = bs_lognormal_target(opt, DOM, 16)
+    with pytest.raises(ValueError, match="^reference_payoff must be finite"):
+        price_report(opt, target, target.probs, reference_payoff=reference)
+
+
 def test_price_report_shape_mismatch():
     target = analytic_histogram(DistSpec("normal", 7.5, 2.0), DOM, 16)
     opt = OptionSpec(2.0, 2.0, 0.05, 0.4, 1.0)
