@@ -34,9 +34,9 @@ The restarts are independent, so train() runs them as the rows of one
 BFGS state. Each round evaluates every live restart's next point in one
 batched value-and-gradient call, through the walk kernel and the adjoint
 sweep together, and then updates all the rows at once by masks. Each row
-of that call equals its own single call bit for bit, and each row's
-algebra makes the BLAS calls the row alone would make (``_dots``), so
-results equal running the restarts one after another.
+of that call equals its own single call bit for bit, and the BFGS algebra
+sums in one fixed order with no BLAS call (``_dots``), so results equal
+running the restarts one after another, under every OpenBLAS kernel.
 """
 
 from __future__ import annotations
@@ -230,9 +230,9 @@ def _mse_and_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """objective() and its exact gradient by the six angles, in
     ``SsqwParams.to_array`` order, at each row of a (B, 6) float64 angle
-    array: B values and a (B, 6) array of gradients, from one
-    call on a new recorded ``_ScoredWalk``; train() builds one and calls
-    it every round."""
+    array: B values and a (B, 6) array of gradients, from one call on a
+    new recorded ``_ScoredWalk``; train() calls ``values_and_gradients``
+    on one of its own, round after round."""
     return _ScoredWalk(init, schedule.steps, target, len(angles), record=True).values_and_gradients(angles)
 
 
@@ -311,10 +311,10 @@ class TrainingResult:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's a.b of two (B, k) arrays. np.matmul on (B, 1, k) @ (B, k,
-    1) makes one ddot call per row, as on (B, k, k) @ (B, k, 1) or (B, k,
-    k) one gemv or gemm, the call ndarray.dot makes on the row alone."""
-    return (a[:, None] @ b[:, :, None])[:, 0, 0]
+    """Each row's a.b over the last axis: for (B, k) arrays a value a row,
+    for (B, k, k) h and (B, 1, k) v each row's h v. np.add.reduce sums
+    each row as it sums that row alone, and makes no BLAS call."""
+    return np.add.reduce(a * b, axis=-1)
 
 
 def _start_state(
@@ -480,24 +480,24 @@ def train(
         acc = live & (f_new <= f + _ARMIJO * t * slope)
         s, y = p - x, g_new - g
         sy = _dots(s, y)
-        up = (acc & (sy > 0.0)).nonzero()[0]
-        if up.size:
-            # The curvature update; a first one sets h to (s.y / y.y) I.
-            first = up[~curved[up]]
-            if first.size:
-                yf = y[first]
-                h[first] = (sy[first] / _dots(yf, yf))[:, None, None] * eye
-                curved[first] = True
-            column, y_up, sy_up = s[up, :, None], y[up, None], sy[up, None, None]
-            v = eye - column * y_up / sy_up
-            h[up] = v @ h[up] @ v.transpose(0, 2, 1) + column * column.transpose(0, 2, 1) / sy_up
+        # The BFGS update V h V^T + rho s s^T, V = I - rho s y^T, rho = 1/s.y,
+        # as h - rho (s u^T + u s^T) + (rho^2 y.u + rho) s s^T with u = h y, on
+        # the accepting rows with s.y > 0; a first one sets h to (s.y/y.y) I.
+        up = acc & (sy > 0.0)
+        first = up & ~curved
+        gamma = np.divide(sy, _dots(y, y), out=np.zeros(b), where=first)
+        np.copyto(h, gamma[:, None, None] * eye, where=first[:, None, None])
+        curved |= up
+        rho, u = np.divide(1.0, sy, out=np.zeros(b), where=up)[:, None, None], _dots(h, y[:, None])
+        su, c = s[:, :, None] * u[:, None], rho * rho * _dots(y, u)[:, None, None] + rho
+        np.copyto(h, h - rho * (su + su.transpose(0, 2, 1)) + c * (s[:, :, None] * s[:, None]), where=up[:, None, None])
         a = acc[:, None]
         np.copyto(x, p, where=a)
         np.copyto(f, f_new, where=acc)
         np.copyto(g, g_new, where=a)
         # An accepted row's new direction: -g until it is curved, then
         # -h g, clipped to the trust radius, with a trial step of 1.
-        hg = (h @ g[:, :, None])[:, :, 0]
+        hg = _dots(h, g[:, None])
         np.copyto(hg, g, where=~curved[:, None])
         d_new = -hg
         slope_new = _dots(g, d_new)

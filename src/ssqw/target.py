@@ -54,6 +54,10 @@ class Domain:
             raise ValueError("domain bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"domain needs lo < hi, got ({self.lo}, {self.hi})")
+        # Finite bounds whose difference overflows would make every edge
+        # and centre inf or nan.
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"domain width hi - lo overflows, got ({self.lo}, {self.hi})")
 
     @property
     def width(self) -> float:

@@ -78,9 +78,10 @@ _ARMIJO = 1e-4
 
 def bfgs_ref(x0: np.ndarray, config):
     """One restart of adjoint-bfgs alone, frozen, with its algebra written
-    with @ on the restart's own vectors: the per-restart reference that
-    ``ssqw.optimize.train``'s batched state, one row per restart, is
-    checked against.
+    on the restart's own vectors as np.add.reduce of elementwise products,
+    with no BLAS call, and its inverse-Hessian update in its rank-two form:
+    the per-restart reference that ``ssqw.optimize.train``'s batched state,
+    one row per restart, is checked against.
 
     It yields each point, the free angles, is sent back ``(f, g)`` there,
     and returns its stop reason and the evaluations charged to it. Running
@@ -96,11 +97,11 @@ def bfgs_ref(x0: np.ndarray, config):
     h = None  # inverse-Hessian estimate, set at the first curvature update
     eye = np.eye(x.size)
     while True:
-        d = -g if h is None else -(h @ g)
-        slope = float(g @ d)
+        d = -g if h is None else -np.add.reduce(h * g, axis=-1)
+        slope = float(np.add.reduce(g * d))
         if not slope < 0.0:
             return "no-descent", charged
-        norm = math.sqrt(float(d @ d))
+        norm = math.sqrt(float(np.add.reduce(d * d)))
         if norm > config.initial_trust_radius:
             scale = config.initial_trust_radius / norm
             d, slope, norm = d * scale, slope * scale, config.initial_trust_radius
@@ -117,12 +118,14 @@ def bfgs_ref(x0: np.ndarray, config):
                 break
             t *= 0.5
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
+        sy = float(np.add.reduce(s * y))
         if sy > 0.0:
             if h is None:
-                h = (sy / float(y @ y)) * eye
-            v = eye - s[:, None] * y / sy
-            h = v @ h @ v.T + s[:, None] * s / sy
+                h = (sy / float(np.add.reduce(y * y))) * eye
+            rho = 1.0 / sy
+            u = np.add.reduce(h * y, axis=-1)
+            su = s[:, None] * u
+            h = h - rho * (su + su.T) + (rho * rho * float(np.add.reduce(y * u)) + rho) * (s[:, None] * s)
         x, f, g = x_new, f_new, g_new
 
 

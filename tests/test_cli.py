@@ -624,6 +624,32 @@ def test_price_trained_wrong_domain_exit2(tmp_path, capsys, domain, needle):
     assert_usage_error(capsys, code, str(result), needle)
 
 
+
+@pytest.mark.parametrize("kind", ["uniform", "normal"])
+def test_gen_target_domain_whose_width_overflows_exit2(tmp_path, capsys, kind):
+    # Finite bounds whose width is inf: a uniform target would report a mean
+    # of inf, and a normal one blamed its mu and sigma.
+    out = tmp_path / "t.json"
+    code = run("gen-target", "--kind", kind, "--analytic", "--lo=-1e308", "--hi=1e308", "--out", str(out))
+    assert_usage_error(capsys, code, "width hi - lo overflows")
+    assert not out.exists()
+
+
+def test_price_target_whose_width_overflows_exit2(tmp_path, capsys):
+    # A target file with such bounds priced bare Infinity and NaN into JSON.
+    target = gen_normal_target(tmp_path)
+    payload = read_json(target)
+    payload["lo"], payload["hi"] = -1e308, 1e308
+    target.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(
+        "price", "--target", str(target), "--trained", str(target),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert_usage_error(capsys, code, str(target), "width hi - lo overflows")
+    assert not (tmp_path / "p.json").exists()
+
 @pytest.mark.parametrize(
     "bad, needle",
     [("nan", "must be finite"), ("negative", "must be nonnegative"), ("sum", "must sum to 1"),

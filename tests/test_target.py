@@ -46,6 +46,14 @@ def test_domain_validation():
         Domain(0.0, math.inf)
 
 
+def test_domain_whose_width_overflows_is_refused():
+    # Both bounds are finite, but hi - lo is inf: the edges would hold nan
+    # and the centres inf.
+    with pytest.raises(ValueError, match="width hi - lo overflows"):
+        Domain(-1e308, 1e308)
+    assert Domain(-8e307, 8e307).width == 1.6e308
+
+
 def test_domain_edges_and_centers():
     edges = DOM.bin_edges(16)
     assert edges[0] == 0.0 and edges[-1] == 15.0
