@@ -270,8 +270,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     except ValueError as exc:
-        # Name the flags that set the trust radii, not the config fields.
+        # Name the flags that set the trust radii and the mode, not the
+        # config fields.
         message = str(exc).replace("initial_trust_radius", "--rhobeg").replace("final_trust_radius", "--rhoend")
+        message = message.replace("symmetric_mode", "--symmetric")
         raise ValueError(message) from exc
     init = _build_init(args, target.n_bins)
     result = _fit(target, config, *_out_paths(args, "result.json"), init)

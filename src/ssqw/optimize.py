@@ -50,6 +50,7 @@ import numpy as np
 from .statevector import WalkerState, _check_count, initial_state, position_distribution
 from .target import TargetDistribution
 from .walk import (
+    TWO_PI,
     SsqwParams,
     WalkSchedule,
     _check_finite_angles,
@@ -59,8 +60,6 @@ from .walk import (
     _Walker,
     evolve,
 )
-
-TWO_PI = 2.0 * math.pi
 
 RESULT_FORMAT_VERSION = 1
 
@@ -273,8 +272,9 @@ class OptimizerConfig:
     final_trust_radius the shortest trial step it tries before the restart
     stops. Restart 0 starts from initial_params; further restarts draw all
     free angles uniformly from [0, 2*pi) using the seed. symmetric_mode
-    optimises only the two thetas, pins the four phase angles to zero, and
-    (unless an explicit initial state is supplied) starts the walker in the
+    optimises only the two thetas, pins the four phase angles to zero (so
+    initial_params with a non-zero phase is refused), and (unless an
+    explicit initial state is supplied) starts the walker in the
     balanced coin state (|up> + i |down>)/sqrt(2), which makes every
     reachable distribution symmetric about the start site.
     """
@@ -297,6 +297,18 @@ class OptimizerConfig:
                 "need 0 < final_trust_radius < initial_trust_radius, both finite, got "
                 f"{self.final_trust_radius!r} and {self.initial_trust_radius!r}"
             )
+        if self.symmetric_mode:
+            # Symmetric mode fits the thetas alone, with every phase at zero,
+            # so a non-zero starting phase would be recorded but never used.
+            coins = (self.initial_params.coin1, self.initial_params.coin2)
+            set_phases = [
+                f"{a}{k}={getattr(c, a)!r}"
+                for k, c in enumerate(coins, 1)
+                for a in ("phi", "lam")
+                if getattr(c, a) != 0.0
+            ]
+            if set_phases:
+                raise ValueError(f"symmetric_mode ties every phase to zero, got {', '.join(set_phases)}")
 
 
 @dataclass

@@ -68,12 +68,13 @@ Coins are built from angle arrays: ``_coin_stacks`` takes the cosines
 and sines of a (K, 3) array of (theta, phi, lam) rows from one np.cos and
 one np.sin call, and evaluates the scalar formula on them into (K, 2, 2)
 coins and their (K, 3, 2, 2) angle derivatives for the gradient
-(``coin_matrix`` is the one-row case, ``_coin_pair`` gives a parameter
-set's pair as a (1, 2, 2, 2) stack, and ``_plain_pair`` a plain step's,
-its coin and then the identity). A walk copies its
-coins' entries on each call to one contiguous (2, 2, 2, B, w) array, so
-that each half-step multiplies each coin row by the whole (2, B, w) state
-in one call on contiguous arrays of equal shape.
+(``coin_matrix`` is the one-row case, and ``_coin_pair`` gives a
+parameter set's pair as a (1, 2, 2, 2) stack). A plain step's pair is
+that of ``SsqwParams(coin, IDENTITY_COIN)``, built by ``_coin_pair`` like
+any other. A walk copies its coins' entries on each call to one
+contiguous (2, 2, 2, B, w) array, so that each half-step multiplies each
+coin row by the whole (2, B, w) state in one call on contiguous arrays of
+equal shape.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ import numpy as np
 
 # apply_coin stays importable as ssqw.walk.apply_coin: benchmarks/spans.py
 # hooks it by that name.
-from .statevector import WalkerState, _check_count, _norm_sq, _position_probs, apply_coin  # noqa: F401
+from .statevector import NORM_TOL, WalkerState, _check_count, _norm_sq, _position_probs, apply_coin  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,13 +222,6 @@ def _coin_pair(params: SsqwParams) -> np.ndarray:
     coin2, from one ``_coin_stacks`` call: each equals ``coin_matrix`` of
     its angles."""
     return _coin_stacks(params.to_array().reshape(2, 3))[0][None]
-
-
-def _plain_pair(coin: CoinParams) -> np.ndarray:
-    """A plain step's coin pair as a (1, 2, 2, 2) stack: ``coin``, then
-    the identity, so that the split step under it is the coin followed by
-    the full conditional shift."""
-    return np.stack([coin_matrix(coin), np.eye(2, dtype=np.complex128)])[None]
 
 
 # Handy named coins within the convention above, checked against their
@@ -382,12 +376,12 @@ def _checked(final: np.ndarray, sites: np.ndarray, n0: float, steps: int) -> _Wa
     """The ``_Walk`` of a final (2, B, w) batch stepped ``steps`` steps on
     ``sites`` from a start of squared norm ``n0``, checked once: a
     non-finite amplitude raises ValueError, and a row whose norm moved
-    from ``n0`` by more than 1e-10 per step (relative to max(1, n0))
+    from ``n0`` by more than ``NORM_TOL`` per step (relative to max(1, n0))
     raises ArithmeticError, which ``python -O`` does not strip. Every
     walk, recorded or not, is checked here."""
     probs = _position_probs(final)
     norms = np.add.reduce(probs, axis=-1)
-    if not (np.abs(norms - n0) <= 1e-10 * steps * max(1.0, n0)).all():
+    if not (np.abs(norms - n0) <= NORM_TOL * steps * max(1.0, n0)).all():
         # A non-finite amplitude makes its row's norm non-finite, which
         # fails the check above: only then are the amplitudes scanned.
         if not np.isfinite(final.view(np.float64)).all():
@@ -587,9 +581,10 @@ def _ring_walk(state: WalkerState, coins: np.ndarray, steps: int) -> WalkerState
 def apply_dtqw_step(state: WalkerState, coin: CoinParams) -> WalkerState:
     """One plain walk step: coin, then the full conditional shift.
 
-    This is a split step whose second coin is the identity.
+    This is ``apply_ssqw_step`` under ``SsqwParams(coin, IDENTITY_COIN)``:
+    with no coin between them, the two half-shifts make the full shift.
     """
-    return _ring_walk(state, _plain_pair(coin), 1)
+    return apply_ssqw_step(state, SsqwParams(coin, IDENTITY_COIN))
 
 
 def apply_ssqw_step(state: WalkerState, params: SsqwParams) -> WalkerState:
@@ -627,9 +622,9 @@ def ssqw_step_dense(params: SsqwParams, num_position_qubits: int) -> np.ndarray:
 
 
 def dtqw_step_dense(coin: CoinParams, num_position_qubits: int) -> np.ndarray:
-    """``apply_dtqw_step`` as a dense matrix; its coin is built once."""
-    pair = _plain_pair(coin)
-    return dense_operator(lambda s: _ring_walk(s, pair, 1), num_position_qubits)
+    """``apply_dtqw_step`` as a dense matrix: ``ssqw_step_dense`` under
+    ``SsqwParams(coin, IDENTITY_COIN)``."""
+    return ssqw_step_dense(SsqwParams(coin, IDENTITY_COIN), num_position_qubits)
 
 
 def operator_to_json(mat: np.ndarray) -> str:

@@ -425,6 +425,18 @@ def test_train_symmetric_flag(tmp_path):
     assert payload["best_params"]["coin1"]["phi"] == 0.0
 
 
+@pytest.mark.parametrize("flag", ["--phi1", "--lam1", "--phi2", "--lam2"])
+def test_train_symmetric_with_a_phase_exit2(tmp_path, capsys, flag):
+    # --symmetric ties every phase to zero: a phase flag it would ignore
+    # is refused by name, before any fit, not recorded in the result.
+    target = gen_normal_target(tmp_path)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run("train", "--target", str(target), "--out", str(out), "--symmetric", flag, "0.3")
+    assert_usage_error(capsys, code, "--symmetric", f"{flag[2:]}=0.3")
+    assert not out.exists()
+
+
 def test_train_start_site_and_coin_flags(tmp_path):
     target = gen_normal_target(tmp_path)
     flags = {"custom": ("--x0", "3", "--coin-init", "balanced"), "default": ()}

@@ -919,6 +919,80 @@ for restarts, max_iters, seed in ((8, 100, 7), (3, 800, 1)):
         pytest.skip("no OpenBLAS kernel could run here")
 
 
+def _numpy_dispatch_targets():
+    """numpy's SIMD dispatch targets, above its baseline, that this CPU
+    runs: those ``NPY_DISABLE_CPU_FEATURES`` can turn off."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", {})
+    return [t for t in getattr(umath, "__cpu_dispatch__", []) if features.get(t)]
+
+
+@pytest.mark.skipif(not _numpy_dispatch_targets(), reason="numpy dispatches to no SIMD target here")
+def test_coins_and_bfgs_keep_their_bits_at_numpy_baseline_dispatch():
+    # numpy's complex multiply fuses with FMA under its X86_V3 and X86_V4
+    # targets and not at its X86_V2 baseline, so the walk's amplitudes, and
+    # every fit, depend on the SIMD dispatch. The coin builder and the BFGS
+    # state must not add to that: _coin_stacks evaluates its formula on
+    # Python scalars, and the BFGS algebra is real float64 adds, multiplies
+    # and square roots, which every target rounds alike. So a child with
+    # every dispatch target turned off gives the same coins, and the same
+    # trains on a polynomial surrogate for the walk, as a child with none
+    # turned off. Skipped where numpy refuses the setting.
+    code = """
+import hashlib
+import numpy as np
+from ssqw import CoinParams, DistSpec, Domain, OptimizerConfig, SsqwParams, analytic_histogram, optimize, train
+from test_optimize import _numpy_dispatch_targets
+
+def surrogate(self, angles):
+    # A double well in each angle, coupled in pairs: real float64
+    # arithmetic, and no transcendental function.
+    z = angles - 2.5
+    w = np.array([1.0, 0.5, 0.25, 0.75, 0.4, 0.2])
+    r = np.roll(z, 3, axis=1)
+    values = np.add.reduce(w * (z * z - 1.0) ** 2 + 0.3 * z * r, axis=-1)
+    return values, 4.0 * w * z * (z * z - 1.0) + 0.6 * r
+
+print(" ".join(_numpy_dispatch_targets()) or "none")
+angles = np.array(optimize._restart_starts(3, 33, 6)).reshape(64, 3)
+print(hashlib.sha256(b"".join(a.tobytes() for a in optimize._coin_stacks(angles))).hexdigest())
+optimize._ScoredWalk.values_and_gradients = surrogate
+target = analytic_histogram(DistSpec("normal", 7.5, 1.875), Domain(0.0, 15.0), 16)
+start = SsqwParams(CoinParams(1.0, 0.0, 0.0), CoinParams(2.0, 0.0, 0.0))
+for restarts, max_iters, seed, symmetric in ((8, 100, 7, False), (3, 800, 1, False), (8, 400, 0, True)):
+    config = OptimizerConfig(max_iters, start, restarts=restarts, seed=seed, symmetric_mode=symmetric)
+    result = train(target, config)
+    fit = (result.best_params.to_array().tolist(), result.best_mse, result.mse_history, result.metadata)
+    print(hashlib.sha256(repr(fit).encode()).hexdigest())
+"""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    targets = " ".join(_numpy_dispatch_targets())
+    # Added to any targets this process was started with turned off.
+    disabled = f"{os.environ.get('NPY_DISABLE_CPU_FEATURES', '')} {targets}".strip()
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, **extra),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        for name, extra in (("default", {}), ("baseline", {"NPY_DISABLE_CPU_FEATURES": disabled}))
+    }
+    outs = {name: child.communicate(timeout=120)[0] for name, child in children.items()}
+    if children["baseline"].returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in outs["baseline"]:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={disabled!r}")
+    for name, child in children.items():
+        assert child.returncode == 0, f"{name}: {outs[name][-2000:]}"
+    default, baseline = outs["default"].splitlines(), outs["baseline"].splitlines()
+    assert (default[0], baseline[0]) == (targets, "none")
+    assert len(default) == 5 and baseline[1:] == default[1:]
+
+
 @contextlib.contextmanager
 def recorded_walk_widths():
     """Record the number of rows of every walk train() builds: each is
@@ -1003,6 +1077,18 @@ def test_batched_gradient_rows_equal_single_calls():
         [single_value], [single_grad] = _mse_and_gradient(p[None], target, WalkSchedule(8), init)
         assert value == single_value == objective(SsqwParams.from_array(p), target, WalkSchedule(8), init)
         assert grad.tobytes() == single_grad.tobytes()
+
+
+def test_symmetric_config_refuses_non_zero_phases():
+    # Symmetric mode fits the thetas with every phase at zero, so a start
+    # with a phase set would be recorded in the result but never used. The
+    # error names each such phase; zero phases, and any theta, are taken.
+    start = SsqwParams(CoinParams(1.0, 0.3, 0.0), CoinParams(2.0, 0.0, -1.5))
+    with pytest.raises(ValueError, match=r"symmetric_mode ties every phase to zero, got phi1=0\.3, lam2=-1\.5$"):
+        OptimizerConfig(initial_params=start, symmetric_mode=True)
+    OptimizerConfig(initial_params=start)
+    zero = SsqwParams(CoinParams(1.0, 0.0, -0.0), CoinParams(2.0, 0.0, 0.0))
+    assert OptimizerConfig(initial_params=zero, symmetric_mode=True).initial_params == zero
 
 
 def test_optimizer_config_validation():

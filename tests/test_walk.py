@@ -430,7 +430,7 @@ def test_windowed_steps_equal_full_ring(run, angles):
         ssqw_state = apply_ssqw_step(ssqw_state, params)
         dtqw_state = apply_dtqw_step(dtqw_state, params.coin1)
     assert np.array_equal(ssqw_state.amps, got)
-    assert np.array_equal(dtqw_state.amps, full_ring(walk._plain_pair(params.coin1)))
+    assert np.array_equal(dtqw_state.amps, full_ring(walk._coin_pair(SsqwParams(params.coin1, IDENTITY_COIN))))
 
     if m <= 32:
         w_ssqw = np.linalg.matrix_power(oracles.dense_ssqw_step(angles, m), steps)
