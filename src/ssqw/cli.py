@@ -114,9 +114,13 @@ def _load(path: str, from_json):
 
 def _out_paths(args: argparse.Namespace, default_name: str) -> tuple[str, str]:
     """The --out path, by default ``default_name`` in the output directory,
-    and the --csv path, by default the --out path with .csv."""
+    and the --csv path, by default the --out path with .csv. Two paths that
+    name one file are refused: the CSV would overwrite the JSON."""
     out = _resolve_out(args.out, default_name)
-    return out, args.csv if args.csv is not None else os.path.splitext(out)[0] + ".csv"
+    csv_out = args.csv if args.csv is not None else os.path.splitext(out)[0] + ".csv"
+    if os.path.realpath(out) == os.path.realpath(csv_out):
+        raise ValueError(f"--out and --csv name the same file: {out} and {csv_out}")
+    return out, csv_out
 
 
 def _option(args: argparse.Namespace) -> OptionSpec:
@@ -221,8 +225,10 @@ def _default_spec(
 
 
 def cmd_gen_target(args: argparse.Namespace) -> int:
-    # --seed is checked for every kind, though only a sampled target uses it.
+    # --seed and --samples are checked for every kind, though only a
+    # sampled target uses them.
     _check_count(args.seed, "seed", least=0)
+    _check_count(args.samples, "samples")
     domain = Domain(args.lo, args.hi)
     if args.kind == "bs":
         for name in ("s0", "strike", "r", "t", "sigma"):
@@ -253,6 +259,7 @@ def _build_init(args: argparse.Namespace, n_bins: int):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    paths = _out_paths(args, "result.json")
     target = _load(args.target, TargetDistribution.from_json)
     params0 = SsqwParams(
         CoinParams(args.theta1, args.phi1, args.lam1),
@@ -276,7 +283,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         message = message.replace("symmetric_mode", "--symmetric")
         raise ValueError(message) from exc
     init = _build_init(args, target.n_bins)
-    result = _fit(target, config, *_out_paths(args, "result.json"), init)
+    result = _fit(target, config, *paths, init)
     if args.mse_gate is not None and result.best_mse > args.mse_gate:
         print(f"error: best_mse {result.best_mse:.6e} exceeds gate {args.mse_gate:.6e}", file=sys.stderr)
         return EXIT_MSE_GATE
@@ -309,6 +316,7 @@ def _distribution_from_json(text: str) -> tuple[np.ndarray, int, dict | None]:
 
 
 def cmd_price(args: argparse.Namespace) -> int:
+    paths = _out_paths(args, "price.json")
     target = _load(args.target, TargetDistribution.from_json)
     trained, n_bins, dom = _load(args.trained, _distribution_from_json)
     if n_bins != target.n_bins:
@@ -329,7 +337,7 @@ def cmd_price(args: argparse.Namespace) -> int:
             _option(args),
             target,
             trained,
-            *_out_paths(args, "price.json"),
+            *paths,
             discount=args.discount,
             sigma_reading=args.sigma_reading,
             reference_payoff=args.reference,

@@ -42,6 +42,7 @@ running the restarts one after another, under every OpenBLAS kernel.
 from __future__ import annotations
 
 import math
+import random
 import weakref
 from dataclasses import asdict, dataclass, field
 
@@ -349,68 +350,18 @@ def _start_state(
     return initial_state(n_qubits, r, 1j * r, x0), coin
 
 
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
 def _restart_starts(seed: int, count: int, size: int) -> list[np.ndarray]:
     """The start points of restarts 1 to ``count`` - 1, ``size`` angles
-    each: bit for bit the draws of numpy's ``default_rng(seed).uniform(0.0,
-    TWO_PI, size)`` made ``count`` - 1 times, computed in Python integers
-    so that a fit does not import numpy's random module, which costs 15-18
-    ms in a new process.
+    each: restart r takes the next ``size`` draws of ``TWO_PI *
+    rng.random()``, in restart order, from one ``random.Random(seed)``.
 
-    numpy's ``SeedSequence(seed)`` hashes the seed's 32-bit words, least
-    significant first, into a pool of 4, and ``generate_state(4, uint64)``
-    hashes the pool into the state and the stream of a PCG64 generator
-    (O'Neill, HMC-CS-2014-0905): a 128-bit LCG whose XSL-RR output gives 64
-    bits a draw. The top 53 bits make a double u in [0, 1), and the angle
-    is ``uniform``'s low + (high - low) * u.
+    Python documents that its Mersenne Twister (``random.Random``) repeats
+    the ``random()`` sequence for a given seed across releases. numpy's own
+    import already loads ``random``, so the draws cost no import, where
+    numpy's random module costs 15-18 ms in a new process.
     """
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    const = 0x43B0D7E5
-
-    def hashmix(value: int, mult: int = 0x931E8875) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state: eight words off the cycled pool, hashed on a second
-    # running constant, read as four little-endian uint64.
-    const = 0x8B51F9DD
-    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
-    s_hi, s_lo, i_hi, i_lo = (out[2 * k] | out[2 * k + 1] << 32 for k in range(4))
-    # PCG64's seeding: an odd increment from the stream, then a step from
-    # state 0, the seed state added, and a second step.
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-    starts = []
-    for _ in range(count - 1):
-        angles = []
-        for _ in range(size):
-            state = (state * _PCG64_MULT + inc) & _MASK128
-            x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-            x = (x >> rot | x << (64 - rot)) & _MASK64
-            angles.append(0.0 + TWO_PI * ((x >> 11) * 2.0**-53))
-        starts.append(np.array(angles))
-    return starts
+    rng = random.Random(seed)
+    return [np.array([TWO_PI * rng.random() for _ in range(size)]) for _ in range(count - 1)]
 
 
 def train(
@@ -563,7 +514,7 @@ def train(
         "mse_floor": mse_floor,
         "optimizer": OPTIMIZER_NAME,
         "seed": config.seed,
-        "rng": "numpy-default-pcg64",
+        "rng": "python-random-mt19937",
         "restarts_run": len(evals_per_restart),
         "evals_per_restart": evals_per_restart,
         "evals_per_gradient": EVALS_PER_GRADIENT,

@@ -28,12 +28,12 @@ recorded walk, the gradient's, plans every half-step of its forward pass
 and of the adjoint sweep out of place, each from one slot of a record into
 the next, so the states that enter the coins and the adjoint states that
 leave them are recorded as they are stepped, with no copy. The sweep
-carries the adjoint state alone back through the same half-step, with the
-conjugate-transposed coins and the opposite moves, and one contraction of
-its record with the forward record gives both coins' gradient
-accumulators. Where a row moves is known in one place, ``_shifts``, which
-the plans and the public ``apply_shift_*`` operators (through ``_move``)
-take their shifted views from.
+carries the conjugate of the adjoint state alone back through the same
+half-step, with the transposed coins and the opposite moves, and one
+contraction of its record with the forward record gives both coins'
+gradient accumulators. Where a row moves is known in one place,
+``_shifts``, which the plans and the public ``apply_shift_*`` operators
+(through ``_move``) take their shifted views from.
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
@@ -422,11 +422,11 @@ class _Walker:
       k of step i, and the last slot the final state.
 
     A recorded walk also holds what ``sweep`` needs: the adjoint record
-    ``lams``, (2 * steps, 2, B, w), whose slot 2i + k holds the adjoint
-    lambda as it leaves coin k of step i; the entries of the coins'
-    conjugate transposes and their views; 2 * steps - 1 back plans, from
-    each adjoint slot into the one before, C2-dagger with the up row moving
-    back left and C1-dagger with the down row moving back right; and the
+    ``lams``, (2 * steps, 2, B, w), whose slot 2i + k holds conj(lambda),
+    the conjugate of the adjoint lambda as it leaves coin k of step i; the
+    entries of the coins' transposes and their views; 2 * steps - 1 back
+    plans, from each adjoint slot into the one before, C2^T with the up row
+    moving back left and C1^T with the down row moving back right; and the
     accumulator terms and their products, at most ``_TERMS_BYTES`` of each,
     with the views of both records that fill them.
 
@@ -520,13 +520,16 @@ class _Walker:
 
         The adjoint lambda of L at the final state psi is ``coef * psi``,
         for a real ``coef`` of a shape that broadcasts to psi's, so that
-        dL = 2 Re sum(conj(lambda) * d psi). The sweep undoes the last
-        step's S_minus by moving the down row back right, then carries
-        lambda alone back through the planned half-steps, from each slot
-        of the adjoint record into the one before. The record is then
-        conjugated in place, so that slot 2i + k holds conj(lambda_out),
-        lambda as it left coin k of step i, and one contraction of the two
-        records gives
+        dL = 2 Re sum(conj(lambda) * d psi). The sweep carries mu =
+        conj(lambda) instead: lambda steps back by C^dagger, so mu steps
+        back by the plain transpose C^T, and the shifts are real. It seeds
+        mu with the conjugate of ``coef * psi``, undoes the last step's
+        S_minus by moving the down row back right, then carries mu alone
+        back through the planned half-steps, from each slot of the adjoint
+        record into the one before. Conjugation is exact, so slot 2i + k holds
+        conj(lambda_out), lambda as it left coin k of step i, bit for bit,
+        with no pass to conjugate the record, and one contraction of the
+        two records gives
 
             G_k = sum over steps and sites of conj(lambda_out) psi_in^T
 
@@ -550,15 +553,15 @@ class _Walker:
         record is summed a chunk of steps at a time, each chunk after the
         running sum.
         """
-        np.conjugate(self.entries.transpose(0, 2, 1, 3, 4), out=self.inverse)
+        np.copyto(self.inverse, self.entries.transpose(0, 2, 1, 3, 4))
         seed = np.multiply(coef, self.states[-1], out=self.products[0])
+        np.conjugate(seed, out=seed)
         lam = self.lams[-1]
         # The last step's S_minus undone: it has no later coin to undo first.
         lam[0] = seed[0]
         _move(lam[1], seed[1], right=True)
         for plan in self.back_plans:
             _run(plan)
-        np.conjugate(self.lams, out=self.lams)
         self.terms[0] = 0.0
         for lam, psi, made, moved, out, summed in self.term_chunks:
             np.multiply(lam, psi, out=made)

@@ -317,6 +317,25 @@ def test_negative_seed_exit2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, samples",
+    [(("--kind", "normal"), "0"),
+     (("--kind", "normal", "--analytic"), "-5"),
+     (("--kind", "lognormal", "--analytic"), "0"),
+     (("--kind", "uniform"), "-1"),
+     (("--kind", "bs", "--s0", "2", "--k", "2", "--r", "0.05", "--sigma", "0.4", "--t", "40"), "0")],
+    ids=["normal", "analytic", "lognormal", "uniform", "bs"],
+)
+def test_gen_target_bad_samples_exit2(tmp_path, capsys, argv, samples):
+    # --samples is checked for every kind, as --seed is, though only a
+    # sampled target draws them.
+    out = tmp_path / "t.json"
+    capsys.readouterr()
+    code = run("gen-target", *argv, "--samples", samples, "--out", str(out))
+    assert_usage_error(capsys, code, f"samples must be a positive integer, got {samples}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, needle",
     [("--mse-gate", "nan", "--mse-gate"), ("--mse-gate", "inf", "--mse-gate"),
      ("--rhobeg", "1e400", "both finite"), ("--rhobeg", "nan", "both finite"),
@@ -697,6 +716,37 @@ def test_price_trained_bad_probabilities_exit2(tmp_path, capsys, bad, needle):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize(
+    "bad, needle",
+    [("nan", "trained probabilities must be finite"), ("negative", "trained probabilities must be nonnegative"),
+     ("sum", "trained probabilities must sum to 1")],
+)
+def test_price_training_result_bad_probabilities_exit2(tmp_path, capsys, bad, needle):
+    # A training result's trained_dist is checked by price_report, and the
+    # error is re-raised naming the file.
+    target = gen_normal_target(tmp_path)
+    result = tmp_path / "r.json"
+    assert run("train", "--target", str(target), "--out", str(result), "--max-iters", "4") == 0
+    payload = read_json(result)
+    probs = payload["trained_dist"]
+    if bad == "nan":
+        probs[8] = math.nan
+    elif bad == "negative":
+        probs[8] += probs[0] + 0.01
+        probs[0] = -0.01
+    else:
+        probs[8] += 0.01
+    result.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = run(
+        "price", "--target", str(target), "--trained", str(result),
+        "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40",
+        "--out", str(tmp_path / "p.json"),
+    )
+    assert_usage_error(capsys, code, f"{result}: {needle}")
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize("kind", ["result", "target", "train-target", "price-target"])
 def test_price_trained_entry_not_a_number_exit2(tmp_path, capsys, kind):
     # The error names the file, the key and the entry, not just numpy's
@@ -1017,6 +1067,63 @@ def test_train_checks_output_paths_before_training(tmp_path, capsys, flag):
     assert_usage_error(capsys, code, str(bad))
     train.assert_not_called()
     assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("command", ["train", "price"])
+@pytest.mark.parametrize("csv", ["r.json", "./r.json", "sub/../r.json"])
+def test_csv_naming_the_out_file_exit2(tmp_path, capsys, monkeypatch, command, csv):
+    # The CSV would overwrite the result JSON. The paths are compared once
+    # resolved, and the command stops before any work.
+    target = gen_normal_target(tmp_path)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argv = ["--target", str(target), "--out", "r.json", "--csv", csv]
+    if command == "price":
+        argv += ["--trained", str(target), "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40"]
+    capsys.readouterr()
+    with mock.patch("ssqw.cli.train") as train, mock.patch("ssqw.cli._load") as load:
+        code = run(command, *argv)
+    assert_usage_error(capsys, code, "--out", "--csv", "same file")
+    train.assert_not_called()
+    load.assert_not_called()
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_default_csv_naming_the_out_file_exit2(tmp_path, capsys):
+    # With no --csv the CSV path is --out's with .csv, which is --out itself
+    # for an --out ending in .csv.
+    target = gen_normal_target(tmp_path)
+    out = tmp_path / "r.csv"
+    capsys.readouterr()
+    code = run("train", "--target", str(target), "--out", str(out), "--max-iters", "4")
+    assert_usage_error(capsys, code, "--out and --csv name the same file")
+    assert not out.exists()
+
+
+def _price_neither_format(tmp_path):
+    target = gen_normal_target(tmp_path)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"format_version": 1}))
+    argv = ["price", "--target", str(target), "--trained", str(other),
+            "--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40"]
+    return argv, "neither a training result nor a target file"
+
+
+def _ingest_half_window(tmp_path):
+    quotes = write_quotes(tmp_path / "q.csv", [("2024-01-02", 100.0), ("2024-01-03", 101.0)])
+    return ["ingest", "--csv", quotes, "--from", "2024-01-02"], "--from and --to must be given together"
+
+
+@pytest.mark.parametrize(
+    "case", [_price_neither_format, _ingest_half_window], ids=["price-neither-format", "ingest-half-window"]
+)
+def test_boundary_checks_name_the_fault(tmp_path, capsys, case):
+    argv, message = case(tmp_path)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    code = run(*argv, "--out", str(out))
+    assert_usage_error(capsys, code, message)
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ misc

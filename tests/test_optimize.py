@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -607,21 +608,32 @@ def test_train_seed_changes_restart_draws():
 LARGE_SEEDS = [2**32 - 1, 2**32, 2**40 + 5, 2**63, 2**64 - 1, 2**64, 2**100 + 3, 2**128 + 7, 2**200 + 11]
 
 
-def test_restart_starts_are_numpys_default_rng_stream():
-    # train draws its restart starts itself, without importing numpy's
-    # random module, as the draws of default_rng(seed).uniform(0, 2 pi,
-    # size) made count - 1 times: bit for bit, for seeds of one to seven
-    # 32-bit words, both modes' sizes and 1 to 16 restarts. Every seed is
-    # checked at 16 restarts, and at 1 + seed % 16; the large ones at all.
+def test_restart_starts_are_the_standard_librarys_stream():
+    # train draws its restart starts from the standard library's Mersenne
+    # Twister, without importing numpy's random module: restart r >= 1 takes
+    # the next size draws of random.Random(seed).uniform(0, 2 pi), bit for
+    # bit, for seeds of one to seven 32-bit words, both modes' sizes and 1
+    # to 16 restarts. Every seed is checked at 16 restarts, and at
+    # 1 + seed % 16; the large ones at all.
     for seed in [*range(500), *LARGE_SEEDS]:
         for size in (6, 2):
-            rng = np.random.default_rng(seed)
-            draws = [rng.uniform(0.0, 2.0 * math.pi, size).tobytes() for _ in range(15)]
+            rng = random.Random(seed)
+            draws = [np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(size)]).tobytes() for _ in range(15)]
             counts = range(1, 17) if seed in LARGE_SEEDS else (16, 1 + seed % 16)
             for count in counts:
                 starts = _restart_starts(seed, count, size)
                 assert all(x.dtype == np.float64 and x.shape == (size,) for x in starts)
                 assert [x.tobytes() for x in starts] == draws[: count - 1], (seed, size, count)
+    # Python documents that random() repeats its sequence for a seed across
+    # releases; these literals catch an interpreter whose stream differs.
+    first = {
+        0: ["0x1.538feaa4932bap+2", "0x1.30caa304974b0p+2", "0x1.523e656599dc9p+1",
+            "0x1.a07766c4120e8p+0", "0x1.9b310804cbae0p+1", "0x1.45aad7e0776f4p+1"],
+        7: ["0x1.04711759da7d2p+1", "0x1.e547c95dd653dp-1", "0x1.05c19bbdf3308p+2",
+            "0x1.d20dc259721d6p-2", "0x1.aefb5c7948f50p+1", "0x1.261abf0806ff8p+1"],
+    }
+    for seed, angles in first.items():
+        assert [float(v).hex() for v in _restart_starts(seed, 2, 6)[0]] == angles
 
 
 def test_train_symmetric_mode_two_free_angles():
@@ -767,8 +779,10 @@ def sequential_train(target, config, init=None):
         init, coin_init = _start_state(target.n_bins, config.symmetric_mode)
     free = _free_angles(config.symmetric_mode)
     x_init = config.initial_params.to_array()[free]
-    rng = np.random.default_rng(config.seed)
-    starts = [x_init] + [rng.uniform(0.0, 2.0 * math.pi, x_init.size) for _ in range(config.restarts - 1)]
+    rng = random.Random(config.seed)
+    starts = [x_init] + [
+        np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(x_init.size)]) for _ in range(config.restarts - 1)
+    ]
 
     def to_angles(x):
         angles = np.zeros(6)
@@ -804,7 +818,7 @@ def sequential_train(target, config, init=None):
         "mse_floor": mse_floor,
         "optimizer": OPTIMIZER_NAME,
         "seed": config.seed,
-        "rng": "numpy-default-pcg64",
+        "rng": "python-random-mt19937",
         "restarts_run": len(evals_per_restart),
         "evals_per_restart": evals_per_restart,
         "evals_per_gradient": EVALS_PER_GRADIENT,
@@ -1013,14 +1027,15 @@ def test_train_narrows_its_recorded_walk_to_the_live_rows():
     # One recorded walk per fit, rebuilt only when the live restarts fall
     # to half its rows or fewer, at the live count: at most log2(restarts)
     # rebuilds. Until then a stopped restart's row stays on its last point:
-    # at 8 x 100 two restarts stop early, and the walk keeps its 8 rows.
+    # at 8 x 100 restarts 0 and 3 stop by short step, and the walk keeps its
+    # 8 rows.
     target = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
     cases = (
-        (3, 800, 1, [96, 456, 204], [3, 1]),
-        (8, 800, 7, [96, 212, 88, 148, 324, 356, 252, 408], [8, 4, 2, 1]),
-        (8, 800, 1, [96, 456, 204, 152, 196, 324, 120, 328], [8, 4, 2, 1]),
-        (5, 800, 7, [96, 212, 88, 148, 324], [5, 2, 1]),
-        (8, 100, 7, [96, 100, 88, 100, 100, 100, 100, 100], [8]),
+        (3, 800, 1, [96, 136, 260], [3, 1]),
+        (8, 800, 7, [96, 156, 248, 100, 360, 152, 552, 144], [8, 4, 2, 1]),
+        (8, 800, 1, [96, 136, 260, 388, 236, 252, 192, 140], [8, 4, 2, 1]),
+        (5, 800, 7, [96, 156, 248, 100, 360], [5, 2, 1]),
+        (8, 100, 7, [96, 100, 100, 100, 100, 100, 100, 100], [8]),
         (1, 100, 7, [96], [1]),
     )
     for restarts, max_iters, seed, charged, want in cases:
@@ -1139,7 +1154,7 @@ def test_training_result_json_wrapped_angles():
             assert 0.0 <= v < 2.0 * math.pi
     assert payload["best_mse"] == result.best_mse
     assert payload["config"]["optimizer"] == "adjoint-bfgs"
-    assert payload["metadata"]["rng"] == "numpy-default-pcg64"
+    assert payload["metadata"]["rng"] == "python-random-mt19937"
     assert len(payload["trained_dist"]) == 16
 
 

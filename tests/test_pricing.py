@@ -232,3 +232,31 @@ def test_payoff_report_json_and_csv():
     first = lines[1].split(",")
     assert float(first[1]) == report.grid.prices[0]
     assert float(first[4]) == report.per_bin_payoff[0]
+
+
+_TARGET = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
+_REPORT = price_report(OptionSpec(2.0, 2.0, 0.05, 0.4, 40.0), _TARGET, _TARGET.probs)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: expected_payoff(np.full(16, 1 / 16), PriceGrid(DOM, 16), -1.0),
+            "strike must be finite and nonnegative, got -1.0",
+        ),
+        (
+            lambda: expected_payoff(np.full(16, 1 / 16), PriceGrid(DOM, 16), math.nan),
+            "strike must be finite and nonnegative, got nan",
+        ),
+        (
+            lambda: payoff_csv(_REPORT, _TARGET.probs, _TARGET.probs[:-1]),
+            "distribution lengths disagree with the grid",
+        ),
+    ],
+    ids=["negative-strike", "nan-strike", "csv-lengths"],
+)
+def test_boundary_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+

@@ -14,6 +14,7 @@ from ssqw import (
     state_from_json,
     state_to_json,
 )
+from ssqw.statevector import MAX_POSITION_QUBITS
 
 import oracles
 
@@ -202,3 +203,29 @@ def test_state_json_rejects_non_object_and_missing_key():
     del payload["amps"]
     with pytest.raises(ValueError, match="'amps'"):
         state_from_json(json.dumps(payload))
+
+
+def _state_json_claiming(num_position_qubits):
+    payload = json.loads(state_to_json(initial_state(2, 1.0, 0.0, 0)))
+    payload["num_position_qubits"] = num_position_qubits
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WalkerState(np.zeros(3)), "flat statevector length must be even"),
+        (lambda: WalkerState(np.zeros((3, 4))), r"expected shape \(2, M\), got \(3, 4\)"),
+        # A zero-stride view: the cap is checked before any M-site pass.
+        (
+            lambda: WalkerState(np.broadcast_to(np.complex128(0), (2, 1 << (MAX_POSITION_QUBITS + 1)))),
+            f"{MAX_POSITION_QUBITS + 1} position qubits exceeds the cap of {MAX_POSITION_QUBITS}",
+        ),
+        (lambda: apply_coin(initial_state(2, 1.0, 0.0, 0), [[1.0, 0.0], [0.0, math.nan]]), "coin entries must be finite"),
+        (lambda: state_from_json(_state_json_claiming(3)), "num_position_qubits disagrees with amplitude count"),
+    ],
+    ids=["odd-flat-length", "not-two-rows", "over-the-cap", "non-finite-coin", "qubit-count"],
+)
+def test_boundary_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -522,3 +522,47 @@ def test_ingest_json_provenance_roundtrip(tmp_path):
     assert back.provenance["mapping"]["scale"] == 1.0
     payload = json.loads(t.to_json())
     assert payload["format_version"] == 1
+
+
+def _target_json_at_version(version):
+    payload = json.loads(analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16).to_json())
+    payload["format_version"] = version
+    return json.dumps(payload)
+
+
+def _ingest_empty(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    return ingest_returns(str(path), DOM, 16)
+
+
+def _ingest_reversed_window(tmp_path):
+    quotes = write_quotes(tmp_path / "q.csv", [(f"2024-01-{d:02d}", 100.0 + d) for d in range(2, 9)])
+    return ingest_returns(quotes, DOM, 16, ("2024-01-06", "2024-01-03"))
+
+
+BS = OptionSpec(2.0, 2.0, 0.05, 0.4, 40.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda _: DistSpec("normal", math.nan, 1.0), ValueError, "mu and sigma must be finite"),
+        (lambda _: TargetDistribution(np.full((2, 2), 0.25), DOM), ValueError, r"probs must be a vector, got shape \(2, 2\)"),
+        (lambda _: TargetDistribution.from_json(_target_json_at_version(99)), ValueError, "unsupported target format_version: 99"),
+        (lambda _: OptionSpec(math.nan, 2.0, 0.05, 0.4, 40.0), ValueError, "s0 must be finite, got nan"),
+        (lambda _: OptionSpec(2.0, 2.0, 0.05, 0.4, 40.0, mu=math.inf), ValueError, "mu must be finite, got inf"),
+        (
+            lambda _: bs_lognormal_target(BS, DOM, 16, "bogus"),
+            ValueError,
+            "sigma_reading must be 'total' or 'per-sqrt-time', got 'bogus'",
+        ),
+        (_ingest_empty, IngestFormatError, "empty.csv: empty CSV"),
+        (_ingest_reversed_window, ValueError, "window end 2024-01-03 precedes start 2024-01-06"),
+    ],
+    ids=["spec-not-finite", "probs-not-a-vector", "format-version", "option-not-finite",
+         "drift-not-finite", "sigma-reading", "empty-csv", "reversed-window"],
+)
+def test_boundary_checks_name_the_fault(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)

@@ -29,6 +29,7 @@ from ssqw import (
     apply_ssqw_step,
     coin_matrix,
     dense_operator,
+    dtqw_step_dense,
     evolve,
     initial_state,
     operator_to_json,
@@ -765,3 +766,26 @@ def test_golden_snapshot_evolution():
     out = evolve(s, params, WalkSchedule(golden["steps"]))
     expect = np.array([complex(re, im) for re, im in golden["amps"]])
     np.testing.assert_allclose(out.flat, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "coin", [IDENTITY_COIN, HADAMARD_COIN, PAULI_X_COIN, PAULI_Y_COIN, PAULI_Z_COIN],
+    ids=["identity", "hadamard", "pauli-x", "pauli-y", "pauli-z"],
+)
+def test_dtqw_step_dense_matches_the_oracle(coin):
+    for n in range(1, 5):
+        w = dtqw_step_dense(coin, n)
+        np.testing.assert_allclose(w, oracles.dense_dtqw_step(coin.theta, coin.phi, coin.lam, 1 << n), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SsqwParams.from_array(np.zeros(5)), r"expected 6 angles, got shape \(5,\)"),
+        (lambda: operator_to_json(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+    ],
+    ids=["five-angles", "non-square-operator"],
+)
+def test_boundary_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
