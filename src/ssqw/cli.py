@@ -112,14 +112,28 @@ def _load(path: str, from_json):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _out_paths(args: argparse.Namespace, default_name: str) -> tuple[str, str]:
+def _refuse_overwriting_inputs(args: argparse.Namespace, outputs: dict[str, str], *inputs: str) -> None:
+    """Refuse an output that names the same file as an input, by real path:
+    writing it would replace the input. ``outputs`` maps each output's flag
+    to its path, and ``inputs`` names the input flags, whose paths are read
+    from ``args``."""
+    for name in inputs:
+        path = getattr(args, name)
+        for flag, out in outputs.items():
+            if os.path.realpath(out) == os.path.realpath(path):
+                raise ValueError(f"{flag} names the same file as the input --{name}: {out} and {path}")
+
+
+def _out_paths(args: argparse.Namespace, default_name: str, *inputs: str) -> tuple[str, str]:
     """The --out path, by default ``default_name`` in the output directory,
     and the --csv path, by default the --out path with .csv. Two paths that
-    name one file are refused: the CSV would overwrite the JSON."""
+    name one file are refused: the CSV would overwrite the JSON. So is an
+    output that names an input file, one of the flags ``inputs``."""
     out = _resolve_out(args.out, default_name)
     csv_out = args.csv if args.csv is not None else os.path.splitext(out)[0] + ".csv"
     if os.path.realpath(out) == os.path.realpath(csv_out):
         raise ValueError(f"--out and --csv name the same file: {out} and {csv_out}")
+    _refuse_overwriting_inputs(args, {"--out": out, "--csv": csv_out}, *inputs)
     return out, csv_out
 
 
@@ -259,7 +273,7 @@ def _build_init(args: argparse.Namespace, n_bins: int):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    paths = _out_paths(args, "result.json")
+    paths = _out_paths(args, "result.json", "target")
     target = _load(args.target, TargetDistribution.from_json)
     params0 = SsqwParams(
         CoinParams(args.theta1, args.phi1, args.lam1),
@@ -316,7 +330,7 @@ def _distribution_from_json(text: str) -> tuple[np.ndarray, int, dict | None]:
 
 
 def cmd_price(args: argparse.Namespace) -> int:
-    paths = _out_paths(args, "price.json")
+    paths = _out_paths(args, "price.json", "target", "trained")
     target = _load(args.target, TargetDistribution.from_json)
     trained, n_bins, dom = _load(args.trained, _distribution_from_json)
     if n_bins != target.n_bins:
@@ -358,9 +372,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if args.date_from is None or args.date_to is None:
             raise ValueError("--from and --to must be given together")
         window = (args.date_from, args.date_to)
+    out = _resolve_out(args.out, "returns_target.json")
+    _refuse_overwriting_inputs(args, {"--out": out}, "csv")
     domain = Domain(args.lo, args.hi)
     target = ingest_returns(args.csv, domain, args.bins, window, args.offset)
-    out = _resolve_out(args.out, "returns_target.json")
     _write_text(out, target.to_json())
     print(f"target: {_dist_summary(target)}")
     print(

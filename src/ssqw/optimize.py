@@ -18,17 +18,28 @@ the M-site distribution bit for bit. Each walk is scored in its own score
 row, (B, n) float64 built once with the walk and holding q^2 in every
 bin: a call overwrites only the cone's bins with (p - q)^2 and takes the
 mean of the row, the same reduce of the same values as a row built anew,
-so the values keep their bits. objective() keeps its one-row scored walk
-between calls, for the last start, step count and target it was called
-with (see objective), so a solver's repeated calls build neither the
-walk nor its row again. A value and a value-and-gradient
+so the values keep their bits. A value and a value-and-gradient
 call step the same window, the start's cone of the walk's steps. A
 value's walk keeps no record; the gradient's is recorded: its forward
 pass records the states that enter its coins and its adjoint sweep runs
 back on that window from them, so its gradients equal those of the same
 formula on the whole ring bit for bit. Only the results a caller gets
-back as M-site arrays (evolve's state, train's ``trained_dist``) are
-built on the whole ring.
+back as M-site arrays are built on the whole ring: evolve's state, and
+train's ``trained_dist``, the cone probabilities its rounds walked at the
+best point, scattered onto the ring.
+
+The process keeps two walks between calls, each in a slot of its own that
+a call empties while it runs, so that a nested or concurrent call builds
+its own. objective() keeps its one-row scored walk, for the last start,
+step count and target it was called with (see objective), so a solver's
+repeated calls build neither the walk nor its row again. train() keeps
+the recorded walk of its last fit's restarts (``_kept_recorded``), matched
+by the inputs it is built from: the ring size, the start's arc and its
+amplitudes on the cone, the steps and the rows. Its records take 32 (4t + 1) B w bytes
+for t steps, B restarts and a w-site cone: 0.11 MB at the acceptance
+config (16 bins, 7 steps, 8 restarts, 15 sites), and 0.37 MB with the
+walk's coin entries, product buffers and accumulator terms. A fit builds
+its own score row against its target.
 
 The restarts are independent, so train() runs them as the rows of one
 BFGS state. Each round evaluates every live restart's next point in one
@@ -59,8 +70,11 @@ from .walk import (
     _coin_stacks,
     _light_cone,
     _Walker,
-    evolve,
 )
+
+# evolve stays importable as ssqw.optimize.evolve: benchmarks/spans.py
+# hooks it by that name.
+from .walk import evolve  # noqa: F401
 
 RESULT_FORMAT_VERSION = 1
 
@@ -103,21 +117,33 @@ class _ScoredWalk:
     walk of every objective value and gradient.
 
     Construction first checks that the start has one site per target bin,
-    the one place that check is made, and then builds the walk and its
-    score row: a C-contiguous (B, n) float64 array holding the target's
-    q^2 in every row, kept with the walk. The start and the target are held
-    by weak reference, so a kept walk keeps no caller's state alive, and
-    each reference's death empties objective()'s slot if it holds this
-    walk (``_forget``). A start and a target are frozen, with read-only
-    arrays, so the walk and the row built for them stay theirs.
+    the one place that check is made. It then builds the walk, or takes
+    ``walk``, one built from the same inputs (train()'s kept walk), and
+    builds its score row: a C-contiguous (B, n) float64 array holding the
+    target's q^2 in every row, kept with the walk, and the target's
+    probabilities on the walk's cone, gathered once (``cone``). The start
+    and the target are held by weak reference, so a kept walk keeps no
+    caller's state alive, and each reference's death empties objective()'s
+    slot if it holds this walk (``_forget``). A start and a target are
+    frozen, with read-only arrays, so the walk and the row built for them
+    stay theirs.
     """
 
-    def __init__(self, init: WalkerState, steps: int, target: TargetDistribution, rows: int, record: bool) -> None:
+    def __init__(
+        self,
+        init: WalkerState,
+        steps: int,
+        target: TargetDistribution,
+        rows: int,
+        record: bool,
+        walk: _Walker | None = None,
+    ) -> None:
         if init.num_positions != target.n_bins:
             raise ValueError(f"initial state has {init.num_positions} positions but target has {target.n_bins} bins")
-        self.walk = _Walker(init, steps, rows, record)
+        self.walk = _Walker(init, steps, rows, record) if walk is None else walk
         q = target.probs
         self.row = np.multiply(q, q, out=np.empty((rows, q.size)))
+        self.cone = q[self.walk.sites]
         self.init, self.steps, self.target = weakref.ref(init, _forget), steps, weakref.ref(target, _forget)
 
     def values(self, coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +152,8 @@ class _ScoredWalk:
 
         Returns the B values and the differences p - q of the walk's
         distributions from the target (B, w), on the w sites of the light
-        cone it stepped. Outside the cone every amplitude stays an exact
+        cone it stepped, and keeps the distributions p as ``probs`` until
+        the next call. Outside the cone every amplitude stays an exact
         zero, so p = 0 there and each squared difference is q^2 bit for
         bit: the row holds those, and each call overwrites the cone's sites
         with their (p - q)^2, the same sites on every call. So the values
@@ -138,11 +165,11 @@ class _ScoredWalk:
         run = self.walk.forward(coins)
         if not (np.abs(run.norms - 1.0) <= MSE_SUM_TOL).all():
             raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
-        q = self.target().probs
-        d = run.probs - q[run.sites]
+        self.probs = run.probs
+        d = run.probs - self.cone
         self.row[:, run.sites] = d * d
         # np.mean's two operations, without its Python-level wrapper.
-        return np.add.reduce(self.row, axis=-1) / q.size, d
+        return np.add.reduce(self.row, axis=-1) / self.row.shape[1], d
 
     def values_and_gradients(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_mse_and_gradient`` at the B rows of ``angles``, on a recorded
@@ -220,6 +247,40 @@ def objective(
     value = float(kept.values(_coin_pair(params))[0][0])
     _kept[:] = (kept,)
     return value
+
+
+# The one recorded walk train() keeps between calls: empty, or a list of
+# one (key, _Walker) pair (``_walk_key``). A call pops it, an atomic list
+# operation, and puts back the walk it started its rounds on only when
+# they are done, so a nested, concurrent or failed call builds its own.
+_kept_recorded: list[tuple[tuple, _Walker]] = []
+
+
+def _walk_key(init: WalkerState, steps: int, rows: int) -> tuple:
+    """What a walk of ``rows`` rows and ``steps`` steps from ``init`` is
+    built from, but the start's amplitudes: the ring size, the start's
+    arc, which with the ring size and the steps sets the cone, the steps
+    and the rows. It holds no array."""
+    return init.num_positions, init._arc, steps, rows
+
+
+def _take_recorded(init: WalkerState, steps: int, rows: int) -> _Walker | None:
+    """train()'s kept recorded walk, taken out of its slot, if it was built
+    from what a walk of ``rows`` rows and ``steps`` steps from ``init`` is
+    built from: the same ``_walk_key`` and the same start amplitudes on
+    its cone, compared bit for bit. Else None, and the slot stays empty.
+
+    Those amplitudes are what the walk copies into its first slot, so a
+    walk that matches steps exactly as a new one would, and its buffers
+    are written before they are read, so it gives the bits of a new one.
+    """
+    try:
+        key, walk = _kept_recorded.pop()
+    except IndexError:
+        return None
+    if key == _walk_key(init, steps, rows) and init.amps[:, walk.sites].tobytes() == walk.start.tobytes():
+        return walk
+    return None
 
 
 def _mse_and_gradient(
@@ -394,7 +455,11 @@ def train(
     round on one recorded walk, rebuilt with the live rows alone when they
     fall to half its rows or fewer; restarts after an exact hit are
     computed and then discarded. The result equals that of running them
-    one after another.
+    one after another. The first walk is the one the last fit kept, if it
+    was built from the same inputs, and is kept for the next fit.
+    ``trained_dist`` is the walk's distribution at the best point, taken
+    from the round that walked it: each restart's cone probabilities at its
+    lowest value so far are kept as the rounds go.
     """
     if config is None:
         config = OptimizerConfig()
@@ -416,18 +481,30 @@ def train(
     p, f, g, d = x.copy(), np.full(b, math.inf), np.zeros((b, k)), np.zeros((b, k))
     slope, norm, t = np.zeros(b), np.zeros(b), np.ones(b)
     h, curved, eye = np.zeros((b, k, k)), np.zeros(b, dtype=bool), np.eye(k)
+    # Once every row is curved, no row takes a first update and none falls
+    # back on -g, so both masked blocks below are skipped.
+    all_curved = False
     live, last, reasons = np.ones(b, dtype=bool), np.zeros(b, dtype=int), np.full(b, "budget", dtype=object)
     radius, points, seen, f_new, g_new = config.initial_trust_radius, [], [], f, g.copy()
 
     # Walk row i is restart rows[i]'s. A stopped restart's row stays on its
     # last point, and its output is not read, until the live rows are half
     # of the rows or fewer: then the walk is rebuilt with those alone. The
-    # first build checks a custom start's grid before it builds anything.
-    n_live, rows = b, None
+    # first walk, of all b rows, is the kept one if it matches, and is kept
+    # once the rounds are done; its scored walk checks a custom start's
+    # grid before it takes or builds anything else.
+    steps = config.steps.steps
+    scored = _ScoredWalk(init, steps, target, b, record=True, walk=_take_recorded(init, steps, b))
+    kept, sites = scored.walk, scored.walk.sites
+    n_live, rows, angles = b, np.arange(b), np.zeros((b, 6))
+    # Each restart's lowest value so far, where it first met it, and the
+    # walk's probabilities on the cone there: trained_dist is the best
+    # restart's row, so no walk is run again for it.
+    low, low_probs = np.full(b, math.inf), np.zeros((b, sites.size))
     while n_live:
-        if rows is None or 2 * n_live <= rows.size:
+        if 2 * n_live <= rows.size:
             rows = live.nonzero()[0]
-            scored = _ScoredWalk(init, config.steps.steps, target, rows.size, record=True)
+            scored = _ScoredWalk(init, steps, target, rows.size, record=True)
             angles = np.zeros((rows.size, 6))
         angles[:, free] = p[rows]
         values, grads = scored.values_and_gradients(angles)
@@ -437,6 +514,10 @@ def train(
         g_new[rows] = grads[:, free]
         points.append(p)
         seen.append(f_new)
+        # Every live restart is one of the walk's rows.
+        lower = (live & (f_new < low))[rows]
+        low[rows[lower]] = values[lower]
+        low_probs[rows[lower]] = scored.probs[lower]
         if config.max_iters < EVALS_PER_GRADIENT:
             break  # the starts' values alone, each charged 1
         # Armijo: a live row accepts its trial point or halves its step.
@@ -447,10 +528,13 @@ def train(
         # as h - rho (s u^T + u s^T) + (rho^2 y.u + rho) s s^T with u = h y, on
         # the accepting rows with s.y > 0; a first one sets h to (s.y/y.y) I.
         up = acc & (sy > 0.0)
-        first = up & ~curved
-        gamma = np.divide(sy, _dots(y, y), out=np.zeros(b), where=first)
-        np.copyto(h, gamma[:, None, None] * eye, where=first[:, None, None])
-        curved |= up
+        if not all_curved:
+            first = up & ~curved
+            if first.any():
+                gamma = np.divide(sy, _dots(y, y), out=np.zeros(b), where=first)
+                np.copyto(h, gamma[:, None, None] * eye, where=first[:, None, None])
+                curved |= first
+                all_curved = bool(curved.all())
         rho, u = np.divide(1.0, sy, out=np.zeros(b), where=up)[:, None, None], _dots(h, y[:, None])
         su, c = s[:, :, None] * u[:, None], rho * rho * _dots(y, u)[:, None, None] + rho
         np.copyto(h, h - rho * (su + su.transpose(0, 2, 1)) + c * (s[:, :, None] * s[:, None]), where=up[:, None, None])
@@ -461,7 +545,8 @@ def train(
         # An accepted row's new direction: -g until it is curved, then
         # -h g, clipped to the trust radius, with a trial step of 1.
         hg = _dots(h, g[:, None])
-        np.copyto(hg, g, where=~curved[:, None])
+        if not all_curved:
+            np.copyto(hg, g, where=~curved[:, None])
         d_new = -hg
         slope_new = _dots(g, d_new)
         norm_new = np.sqrt(_dots(d_new, d_new))
@@ -483,6 +568,7 @@ def train(
             live = live & ~stop
             n_live = int(np.count_nonzero(live))
         p = np.where(live[:, None], x + t[:, None] * d, p)
+    _kept_recorded[:] = ((_walk_key(init, steps, b), kept),)
 
     # Everything below reads the restarts in order, as if each had run
     # alone after the one before it.
@@ -504,7 +590,8 @@ def train(
     best_angles = np.zeros(6)
     best_angles[free] = best_x
     best_params = SsqwParams.from_array(best_angles)
-    trained = position_distribution(evolve(init, best_params, config.steps))
+    trained = np.zeros(n_bins)
+    trained[sites] = low_probs[best_restart]
     unreachable_mass, mse_floor = _reach_floor(target, init, config.steps)
     metadata = {
         "mode": "symmetric" if config.symmetric_mode else "full",

@@ -18,16 +18,18 @@ coin on both coin rows, then one row shifted one site by slicing. Every
 walk is a ``_Walker``, built once for a start, a number of steps and of
 rows, and called once per set of coin pairs. It plans its half-steps when
 it is built (``_half_step``): five ufunc calls on views of a source state,
-a destination, its coins and one product buffer, which ``_run`` makes on
-every step with no temporaries and no new views. The views that do not
-depend on the source and the destination are built once per coin and
-direction (``_coin_views``). Each split step is two half-steps (C1 with
-the up row moving right, C2 with the down row moving left). An unrecorded
-walk plans those two and runs them in turn, in place on one state. A
-recorded walk, the gradient's, plans every half-step of its forward pass
-and of the adjoint sweep out of place, each from one slot of a record into
-the next, so the states that enter the coins and the adjoint states that
-leave them are recorded as they are stepped, with no copy. The sweep
+a destination, its coins and one product buffer, laid end to end in one
+flat list of calls for each pass, which a call makes in order with no
+temporaries, no new views and no Python call per half-step. The views
+that do not depend on the source and the destination are built once per
+coin and direction (``_coin_views``). Each split step is two half-steps
+(C1 with the up row moving right, C2 with the down row moving left). An
+unrecorded walk plans those two and runs their ten calls once per step,
+in place on one state. A recorded walk, the gradient's, plans every
+half-step of its forward pass and of the adjoint sweep out of place, each
+from one slot of a record into the next, and runs each list once, so the
+states that enter the coins and the adjoint states that leave them are
+recorded as they are stepped, with no copy. The sweep
 carries the conjugate of the adjoint state alone back through the same
 half-step, with the transposed coins and the opposite moves, and one
 contraction of its record with the forward record gives both coins'
@@ -82,7 +84,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import cycle, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -325,7 +326,7 @@ def _half_step(src: np.ndarray, dst: np.ndarray, views: tuple) -> tuple:
 
     ``views`` are the coin's and the product buffer's (``_coin_views``),
     so only the views of ``dst`` are built here. The plan is five calls
-    (ufunc, a, b, out), made in order by ``_run``:
+    (ufunc, a, b, out), each made as ``ufunc(a, b, out)``, in order:
 
     1. and 2. ``products[r] = entries[r] * src``, coin row r times both
        coin rows of the state, for r = 0 and 1;
@@ -352,12 +353,6 @@ def _half_step(src: np.ndarray, dst: np.ndarray, views: tuple) -> tuple:
         (np.add, *body, moved.reshape(-1)[body_to]),
         (np.add, *wrap, moved[wrap_to]),
     )
-
-
-def _run(plan: tuple) -> None:
-    """Run one half-step: the calls of its plan (``_half_step``), in order."""
-    for ufunc, a, b, out in plan:
-        ufunc(a, b, out)
 
 
 class _Walk(NamedTuple):
@@ -414,19 +409,23 @@ class _Walker:
       coin row [k, r] is laid out like a (2, B, w) state, which
       ``_half_step`` multiplies it by; and one product buffer;
     - the views of each coin and direction (``_coin_views``), and the
-      forward plans (``_half_step``): plan j steps slot j % slots into slot
-      (j + 1) % slots, C1 with the up row moving right for even j and C2
-      with the down row moving left for odd j. So an unrecorded walk plans
-      two and runs them in turn in place, and a recorded walk plans all
-      2 * steps out of place: slot 2i + k holds the state that enters coin
-      k of step i, and the last slot the final state.
+      forward plans (``_half_step``), laid end to end in the flat call
+      list ``calls``, which ``forward`` runs ``repeats`` times: plan j
+      steps slot j % slots into slot (j + 1) % slots, C1 with the up row
+      moving right for even j and C2 with the down row moving left for odd
+      j. So an unrecorded walk plans two, in place, and runs them once per
+      step, and a recorded walk plans all 2 * steps out of place and runs
+      them once: slot 2i + k holds the state that enters coin k of step i,
+      and the last slot the final state. Every plan is five calls, so
+      ``calls[5 * j + 2]`` writes half-step j's row that stays.
 
     A recorded walk also holds what ``sweep`` needs: the adjoint record
     ``lams``, (2 * steps, 2, B, w), whose slot 2i + k holds conj(lambda),
     the conjugate of the adjoint lambda as it leaves coin k of step i; the
     entries of the coins' transposes and their views; 2 * steps - 1 back
-    plans, from each adjoint slot into the one before, C2^T with the up row
-    moving back left and C1^T with the down row moving back right; and the
+    plans in the flat call list ``back_calls``, from each adjoint slot into
+    the one before, C2^T with the up row moving back left and C1^T with the
+    down row moving back right; and the
     accumulator terms and their products, at most ``_TERMS_BYTES`` of each,
     with the views of both records that fill them.
 
@@ -440,7 +439,7 @@ class _Walker:
     on one core of a 2-core Xeon, numpy 2.4). No benchmark workload steps
     rows that long.
 
-    A call then only refills the entries, runs the plans and reduces.
+    A call then only refills the entries, makes the calls and reduces.
     ``forward`` steps coin pairs from the start and checks the result
     (``_checked``); ``sweep`` then gives their gradient accumulators for
     a seed. Nothing is validated in between: a walk starts from a
@@ -466,15 +465,17 @@ class _Walker:
         self.products = np.empty((2, 2) + shape, dtype=np.complex128)
         # Steps alternate coins: an even slot enters C1.
         coins = [_coin_views(self.entries[k], self.products, k == 0, k == 0) for k in (0, 1)]
-        self.plans = [
-            _half_step(self.states[j % slots], self.states[(j + 1) % slots], coins[j % 2])
+        self.calls = [
+            call
             for j in range(2 * steps if record else 2)
+            for call in _half_step(self.states[j % slots], self.states[(j + 1) % slots], coins[j % 2])
         ]
+        self.repeats = 1 if record else steps
         if record:
             self._plan_sweep(steps, *shape)
 
     def _plan_sweep(self, steps: int, b: int, w: int) -> None:
-        """The adjoint record, the inverse entries, the back plans and the
+        """The adjoint record, the inverse entries, the back calls and the
         terms of ``sweep``'s reduce, lam[i, k, :, b, x] times
         psi[i, k, :, b, x]^T for each step i, coin k, batch row b and site
         x, a chunk of steps at a time: one multiply of the records as they
@@ -486,8 +487,10 @@ class _Walker:
         # Slot j of the adjoint record is followed by slot j - 1; an even
         # slot leaves C1.
         coins = [_coin_views(self.inverse[k], self.products, k == 1, k == 0) for k in (0, 1)]
-        self.back_plans = [
-            _half_step(self.lams[j], self.lams[j - 1], coins[j % 2]) for j in range(2 * steps - 1, 0, -1)
+        self.back_calls = [
+            call
+            for j in range(2 * steps - 1, 0, -1)
+            for call in _half_step(self.lams[j], self.lams[j - 1], coins[j % 2])
         ]
         # (step, coin, lam's row, -, batch row, site) and
         # (step, coin, -, psi's row, batch row, site).
@@ -511,8 +514,9 @@ class _Walker:
         which the next call overwrites."""
         self.entries[...] = coins.transpose(1, 2, 3, 0)[..., None]
         self.states[0] = self.start
-        for plan in islice(cycle(self.plans), 2 * self.steps):
-            _run(plan)
+        for _ in range(self.repeats):
+            for ufunc, a, b, out in self.calls:
+                ufunc(a, b, out)
         return _checked(self.states[-1], self.sites, self.n0, self.steps)
 
     def sweep(self, coef: np.ndarray) -> np.ndarray:
@@ -525,8 +529,9 @@ class _Walker:
         back by the plain transpose C^T, and the shifts are real. It seeds
         mu with the conjugate of ``coef * psi``, undoes the last step's
         S_minus by moving the down row back right, then carries mu alone
-        back through the planned half-steps, from each slot of the adjoint
-        record into the one before. Conjugation is exact, so slot 2i + k holds
+        back through the planned half-steps (``back_calls``), from each
+        slot of the adjoint record into the one before. Conjugation is
+        exact, so slot 2i + k holds
         conj(lambda_out), lambda as it left coin k of step i, bit for bit,
         with no pass to conjugate the record, and one contraction of the
         two records gives
@@ -560,8 +565,8 @@ class _Walker:
         # The last step's S_minus undone: it has no later coin to undo first.
         lam[0] = seed[0]
         _move(lam[1], seed[1], right=True)
-        for plan in self.back_plans:
-            _run(plan)
+        for ufunc, a, b, out in self.back_calls:
+            ufunc(a, b, out)
         self.terms[0] = 0.0
         for lam, psi, made, moved, out, summed in self.term_chunks:
             np.multiply(lam, psi, out=made)

@@ -21,7 +21,7 @@ from ssqw import (
     initial_state,
     position_distribution,
 )
-from ssqw import walk
+from ssqw import optimize, walk
 from ssqw.cli import main
 
 import oracles
@@ -969,7 +969,8 @@ def test_repro_optimiser_failure_exit5(tmp_path, capsys):
         # Every planned half-step, recorded or not, scales its output by 1.1.
         return kernel(src, dst, *args, **kwargs) + ((np.multiply, dst, 1.1, dst),)
 
-    with mock.patch.object(walk, "_half_step", leaky):
+    # With no kept recorded walk, the fits build theirs from the leaky plans.
+    with mock.patch.object(walk, "_half_step", leaky), mock.patch.object(optimize, "_kept_recorded", []):
         code = run("repro", "--outdir", str(tmp_path), "--max-iters", "4")
     assert code == 5
     assert "error: optimiser failed" in capsys.readouterr().err
@@ -1098,6 +1099,53 @@ def test_default_csv_naming_the_out_file_exit2(tmp_path, capsys):
     code = run("train", "--target", str(target), "--out", str(out), "--max-iters", "4")
     assert_usage_error(capsys, code, "--out and --csv name the same file")
     assert not out.exists()
+
+
+def test_train_output_naming_the_target_exit2(tmp_path, capsys, monkeypatch):
+    # The result JSON would replace the target it was fitted to. The paths
+    # are compared once resolved, and the target is left as it was.
+    target = gen_normal_target(tmp_path)
+    before = target.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    with mock.patch("ssqw.cli.train") as train:
+        code = run("train", "--target", "target.json", "--out", "./target.json", "--max-iters", "4")
+    assert_usage_error(capsys, code, "--out", "--target", "./target.json and target.json")
+    train.assert_not_called()
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target.json"]
+
+
+def test_price_output_naming_an_input_exit2(tmp_path, capsys):
+    # The payoff CSV would replace the trained file, and the report JSON
+    # the target: each is refused before either input is read.
+    target = gen_normal_target(tmp_path)
+    trained = gen_normal_target(tmp_path, "trained.json")
+    before = {p: p.read_bytes() for p in (target, trained)}
+    (tmp_path / "sub").mkdir()
+    option = ["--s0", "2", "--k", "2", "--sigma", "0.4", "--r", "0.05", "--t", "40"]
+    for outputs, needles in (
+        (["--csv", str(tmp_path / "sub" / ".." / "trained.json")], ("--csv", "--trained")),
+        (["--out", str(target), "--csv", str(tmp_path / "p.csv")], ("--out", "--target")),
+    ):
+        capsys.readouterr()
+        with mock.patch("ssqw.cli._load") as load:
+            code = run("price", "--target", str(target), "--trained", str(trained), *option, *outputs)
+        assert_usage_error(capsys, code, *needles, "same file")
+        load.assert_not_called()
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "target.json", "trained.json"]
+
+
+def test_ingest_output_naming_the_quotes_exit2(tmp_path, capsys):
+    # The target JSON would replace the quote CSV it was binned from.
+    quotes = write_quotes(tmp_path / "q.csv", [("2024-01-02", 100.0), ("2024-01-03", 101.0)])
+    before = Path(quotes).read_bytes()
+    capsys.readouterr()
+    code = run("ingest", "--csv", quotes, "--out", quotes)
+    assert_usage_error(capsys, code, "--out", "--csv", f"{quotes} and {quotes}")
+    assert Path(quotes).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["q.csv"]
 
 
 def _price_neither_format(tmp_path):

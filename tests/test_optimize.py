@@ -738,12 +738,11 @@ def test_stop_reason_exact_ends_the_restarts():
 
 def test_stop_reason_no_descent_on_a_zero_gradient():
     target = ring_symmetric_target()
-    init, _ = _start_state(target.n_bins, False)
+    real = optimize._ScoredWalk.values_and_gradients
 
     def flat(scored, angles):
-        schedule = WalkSchedule(scored.steps)
-        values = [objective(SsqwParams.from_array(a), scored.target(), schedule, init) for a in angles]
-        return values, np.zeros((len(angles), 6))
+        values, grads = real(scored, angles)
+        return values, np.zeros_like(grads)
 
     with mock.patch.object(optimize._ScoredWalk, "values_and_gradients", flat):
         result = train(target, OptimizerConfig(max_iters=40, restarts=2, seed=1))
@@ -968,6 +967,8 @@ def surrogate(self, angles):
     w = np.array([1.0, 0.5, 0.25, 0.75, 0.4, 0.2])
     r = np.roll(z, 3, axis=1)
     values = np.add.reduce(w * (z * z - 1.0) ** 2 + 0.3 * z * r, axis=-1)
+    # train() reads the walk's probabilities after each call; none are walked.
+    self.probs = np.zeros((len(angles), self.cone.size))
     return values, 4.0 * w * z * (z * z - 1.0) + 0.6 * r
 
 print(" ".join(_numpy_dispatch_targets()) or "none")
@@ -1040,10 +1041,105 @@ def test_train_narrows_its_recorded_walk_to_the_live_rows():
     )
     for restarts, max_iters, seed, charged, want in cases:
         config = OptimizerConfig(max_iters=max_iters, restarts=restarts, seed=seed)
+        # The walk the last fit kept would stand in for the first build.
+        optimize._kept_recorded.clear()
         with recorded_walk_widths() as widths:
             result = train(target, config)
         assert result.metadata["evals_per_restart"] == charged
         assert widths == want, config
+
+
+def result_bytes(result):
+    """A training result as bytes: its JSON view and its trained_dist."""
+    return json.dumps(training_result_json_dict(result)).encode() + result.trained_dist.tobytes()
+
+
+def lognormal_target(n_bins=16):
+    return analytic_histogram(DistSpec("lognormal", math.log(7.5) - 0.125, 0.5), DOM, n_bins)
+
+
+def test_trained_dist_is_the_best_point_walked_again():
+    # train() takes trained_dist from the round that first met each
+    # restart's lowest value, with no walk after its rounds: it is the ring
+    # distribution evolve() gives at best_params, bit for bit. The cases:
+    # the acceptance config, a 64-bin 12-step fit on a 25-site cone, a
+    # 16-bin 8-step fit on the whole ring, symmetric mode, a start off the
+    # centre, restarts whose walk narrows, and budgets that buy the starts'
+    # values alone (1) or one gradient call (4).
+    off_centre = _start_state(16, False, 5, "balanced")[0]
+    cases = (
+        (16, OptimizerConfig(max_iters=100, restarts=8, seed=7), None),
+        (64, OptimizerConfig(max_iters=100, restarts=4, seed=3, steps=WalkSchedule(12)), None),
+        (16, OptimizerConfig(max_iters=100, restarts=8, seed=7, steps=WalkSchedule(8)), None),
+        (16, OptimizerConfig(max_iters=200, restarts=4, seed=2, symmetric_mode=True), None),
+        (16, OptimizerConfig(max_iters=100, restarts=4, seed=5), off_centre),
+        (16, OptimizerConfig(max_iters=800, restarts=3, seed=1), None),
+        (16, OptimizerConfig(max_iters=1, restarts=4, seed=4), None),
+        (16, OptimizerConfig(max_iters=4, restarts=4, seed=4), None),
+    )
+    for n_bins, config, init in cases:
+        for target in (analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, n_bins), lognormal_target(n_bins)):
+            result = train(target, config, init)
+            start = init if init is not None else _start_state(n_bins, config.symmetric_mode)[0]
+            want = position_distribution(evolve(start, result.best_params, config.steps))
+            assert result.trained_dist.tobytes() == want.tobytes(), (n_bins, config)
+
+
+def test_train_keeps_one_recorded_walk_between_fits():
+    # 30 acceptance fits in a row, alternating two targets on one start,
+    # build one recorded walk: each fit after the first takes the walk the
+    # last one kept, matched by the inputs it is built from, and builds its
+    # own score row. A start with other amplitudes on the same cone, and
+    # then other rows, each build their own. Every result equals that of
+    # the same fit with the slot emptied first.
+    targets = [analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16), lognormal_target()]
+    config = OptimizerConfig(max_iters=100, restarts=8, seed=7)
+    fits = [(targets[i % 2], config, None) for i in range(30)]
+    fits += [(targets[0], config, _start_state(16, False, 8, "balanced")[0])] * 2
+    fits += [(targets[1], OptimizerConfig(max_iters=100, restarts=4, seed=7), None)] * 2
+    optimize._kept_recorded.clear()
+    with recorded_walk_widths() as widths:
+        kept = [result_bytes(train(*fit)) for fit in fits]
+    assert widths == [8, 8, 4]
+    # A start with the kept one's amplitudes on the kept cone and more mass
+    # outside it has a wider cone of its own, on which its walk does not
+    # sum to 1.
+    amps = _start_state(16, False)[0].amps.copy()
+    amps[0, 0] = 1.0
+    with pytest.raises(ValueError, match="not 1 within"):
+        train(targets[1], fits[-1][1], WalkerState(amps))
+    for fit, got in zip(fits, kept):
+        optimize._kept_recorded.clear()
+        assert got == result_bytes(train(*fit))
+
+
+def test_train_on_threads_gives_the_sequential_results():
+    # Two acceptance fits on one start in two threads, with the interpreter
+    # switching threads as often as it can: a fit holds the kept walk
+    # alone, or builds its own, so no two fits share a walk, and each result
+    # equals the same fit's run alone.
+    targets = [analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16), lognormal_target()]
+    config = OptimizerConfig(max_iters=100, restarts=8, seed=7)
+    want = [result_bytes(train(target, config)) for target in targets]
+    got = [None] * len(targets)
+    barrier = threading.Barrier(len(targets))
+
+    def fit(k):
+        barrier.wait()
+        got[k] = result_bytes(train(targets[k], config))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fit, args=(k,)) for k in range(len(targets))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
 
 
 @pytest.mark.parametrize(
@@ -1265,16 +1361,22 @@ def test_windowed_sweep_gradient_equals_full_ring():
     np.testing.assert_array_equal(np.sort(sites), np.flatnonzero(p))
     [value], [grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
     widths = []
-    run = walk._run
+    forward, sweep = walk._Walker.forward, walk._Walker.sweep
 
-    def recording(plan):
-        # A half-step's third call writes the row that stays, (B, w).
-        widths.append(plan[2][3].shape[-1])
-        return run(plan)
+    # Each half-step is five calls of the walk's flat call lists, and its
+    # third writes the row that stays, (B, w).
+    def recording_forward(self, coins):
+        widths.extend([call[3].shape[-1] for call in self.calls[2::5]] * self.repeats)
+        return forward(self, coins)
+
+    def recording_sweep(self, coef):
+        widths.extend(call[3].shape[-1] for call in self.back_calls[2::5])
+        return sweep(self, coef)
 
     with (
         mock.patch.object(walk, "_light_cone", lambda state, steps: np.arange(state.num_positions)),
-        mock.patch.object(walk, "_run", recording),
+        mock.patch.object(walk._Walker, "forward", recording_forward),
+        mock.patch.object(walk._Walker, "sweep", recording_sweep),
     ):
         [full_value], [full_grad] = _mse_and_gradient(params.to_array()[None], target, schedule, init)
         # Forward pass and sweep (one half-step fewer: the last step's

@@ -367,6 +367,35 @@ def step_loop_widths():
         yield widths
 
 
+@contextlib.contextmanager
+def half_step_widths():
+    """Record the number of sites w of every half-step a walk runs, in
+    order, read from the walk's flat call lists: each half-step is five
+    calls, and its third writes the row that stays, (B, w)."""
+    widths = []
+    forward, sweep = walk._Walker.forward, walk._Walker.sweep
+
+    def recording_forward(self, coins):
+        widths.extend([call[3].shape[-1] for call in self.calls[2::5]] * self.repeats)
+        return forward(self, coins)
+
+    def recording_sweep(self, coef):
+        widths.extend(call[3].shape[-1] for call in self.back_calls[2::5])
+        return sweep(self, coef)
+
+    with (
+        mock.patch.object(walk._Walker, "forward", recording_forward),
+        mock.patch.object(walk._Walker, "sweep", recording_sweep),
+    ):
+        yield widths
+
+
+def run_plan(plan):
+    """Make a half-step plan's calls in order, as a walk makes them."""
+    for ufunc, a, b, out in plan:
+        ufunc(a, b, out)
+
+
 @st.composite
 def localized_runs(draw):
     """A state on 2**1..2**10 sites with a contiguous support, and 1..40 steps.
@@ -501,19 +530,11 @@ def test_adjoint_sweep_runs_only_the_light_cone():
     # is a move alone, so it runs one half-step fewer.
     params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
     rng = np.random.default_rng(43)
-    widths = []
-    run = walk._run
-
-    def recording(plan):
-        # A half-step's third call writes the row that stays, (B, w).
-        widths.append(plan[2][3].shape[-1])
-        return run(plan)
-
-    for n, site, steps in ((16, 1 << 15, 64), (4, 8, 7), (6, 32, 10), (10, (1 << 10) - 2, 20)):
-        m = 1 << n
-        target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
-        init = initial_state(n, 1.0, 0.0, site)
-        with mock.patch.object(walk, "_run", recording):
+    with half_step_widths() as widths:
+        for n, site, steps in ((16, 1 << 15, 64), (4, 8, 7), (6, 32, 10), (10, (1 << 10) - 2, 20)):
+            m = 1 << n
+            target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+            init = initial_state(n, 1.0, 0.0, site)
             _mse_and_gradient(params.to_array()[None], target, WalkSchedule(steps), init)
     assert widths == [129] * 255 + [15] * 27 + [21] * 39 + [41] * 79
 
@@ -549,10 +570,10 @@ def test_half_step_plan_equals_the_two_term_expressions(case, move_up, right):
     got = state.copy()
     views = coin_views(coins, got.shape[1:], move_up, right)
     plan = walk._half_step(got, got, views)
-    walk._run(plan)
+    run_plan(plan)
     assert got.tobytes() == want.tobytes()
     # Run again, the same views step the state the plan was built on.
-    walk._run(plan)
+    run_plan(plan)
     assert got.tobytes() == oracles.half_step_ref(want, coins, move_up, right).tobytes()
     # A state that is not C-contiguous would be flattened into copies.
     fortran = np.asfortranarray(state)
@@ -569,16 +590,16 @@ def test_out_of_place_half_step_equals_the_in_place_plan(case, move_up, right):
     state, coins = case
     views = coin_views(coins, state.shape[1:], move_up, right)
     in_place = state.copy()
-    walk._run(walk._half_step(in_place, in_place, views))
+    run_plan(walk._half_step(in_place, in_place, views))
     src, dst = state.copy(), np.full_like(state, np.nan)
     plan = walk._half_step(src, dst, views)
-    walk._run(plan)
+    run_plan(plan)
     assert dst.tobytes() == in_place.tobytes()
     assert src.tobytes() == state.tobytes()
     # Run again from a new source through the same views.
     src[...] = in_place
-    walk._run(plan)
-    walk._run(walk._half_step(in_place, in_place, views))
+    run_plan(plan)
+    run_plan(walk._half_step(in_place, in_place, views))
     assert dst.tobytes() == in_place.tobytes()
 
 
