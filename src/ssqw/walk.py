@@ -18,14 +18,17 @@ coin on both coin rows, then one row shifted one site by slicing. Every
 walk is a ``_Walker``, built once for a start, a number of steps and of
 rows, and called once per set of coin pairs. It plans its half-steps when
 it is built (``_half_step``): five ufunc calls on views of a source state,
-a destination, its coins and one product buffer, laid end to end in one
-flat list of calls for each pass, which a call makes in order with no
-temporaries, no new views and no Python call per half-step. The views
-that do not depend on the source and the destination are built once per
-coin and direction (``_coin_views``). Each split step is two half-steps
-(C1 with the up row moving right, C2 with the down row moving left). An
-unrecorded walk plans those two and runs their ten calls once per step,
-in place on one state. A recorded walk, the gradient's, plans every
+a destination, its coins and one product buffer, the fifth moving the
+sites that wrap around the window, laid end to end in one flat list of
+calls for each pass, which a call makes in order with no temporaries, no
+new views and no Python call per half-step. The views that do not depend
+on the source and the destination are built once per coin and direction
+(``_coin_views``). Each split step is two half-steps (C1 with the up row
+moving right, C2 with the down row moving left). An unrecorded walk plans
+those two and runs their ten calls once per step, in place on one state;
+objective's walk, whose amplitudes never leave the package, plans four
+calls a half-step, eight a step, when its window is a light cone that
+does not wrap (see ``_Walker``). A recorded walk, the gradient's, plans every
 half-step of its forward pass and of the adjoint sweep out of place, each
 from one slot of a record into the next, and runs each list once, so the
 states that enter the coins and the adjoint states that leave them are
@@ -46,7 +49,8 @@ order. A cone that wraps past site 0 is the same cyclic sequence rotated
 to start there, and everything that reads a window reads it in that order.
 This is exact, not a truncation: every site outside the cone stays an
 exact zero in the full-ring run too, and nothing reaches the cone's ends,
-so its own wrap-around only moves zeros.
+so its own wrap-around only moves zeros, +0 or -0. Where those zeros'
+signs cannot reach a caller, a cone that does not wrap drops the call.
 A ``WalkerState`` caches its arc (``WalkerState._arc``), so a start is
 scanned once, and the cone is arithmetic on that arc.
 
@@ -318,7 +322,7 @@ def _coin_views(entries: np.ndarray, products: np.ndarray, move_up: bool, right:
     )
 
 
-def _half_step(src: np.ndarray, dst: np.ndarray, views: tuple) -> tuple:
+def _half_step(src: np.ndarray, dst: np.ndarray, views: tuple, wraps: bool = True) -> tuple:
     """Plan half of a split step from a (2, B, w) state ``src`` into
     ``dst``: a coin on both coin rows, then one row moved one site around
     the ring. An unrecorded walk passes one array as both and steps it in
@@ -336,6 +340,12 @@ def _half_step(src: np.ndarray, dst: np.ndarray, views: tuple) -> tuple:
        row's first site (last, moving left) from its neighbour's last;
     5. the B sites that wrap around, which overwrites those.
 
+    Without ``wraps`` the plan is the first four calls alone, and each
+    moved row's first site (last, moving left) keeps what it held, or
+    what call 4 wrote there from the row before. ``_Walker`` drops the
+    call only where that site and the site that would wrap into it hold
+    exact zeros before every half-step.
+
     ``src`` is read only by the first two calls, so ``dst`` may be
     ``src``. Each new amplitude is ``c[r, 0] * up + c[r, 1] * dn`` with
     ``apply_coin``'s operand order, up to the order of the two terms of an
@@ -346,13 +356,13 @@ def _half_step(src: np.ndarray, dst: np.ndarray, views: tuple) -> tuple:
         raise ValueError("a half-step plan needs a C-contiguous state")
     (row0, made0), (row1, made1), stay, body, wrap, (moves, stays, body_to, wrap_to) = views
     moved = dst[moves]
-    return (
+    plan = (
         (np.multiply, row0, src, made0),
         (np.multiply, row1, src, made1),
         (np.add, *stay, dst[stays]),
         (np.add, *body, moved.reshape(-1)[body_to]),
-        (np.add, *wrap, moved[wrap_to]),
     )
+    return plan + ((np.add, *wrap, moved[wrap_to]),) if wraps else plan
 
 
 class _Walk(NamedTuple):
@@ -416,8 +426,30 @@ class _Walker:
       j. So an unrecorded walk plans two, in place, and runs them once per
       step, and a recorded walk plans all 2 * steps out of place and runs
       them once: slot 2i + k holds the state that enters coin k of step i,
-      and the last slot the final state. Every plan is five calls, so
-      ``calls[5 * j + 2]`` writes half-step j's row that stays.
+      and the last slot the final state. Every plan of a walk has as many
+      calls, five or four (below), and the third writes the half-step's
+      row that stays.
+
+    An unrecorded walk that is not ``exported`` drops each plan's fifth
+    call, the wrap-around, when its window is a light cone that does not
+    wrap: w < M sites, running from ``sites[0]`` to ``sites[0] + w - 1``.
+    That is objective's walk, which reads only probabilities. Before C1's
+    half-step of step i < t the state lies within the start's cone of i
+    steps, and before C2's only the up row has moved one site further,
+    right. So the site the call reads from and the moved row's site it
+    writes, the window's two ends, hold zeros, and the call would only move
+    a zero of either sign. The end site keeps a zero of its own instead,
+    and |+-0|^2 = +0, so every probability keeps its bits: at 64 steps on
+    2**16 sites, a 129-site cone, a forward pass makes 512 calls instead
+    of 640. The other walks keep the call. A recorded walk steps out of
+    place, into slots whose end sites nothing else writes, and a batch
+    row's end site would take the zero of the row before it, so its rows
+    would stop equalling their one-row walks byte for byte.
+    ``_ring_walk``'s walk is ``exported``: its amplitudes, the signs of
+    their zeros included, reach ``evolve``, the one-step operators and the
+    dense operators, whose JSON writes -0.0 and 0.0 apart. A cone that
+    wraps past site 0 and the whole ring keep the call, since there it
+    moves amplitudes that are not zero.
 
     A recorded walk also holds what ``sweep`` needs: the adjoint record
     ``lams``, (2 * steps, 2, B, w), whose slot 2i + k holds conj(lambda),
@@ -452,23 +484,27 @@ class _Walker:
     A recorded walk's records take 32 (4 * steps + 1) B w bytes.
     """
 
-    def __init__(self, init: WalkerState, steps: int, rows: int, record: bool) -> None:
+    def __init__(self, init: WalkerState, steps: int, rows: int, record: bool, *, exported: bool = False) -> None:
         self.steps = steps
         self.sites = _light_cone(init, steps)
+        w = len(self.sites)
         start = init.amps[:, self.sites]
         self.n0 = _norm_sq(start)
         self.start = start[:, None]
-        shape = (rows, len(self.sites))
+        shape = (rows, w)
         slots = 2 * steps + 1 if record else 1
         self.states = np.empty((slots, 2) + shape, dtype=np.complex128)
         self.entries = np.empty((2, 2, 2) + shape, dtype=np.complex128)
         self.products = np.empty((2, 2) + shape, dtype=np.complex128)
+        # A cone that does not wrap runs contiguously and short of the ring.
+        cone = w < init.num_positions and self.sites[-1] - self.sites[0] == w - 1
+        wraps = record or exported or not cone
         # Steps alternate coins: an even slot enters C1.
         coins = [_coin_views(self.entries[k], self.products, k == 0, k == 0) for k in (0, 1)]
         self.calls = [
             call
             for j in range(2 * steps if record else 2)
-            for call in _half_step(self.states[j % slots], self.states[(j + 1) % slots], coins[j % 2])
+            for call in _half_step(self.states[j % slots], self.states[(j + 1) % slots], coins[j % 2], wraps)
         ]
         self.repeats = 1 if record else steps
         if record:
@@ -579,8 +615,9 @@ class _Walker:
 def _ring_walk(state: WalkerState, coins: np.ndarray, steps: int) -> WalkerState:
     """A walk from ``state`` under one coin pair, a (1, 2, 2, 2) stack,
     scattered onto the whole ring. Values equal the full-ring run; only
-    the signs of exact zeros outside the cone may differ."""
-    run = _Walker(state, steps, 1, record=False).forward(coins)
+    the signs of exact zeros outside the cone may differ. The walk is
+    ``exported``, so it keeps every half-step's wrap-around call."""
+    run = _Walker(state, steps, 1, record=False, exported=True).forward(coins)
     out = np.zeros(state.amps.shape, dtype=np.complex128)
     out[:, run.sites] = run.final[:, 0]
     return WalkerState(out)

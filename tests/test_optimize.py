@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssqw import (
@@ -195,8 +195,24 @@ def localized_fits(draw):
     return WalkerState(amps / np.sqrt(np.sum(np.abs(amps) ** 2))), WalkSchedule(steps), target
 
 
+def boundary_fit(site, steps=10):
+    """A one-site start at ``site`` on 64 sites, ``steps`` steps and a
+    seeded random target with some bins at exactly 0. From site ``steps``
+    the cone ends on site 0, from site 63 - ``steps`` on site 63, and from
+    site ``steps`` - 1 it wraps past site 0."""
+    rng = np.random.default_rng(site)
+    q = oracles.random_prob_vec(rng, 64)
+    q[rng.random(64) < 0.2] = 0.0
+    target = TargetDistribution(q / q.sum(), Domain(0.0, 64.0))
+    return initial_state(6, 0.6, 0.8j, site), WalkSchedule(steps), target
+
+
 @settings(max_examples=150, deadline=None)
 @given(fit=localized_fits(), angles=st.tuples(*[ANGLES] * 6))
+# objective drops the wrap-around call on the first two cones, not on the third.
+@example(fit=boundary_fit(10), angles=(1.3, 0.2, 0.7, 0.6, 2.1, 1.4))
+@example(fit=boundary_fit(53), angles=(-4.1, 9.3, -0.6, 2.2, -7.5, 5.9))
+@example(fit=boundary_fit(9), angles=(3.0, -2.4, 8.8, -9.7, 0.1, 4.6))
 def test_objective_equals_mse_of_the_full_ring_walk(fit, angles):
     init, schedule, target = fit
     params = SsqwParams.from_array(np.array(angles))

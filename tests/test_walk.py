@@ -367,20 +367,31 @@ def step_loop_widths():
         yield widths
 
 
+def calls_per_half_step(walker):
+    """The number of calls in each of ``walker``'s forward half-step plans,
+    and in each of its back plans (None if it is unrecorded), counted from
+    its flat call lists: every plan of a list has as many."""
+    forward = len(walker.calls) * walker.repeats // (2 * walker.steps)
+    back = len(walker.back_calls) // (2 * walker.steps - 1) if hasattr(walker, "back_calls") else None
+    return forward, back
+
+
 @contextlib.contextmanager
 def half_step_widths():
     """Record the number of sites w of every half-step a walk runs, in
-    order, read from the walk's flat call lists: each half-step is five
-    calls, and its third writes the row that stays, (B, w)."""
+    order, read from the walk's flat call lists: the third call of each
+    half-step writes the row that stays, (B, w)."""
     widths = []
     forward, sweep = walk._Walker.forward, walk._Walker.sweep
 
     def recording_forward(self, coins):
-        widths.extend([call[3].shape[-1] for call in self.calls[2::5]] * self.repeats)
+        per_plan = calls_per_half_step(self)[0]
+        widths.extend([call[3].shape[-1] for call in self.calls[2::per_plan]] * self.repeats)
         return forward(self, coins)
 
     def recording_sweep(self, coef):
-        widths.extend(call[3].shape[-1] for call in self.back_calls[2::5])
+        per_plan = calls_per_half_step(self)[1]
+        widths.extend(call[3].shape[-1] for call in self.back_calls[2::per_plan])
         return sweep(self, coef)
 
     with (
@@ -669,6 +680,92 @@ def test_planning_stays_flat_in_the_steps(record):
         with planned() as counts:
             objective(params[0], target, WalkSchedule(64), initial_state(16, 1.0, 0.0, m // 2))
         assert counts == {"plans": 2, "views": 2}
+
+
+@contextlib.contextmanager
+def walks_run():
+    """Record every walk that runs a forward pass inside."""
+    walkers = []
+    forward = walk._Walker.forward
+
+    def recording(self, coins):
+        walkers.append(self)
+        return forward(self, coins)
+
+    with mock.patch.object(walk._Walker, "forward", recording):
+        yield walkers
+
+
+def test_only_the_scored_walk_on_a_cone_that_does_not_wrap_plans_four_calls():
+    # objective's walk drops each half-step's fifth call, the wrap-around,
+    # on a cone that does not wrap, also one whose ends land on site 0 or
+    # on site M-1: there that call could only move exact zeros from one
+    # end of the cone to the other. Every walk whose amplitudes leave the
+    # package (evolve and the one-step operators), every recorded walk,
+    # forward and back, a cone that wraps past site 0 and the whole ring
+    # keep all five.
+    params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
+    m, steps = 1 << 6, 10
+    target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
+    starts = (
+        (m // 2, 4),  # the cone 22..42
+        (steps, 4),  # the cone 0..20, ending on site 0
+        (m - 1 - steps, 4),  # the cone 43..63, ending on site M-1
+        (steps - 1, 5),  # the cone 63, 0..19, which wraps past site 0
+    )
+    for site, scored in starts:
+        init = initial_state(6, 0.6, 0.8j, site)
+        with walks_run() as walkers:
+            objective(params, target, WalkSchedule(steps), init)
+            evolve(init, params, WalkSchedule(steps))
+            apply_ssqw_step(init, params)
+            apply_dtqw_step(init, params.coin1)
+            _mse_and_gradient(np.stack([params.to_array()] * 3), target, WalkSchedule(steps), init)
+        assert [calls_per_half_step(w) for w in walkers] == [(scored, None)] + [(5, None)] * 3 + [(5, 5)], site
+    # The whole ring as the window 0..M-1.
+    init = initial_state(6, 0.6, 0.8j, m // 2)
+    with walks_run() as walkers:
+        objective(params, target, WalkSchedule(m // 2), init)
+    assert [calls_per_half_step(w) for w in walkers] == [(5, None)]
+    # The evolve-wide objective, 64 steps on 2**16 sites from the centre:
+    # 64 steps of two four-call half-steps.
+    m = 1 << 16
+    target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
+    with walks_run() as walkers:
+        objective(params, target, WalkSchedule(64), initial_state(16, 1.0, 0.0, m // 2))
+    assert [len(w.calls) * w.repeats for w in walkers] == [512]
+
+
+@st.composite
+def cones_that_do_not_wrap(draw):
+    """A state on 2**2..2**9 sites whose occupied arc of w sites and whose
+    cone of t steps lie within sites 0..M-1, often ending on site 0 or on
+    site M-1, with random amplitudes, some of them -0.0."""
+    m = 1 << draw(st.integers(2, 9))
+    steps = draw(st.integers(1, (m - 2) // 2))
+    w = draw(st.integers(1, m - 1 - 2 * steps))
+    room = m - w - 2 * steps
+    first = steps + draw(st.sampled_from([0, room, draw(st.integers(0, room))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros((2, m), dtype=np.complex128)
+    amps[:, first : first + w] = rng.normal(size=(2, w)) + 1j * rng.normal(size=(2, w))
+    amps[rng.random((2, m)) < 0.3] *= -1.0
+    amps[:, first] += 1.0
+    return WalkerState(amps / np.sqrt(np.sum(np.abs(amps) ** 2))), steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=cones_that_do_not_wrap(), angles=angles_tuple())
+def test_evolve_on_a_cone_that_does_not_wrap_equals_the_recorded_walk_bit_for_bit(run, angles):
+    # evolve keeps the wrap-around call that objective's walk drops: on
+    # its cone it gives a recorded walk's final state, which keeps it too,
+    # byte for byte, the signs of exact zeros included.
+    state, steps = run
+    params = SsqwParams.from_array(np.array(angles))
+    recorded = walk._Walker(state, steps, 1, record=True)
+    want = recorded.forward(walk._coin_pair(params)).final[:, 0]
+    got = evolve(state, params, WalkSchedule(steps)).amps
+    assert got[:, recorded.sites].tobytes() == want.tobytes()
 
 
 def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
