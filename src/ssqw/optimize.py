@@ -14,11 +14,7 @@ objective() and train run every walk as a ``_ScoredWalk``: a
 against the target on the window it stepped, which for a localized start
 is a light cone of the start alone: outside it the walk's probabilities
 are exact zeros, so each bin there costs q^2, and the MSE equals that of
-the M-site distribution bit for bit. Each walk is scored in its own score
-row, (B, n) float64 built once with the walk and holding q^2 in every
-bin: a call overwrites only the cone's bins with (p - q)^2 and takes the
-mean of the row, the same reduce of the same values as a row built anew,
-so the values keep their bits. A value and a value-and-gradient
+the M-site distribution bit for bit. A value and a value-and-gradient
 call step the same window, the start's cone of the walk's steps. A
 value's walk keeps no record; the gradient's is recorded: its forward
 pass records the states that enter its coins and its adjoint sweep runs
@@ -28,18 +24,31 @@ back as M-site arrays are built on the whole ring: evolve's state, and
 train's ``trained_dist``, the cone probabilities its rounds walked at the
 best point, scattered onto the ring.
 
+A value is np.mean of the M-bin row of squared differences, which numpy
+sums pairwise: each run of ``_LEAF`` = 128 bins (``PW_BLOCKSIZE`` in
+numpy's C loops) by a loop of its own, then those leaf sums in adjacent
+pairs, level by level. So a scored walk keeps the leaf sums of q^2 and
+copies of the few leaves the cone touches, and a call writes the cone's
+(p - q)^2 into those copies, sums them as leaves and adds the levels up
+again: the additions of a mean of the whole row, in its order, so the
+values keep their bits, and a call reads O(w + M/128) floats instead of
+M. Where the cone touches every leaf, as on every ring of 128 bins or
+fewer, the walk keeps the whole row and takes its mean. A property test
+holds the tree to numpy's own sum, so a numpy that sums in other blocks
+fails it.
+
 The process keeps two walks between calls, each in a slot of its own that
 a call empties while it runs, so that a nested or concurrent call builds
 its own. objective() keeps its one-row scored walk, for the last start,
 step count and target it was called with (see objective), so a solver's
-repeated calls build neither the walk nor its row again. train() keeps
+repeated calls build neither the walk nor its leaves again. train() keeps
 the recorded walk of its last fit's restarts (``_kept_recorded``), matched
 by the inputs it is built from: the ring size, the start's arc and its
 amplitudes on the cone, the steps and the rows. Its records take 32 (4t + 1) B w bytes
 for t steps, B restarts and a w-site cone: 0.11 MB at the acceptance
 config (16 bins, 7 steps, 8 restarts, 15 sites), and 0.37 MB with the
 walk's coin entries, product buffers and accumulator terms. A fit builds
-its own score row against its target.
+its own leaves against its target.
 
 The restarts are independent, so train() runs them as the rows of one
 BFGS state. Each round evaluates every live restart's next point in one
@@ -111,6 +120,18 @@ def mse(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
+# The longest run numpy's pairwise sum adds in one loop (PW_BLOCKSIZE); it
+# sums a longer run as its two halves (see the module docstring).
+_LEAF = 128
+
+
+def _runs(idx: np.ndarray) -> list[slice]:
+    """The slices of the increasing integers ``idx`` that each hold a run
+    of consecutive ones."""
+    cuts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), idx.size]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 class _ScoredWalk:
     """A ``walk._Walker`` of B = ``rows`` rows from ``init``, ``steps``
     steps long and recorded if ``record``, scored against ``target``: the
@@ -119,14 +140,33 @@ class _ScoredWalk:
     Construction first checks that the start has one site per target bin,
     the one place that check is made. It then builds the walk, or takes
     ``walk``, one built from the same inputs (train()'s kept walk), and
-    builds its score row: a C-contiguous (B, n) float64 array holding the
-    target's q^2 in every row, kept with the walk, and the target's
-    probabilities on the walk's cone, gathered once (``cone``). The start
-    and the target are held by weak reference, so a kept walk keeps no
-    caller's state alive, and each reference's death empties objective()'s
-    slot if it holds this walk (``_forget``). A start and a target are
-    frozen, with read-only arrays, so the walk and the row built for them
-    stay theirs.
+    gathers the target's probabilities on the walk's cone once (``cone``).
+    Then it builds what ``score`` sums a value from, in the order numpy
+    sums the n-bin row of squared differences, which holds q^2 outside the
+    cone (see the module docstring):
+
+    - ``blocks``, a C-contiguous (B, k * _LEAF) float64 array holding each
+      row's copy of the k leaves of q^2 that the cone touches, in ring
+      order. A call overwrites the cone's bins in it alone.
+    - the tree above the leaves: each row's n / _LEAF leaf sums, those of
+      q^2 but at the touched leaves, then each level of sums of adjacent
+      pairs, down to the row's total. Each level is one flat array, row
+      after row, so a level's pairs never straddle two rows.
+    - the views each call writes and reads: ``squares``, the cone's runs
+      of consecutive bins in ``blocks`` (one, or two for a cone that wraps
+      past site 0), ``sums``, the runs of touched leaves and their sums'
+      places in the first level, and ``tree``, the (left, right, out)
+      views that add each level into the next.
+
+    Where the cone touches every leaf, which it does on every ring of
+    ``_LEAF`` bins or fewer, ``blocks`` is the whole (B, n) row of q^2,
+    ``tree`` is None, and a value is the row's mean, as numpy takes it.
+
+    The start and the target are held by weak reference, so a kept walk
+    keeps no caller's state alive, and each reference's death empties
+    objective()'s slot if it holds this walk (``_forget``). A start and a
+    target are frozen, with read-only arrays, so the walk and the leaves
+    built for them stay theirs.
     """
 
     def __init__(
@@ -141,35 +181,70 @@ class _ScoredWalk:
         if init.num_positions != target.n_bins:
             raise ValueError(f"initial state has {init.num_positions} positions but target has {target.n_bins} bins")
         self.walk = _Walker(init, steps, rows, record) if walk is None else walk
-        q = target.probs
-        self.row = np.multiply(q, q, out=np.empty((rows, q.size)))
-        self.cone = q[self.walk.sites]
+        q, sites = target.probs, self.walk.sites
+        self.n, self.cone = q.size, q[sites]
+        touched = np.unique(sites // _LEAF) if q.size > _LEAF else None
+        if touched is None or touched.size * _LEAF == q.size:
+            self.blocks, self.tree = np.multiply(q, q, out=np.empty((rows, q.size))), None
+        else:
+            self._plan_tree((q * q).reshape(-1, _LEAF), sites, touched, rows)
         self.init, self.steps, self.target = weakref.ref(init, _forget), steps, weakref.ref(target, _forget)
+
+    def _plan_tree(self, leaves: np.ndarray, sites: np.ndarray, touched: np.ndarray, rows: int) -> None:
+        """Build ``blocks``, the tree and the views that ``score`` uses, for
+        the (n / _LEAF, _LEAF) leaves of q^2 and the cone's ``touched``
+        leaves."""
+        self.blocks = np.tile(leaves[touched].reshape(-1), (rows, 1))
+        at = np.searchsorted(touched, sites // _LEAF) * _LEAF + sites % _LEAF
+        self.squares = [(cols, self.blocks[:, at[cols][0] : at[cols][-1] + 1]) for cols in _runs(at)]
+        first = np.tile(np.add.reduce(leaves, axis=-1), (rows, 1))
+        blocked = self.blocks.reshape(rows, -1, _LEAF)
+        self.sums = [(blocked[:, r], first[:, touched[r][0] : touched[r][-1] + 1]) for r in _runs(touched)]
+        levels = [first.reshape(-1)]
+        while levels[-1].size > rows:
+            levels.append(np.empty(levels[-1].size // 2))
+        self.tree = [(a[0::2], a[1::2], b) for a, b in zip(levels, levels[1:])]
+        self.totals = levels[-1]
+
+    def score(self, d: np.ndarray) -> np.ndarray:
+        """The B values for the differences p - q (B, w) on the cone: the
+        mean of each row's n squared differences, summed as numpy sums it."""
+        if self.tree is None:
+            self.blocks[:, self.walk.sites] = d * d
+            # np.mean's two operations, without its Python-level wrapper.
+            return np.add.reduce(self.blocks, axis=-1) / self.n
+        for cols, out in self.squares:
+            part = d[:, cols]
+            np.multiply(part, part, out)
+        for leaves, out in self.sums:
+            np.add.reduce(leaves, axis=-1, out=out)
+        for left, right, out in self.tree:
+            np.add(left, right, out)
+        return self.totals / self.n
 
     def values(self, coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The MSE against the target of the walk under each row's coin
-        pair of a (B, 2, 2, 2) stack, scored in the score row.
+        pair of a (B, 2, 2, 2) stack, by ``score``.
 
         Returns the B values and the differences p - q of the walk's
         distributions from the target (B, w), on the w sites of the light
         cone it stepped, and keeps the distributions p as ``probs`` until
         the next call. Outside the cone every amplitude stays an exact
         zero, so p = 0 there and each squared difference is q^2 bit for
-        bit: the row holds those, and each call overwrites the cone's sites
-        with their (p - q)^2, the same sites on every call. So the values
-        equal ``mse`` of each row's M-site distribution. The walk checked
-        the amplitudes and their norm, and construction the grid; the check
-        kept here is that of ``mse``, each row's probabilities summing to 1
-        (the target's sum is checked when it is built).
+        bit: the leaves hold those, and their sums, and each call
+        overwrites the cone's bins with their (p - q)^2, the same bins on
+        every call. So the values equal ``mse`` of each row's M-site
+        distribution. The walk checked the amplitudes and their norm, and
+        construction the grid; the check kept here is that of ``mse``, each
+        row's probabilities summing to 1 (the target's sum is checked when
+        it is built).
         """
         run = self.walk.forward(coins)
         if not (np.abs(run.norms - 1.0) <= MSE_SUM_TOL).all():
             raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
         self.probs = run.probs
         d = run.probs - self.cone
-        self.row[:, run.sites] = d * d
-        # np.mean's two operations, without its Python-level wrapper.
-        return np.add.reduce(self.row, axis=-1) / self.row.shape[1], d
+        return self.score(d), d
 
     def values_and_gradients(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_mse_and_gradient`` at the B rows of ``angles``, on a recorded
@@ -193,7 +268,7 @@ class _ScoredWalk:
         coins, dcoins = _coin_stacks(angles.reshape(2 * b, 3))
         values, d = self.values(coins.reshape(b, 2, 2, 2))
         # (row, coin, 1, 2, 2) accumulators against (row, coin, angle, 2, 2) derivatives.
-        g = self.walk.sweep((2.0 / self.row.shape[1]) * d).swapaxes(0, 1)[:, :, None]
+        g = self.walk.sweep((2.0 / self.n) * d).swapaxes(0, 1)[:, :, None]
         grad = 2.0 * np.add.reduce(dcoins.reshape(b, 2, 3, 2, 2) * g, axis=(3, 4)).real
         return values, grad.reshape(b, 6)
 
@@ -228,11 +303,11 @@ def objective(
 
     A variational solver calls it again and again on one start, schedule
     and target, so it keeps one unrecorded one-row ``_ScoredWalk``, a walk
-    and its score row, for the last ``(init, steps, target)`` it was called
+    and its leaves, for the last ``(init, steps, target)`` it was called
     with, matched by identity and held by weak reference, so a caller's
     state is never kept alive, and dropped once the start or the target is
     gone. A call writes the start into the walk and the cone's squared
-    differences into the row before it reads either, so a kept walk gives
+    differences into the leaves before it reads either, so a kept walk gives
     the bits of a new one. A call takes the walk out while it runs and puts
     it back only once it has its value: a nested, concurrent or failed call
     builds its own.

@@ -124,7 +124,8 @@ class WalkerState:
         with a non-zero amplitude in either coin row: it runs from site
         ``first`` over ``span`` sites, wrapping past site M-1. None when no
         site is occupied. Found once per state: the amplitudes are
-        read-only.
+        read-only. ``initial_state`` knows its one occupied site and seeds
+        it as ``(x0, 1)``, with no search.
 
         The arc is the complement of the largest cyclic gap between
         consecutive occupied sites, so a support that straddles site 0
@@ -158,12 +159,19 @@ def initial_state(num_position_qubits: int, alpha: complex, beta: complex, x0: i
     if not math.isfinite(nrm) or abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"coin amplitudes are not normalised: |alpha|^2 + |beta|^2 = {nrm!r}")
     m = 1 << num_position_qubits
+    # A bool would index a whole coin row, not one site.
+    if isinstance(x0, (bool, np.bool_)) or not isinstance(x0, (int, np.integer)):
+        raise ValueError(f"x0 must be an integer site, got {x0!r}")
+    x0 = int(x0)
     if not 0 <= x0 < m:
         raise ValueError(f"x0 must be in [0, {m}), got {x0}")
     amps = np.zeros((2, m), dtype=np.complex128)
     amps[0, x0] = alpha
     amps[1, x0] = beta
-    return WalkerState(amps)
+    state = WalkerState(amps)
+    # Normalised, so alpha or beta is not zero: x0 is the one occupied site.
+    object.__setattr__(state, "_arc", (x0, 1))
+    return state
 
 
 def position_distribution(state: WalkerState) -> np.ndarray:

@@ -52,7 +52,8 @@ exact zero in the full-ring run too, and nothing reaches the cone's ends,
 so its own wrap-around only moves zeros, +0 or -0. Where those zeros'
 signs cannot reach a caller, a cone that does not wrap drops the call.
 A ``WalkerState`` caches its arc (``WalkerState._arc``), so a start is
-scanned once, and the cone is arithmetic on that arc.
+scanned once, or not at all when ``initial_state`` seeds it, and the
+cone is arithmetic on that arc.
 
 A walk takes B coin pairs stacked as one (B, 2, 2, 2) array, coin1 then
 coin2, copies the start's cone into each of the (2, B, w) batch's rows,

@@ -333,12 +333,13 @@ def test_start_arc_is_found_once_per_state():
     # cached arc, so its 4096 sites are searched once. On 16 sites the
     # 16-bin fit's 7-step value-and-gradient call and value share one
     # search of their start's arc, and an 8-step walk, whose cone covers
-    # the ring, reads the same cached arc.
+    # the ring, reads the same cached arc. The starts are built from raw
+    # amplitudes, since initial_state seeds its arc with no search.
     m = 1 << 12
-    init = initial_state(12, 1.0, 0.0, 100)
+    init = WalkerState(initial_state(12, 1.0, 0.0, 100).amps)
     target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(59), m), Domain(0.0, float(m)))
     schedule = WalkSchedule(8)
-    small = initial_state(4, 1.0, 0.0, 8)
+    small = WalkerState(initial_state(4, 1.0, 0.0, 8).amps)
     small_target = self_generated_target()
     searched = []
     arc = WalkerState.__dict__["_arc"]
@@ -385,7 +386,7 @@ def full_ring_value(params, init, schedule, target):
 
 
 def test_objective_keeps_its_bits_across_alternating_triples():
-    # objective keeps one walk and score row, for the last triple it saw:
+    # objective keeps one walk and its leaves, for the last triple it saw:
     # calls that alternate three triples, twice in a row on each, miss and
     # hit it in turn, and every value is that of the M-site walk. So do
     # triples that differ from one of them in one member alone: the start,
@@ -434,8 +435,8 @@ def test_a_failed_objective_leaves_the_next_call_correct():
 def test_objective_on_threads_gives_the_single_threaded_values(shared):
     # Three threads each make 200 calls, on a triple of its own or all on
     # one, with the interpreter switching threads as often as it can: a
-    # call holds the kept entry alone, so no two calls share a walk or a
-    # score row.
+    # call holds the kept entry alone, so no two calls share a walk or its
+    # leaves.
     triples = slot_triples()
     if shared:
         triples = triples[1:2] * 3
@@ -485,8 +486,9 @@ def test_objective_keeps_no_caller_state_alive():
 
 def test_warm_objective_allocates_no_ring_sized_array():
     # The evolve-wide shape: a one-site start on 2**16 sites, 64 steps. A
-    # second call reuses the first one's walk and score row, so nothing it
-    # allocates grows with the ring: one float64 row of it is 512 KiB.
+    # second call reuses the first one's walk, leaf copies and tree, and
+    # allocates cone-sized arrays alone: one float64 row of the ring is
+    # 512 KiB, and the tree's largest level 4 KiB, which is not allocated.
     m = 1 << 16
     init = initial_state(16, 1.0, 0.0, m // 2)
     target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(83), m), Domain(0.0, float(m)))
@@ -499,6 +501,126 @@ def test_warm_objective_allocates_no_ring_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+# ------------------------------------------------ scoring by leaf sums
+
+
+@st.composite
+def scored_starts(draw):
+    """A start on a ring of 2**1 to 2**16 bins and a step count, with a
+    cone that lies inside one 128-bin leaf, crosses a leaf boundary, wraps
+    past site 0 or touches every leaf; the last from sites one leaf
+    apart, around the ring."""
+    m = 1 << draw(st.integers(1, 16))
+    leaf, steps = min(m, optimize._LEAF), draw(st.integers(1, 12))
+    case = draw(st.sampled_from(["inside", "boundary", "wraps", "every"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if case == "every":
+        sites = np.arange(draw(st.integers(0, leaf - 1)), m, leaf)
+    else:
+        if case == "inside":
+            x0 = draw(st.integers(0, m // leaf - 1)) * leaf + draw(st.integers(0, leaf - 1))
+        else:
+            x0 = draw(st.integers(0, m // leaf - 1)) * leaf if case == "boundary" else 0
+            x0 += draw(st.integers(-steps, steps - 1))
+        sites = np.array([x0 % m])
+    amps = np.zeros((2, m), dtype=np.complex128)
+    amps[:, sites] = rng.normal(size=(2, sites.size)) + 1j * rng.normal(size=(2, sites.size))
+    return WalkerState(amps / np.sqrt(np.sum(np.abs(amps) ** 2))), steps
+
+
+def wide_start(x0, n=10):
+    return initial_state(n, 0.6, 0.8j, x0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=scored_starts(), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+# The cone of 12 steps from the centre of 1024 sites touches leaves 3 and
+# 4, from sites 127 and 128 it crosses their boundary, from site 3 it
+# wraps into leaves 0 and 7, and 64 steps on 2**16 sites are evolve-wide's.
+@example(start=(wide_start(512), 12), rows=9, seed=1)
+@example(start=(wide_start(127), 12), rows=3, seed=2)
+@example(start=(wide_start(128), 12), rows=1, seed=3)
+@example(start=(wide_start(3), 12), rows=8, seed=4)
+@example(start=(initial_state(16, 1.0, 0.0, 1 << 15), 64), rows=2, seed=5)
+def test_scored_values_are_numpy_means_of_the_whole_row(start, rows, seed):
+    # Each row's value, from its leaf copies and tree, or from its whole
+    # row, is numpy's mean of the n squared differences bit for bit, on a
+    # first call and on a second one that overwrites the cone's bins. The
+    # tree's order is numpy's pairwise order: 64-bin leaves, other pairs or
+    # a running sum of the leaves would move the last bits.
+    init, steps = start
+    m = init.num_positions
+    rng = np.random.default_rng(seed)
+    q = oracles.random_prob_vec(rng, m)
+    zero = rng.random(m) < 0.2
+    zero[rng.integers(m)] = False
+    q[zero] = 0.0
+    target = TargetDistribution(q / q.sum(), Domain(0.0, float(m)))
+    scored = optimize._ScoredWalk(init, steps, target, rows, record=False)
+    for angles in rng.uniform(0.0, 2.0 * math.pi, (2, rows, 6)):
+        values, _ = scored.values(walk._coin_stacks(angles.reshape(2 * rows, 3))[0].reshape(rows, 2, 2, 2))
+        p = np.zeros((rows, m))
+        p[:, scored.walk.sites] = scored.probs
+        d = p - target.probs
+        assert values.tobytes() == (np.add.reduce(d * d, axis=-1) / m).tobytes()
+        assert values.tolist() == [mse(row, target.probs) for row in p]
+
+
+def test_scored_walk_sums_the_touched_leaves_or_the_whole_row():
+    # A cone that leaves a leaf untouched is scored on copies of the leaves
+    # it touches: 2 of 512 for evolve-wide's, with a 9-level tree, and 2 of
+    # 8 both for a centred cone on 1024 sites and for one that wraps past
+    # site 0. A cone that touches every leaf, as every cone does on 128
+    # bins or fewer, is scored on its whole row, as a mean.
+    cases = (
+        (initial_state(16, 1.0, 0.0, 1 << 15), 64, 2, 9),
+        (wide_start(512), 12, 2, 3),
+        (wide_start(3), 12, 2, 3),
+        (wide_start(450), 50, 1, 3),
+        (initial_state(4, 1.0, 0.0, 8), 7, None, None),
+        (initial_state(7, 1.0, 0.0, 3), 2, None, None),
+        (initial_state(8, 1.0, 0.0, 127), 2, None, None),
+        (wide_start(700), 520, None, None),
+    )
+    for init, steps, touched, levels in cases:
+        m = init.num_positions
+        target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
+        for rows in (1, 3):
+            scored = optimize._ScoredWalk(init, steps, target, rows, record=False)
+            if touched is None:
+                assert scored.tree is None and scored.blocks.shape == (rows, m)
+            else:
+                assert scored.blocks.shape == (rows, touched * optimize._LEAF)
+                assert len(scored.tree) == levels and scored.totals.shape == (rows,)
+
+
+def held_arrays(*objs):
+    """Every numpy array the objects hold as an attribute, in a list or a
+    tuple, and every array one of those views."""
+    found, todo = [], [value for obj in objs for value in vars(obj).values()]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif isinstance(value, np.ndarray):
+            found.append(value)
+            todo.append(value.base)
+    return found
+
+
+def test_kept_wide_walk_holds_no_ring_sized_array():
+    # At evolve-wide's shape objective's kept walk, its walk and its leaves
+    # hold no array of half the ring or more: the largest are the walk's
+    # coin entries, 8 x 129 sites, and the tree's 2**16 / 128 leaf sums.
+    m = 1 << 16
+    target = analytic_histogram(DistSpec("normal", m / 2 + 0.5, 32.0), Domain(0.0, float(m)), m)
+    init = initial_state(16, 1.0, 0.0, m // 2)
+    objective(KNOWN_PARAMS, target, WalkSchedule(64), init)
+    kept = optimize._kept[0]
+    arrays = held_arrays(kept, kept.walk)
+    assert max(a.size for a in arrays) < m // 2
 
 
 def test_norm_checks_survive_python_O(tmp_path):
@@ -690,8 +812,8 @@ def test_train_init_size_mismatch():
 
 def test_grid_is_checked_before_any_walk_is_built():
     # train and objective check that the start has one site per bin where
-    # they take their inputs, before they build a walk or a score row: a
-    # _ScoredWalk checks it before it builds its _Walker, and its row after.
+    # they take their inputs, before they build a walk or its leaves: a
+    # _ScoredWalk checks it before it builds its _Walker, and its leaves after.
     target = ring_symmetric_target()
     init = initial_state(3, 1.0, 0.0, 4)
 
@@ -969,11 +1091,15 @@ def test_coins_and_bfgs_keep_their_bits_at_numpy_baseline_dispatch():
     # and square roots, which every target rounds alike. So a child with
     # every dispatch target turned off gives the same coins, and the same
     # trains on a polynomial surrogate for the walk, as a child with none
-    # turned off. Skipped where numpy refuses the setting.
+    # turned off. So must the scored walk's leaf sums and tree, numpy's
+    # pairwise sum: the child hashes the scores of fixed differences on a
+    # 2**12-bin ring whose cone touches 2 of its 32 leaves. Skipped where
+    # numpy refuses the setting.
     code = """
 import hashlib
+import random
 import numpy as np
-from ssqw import CoinParams, DistSpec, Domain, OptimizerConfig, SsqwParams, analytic_histogram, optimize, train
+from ssqw import CoinParams, DistSpec, Domain, OptimizerConfig, SsqwParams, TargetDistribution, analytic_histogram, initial_state, optimize, train
 from test_optimize import _numpy_dispatch_targets
 
 def surrogate(self, angles):
@@ -990,6 +1116,12 @@ def surrogate(self, angles):
 print(" ".join(_numpy_dispatch_targets()) or "none")
 angles = np.array(optimize._restart_starts(3, 33, 6)).reshape(64, 3)
 print(hashlib.sha256(b"".join(a.tobytes() for a in optimize._coin_stacks(angles))).hexdigest())
+rng = random.Random(5)
+q = np.array([rng.random() for _ in range(1 << 12)])
+scored = optimize._ScoredWalk(initial_state(12, 1.0, 0.0, 2048), 12, TargetDistribution(q / q.sum(), Domain(0.0, 4096.0)), 3, False)
+assert scored.blocks.shape == (3, 2 * optimize._LEAF)
+d = np.array([[rng.uniform(-1e-3, 1e-3) for _ in range(25)] for _ in range(3)])
+print(hashlib.sha256(b"".join(scored.score(d * scale).tobytes() for scale in (1.0, 0.5, 3.0))).hexdigest())
 optimize._ScoredWalk.values_and_gradients = surrogate
 target = analytic_histogram(DistSpec("normal", 7.5, 1.875), Domain(0.0, 15.0), 16)
 start = SsqwParams(CoinParams(1.0, 0.0, 0.0), CoinParams(2.0, 0.0, 0.0))
@@ -1021,7 +1153,7 @@ for restarts, max_iters, seed, symmetric in ((8, 100, 7, False), (3, 800, 1, Fal
         assert child.returncode == 0, f"{name}: {outs[name][-2000:]}"
     default, baseline = outs["default"].splitlines(), outs["baseline"].splitlines()
     assert (default[0], baseline[0]) == (targets, "none")
-    assert len(default) == 5 and baseline[1:] == default[1:]
+    assert len(default) == 6 and baseline[1:] == default[1:]
 
 
 @contextlib.contextmanager
@@ -1105,7 +1237,7 @@ def test_train_keeps_one_recorded_walk_between_fits():
     # 30 acceptance fits in a row, alternating two targets on one start,
     # build one recorded walk: each fit after the first takes the walk the
     # last one kept, matched by the inputs it is built from, and builds its
-    # own score row. A start with other amplitudes on the same cone, and
+    # own leaves. A start with other amplitudes on the same cone, and
     # then other rows, each build their own. Every result equals that of
     # the same fit with the slot emptied first.
     targets = [analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16), lognormal_target()]

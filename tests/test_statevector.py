@@ -67,6 +67,26 @@ def test_initial_state_rejects_bad_x0():
         initial_state(2, 1.0, 0.0, -1)
 
 
+def test_initial_state_rejects_a_site_that_is_no_integer():
+    # True would index the whole up row, not site 1.
+    for x0 in (True, np.bool_(False), 1.0):
+        with pytest.raises(ValueError, match="x0 must be an integer site"):
+            initial_state(2, 1.0, 0.0, x0)
+    assert initial_state(2, 1.0, 0.0, np.int64(3))._arc == (3, 1)
+
+
+def test_initial_state_seeds_the_arc_a_scan_finds():
+    # The seeded arc, there before any read, equals the arc scanned on a
+    # state built from the same amplitudes, at every site of 1- to
+    # 10-qubit rings, with either coin amplitude zero or neither.
+    for n in range(1, 11):
+        for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (INV_SQRT2, 1j * INV_SQRT2)):
+            for x0 in range(1 << n):
+                state = initial_state(n, alpha, beta, x0)
+                assert vars(state)["_arc"] == (x0, 1)
+                assert WalkerState(state.amps)._arc == (x0, 1)
+
+
 def test_initial_state_rejects_bad_register():
     with pytest.raises(ValueError):
         initial_state(0, 1.0, 0.0, 0)
