@@ -32,23 +32,25 @@ copies of the few leaves the cone touches, and a call writes the cone's
 (p - q)^2 into those copies, sums them as leaves and adds the levels up
 again: the additions of a mean of the whole row, in its order, so the
 values keep their bits, and a call reads O(w + M/128) floats instead of
-M. Where the cone touches every leaf, as on every ring of 128 bins or
-fewer, the walk keeps the whole row and takes its mean. A property test
-holds the tree to numpy's own sum, so a numpy that sums in other blocks
-fails it.
+M. A ring of 128 bins or fewer is one leaf, which numpy sums as it sums
+the row. A property test holds the tree to numpy's own sum, so a numpy
+that sums in other blocks fails it.
 
-The process keeps two walks between calls, each in a slot of its own that
-a call empties while it runs, so that a nested or concurrent call builds
-its own. objective() keeps its one-row scored walk, for the last start,
-step count and target it was called with (see objective), so a solver's
-repeated calls build neither the walk nor its leaves again. train() keeps
-the recorded walk of its last fit's restarts (``_kept_recorded``), matched
-by the inputs it is built from: the ring size, the start's arc and its
-amplitudes on the cone, the steps and the rows. Its records take 32 (4t + 1) B w bytes
-for t steps, B restarts and a w-site cone: 0.11 MB at the acceptance
-config (16 bins, 7 steps, 8 restarts, 15 sites), and 0.37 MB with the
-walk's coin entries, product buffers and accumulator terms. A fit builds
-its own leaves against its target.
+The process keeps one walk of each kind between calls, in ``_kept``:
+objective()'s unrecorded one-row walk, and the recorded walk train()
+started its last fit's restarts on. A call takes its kind's walk out
+while it runs and puts one back when it is done, so a nested or
+concurrent call builds its own, and takes it only if it was built from
+the same inputs, matched by value: the ring size, the start's arc and
+its amplitudes on the cone, the steps and the rows (``_take``). So a
+fit's default start, a new object each fit, and a solver's repeated
+calls build no walk again. A taken walk is aimed at the call's target,
+which refills its target's probabilities on the cone and its leaves
+unless the target is the one it was last aimed at. A recorded walk's
+records take 32 (4t + 1) B w bytes for t steps, B restarts and a w-site
+cone: 0.11 MB at the acceptance config (16 bins, 7 steps, 8 restarts, 15
+sites), and 0.37 MB with the walk's coin entries, product buffers and
+accumulator terms.
 
 The restarts are independent, so train() runs them as the rows of one
 BFGS state. Each round evaluates every live restart's next point in one
@@ -134,85 +136,78 @@ def _runs(idx: np.ndarray) -> list[slice]:
 
 class _ScoredWalk:
     """A ``walk._Walker`` of B = ``rows`` rows from ``init``, ``steps``
-    steps long and recorded if ``record``, scored against ``target``: the
-    walk of every objective value and gradient.
+    steps long and recorded if ``record``, and the plan that scores it
+    against a target of n bins: the walk of every objective value and
+    gradient.
 
     Construction first checks that the start has one site per target bin,
-    the one place that check is made. It then builds the walk, or takes
-    ``walk``, one built from the same inputs (train()'s kept walk), and
-    gathers the target's probabilities on the walk's cone once (``cone``).
-    Then it builds what ``score`` sums a value from, in the order numpy
-    sums the n-bin row of squared differences, which holds q^2 outside the
-    cone (see the module docstring):
+    the one place that check is made. It then builds the walk, and the plan
+    ``score`` sums a value by, in the order numpy sums the n-bin row of
+    squared differences, which holds q^2 outside the cone (see the module
+    docstring). With leaves of L = min(n, _LEAF) bins, so that a ring of
+    ``_LEAF`` bins or fewer is one leaf, the plan is:
 
-    - ``blocks``, a C-contiguous (B, k * _LEAF) float64 array holding each
-      row's copy of the k leaves of q^2 that the cone touches, in ring
-      order. A call overwrites the cone's bins in it alone.
-    - the tree above the leaves: each row's n / _LEAF leaf sums, those of
-      q^2 but at the touched leaves, then each level of sums of adjacent
+    - ``blocks``, a C-contiguous (B, k * L) float64 array for each row's
+      copy of the k leaves of q^2 that the cone touches, in ring order. A
+      call overwrites the cone's bins in it alone.
+    - the tree above the leaves: each row's n / L leaf sums, those of q^2
+      but at the touched leaves, then each level of sums of adjacent
       pairs, down to the row's total. Each level is one flat array, row
-      after row, so a level's pairs never straddle two rows.
+      after row, so a level's pairs never straddle two rows. One leaf is
+      its own total, with no level above it.
     - the views each call writes and reads: ``squares``, the cone's runs
       of consecutive bins in ``blocks`` (one, or two for a cone that wraps
       past site 0), ``sums``, the runs of touched leaves and their sums'
       places in the first level, and ``tree``, the (left, right, out)
       views that add each level into the next.
 
-    Where the cone touches every leaf, which it does on every ring of
-    ``_LEAF`` bins or fewer, ``blocks`` is the whole (B, n) row of q^2,
-    ``tree`` is None, and a value is the row's mean, as numpy takes it.
-
-    The start and the target are held by weak reference, so a kept walk
-    keeps no caller's state alive, and each reference's death empties
-    objective()'s slot if it holds this walk (``_forget``). A start and a
-    target are frozen, with read-only arrays, so the walk and the leaves
-    built for them stay theirs.
+    The plan depends on the cone, n and the rows alone. Last, construction
+    aims the walk at ``target`` (``aim``). ``key`` and ``start``, the
+    walk's ``_walk_key`` and the bytes of the start it copied, are what
+    ``_take`` matches a kept walk by.
     """
 
-    def __init__(
-        self,
-        init: WalkerState,
-        steps: int,
-        target: TargetDistribution,
-        rows: int,
-        record: bool,
-        walk: _Walker | None = None,
-    ) -> None:
+    def __init__(self, init: WalkerState, steps: int, target: TargetDistribution, rows: int, record: bool) -> None:
         if init.num_positions != target.n_bins:
             raise ValueError(f"initial state has {init.num_positions} positions but target has {target.n_bins} bins")
-        self.walk = _Walker(init, steps, rows, record) if walk is None else walk
-        q, sites = target.probs, self.walk.sites
-        self.n, self.cone = q.size, q[sites]
-        touched = np.unique(sites // _LEAF) if q.size > _LEAF else None
-        if touched is None or touched.size * _LEAF == q.size:
-            self.blocks, self.tree = np.multiply(q, q, out=np.empty((rows, q.size))), None
-        else:
-            self._plan_tree((q * q).reshape(-1, _LEAF), sites, touched, rows)
-        self.init, self.steps, self.target = weakref.ref(init, _forget), steps, weakref.ref(target, _forget)
-
-    def _plan_tree(self, leaves: np.ndarray, sites: np.ndarray, touched: np.ndarray, rows: int) -> None:
-        """Build ``blocks``, the tree and the views that ``score`` uses, for
-        the (n / _LEAF, _LEAF) leaves of q^2 and the cone's ``touched``
-        leaves."""
-        self.blocks = np.tile(leaves[touched].reshape(-1), (rows, 1))
-        at = np.searchsorted(touched, sites // _LEAF) * _LEAF + sites % _LEAF
+        self.walk, self.key = _Walker(init, steps, rows, record), _walk_key(init, steps, rows)
+        self.start = self.walk.start.tobytes()
+        sites, self.n = self.walk.sites, target.n_bins
+        self.leaf = leaf = min(self.n, _LEAF)
+        self.touched = touched = np.unique(sites // leaf)
+        self.blocks = np.empty((rows, touched.size * leaf))
+        at = np.searchsorted(touched, sites // leaf) * leaf + sites % leaf
         self.squares = [(cols, self.blocks[:, at[cols][0] : at[cols][-1] + 1]) for cols in _runs(at)]
-        first = np.tile(np.add.reduce(leaves, axis=-1), (rows, 1))
-        blocked = self.blocks.reshape(rows, -1, _LEAF)
-        self.sums = [(blocked[:, r], first[:, touched[r][0] : touched[r][-1] + 1]) for r in _runs(touched)]
-        levels = [first.reshape(-1)]
+        self.first = np.empty((rows, self.n // leaf))
+        blocked = self.blocks.reshape(rows, -1, leaf)
+        self.sums = [(blocked[:, r], self.first[:, touched[r][0] : touched[r][-1] + 1]) for r in _runs(touched)]
+        levels = [self.first.reshape(-1)]
         while levels[-1].size > rows:
             levels.append(np.empty(levels[-1].size // 2))
         self.tree = [(a[0::2], a[1::2], b) for a, b in zip(levels, levels[1:])]
-        self.totals = levels[-1]
+        self.totals, self.aimed = levels[-1], None
+        self.aim(target)
+
+    def aim(self, target: TargetDistribution) -> None:
+        """Fill what a score reads of ``target``, a target of n bins: its
+        probabilities on the cone (``cone``), the touched leaves of q^2 in
+        ``blocks`` and the first level's leaf sums, unless ``target`` is
+        the one the walk was last aimed at. That one is held by a weak
+        reference, so a walk keeps no caller's target alive, and a target
+        is frozen, with a read-only array, so what was filled for it stays
+        its own."""
+        if self.aimed is not None and self.aimed() is target:
+            return
+        q = target.probs
+        leaves = (q * q).reshape(-1, self.leaf)
+        self.cone = q[self.walk.sites]
+        self.blocks[:] = leaves[self.touched].reshape(-1)
+        self.first[:] = np.add.reduce(leaves, axis=-1)
+        self.aimed = weakref.ref(target)
 
     def score(self, d: np.ndarray) -> np.ndarray:
         """The B values for the differences p - q (B, w) on the cone: the
         mean of each row's n squared differences, summed as numpy sums it."""
-        if self.tree is None:
-            self.blocks[:, self.walk.sites] = d * d
-            # np.mean's two operations, without its Python-level wrapper.
-            return np.add.reduce(self.blocks, axis=-1) / self.n
         for cols, out in self.squares:
             part = d[:, cols]
             np.multiply(part, part, out)
@@ -273,19 +268,46 @@ class _ScoredWalk:
         return values, grad.reshape(b, 6)
 
 
-# The one walk objective() keeps between calls: empty, or a list of one
-# _ScoredWalk. A call pops it, an atomic list operation, and puts one back
-# only when it returns a value.
-_kept: list[_ScoredWalk] = []
+# The walks the process keeps between calls, one of each kind: objective()'s
+# unrecorded one-row walk under False, and under True the recorded walk
+# train() started its last fit's rounds on. A call pops its kind's walk, an
+# atomic dict operation (``_take``), and puts one back only once it has its
+# results, so a nested, concurrent or failed call builds its own.
+_kept: dict[bool, _ScoredWalk] = {}
 
 
-def _forget(ref: weakref.ref) -> None:
-    """Empty objective()'s slot when ``ref``, the dead start or target of
-    a ``_ScoredWalk``, is one of the kept walk's references. A call that
-    puts its walk back in between loses it, which costs the next call a
-    build and no bit of its value."""
-    if any(ref is kept.init or ref is kept.target for kept in _kept[:]):
-        _kept.clear()
+def _walk_key(init: WalkerState, steps: int, rows: int) -> tuple:
+    """What a walk of ``rows`` rows and ``steps`` steps from ``init`` is
+    built from, but the start's amplitudes: the ring size, the start's
+    arc, which with the ring size and the steps sets the cone, the steps
+    and the rows. It holds no array."""
+    return init.num_positions, init._arc, steps, rows
+
+
+def _take(init: WalkerState, steps: int, target: TargetDistribution, rows: int, record: bool) -> _ScoredWalk:
+    """A ``_ScoredWalk`` of ``rows`` rows and ``steps`` steps from ``init``,
+    recorded if ``record``, aimed at ``target``: the kept walk of that
+    kind, taken out of its slot, if it was built from the same
+    ``_walk_key``, for a target of as many bins, and from the same start
+    amplitudes on its cone, compared bit for bit; else a new one, which
+    makes the grid check, and the slot stays empty.
+
+    Those amplitudes are what the walk copies into its first slot, so a
+    walk that matches steps exactly as a new one would, and every buffer a
+    call reads is written first, by ``aim`` or by the call, so it gives
+    the bits of a new one.
+    """
+    kept = _kept.pop(record, None)
+    if (
+        kept is None
+        or kept.key != _walk_key(init, steps, rows)
+        or kept.n != target.n_bins
+        # take() gathers the cone in a third of the time indexing takes.
+        or init.amps.take(kept.walk.sites, axis=1).tobytes() != kept.start
+    ):
+        return _ScoredWalk(init, steps, target, rows, record)
+    kept.aim(target)
+    return kept
 
 
 def objective(
@@ -302,60 +324,16 @@ def objective(
     M-site state is built. Evaluating twice gives bitwise equal results.
 
     A variational solver calls it again and again on one start, schedule
-    and target, so it keeps one unrecorded one-row ``_ScoredWalk``, a walk
-    and its leaves, for the last ``(init, steps, target)`` it was called
-    with, matched by identity and held by weak reference, so a caller's
-    state is never kept alive, and dropped once the start or the target is
-    gone. A call writes the start into the walk and the cone's squared
-    differences into the leaves before it reads either, so a kept walk gives
-    the bits of a new one. A call takes the walk out while it runs and puts
-    it back only once it has its value: a nested, concurrent or failed call
-    builds its own.
+    and target, so it keeps one unrecorded one-row ``_ScoredWalk``, which
+    the next call takes if it was built from the same inputs (``_take``)
+    and aims at its target. A call writes the start into the walk and the
+    cone's squared differences into the leaves before it reads either, so
+    a kept walk gives the bits of a new one.
     """
-    steps = schedule.steps
-    try:
-        kept = _kept.pop()
-    except IndexError:
-        kept = None
-    if kept is None or kept.init() is not init or kept.steps != steps or kept.target() is not target:
-        kept = _ScoredWalk(init, steps, target, 1, record=False)
+    kept = _take(init, schedule.steps, target, 1, False)
     value = float(kept.values(_coin_pair(params))[0][0])
-    _kept[:] = (kept,)
+    _kept[False] = kept
     return value
-
-
-# The one recorded walk train() keeps between calls: empty, or a list of
-# one (key, _Walker) pair (``_walk_key``). A call pops it, an atomic list
-# operation, and puts back the walk it started its rounds on only when
-# they are done, so a nested, concurrent or failed call builds its own.
-_kept_recorded: list[tuple[tuple, _Walker]] = []
-
-
-def _walk_key(init: WalkerState, steps: int, rows: int) -> tuple:
-    """What a walk of ``rows`` rows and ``steps`` steps from ``init`` is
-    built from, but the start's amplitudes: the ring size, the start's
-    arc, which with the ring size and the steps sets the cone, the steps
-    and the rows. It holds no array."""
-    return init.num_positions, init._arc, steps, rows
-
-
-def _take_recorded(init: WalkerState, steps: int, rows: int) -> _Walker | None:
-    """train()'s kept recorded walk, taken out of its slot, if it was built
-    from what a walk of ``rows`` rows and ``steps`` steps from ``init`` is
-    built from: the same ``_walk_key`` and the same start amplitudes on
-    its cone, compared bit for bit. Else None, and the slot stays empty.
-
-    Those amplitudes are what the walk copies into its first slot, so a
-    walk that matches steps exactly as a new one would, and its buffers
-    are written before they are read, so it gives the bits of a new one.
-    """
-    try:
-        key, walk = _kept_recorded.pop()
-    except IndexError:
-        return None
-    if key == _walk_key(init, steps, rows) and init.amps[:, walk.sites].tobytes() == walk.start.tobytes():
-        return walk
-    return None
 
 
 def _mse_and_gradient(
@@ -566,11 +544,11 @@ def train(
     # last point, and its output is not read, until the live rows are half
     # of the rows or fewer: then the walk is rebuilt with those alone. The
     # first walk, of all b rows, is the kept one if it matches, and is kept
-    # once the rounds are done; its scored walk checks a custom start's
-    # grid before it takes or builds anything else.
+    # once the rounds are done; a new one checks a custom start's grid
+    # before it builds anything else.
     steps = config.steps.steps
-    scored = _ScoredWalk(init, steps, target, b, record=True, walk=_take_recorded(init, steps, b))
-    kept, sites = scored.walk, scored.walk.sites
+    scored = kept = _take(init, steps, target, b, True)
+    sites = kept.walk.sites
     n_live, rows, angles = b, np.arange(b), np.zeros((b, 6))
     # Each restart's lowest value so far, where it first met it, and the
     # walk's probabilities on the cone there: trained_dist is the best
@@ -643,7 +621,7 @@ def train(
             live = live & ~stop
             n_live = int(np.count_nonzero(live))
         p = np.where(live[:, None], x + t[:, None] * d, p)
-    _kept_recorded[:] = ((_walk_key(init, steps, b), kept),)
+    _kept[True] = kept
 
     # Everything below reads the restarts in order, as if each had run
     # alone after the one before it.

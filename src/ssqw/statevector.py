@@ -70,6 +70,13 @@ def _check_count(value, name: str, least: int = 1) -> None:
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool, which
+    Python counts as an int: True would size a ring of 2 sites or index a
+    whole coin row."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class WalkerState:
     """Immutable walker state.
@@ -149,9 +156,9 @@ def initial_state(num_position_qubits: int, alpha: complex, beta: complex, x0: i
     The coin amplitudes must be normalised: | |alpha|^2 + |beta|^2 - 1 |
     may not exceed 1e-10.
     """
-    if not 1 <= num_position_qubits <= MAX_POSITION_QUBITS:
+    if not _is_integer(num_position_qubits) or not 1 <= num_position_qubits <= MAX_POSITION_QUBITS:
         raise ValueError(
-            f"num_position_qubits must be in [1, {MAX_POSITION_QUBITS}], got {num_position_qubits}"
+            f"num_position_qubits must be an integer in [1, {MAX_POSITION_QUBITS}], got {num_position_qubits!r}"
         )
     alpha = complex(alpha)
     beta = complex(beta)
@@ -160,7 +167,7 @@ def initial_state(num_position_qubits: int, alpha: complex, beta: complex, x0: i
         raise ValueError(f"coin amplitudes are not normalised: |alpha|^2 + |beta|^2 = {nrm!r}")
     m = 1 << num_position_qubits
     # A bool would index a whole coin row, not one site.
-    if isinstance(x0, (bool, np.bool_)) or not isinstance(x0, (int, np.integer)):
+    if not _is_integer(x0):
         raise ValueError(f"x0 must be an integer site, got {x0!r}")
     x0 = int(x0)
     if not 0 <= x0 < m:

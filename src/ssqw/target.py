@@ -393,14 +393,20 @@ def _maturity_law(opt: OptionSpec, sigma_reading: str) -> tuple[float, float]:
     return sigma_t, alpha
 
 
+def _degenerate_point(alpha: float, domain: Domain) -> tuple[float, bool]:
+    """The degenerate law (sigma_T = 0) of S_T, a point at exp(alpha), and
+    whether it lies inside the domain. A point that overflows to inf lies
+    outside every domain."""
+    point = _exp_or_inf(alpha)
+    return point, domain.lo < point < domain.hi
+
+
 def _lognormal_tail_mass(sigma_t: float, alpha: float, domain: Domain) -> float:
     """The mass of the lognormal law (sigma_T, alpha) of S_T outside the
     domain: the truncation tail that a target on it drops. A degenerate
-    law (sigma_T = 0) is a point at exp(alpha), with tail 0 or 1."""
+    law (sigma_T = 0) is a point, with tail 0 or 1."""
     if sigma_t == 0.0:
-        point = _exp_or_inf(alpha)
-        inside = 1.0 if domain.lo < point < domain.hi else 0.0
-        return 1.0 - inside
+        return 0.0 if _degenerate_point(alpha, domain)[1] else 1.0
     spec = DistSpec("lognormal", alpha, sigma_t)
     return float(1.0 - (_cdf(spec, domain.hi) - _cdf(spec, domain.lo)))
 
@@ -437,9 +443,8 @@ def bs_lognormal_target(
         "truncation_tail_mass": _lognormal_tail_mass(sigma_t, alpha, domain),
     }
     if sigma_t == 0.0:
-        # A point that overflows to inf lies outside every domain.
-        point = _exp_or_inf(alpha)
-        if not domain.lo < point < domain.hi:
+        point, inside = _degenerate_point(alpha, domain)
+        if not inside:
             raise UnrepresentableTargetError(
                 f"degenerate terminal price {point:.6g} lies outside ({domain.lo}, {domain.hi})"
             )

@@ -95,7 +95,7 @@ import numpy as np
 
 # apply_coin stays importable as ssqw.walk.apply_coin: benchmarks/spans.py
 # hooks it by that name.
-from .statevector import NORM_TOL, WalkerState, _check_count, _norm_sq, _position_probs, apply_coin  # noqa: F401
+from .statevector import NORM_TOL, WalkerState, _check_count, _is_integer, _norm_sq, _position_probs, apply_coin  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -648,9 +648,9 @@ def dense_operator(transform, num_position_qubits: int) -> np.ndarray:
     every basis vector. Meant for cross-checks, so the ring is capped at
     ``MAX_DENSE_QUBITS`` position qubits.
     """
-    if not 1 <= num_position_qubits <= MAX_DENSE_QUBITS:
+    if not _is_integer(num_position_qubits) or not 1 <= num_position_qubits <= MAX_DENSE_QUBITS:
         raise ValueError(
-            f"dense operators support 1..{MAX_DENSE_QUBITS} position qubits, got {num_position_qubits}"
+            f"dense operators support 1..{MAX_DENSE_QUBITS} position qubits, got {num_position_qubits!r}"
         )
     dim = 2 * (1 << num_position_qubits)
     mat = np.zeros((dim, dim), dtype=np.complex128)

@@ -970,7 +970,7 @@ def test_repro_optimiser_failure_exit5(tmp_path, capsys):
         return kernel(src, dst, *args, **kwargs) + ((np.multiply, dst, 1.1, dst),)
 
     # With no kept recorded walk, the fits build theirs from the leaky plans.
-    with mock.patch.object(walk, "_half_step", leaky), mock.patch.object(optimize, "_kept_recorded", []):
+    with mock.patch.object(walk, "_half_step", leaky), mock.patch.object(optimize, "_kept", {}):
         code = run("repro", "--outdir", str(tmp_path), "--max-iters", "4")
     assert code == 5
     assert "error: optimiser failed" in capsys.readouterr().err

@@ -473,15 +473,79 @@ def test_objective_keeps_no_caller_state_alive():
     del init, target
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-    assert optimize._kept == []
-    # Either one going empties the slot.
-    for drop in ("init", "target"):
-        triple = dict(zip(("init", "schedule", "target"), slot_triples()[0]))
-        objective(KNOWN_PARAMS, triple["target"], triple["schedule"], triple["init"])
-        assert len(optimize._kept) == 1
-        del triple[drop]
-        gc.collect()
-        assert optimize._kept == []
+    # The slot still holds the walk, which holds no array of half the ring.
+    kept = optimize._kept[False]
+    assert max(a.size for a in held_arrays(kept, kept.walk)) < (1 << 12) // 2
+
+
+@contextlib.contextmanager
+def walk_builds():
+    """Record the rows and ``record`` flag of every walk objective() and
+    train() build."""
+    builds = []
+    build = optimize._Walker
+
+    def recording(init, steps, rows, record):
+        builds.append((rows, record))
+        return build(init, steps, rows, record)
+
+    with mock.patch.object(optimize, "_Walker", recording):
+        yield builds
+
+
+def test_objective_takes_its_kept_walk_for_an_equal_start():
+    # A second start object equal to the first, as train()'s default start
+    # is on every fit, takes the kept walk; one with other amplitudes on
+    # the same arc, or a zero of the other sign, builds its own.
+    init, schedule, target = slot_triples()[0]
+    optimize._kept.clear()
+    with walk_builds() as builds:
+        first = objective(KNOWN_PARAMS, target, schedule, init)
+        again = objective(KNOWN_PARAMS, target, schedule, initial_state(12, 1.0, 0.0, 100))
+        objective(KNOWN_PARAMS, target, schedule, initial_state(12, 0.6, 0.8j, 100))
+        objective(KNOWN_PARAMS, target, schedule, initial_state(12, 0.6, complex(-0.0, 0.8), 100))
+    assert builds == [(1, False)] * 3
+    assert again == first
+
+
+@pytest.mark.parametrize("n, site, steps", [(10, 512, 12), (4, 8, 7)], ids=["1024-bin-tree", "16-bin-one-leaf"])
+def test_a_kept_walk_aimed_again_gives_a_new_walks_bits(n, site, steps):
+    # A kept walk aimed at target A, then B, then A again, refills its cone
+    # and leaves each time and gives the bits of a new walk: objective()'s
+    # value, and a recorded walk's values and gradients.
+    rng = np.random.default_rng(89)
+    m = 1 << n
+    init, schedule = initial_state(n, 0.6, 0.8j, site), WalkSchedule(steps)
+    a, b = (TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m))) for _ in range(2))
+    angles = rng.uniform(0.0, 2.0 * math.pi, (3, 6))
+    params = SsqwParams.from_array(angles[0])
+    got = []
+    optimize._kept.clear()
+    with walk_builds() as builds:
+        for target in (a, b, a):
+            value = objective(params, target, schedule, init)
+            recorded = optimize._take(init, steps, target, 3, record=True)
+            got.append((target, value, *recorded.values_and_gradients(angles)))
+            optimize._kept[True] = recorded
+    assert builds == [(1, False), (3, True)]
+    for target, value, values, grads in got:
+        optimize._kept.clear()
+        assert np.float64(value).tobytes() == np.float64(objective(params, target, schedule, init)).tobytes()
+        fresh_values, fresh_grads = _mse_and_gradient(angles, target, schedule, init)
+        assert values.tobytes() == fresh_values.tobytes() and grads.tobytes() == fresh_grads.tobytes()
+
+
+def test_objective_after_train_does_not_take_the_recorded_walk():
+    # A one-restart fit keeps a recorded one-row walk of objective's shape;
+    # objective() builds its own unrecorded one, and leaves train()'s kept.
+    target, init = ring_symmetric_target(), initial_state(4, 1.0, 0.0, 8)
+    optimize._kept.clear()
+    train(target, OptimizerConfig(max_iters=8), init)
+    recorded = optimize._kept[True]
+    with walk_builds() as builds:
+        objective(KNOWN_PARAMS, target, WalkSchedule(7), init)
+    assert builds == [(1, False)]
+    assert optimize._kept[True] is recorded
 
 
 def test_warm_objective_allocates_no_ring_sized_array():
@@ -573,7 +637,7 @@ def test_scored_walk_sums_the_touched_leaves_or_the_whole_row():
     # it touches: 2 of 512 for evolve-wide's, with a 9-level tree, and 2 of
     # 8 both for a centred cone on 1024 sites and for one that wraps past
     # site 0. A cone that touches every leaf, as every cone does on 128
-    # bins or fewer, is scored on its whole row, as a mean.
+    # bins or fewer, is scored on copies of the whole row.
     cases = (
         (initial_state(16, 1.0, 0.0, 1 << 15), 64, 2, 9),
         (wide_start(512), 12, 2, 3),
@@ -590,7 +654,7 @@ def test_scored_walk_sums_the_touched_leaves_or_the_whole_row():
         for rows in (1, 3):
             scored = optimize._ScoredWalk(init, steps, target, rows, record=False)
             if touched is None:
-                assert scored.tree is None and scored.blocks.shape == (rows, m)
+                assert scored.blocks.shape == (rows, m)
             else:
                 assert scored.blocks.shape == (rows, touched * optimize._LEAF)
                 assert len(scored.tree) == levels and scored.totals.shape == (rows,)
@@ -1156,22 +1220,6 @@ for restarts, max_iters, seed, symmetric in ((8, 100, 7, False), (3, 800, 1, Fal
     assert len(default) == 6 and baseline[1:] == default[1:]
 
 
-@contextlib.contextmanager
-def recorded_walk_widths():
-    """Record the number of rows of every walk train() builds: each is
-    recorded."""
-    widths = []
-    build = optimize._Walker
-
-    def recording(init, steps, rows, record):
-        assert record
-        widths.append(rows)
-        return build(init, steps, rows, record)
-
-    with mock.patch.object(optimize, "_Walker", recording):
-        yield widths
-
-
 def test_train_narrows_its_recorded_walk_to_the_live_rows():
     # One recorded walk per fit, rebuilt only when the live restarts fall
     # to half its rows or fewer, at the live count: at most log2(restarts)
@@ -1190,11 +1238,11 @@ def test_train_narrows_its_recorded_walk_to_the_live_rows():
     for restarts, max_iters, seed, charged, want in cases:
         config = OptimizerConfig(max_iters=max_iters, restarts=restarts, seed=seed)
         # The walk the last fit kept would stand in for the first build.
-        optimize._kept_recorded.clear()
-        with recorded_walk_widths() as widths:
+        optimize._kept.clear()
+        with walk_builds() as builds:
             result = train(target, config)
         assert result.metadata["evals_per_restart"] == charged
-        assert widths == want, config
+        assert builds == [(rows, True) for rows in want], config
 
 
 def result_bytes(result):
@@ -1236,8 +1284,8 @@ def test_trained_dist_is_the_best_point_walked_again():
 def test_train_keeps_one_recorded_walk_between_fits():
     # 30 acceptance fits in a row, alternating two targets on one start,
     # build one recorded walk: each fit after the first takes the walk the
-    # last one kept, matched by the inputs it is built from, and builds its
-    # own leaves. A start with other amplitudes on the same cone, and
+    # last one kept, matched by the inputs it is built from, and aims it at
+    # its own target. A start with other amplitudes on the same cone, and
     # then other rows, each build their own. Every result equals that of
     # the same fit with the slot emptied first.
     targets = [analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16), lognormal_target()]
@@ -1245,10 +1293,10 @@ def test_train_keeps_one_recorded_walk_between_fits():
     fits = [(targets[i % 2], config, None) for i in range(30)]
     fits += [(targets[0], config, _start_state(16, False, 8, "balanced")[0])] * 2
     fits += [(targets[1], OptimizerConfig(max_iters=100, restarts=4, seed=7), None)] * 2
-    optimize._kept_recorded.clear()
-    with recorded_walk_widths() as widths:
+    optimize._kept.clear()
+    with walk_builds() as builds:
         kept = [result_bytes(train(*fit)) for fit in fits]
-    assert widths == [8, 8, 4]
+    assert builds == [(8, True), (8, True), (4, True)]
     # A start with the kept one's amplitudes on the kept cone and more mass
     # outside it has a wider cone of its own, on which its walk does not
     # sum to 1.
@@ -1257,7 +1305,7 @@ def test_train_keeps_one_recorded_walk_between_fits():
     with pytest.raises(ValueError, match="not 1 within"):
         train(targets[1], fits[-1][1], WalkerState(amps))
     for fit, got in zip(fits, kept):
-        optimize._kept_recorded.clear()
+        optimize._kept.clear()
         assert got == result_bytes(train(*fit))
 
 

@@ -94,6 +94,15 @@ def test_initial_state_rejects_bad_register():
         initial_state(25, 1.0, 0.0, 0)
 
 
+def test_initial_state_rejects_a_qubit_count_that_is_no_integer():
+    # True would size a ring of 2 sites; 2.0 would fail in 1 << 2.0 with a
+    # TypeError. A numpy integer is an integer.
+    for n in (True, np.bool_(True), 2.0, "2"):
+        with pytest.raises(ValueError, match="num_position_qubits must be an integer in"):
+            initial_state(n, 1.0, 0.0, 0)
+    assert initial_state(np.int64(2), 1.0, 0.0, 3).num_positions == 4
+
+
 def test_walker_state_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         WalkerState(np.zeros((2, 3), dtype=np.complex128))

@@ -865,6 +865,14 @@ def test_dense_operator_rejects_large_register():
         dense_operator(apply_shift_dtqw, 5)
 
 
+def test_dense_operator_rejects_a_qubit_count_that_is_no_integer():
+    # True passes 1 <= True <= MAX_DENSE_QUBITS and would build a 4 x 4 matrix.
+    for n in (True, np.bool_(True), 2.0):
+        with pytest.raises(ValueError, match=r"support 1\.\.4 position qubits, got"):
+            dense_operator(apply_shift_dtqw, n)
+    assert dense_operator(apply_shift_dtqw, np.int64(1)).shape == (4, 4)
+
+
 def test_operator_json_roundtrip():
     w = ssqw_step_dense(SsqwParams(CoinParams(0.3), CoinParams(1.2)), 1)
     payload = json.loads(operator_to_json(w))
