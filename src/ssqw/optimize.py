@@ -59,6 +59,10 @@ sweep together, and then updates all the rows at once by masks. Each row
 of that call equals its own single call bit for bit, and the BFGS algebra
 sums in one fixed order with no BLAS call (``_dots``), so results equal
 running the restarts one after another, under every OpenBLAS kernel.
+Both fit modes run the same six-angle state: symmetric mode multiplies
+each round's gradients by a fixed mask that is 0 at the four phases, so
+they stay at +0.0. Each row's inverse-Hessian estimate starts as the
+identity, and each restart's best point is kept as the rounds find it.
 """
 
 from __future__ import annotations
@@ -79,7 +83,6 @@ from .walk import (
     _check_finite_angles,
     _coin_pair,
     _coin_stacks,
-    _light_cone,
     _Walker,
 )
 
@@ -350,11 +353,9 @@ def _mse_and_gradient(
     return _ScoredWalk(init, schedule.steps, target, len(angles), record=True).values_and_gradients(angles)
 
 
-def _reach_floor(
-    target: TargetDistribution, init: WalkerState, schedule: WalkSchedule
-) -> tuple[float, float]:
-    """The target mass u outside the walk's light cone and the MSE floor
-    it sets.
+def _reach_floor(target: TargetDistribution, cone: np.ndarray) -> tuple[float, float]:
+    """The target mass u outside ``cone``, the ring indices of the sites a
+    walk stepped (``_Walker.sites``), and the MSE floor it sets.
 
     A bin outside the cone keeps p_i = 0 and costs q_i^2. The r bins
     inside carry all of the walker's unit mass against target mass 1 - u,
@@ -362,19 +363,11 @@ def _reach_floor(
     floor is (sum of q_i^2 outside + u^2 / r) / n_bins.
     """
     n = target.n_bins
-    cone = _light_cone(init, schedule.steps)
     outside = np.ones(n, dtype=bool)
     outside[cone] = False
     q = target.probs[outside]
     u = math.fsum(q)
     return u, (math.fsum(q * q) + u * u / cone.size) / n
-
-
-def _free_angles(symmetric: bool) -> np.ndarray | slice:
-    """Indices, in ``SsqwParams.to_array`` order, of the angles train()
-    optimises: all six, as a slice, so that a row is read and written
-    without fancy indexing, or the two thetas in symmetric mode."""
-    return np.array([0, 3]) if symmetric else slice(None)
 
 
 @dataclass(frozen=True)
@@ -385,13 +378,15 @@ class OptimizerConfig:
     per objective value, EVALS_PER_GRADIENT per value-and-gradient call.
     initial_trust_radius is the longest step one line search may take and
     final_trust_radius the shortest trial step it tries before the restart
-    stops. Restart 0 starts from initial_params; further restarts draw all
-    free angles uniformly from [0, 2*pi) using the seed. symmetric_mode
-    optimises only the two thetas, pins the four phase angles to zero (so
-    initial_params with a non-zero phase is refused), and (unless an
-    explicit initial state is supplied) starts the walker in the
-    balanced coin state (|up> + i |down>)/sqrt(2), which makes every
-    reachable distribution symmetric about the start site.
+    stops. Restart 0 starts from initial_params; further restarts draw
+    their free angles, all six or the two thetas, uniformly from
+    [0, 2*pi) using the seed. symmetric_mode is the full fit with the
+    four phase angles' gradients masked to zero, so the phases start at
+    +0.0 and never move (initial_params with a non-zero phase is
+    refused), and (unless an explicit initial state is supplied) it
+    starts the walker in the balanced coin state (|up> + i |down>)/sqrt(2),
+    which makes every reachable distribution symmetric about the start
+    site.
     """
 
     max_iters: int = 800
@@ -491,28 +486,32 @@ def train(
     full evaluation history. Ties between restarts go to the earlier one.
 
     Each restart runs BFGS on exact gradients with Armijo backtracking. Its
-    first direction is minus the gradient; later ones come from the
-    inverse-Hessian estimate, scaled at its first update by s.y / y.y. No
-    step is longer than ``initial_trust_radius``, and each trial halves the
-    step until it decreases the MSE enough. The metadata's
-    ``stop_reasons`` names why each restart stopped, tested in this order:
-    "no-descent" when its direction is not one of descent, "short-step"
-    when a trial step would be shorter than ``final_trust_radius``, and
-    "budget" when the next value-and-gradient call would take it past
-    ``max_iters``; or "exact" for a restart that reached an MSE of exactly
-    0, after which no further restart counts. ``evals_per_restart`` gives
-    the evaluations charged to each: ``EVALS_PER_GRADIENT`` a point, except
-    that a budget below that buys the start's value alone, charged 1.
+    direction is minus the inverse-Hessian estimate h times the gradient.
+    h starts as the identity, so the first direction is minus the gradient,
+    and its first update sets it to (s.y / y.y) I. No step is longer than
+    ``initial_trust_radius``, and each trial halves the step until it
+    decreases the MSE enough. Symmetric mode is the same six-angle fit with
+    the four phases' gradients masked to zero, so the phases start at +0.0
+    and never move. The metadata's ``stop_reasons`` names why each restart
+    stopped, tested in this order: "no-descent" when its direction is not
+    one of descent, "short-step" when a trial step would be shorter than
+    ``final_trust_radius``, and "budget" when the next value-and-gradient
+    call would take it past ``max_iters``; or "exact" for a restart that
+    reached an MSE of exactly 0, after which no further restart counts.
+    ``evals_per_restart`` gives the evaluations charged to each:
+    ``EVALS_PER_GRADIENT`` a point, except that a budget below that buys
+    the start's value alone, charged 1.
 
     The restarts run in lockstep, one batched value-and-gradient call per
     round on one recorded walk, rebuilt with the live rows alone when they
     fall to half its rows or fewer; restarts after an exact hit are
     computed and then discarded. The result equals that of running them
     one after another. The first walk is the one the last fit kept, if it
-    was built from the same inputs, and is kept for the next fit.
-    ``trained_dist`` is the walk's distribution at the best point, taken
-    from the round that walked it: each restart's cone probabilities at its
-    lowest value so far are kept as the rounds go.
+    was built from the same inputs, and is kept for the next fit. Each
+    restart's lowest value so far, its point and the walk's cone
+    probabilities there are kept as the rounds find them, so
+    ``best_params`` and ``trained_dist`` come from the round that walked
+    the best point.
     """
     if config is None:
         config = OptimizerConfig()
@@ -522,23 +521,28 @@ def train(
     else:
         coin_init = "custom"
 
-    free = _free_angles(config.symmetric_mode)
-    x_init = config.initial_params.to_array()[free]
+    # Each round's gradients are masked: symmetric mode moves the two
+    # thetas alone, and restarts draw those, so the phases stay at +0.0.
+    mask = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]) if config.symmetric_mode else np.ones(6)
+    free = mask.nonzero()[0]
     # Row r of every array is restart r's: point x, value f, gradient g,
     # direction d with its slope g.d and length, trial step t, the
-    # inverse-Hessian estimate h it holds once "curved", next point p, and
-    # the round it stopped in and why ("budget" unless another test says
-    # otherwise). f starts at inf, so that every start is accepted.
-    x = np.array([x_init, *_restart_starts(config.seed, config.restarts, x_init.size)])
-    b, k = x.shape
-    p, f, g, d = x.copy(), np.full(b, math.inf), np.zeros((b, k)), np.zeros((b, k))
+    # inverse-Hessian estimate h, the identity until its first update
+    # ("curved"), next point p, and the round it stopped in and why
+    # ("budget" unless another test says otherwise). f starts at inf, so
+    # that every start is accepted.
+    b = config.restarts
+    x = np.zeros((b, 6))
+    x[:, free] = [config.initial_params.to_array()[free], *_restart_starts(config.seed, b, free.size)]
+    p, f, g, d = x.copy(), np.full(b, math.inf), np.zeros((b, 6)), np.zeros((b, 6))
     slope, norm, t = np.zeros(b), np.zeros(b), np.ones(b)
-    h, curved, eye = np.zeros((b, k, k)), np.zeros(b, dtype=bool), np.eye(k)
-    # Once every row is curved, no row takes a first update and none falls
-    # back on -g, so both masked blocks below are skipped.
+    eye = np.eye(6)
+    h, curved = np.tile(eye, (b, 1, 1)), np.zeros(b, dtype=bool)
+    # Once every row is curved, no row takes a first update, so that masked
+    # block below is skipped.
     all_curved = False
     live, last, reasons = np.ones(b, dtype=bool), np.zeros(b, dtype=int), np.full(b, "budget", dtype=object)
-    radius, points, seen, f_new, g_new = config.initial_trust_radius, [], [], f, g.copy()
+    radius, seen, f_new, g_new = config.initial_trust_radius, [], f, g.copy()
 
     # Walk row i is restart rows[i]'s. A stopped restart's row stays on its
     # last point, and its output is not read, until the live rows are half
@@ -549,28 +553,26 @@ def train(
     steps = config.steps.steps
     scored = kept = _take(init, steps, target, b, True)
     sites = kept.walk.sites
-    n_live, rows, angles = b, np.arange(b), np.zeros((b, 6))
-    # Each restart's lowest value so far, where it first met it, and the
-    # walk's probabilities on the cone there: trained_dist is the best
-    # restart's row, so no walk is run again for it.
-    low, low_probs = np.full(b, math.inf), np.zeros((b, sites.size))
+    n_live, rows = b, np.arange(b)
+    # Each restart's lowest value so far, and where it first met it: the
+    # point, and the walk's probabilities on the cone there, so that no
+    # walk is run again for trained_dist.
+    low, low_x, low_probs = np.full(b, math.inf), x.copy(), np.zeros((b, sites.size))
     while n_live:
         if 2 * n_live <= rows.size:
             rows = live.nonzero()[0]
             scored = _ScoredWalk(init, steps, target, rows.size, record=True)
-            angles = np.zeros((rows.size, 6))
-        angles[:, free] = p[rows]
-        values, grads = scored.values_and_gradients(angles)
+        at = p[rows]
+        values, grads = scored.values_and_gradients(at)
         # A restart the walk no longer holds keeps its last, finite, f and g.
         f_new = f_new.copy()
         f_new[rows] = values
-        g_new[rows] = grads[:, free]
-        points.append(p)
+        g_new[rows] = grads * mask
         seen.append(f_new)
         # Every live restart is one of the walk's rows.
         lower = (live & (f_new < low))[rows]
-        low[rows[lower]] = values[lower]
-        low_probs[rows[lower]] = scored.probs[lower]
+        hit = rows[lower]
+        low[hit], low_x[hit], low_probs[hit] = values[lower], at[lower], scored.probs[lower]
         if config.max_iters < EVALS_PER_GRADIENT:
             break  # the starts' values alone, each charged 1
         # Armijo: a live row accepts its trial point or halves its step.
@@ -595,12 +597,9 @@ def train(
         np.copyto(x, p, where=a)
         np.copyto(f, f_new, where=acc)
         np.copyto(g, g_new, where=a)
-        # An accepted row's new direction: -g until it is curved, then
-        # -h g, clipped to the trust radius, with a trial step of 1.
-        hg = _dots(h, g[:, None])
-        if not all_curved:
-            np.copyto(hg, g, where=~curved[:, None])
-        d_new = -hg
+        # An accepted row's new direction -h g, clipped to the trust radius,
+        # with a trial step of 1.
+        d_new = -_dots(h, g[:, None])
         slope_new = _dots(g, d_new)
         norm_new = np.sqrt(_dots(d_new, d_new))
         scale = radius / np.maximum(norm_new, radius)
@@ -627,25 +626,21 @@ def train(
     # alone after the one before it.
     seen = np.array(seen)
     charge = EVALS_PER_GRADIENT if config.max_iters >= EVALS_PER_GRADIENT else 1
-    history, best_val, best_x, best_restart = [], math.inf, x_init, 0
-    for r in range(b):
-        values = seen[: last[r] + 1, r].tolist()
-        history += values
-        low = min(values)
-        if low < best_val:
-            best_val, best_x, best_restart = low, points[values.index(low)][r], r
+    history, best_val, best_restart = [], math.inf, 0
+    for r, low_r in enumerate(low.tolist()):
+        history += seen[: last[r] + 1, r].tolist()
+        if low_r < best_val:
+            best_val, best_restart = low_r, r
         if best_val == 0.0:
             reasons[r] = "exact"
             break
     evals_per_restart = (charge * (last[: r + 1] + 1)).tolist()
     stop_reasons = reasons[: r + 1].tolist()
 
-    best_angles = np.zeros(6)
-    best_angles[free] = best_x
-    best_params = SsqwParams.from_array(best_angles)
+    best_params = SsqwParams.from_array(low_x[best_restart])
     trained = np.zeros(n_bins)
     trained[sites] = low_probs[best_restart]
-    unreachable_mass, mse_floor = _reach_floor(target, init, config.steps)
+    unreachable_mass, mse_floor = _reach_floor(target, sites)
     metadata = {
         "mode": "symmetric" if config.symmetric_mode else "full",
         "coin_init": coin_init,

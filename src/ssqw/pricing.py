@@ -56,8 +56,15 @@ def expected_payoff(probs: np.ndarray, grid: PriceGrid, strike: float) -> float:
     _check_probs(probs)
     if not math.isfinite(strike) or strike < 0.0:
         raise ValueError(f"strike must be finite and nonnegative, got {strike!r}")
-    payoff = np.maximum(grid.prices - strike, 0.0)
-    return float(np.sum(probs * payoff))
+    return _payoffs(grid, strike, probs)[1][0]
+
+
+def _payoffs(grid: PriceGrid, strike: float, *probs: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The call payoff max(price_i - strike, 0) at each bin of ``grid``,
+    and the sum of p_i times it for each of ``probs``: the one copy of the
+    formula, on inputs the caller has checked."""
+    per_bin = np.maximum(grid.prices - strike, 0.0)
+    return per_bin, [float(np.sum(p * per_bin)) for p in probs]
 
 
 @dataclass
@@ -104,9 +111,7 @@ def price_report(
     grid = PriceGrid(target.domain, target.n_bins)
     # expected_payoff's sum, on probabilities checked once: the target's
     # when it was built, the trained ones above.
-    per_bin_payoff = np.maximum(grid.prices - option.strike, 0.0)
-    pay_t = float(np.sum(target.probs * per_bin_payoff))
-    pay_w = float(np.sum(trained * per_bin_payoff))
+    per_bin_payoff, (pay_t, pay_w) = _payoffs(grid, option.strike, target.probs, trained)
     factor = 1.0
     if discount:
         factor = _exp_or_inf(-option.rate * option.maturity)

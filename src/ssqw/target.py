@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import _check_count, _json_floats, _json_object
+from .statevector import MAX_POSITION_QUBITS, _check_count, _json_floats, _json_object
 
 TARGET_FORMAT_VERSION = 1
 
@@ -74,8 +74,16 @@ class Domain:
 
 
 def _check_n_bins(n_bins: int) -> None:
+    """Refuse a bin count that is not a power of two from 2 to
+    2**MAX_POSITION_QUBITS, the most positions a walk loads, before
+    anything of that size is built."""
     if not isinstance(n_bins, int) or n_bins < 2 or (n_bins & (n_bins - 1)) != 0:
         raise ValueError(f"n_bins must be a power of two >= 2, got {n_bins!r}")
+    if n_bins > 1 << MAX_POSITION_QUBITS:
+        raise ValueError(
+            f"n_bins must be at most 2**{MAX_POSITION_QUBITS}, the positions a walk loads "
+            f"(MAX_POSITION_QUBITS), got {n_bins!r}"
+        )
 
 
 class _ProbsError(ValueError):

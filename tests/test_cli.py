@@ -250,6 +250,15 @@ def assert_usage_error(capsys, code, *needles):
         assert needle in err
 
 
+def test_gen_target_above_the_walks_cap_exit2(tmp_path, capsys):
+    # 2**36 bins is refused with a usage error naming the cap, before
+    # np.linspace would try to allocate them.
+    out = tmp_path / "t.json"
+    code = run("gen-target", "--kind", "normal", "--analytic", "--bins", str(1 << 36), "--out", str(out))
+    assert_usage_error(capsys, code, "n_bins must be at most 2**24", str(1 << 36))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["probs", "provenance"])
 def test_train_target_missing_key_exit2(tmp_path, capsys, key):
     target = gen_normal_target(tmp_path)

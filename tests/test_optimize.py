@@ -40,7 +40,6 @@ from ssqw.optimize import (
     EVALS_PER_GRADIENT,
     OPTIMIZER_NAME,
     TrainingResult,
-    _free_angles,
     _mse_and_gradient,
     _reach_floor,
     _restart_starts,
@@ -353,11 +352,11 @@ def test_start_arc_is_found_once_per_state():
         objective(KNOWN_PARAMS, target, schedule, init)
         objective(KNOWN_PARAMS, target, schedule, init)
         _mse_and_gradient(KNOWN_PARAMS.to_array()[None], target, schedule, init)
-        assert _reach_floor(target, init, schedule)[0] > 0.0
+        assert _reach_floor(target, _light_cone(init, schedule.steps))[0] > 0.0
         _mse_and_gradient(KNOWN_PARAMS.to_array()[None], small_target, WalkSchedule(7), small)
         objective(KNOWN_PARAMS, small_target, WalkSchedule(7), small)
         objective(KNOWN_PARAMS, small_target, WalkSchedule(8), small)
-        assert _reach_floor(small_target, small, WalkSchedule(8)) == (0.0, 0.0)
+        assert _reach_floor(small_target, _light_cone(small, 8)) == (0.0, 0.0)
     assert searched == [m, 16]
 
 
@@ -851,6 +850,20 @@ def test_train_symmetric_mode_two_free_angles():
     assert ring_asymmetry(result.trained_dist) <= 1e-12
 
 
+def test_symmetric_fit_phases_come_out_as_positive_zero():
+    # The phases start at +0.0, from the default start and from one whose
+    # phases are -0.0, and never move: their gradients are masked to zero.
+    target = ring_symmetric_target()
+    negative = SsqwParams(CoinParams(1.3, -0.0, -0.0), CoinParams(0.4, -0.0, -0.0))
+    for kw in ({}, {"initial_params": negative}):
+        for max_iters in (1, 100):
+            config = OptimizerConfig(max_iters=max_iters, restarts=3, seed=2, symmetric_mode=True, **kw)
+            p = train(target, config).best_params
+            phases = (p.coin1.phi, p.coin1.lam, p.coin2.phi, p.coin2.lam)
+            assert [math.copysign(1.0, v) for v in phases] == [1.0] * 4, (kw, max_iters, phases)
+            assert phases == (0.0,) * 4
+
+
 def test_symmetric_mode_asymmetry_never_beats_full_mode():
     target = ring_symmetric_target()
     sym = train(target, OptimizerConfig(max_iters=200, restarts=2, seed=5, symmetric_mode=True))
@@ -978,7 +991,9 @@ def sequential_train(target, config, init=None):
     coin_init = "custom"
     if init is None:
         init, coin_init = _start_state(target.n_bins, config.symmetric_mode)
-    free = _free_angles(config.symmetric_mode)
+    # The angles a restart moves: all six, or the two thetas in symmetric
+    # mode, kept here so that the oracle does not share train's mask.
+    free = np.array([0, 3]) if config.symmetric_mode else slice(None)
     x_init = config.initial_params.to_array()[free]
     rng = random.Random(config.seed)
     starts = [x_init] + [
@@ -1010,7 +1025,7 @@ def sequential_train(target, config, init=None):
         if best_val == 0.0:
             break
     best_params = SsqwParams.from_array(to_angles(best_x))
-    unreachable_mass, mse_floor = _reach_floor(target, init, config.steps)
+    unreachable_mass, mse_floor = _reach_floor(target, _light_cone(init, config.steps.steps))
     metadata = {
         "mode": "symmetric" if config.symmetric_mode else "full",
         "coin_init": coin_init,
@@ -1049,6 +1064,13 @@ def test_lockstep_restarts_equal_sequential_runs():
         for restarts in (1, 3, 8):
             for max_iters in range(1, 14):
                 config = OptimizerConfig(max_iters=max_iters, restarts=restarts, seed=seed)
+                _assert_lockstep_equals_sequential(target, config)
+    # Symmetric mode is the six-angle state with the phases' gradients
+    # masked, checked against the frozen BFGS on the two thetas alone.
+    for seed in (0, 7):
+        for restarts in (1, 8):
+            for max_iters in range(1, 14):
+                config = OptimizerConfig(max_iters=max_iters, restarts=restarts, seed=seed, symmetric_mode=True)
                 _assert_lockstep_equals_sequential(target, config)
     # Restart 0 hits the self-generated target exactly: restarts 1 and 2
     # run in lockstep with it but are discarded.
@@ -1582,9 +1604,9 @@ def test_windowed_sweep_gradient_equals_full_ring():
         evolve(init, params, schedule)
         objective(params, target, schedule, init)
         assert widths == [m] * (8 * schedule.steps - 1)
-        # optimize holds its own reference to _light_cone, so the reach
+        # The test holds its own reference to _light_cone, so the reach
         # floor still sees the 17-site cone.
-        assert _reach_floor(target, init, schedule)[0] > 0.0
+        assert _reach_floor(target, _light_cone(init, schedule.steps))[0] > 0.0
     assert value == full_value
     assert np.max(np.abs(grad - full_grad)) <= 1e-12 * np.max(np.abs(full_grad))
 
@@ -1592,7 +1614,7 @@ def test_windowed_sweep_gradient_equals_full_ring():
 def test_mse_gradient_symmetric_mode_projection():
     target = ring_symmetric_target()
     init, _ = _start_state(16, symmetric=True)
-    free = _free_angles(True)
+    free = np.array([0, 3])  # the two thetas
     rng = np.random.default_rng(29)
     for _ in range(5):
         thetas = rng.uniform(0.0, 2.0 * math.pi, 2)

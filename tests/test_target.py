@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from ssqw import (
     sample_histogram,
 )
 from ssqw.pricing import _lognormal_tail_mass
-from ssqw.target import _cdf
+from ssqw.statevector import MAX_POSITION_QUBITS
+from ssqw.target import _cdf, _check_n_bins
 
 import oracles
 
@@ -52,6 +54,23 @@ def test_domain_whose_width_overflows_is_refused():
     with pytest.raises(ValueError, match="width hi - lo overflows"):
         Domain(-1e308, 1e308)
     assert Domain(-8e307, 8e307).width == 1.6e308
+
+
+def test_n_bins_above_the_walks_cap_is_refused_before_any_allocation():
+    # No walk loads more than 2**MAX_POSITION_QUBITS positions, so no
+    # target of more bins is built: the check is on the integer alone.
+    assert MAX_POSITION_QUBITS == 24
+    tracemalloc.start()
+    try:
+        _check_n_bins(1 << 24)
+        with pytest.raises(ValueError, match=r"at most 2\*\*24.*got 33554432"):
+            _check_n_bins(1 << 25)
+        with pytest.raises(ValueError, match=r"at most 2\*\*24"):
+            DOM.bin_edges(1 << 36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_domain_edges_and_centers():
