@@ -80,7 +80,6 @@ from .walk import (
     TWO_PI,
     SsqwParams,
     WalkSchedule,
-    _check_finite_angles,
     _coin_pair,
     _coin_stacks,
     _Walker,
@@ -143,8 +142,12 @@ class _ScoredWalk:
     against a target of n bins: the walk of every objective value and
     gradient.
 
-    Construction first checks that the start has one site per target bin,
-    the one place that check is made. It then builds the walk, and the plan
+    Construction checks the start, the one place it is checked: that it
+    has one site per target bin, and, once the walk is built, that its
+    squared norm is 1 within ``MSE_SUM_TOL``. Every call's walk keeps each
+    row's norm within ``walk._checked``'s drift of the start's, so each
+    value's distribution sums to 1 within ``MSE_SUM_TOL`` plus that drift,
+    and no call checks the sum again. It then builds the plan
     ``score`` sums a value by, in the order numpy sums the n-bin row of
     squared differences, which holds q^2 outside the cone (see the module
     docstring). With leaves of L = min(n, _LEAF) bins, so that a ring of
@@ -174,10 +177,15 @@ class _ScoredWalk:
         if init.num_positions != target.n_bins:
             raise ValueError(f"initial state has {init.num_positions} positions but target has {target.n_bins} bins")
         self.walk, self.key = _Walker(init, steps, rows, record), _walk_key(init, steps, rows)
+        if not abs(self.walk.n0 - 1.0) <= MSE_SUM_TOL:
+            raise ValueError(f"initial state's squared norm is {self.walk.n0!r}, not 1 within {MSE_SUM_TOL}")
         self.start = self.walk.start.tobytes()
         sites, self.n = self.walk.sites, target.n_bins
         self.leaf = leaf = min(self.n, _LEAF)
-        self.touched = touched = np.unique(sites // leaf)
+        # sites is sorted and non-negative, so the leaves with a count are
+        # its leaves, each once and in order: numpy's unique would give the
+        # same, but imports numpy.ma on first use (11-19 ms).
+        self.touched = touched = np.flatnonzero(np.bincount(sites // leaf))
         self.blocks = np.empty((rows, touched.size * leaf))
         at = np.searchsorted(touched, sites // leaf) * leaf + sites % leaf
         self.squares = [(cols, self.blocks[:, at[cols][0] : at[cols][-1] + 1]) for cols in _runs(at)]
@@ -232,14 +240,12 @@ class _ScoredWalk:
         bit: the leaves hold those, and their sums, and each call
         overwrites the cone's bins with their (p - q)^2, the same bins on
         every call. So the values equal ``mse`` of each row's M-site
-        distribution. The walk checked the amplitudes and their norm, and
-        construction the grid; the check kept here is that of ``mse``, each
-        row's probabilities summing to 1 (the target's sum is checked when
-        it is built).
+        distribution. Nothing is checked here: the walk checks the
+        amplitudes and their norm (``walk._checked``), construction the
+        grid and the start's mass, and the target checks its own sum when
+        it is built.
         """
         run = self.walk.forward(coins)
-        if not (np.abs(run.norms - 1.0) <= MSE_SUM_TOL).all():
-            raise ValueError(f"walk distributions sum to {run.norms.tolist()!r}, not 1 within {MSE_SUM_TOL}")
         self.probs = run.probs
         d = run.probs - self.cone
         return self.score(d), d
@@ -258,9 +264,11 @@ class _ScoredWalk:
         (see ``walk``). A row's gradient equals that of a one-row call, and
         that of the same formula on the whole ring, bit for bit.
 
-        A non-finite angle raises the ValueError that ``CoinParams`` raises.
+        The angles are not scanned: a round's come from checked
+        ``CoinParams``, finite draws and BFGS arithmetic, and a non-finite
+        one makes its row's amplitudes non-finite, which the walk refuses
+        with a ValueError before any value is used.
         """
-        _check_finite_angles(angles)
         b = len(angles)
         # Each row's coin1, then its coin2, as the rows of one (2B, 3) array.
         coins, dcoins = _coin_stacks(angles.reshape(2 * b, 3))
@@ -293,7 +301,8 @@ def _take(init: WalkerState, steps: int, target: TargetDistribution, rows: int, 
     kind, taken out of its slot, if it was built from the same
     ``_walk_key``, for a target of as many bins, and from the same start
     amplitudes on its cone, compared bit for bit; else a new one, which
-    makes the grid check, and the slot stays empty.
+    checks the start's grid and mass, and the slot stays empty. A walk that
+    matches was built from a start of the same mass.
 
     Those amplitudes are what the walk copies into its first slot, so a
     walk that matches steps exactly as a new one would, and every buffer a
@@ -322,8 +331,9 @@ def objective(
     """MSE between the target and the walk's position distribution.
 
     Equals ``mse(target.probs, position_distribution(evolve(init, params,
-    schedule)))`` bit for bit, with the same checks, but a localized start
-    is stepped and scored on its light cone alone (``_ScoredWalk``), so no
+    schedule)))`` bit for bit, the start's mass checked once, when its walk
+    is built, instead of the distribution's sum (``_ScoredWalk``): a
+    localized start is stepped and scored on its light cone alone, so no
     M-site state is built. Evaluating twice gives bitwise equal results.
 
     A variational solver calls it again and again on one start, schedule
@@ -549,7 +559,7 @@ def train(
     # of the rows or fewer: then the walk is rebuilt with those alone. The
     # first walk, of all b rows, is the kept one if it matches, and is kept
     # once the rounds are done; a new one checks a custom start's grid
-    # before it builds anything else.
+    # before it builds anything else, and its mass before the first round.
     steps = config.steps.steps
     scored = kept = _take(init, steps, target, b, True)
     sites = kept.walk.sites

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import MAX_POSITION_QUBITS, _check_count, _json_floats, _json_object
+from .statevector import MAX_POSITION_QUBITS, _check_count, _is_integer, _json_floats, _json_object
 
 TARGET_FORMAT_VERSION = 1
 
@@ -76,8 +76,9 @@ class Domain:
 def _check_n_bins(n_bins: int) -> None:
     """Refuse a bin count that is not a power of two from 2 to
     2**MAX_POSITION_QUBITS, the most positions a walk loads, before
-    anything of that size is built."""
-    if not isinstance(n_bins, int) or n_bins < 2 or (n_bins & (n_bins - 1)) != 0:
+    anything of that size is built. A numpy integer counts, as it does for
+    ``x0`` and the qubit counts (``_is_integer``); a bool does not."""
+    if not _is_integer(n_bins) or n_bins < 2 or (n_bins & (n_bins - 1)) != 0:
         raise ValueError(f"n_bins must be a power of two >= 2, got {n_bins!r}")
     if n_bins > 1 << MAX_POSITION_QUBITS:
         raise ValueError(

@@ -170,16 +170,6 @@ class WalkSchedule:
         _check_count(self.steps, "steps")
 
 
-def _check_finite_angles(angles: np.ndarray) -> None:
-    """Raise the ValueError ``CoinParams`` raises for the first non-finite
-    entry, in row-major order, of an array of (theta, phi, lam) triples
-    whose rows hold whole triples."""
-    finite = np.isfinite(angles)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"coin angle {_ANGLE_NAMES[i % 3]} must be finite, got {angles.flat[i]!r}")
-
-
 def coin_matrix(coin: CoinParams) -> np.ndarray:
     """Coin unitary
 
@@ -373,9 +363,8 @@ class _Walk(NamedTuple):
     final: np.ndarray
     # The w ring sites stepped, in ring order.
     sites: np.ndarray
-    # Each row's position distribution, (B, w), and its sum, (B,).
+    # Each row's position distribution, (B, w).
     probs: np.ndarray
-    norms: np.ndarray
 
 
 def _checked(final: np.ndarray, sites: np.ndarray, n0: float, steps: int) -> _Walk:
@@ -393,7 +382,7 @@ def _checked(final: np.ndarray, sites: np.ndarray, n0: float, steps: int) -> _Wa
         if not np.isfinite(final.view(np.float64)).all():
             raise ValueError("amplitudes must be finite")
         raise ArithmeticError(f"{steps} steps moved the norm from {n0!r} to {norms.tolist()!r}")
-    return _Walk(final, sites, probs, norms)
+    return _Walk(final, sites, probs)
 
 
 # The most bytes of accumulator terms, and as many of their products, that
@@ -475,9 +464,13 @@ class _Walker:
     A call then only refills the entries, makes the calls and reduces.
     ``forward`` steps coin pairs from the start and checks the result
     (``_checked``); ``sweep`` then gives their gradient accumulators for
-    a seed. Nothing is validated in between: a walk starts from a
-    ``WalkerState``'s amplitudes, takes unitary coins and checks what
-    comes back. A step equals the composed public operators bit for bit.
+    a seed. Nothing is validated in between: each input is checked once,
+    where it enters (the start's amplitudes by ``WalkerState``, a scored
+    walk's grid and start mass by ``optimize._ScoredWalk``, a parameter
+    set's angles by ``CoinParams``), and ``_checked`` checks what comes
+    back. A non-finite angle, which no round of ``train`` scans for, makes
+    its row's amplitudes non-finite, and ``_checked`` raises ValueError.
+    A step equals the composed public operators bit for bit.
     Each row is stepped by the same half-steps as it would be alone, so
     its results equal a one-row walk's bit for bit, and rows do not mix: a
     row's coins may stay as they were across calls.

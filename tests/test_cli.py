@@ -1002,30 +1002,33 @@ def test_repro_imports_no_scipy(tmp_path):
     assert (tmp_path / "summary.json").exists()
 
 
-def test_repro_and_train_import_no_numpy_random(tmp_path):
-    # numpy 2 loads numpy.random on first use, 15-18 ms in a new process;
-    # repro and an acceptance-config train draw their restart starts
-    # without it. numpy 1 loads it with numpy itself.
+def test_repro_and_train_import_neither_numpy_random_nor_numpy_ma(tmp_path):
+    # numpy 2 loads numpy.random on first use, 15-18 ms in a new process,
+    # and np.unique loads numpy.ma on first use, 11-19 ms (numpy 2.4's
+    # _unique1d calls np.ma.is_masked). repro and an acceptance-config
+    # train draw their restart starts and find the leaves their cones
+    # touch without either. numpy 1 loads both with numpy itself.
     code = (
         "import sys\n"
         "import numpy\n"
-        "if 'numpy.random' in sys.modules:\n"
+        "lazy = ('numpy.random', 'numpy.ma')\n"
+        "if any(name in sys.modules for name in lazy):\n"
         "    raise SystemExit(3)\n"
         "from ssqw import DistSpec, Domain, OptimizerConfig, WalkSchedule, analytic_histogram, train\n"
         "from ssqw.cli import main\n"
         f"code = main(['repro', '--max-iters', '4', '--outdir', {str(tmp_path)!r}])\n"
         "assert code == 0, code\n"
-        "assert 'numpy.random' not in sys.modules, 'repro'\n"
+        "assert not [name for name in lazy if name in sys.modules], 'repro'\n"
         "target = analytic_histogram(DistSpec('normal', 7.5, 1.875), Domain(0.0, 15.0), 16)\n"
         "train(target, OptimizerConfig(max_iters=100, restarts=8, seed=7, steps=WalkSchedule(7)))\n"
-        "assert 'numpy.random' not in sys.modules, 'train'\n"
+        "assert not [name for name in lazy if name in sys.modules], 'train'\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     if proc.returncode == 3:
-        pytest.skip("this numpy imports numpy.random with numpy")
+        pytest.skip("this numpy imports numpy.random or numpy.ma with numpy")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert (tmp_path / "summary.json").exists()
 

@@ -286,16 +286,48 @@ def test_accumulators_summed_in_step_chunks_keep_their_bits():
 
 
 def test_objective_rejects_a_walk_whose_mass_is_not_1():
-    # A start of norm 2 keeps its norm, but its distribution sums to 2:
-    # mse() rejected it, and the windowed and full-ring paths still do.
+    # A start of norm 2 keeps its norm, so its distribution sums to 2,
+    # which mse() rejects. objective, train and a value-and-gradient call
+    # refuse the start itself, once, when its walk is built, before any
+    # walk is stepped: on a cone and on the whole ring. A start within
+    # MSE_SUM_TOL of 1 is taken, and its value is mse()'s.
+    def refuse(*args):
+        raise AssertionError("walk stepped")
+
     for n, x0, steps in ((10, 3, 8), (4, 8, 7)):
         m = 1 << n
-        init = WalkerState(np.sqrt(2.0) * initial_state(n, 1.0, 0.0, x0).amps)
+        one = initial_state(n, 1.0, 0.0, x0)
         target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
-        with pytest.raises(ValueError, match="not 1 within"):
-            objective(KNOWN_PARAMS, target, WalkSchedule(steps), init)
-        with pytest.raises(ValueError, match="not 1 within"):
-            _mse_and_gradient(KNOWN_PARAMS.to_array()[None], target, WalkSchedule(steps), init)
+        schedule = WalkSchedule(steps)
+        for mass in (2.0, 1.0 + 2.0 * optimize.MSE_SUM_TOL):
+            init = WalkerState(np.sqrt(mass) * one.amps)
+            calls = (
+                lambda: objective(KNOWN_PARAMS, target, schedule, init),
+                lambda: train(target, OptimizerConfig(max_iters=8, steps=schedule), init),
+                lambda: _mse_and_gradient(KNOWN_PARAMS.to_array()[None], target, schedule, init),
+            )
+            with mock.patch.object(walk._Walker, "forward", refuse):
+                for call in calls:
+                    with pytest.raises(ValueError, match="not 1 within"):
+                        call()
+        init = WalkerState(np.sqrt(1.0 + 0.5 * optimize.MSE_SUM_TOL) * one.amps)
+        want = mse(target.probs, position_distribution(evolve(init, KNOWN_PARAMS, schedule)))
+        assert objective(KNOWN_PARAMS, target, schedule, init) == want
+
+
+def test_all_zero_start_steps_the_whole_ring_and_is_refused_as_a_start():
+    # A state with no occupied site has no arc: its window is the whole
+    # ring, and evolve returns it unchanged (array_equal takes -0.0 for
+    # 0.0). Its squared norm is 0, so objective and train refuse it.
+    zero = WalkerState(np.zeros((2, 16)))
+    assert zero._arc is None
+    assert np.array_equal(_light_cone(zero, 7), np.arange(16))
+    assert np.array_equal(evolve(zero, KNOWN_PARAMS, WalkSchedule(7)).amps, zero.amps)
+    target = ring_symmetric_target()
+    with pytest.raises(ValueError, match="not 1 within"):
+        objective(KNOWN_PARAMS, target, WalkSchedule(7), zero)
+    with pytest.raises(ValueError, match="not 1 within"):
+        train(target, OptimizerConfig(max_iters=8), zero)
 
 
 def test_localized_objective_builds_no_ring_state():
@@ -966,21 +998,17 @@ def test_stop_reason_no_descent_on_a_zero_gradient():
 
 
 def test_non_finite_angle_in_a_round_raises_value_error():
-    # A round checks its angle array once and raises CoinParams's
-    # ValueError for the first non-finite angle: here restart 1's phi2.
+    # No round scans its angles: a NaN start, here restart 1's phi2, makes
+    # that row's amplitudes NaN, and the walk's one check of what comes
+    # back raises ValueError before any value is used.
     def starts(seed, count, size):
         x = np.ones(size)
         x[4] = math.nan
         return [x] * (count - 1)
 
     with mock.patch.object(optimize, "_restart_starts", starts):
-        with pytest.raises(ValueError, match="coin angle phi must be finite"):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
             train(ring_symmetric_target(), OptimizerConfig(restarts=2))
-    angles = np.zeros((2, 6))
-    angles[1, 3] = -math.inf
-    init, _ = _start_state(16, symmetric=False)
-    with pytest.raises(ValueError, match="coin angle theta must be finite"):
-        _mse_and_gradient(angles, ring_symmetric_target(), WalkSchedule(7), init)
 
 
 def sequential_train(target, config, init=None):
@@ -1320,8 +1348,8 @@ def test_train_keeps_one_recorded_walk_between_fits():
         kept = [result_bytes(train(*fit)) for fit in fits]
     assert builds == [(8, True), (8, True), (4, True)]
     # A start with the kept one's amplitudes on the kept cone and more mass
-    # outside it has a wider cone of its own, on which its walk does not
-    # sum to 1.
+    # outside it has a wider cone of its own, and its squared norm of 2 is
+    # refused when that walk is built.
     amps = _start_state(16, False)[0].amps.copy()
     amps[0, 0] = 1.0
     with pytest.raises(ValueError, match="not 1 within"):

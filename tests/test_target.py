@@ -56,6 +56,27 @@ def test_domain_whose_width_overflows_is_refused():
     assert Domain(-8e307, 8e307).width == 1.6e308
 
 
+def test_numpy_integer_bin_count_builds_the_same_target():
+    # A numpy integer is a bin count, as it is a site or a qubit count; a
+    # bool, a numpy bool and a float are not.
+    opt = OptionSpec(2.0, 2.0, 0.05, 0.4, 40.0)
+    for n in (np.int64(16), np.int32(16), np.uint64(16)):
+        assert analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, n).to_json() == (
+            analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16).to_json()
+        )
+        assert analytic_histogram(DistSpec("uniform", 0.0, 1.0), DOM, n).to_json() == (
+            analytic_histogram(DistSpec("uniform", 0.0, 1.0), DOM, 16).to_json()
+        )
+        assert bs_lognormal_target(opt, Domain(0.0, 8.0), n).to_json() == (
+            bs_lognormal_target(opt, Domain(0.0, 8.0), 16).to_json()
+        )
+        assert np.array_equal(DOM.bin_edges(n), DOM.bin_edges(16))
+        assert np.array_equal(DOM.bin_centers(n), DOM.bin_centers(16))
+    for n in (True, np.bool_(True), 16.0, np.float64(16.0)):
+        with pytest.raises(ValueError, match="n_bins must be a power of two >= 2"):
+            analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, n)
+
+
 def test_n_bins_above_the_walks_cap_is_refused_before_any_allocation():
     # No walk loads more than 2**MAX_POSITION_QUBITS positions, so no
     # target of more bins is built: the check is on the integer alone.

@@ -500,7 +500,7 @@ def test_walk_steps_exactly_the_light_cone(run, angles, gradient):
             evolve(state, params, WalkSchedule(steps))
     assert widths == [cone.size]
     walker = walk._Walker(state, steps, 1, record=gradient)
-    final, sites, _, _ = walker.forward(walk._coin_pair(params))
+    final, sites, _ = walker.forward(walk._coin_pair(params))
     np.testing.assert_array_equal(sites, cone)
     # The batch of one row, recorded or not, scatters to evolve's state.
     assert final.shape == (2, 1, sites.size)
