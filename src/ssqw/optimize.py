@@ -63,6 +63,18 @@ Both fit modes run the same six-angle state: symmetric mode multiplies
 each round's gradients by a fixed mask that is 0 at the four phases, so
 they stay at +0.0. Each row's inverse-Hessian estimate starts as the
 identity, and each restart's best point is kept as the rounds find it.
+
+Each fit builds its arrays once, sized by the restarts B, the cone's w
+sites and the six angles, never by its budget: the BFGS state and its
+scratch, masks and views (``_Bfgs``); each restart's best value, point
+and (B, w) cone probabilities, a (B, w) copy of each round's
+probabilities and the masks that take them; and, with each recorded walk,
+the sweep's seed views and its (2, 2, 2, B) accumulator buffer
+(``walk._Walker``). A round writes into them with ``out=`` and masked
+copies, the ufunc calls, operands and order of the formulas written with
+temporaries, so every bit is theirs; what it allocates is the walk's
+outputs and a copy of its values for the history, a list of one (B,) array
+a round.
 """
 
 from __future__ import annotations
@@ -111,7 +123,10 @@ def mse(p: np.ndarray, q: np.ndarray) -> float:
     """Mean squared error between two probability vectors of equal length."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
+    for name, v in (("first", p), ("second", q)):
+        if v.ndim != 1:
+            raise ValueError(f"{name} vector must be 1-D, got shape {v.shape}")
+    if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     for name, v in (("first", p), ("second", q)):
         # A NaN sum, also inf - inf's (not warned about), fails "<= tol",
@@ -274,7 +289,7 @@ class _ScoredWalk:
         coins, dcoins = _coin_stacks(angles.reshape(2 * b, 3))
         values, d = self.values(coins.reshape(b, 2, 2, 2))
         # (row, coin, 1, 2, 2) accumulators against (row, coin, angle, 2, 2) derivatives.
-        g = self.walk.sweep((2.0 / self.n) * d).swapaxes(0, 1)[:, :, None]
+        g = self.walk.sweep(np.multiply(d, 2.0 / self.n, out=d)).swapaxes(0, 1)[:, :, None]
         grad = 2.0 * np.add.reduce(dcoins.reshape(b, 2, 3, 2, 2) * g, axis=(3, 4)).real
         return values, grad.reshape(b, 6)
 
@@ -409,9 +424,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_iters", "restarts"):
-            _check_count(getattr(self, name), name)
-        _check_count(self.seed, "seed", least=0)
+        for name, least in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, least))
         if not (0.0 < self.final_trust_radius < self.initial_trust_radius < math.inf):
             raise ValueError(
                 "need 0 < final_trust_radius < initial_trust_radius, both finite, got "
@@ -442,11 +456,142 @@ class TrainingResult:
     metadata: dict
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's a.b over the last axis: for (B, k) arrays a value a row,
-    for (B, k, k) h and (B, 1, k) v each row's h v. np.add.reduce sums
-    each row as it sums that row alone, and makes no BLAS call."""
-    return np.add.reduce(a * b, axis=-1)
+def _dots(a: np.ndarray, b: np.ndarray, out: np.ndarray, prods: np.ndarray) -> np.ndarray:
+    """Each row's a.b over the last axis into ``out``, through the buffer
+    ``prods`` for the products: for (B, k) arrays a value a row, for (B, k,
+    k) h and (B, 1, k) v each row's h v. np.add.reduce sums each row as it
+    sums that row alone, and makes no BLAS call."""
+    return np.add.reduce(np.multiply(a, b, out=prods), axis=-1, out=out)
+
+
+class _Bfgs:
+    """The lockstep BFGS state of a fit's B restarts, row r restart r's,
+    and every array and view its rounds write, all built once per fit and
+    sized by B and the 6 angles alone, never by the budget.
+
+    The state: point ``x``, value ``f``, gradient ``g``, direction ``d``
+    with its slope g.d and its length ``norm``, trial step ``t``, the
+    inverse-Hessian estimate ``h``, the identity until its first update
+    (``curved``), the next point ``p``, the round's values ``f_new`` and
+    gradients ``g_new`` there, and the ``live`` rows. f starts at inf, so
+    that every start is accepted.
+
+    The scratch of ``step``: the (B, 6) s = p - x, y = g_new - g, u = h y
+    and new direction ``dn``, and ``prods`` for (B, 6) products; the (B,
+    6, 6) ``mats`` and s u^T; the (B,) s.y, y.u, rho, c, the scale, the new
+    slope and length, and ``work``; the masks ``acc``, ``up``,
+    ``no_descent`` and ``short``; and the views that broadcast them. So a
+    round makes the ufunc calls of the BFGS formulas, on the same operands
+    and in the same order as one written with temporaries, each writing
+    with ``out=`` into a buffer, and keeps their bits. Rows that a mask
+    leaves out are computed too, and discarded, as there.
+    """
+
+    def __init__(self, x: np.ndarray, radius: float, final_radius: float) -> None:
+        b = len(x)
+        self.radius, self.final_radius = radius, final_radius
+        self.x, self.p = x, x.copy()
+        # Arrays of one shape are the rows of one allocation.
+        self.f, self.f_new = np.full((2, b), math.inf)
+        self.g, self.g_new, self.d = np.zeros((3, b, 6))
+        self.slope, self.norm = np.zeros((2, b))
+        self.t = np.ones(b)
+        self.h = np.empty((b, 6, 6))
+        self.h[:] = np.eye(6)
+        self.curved, self.live = np.zeros(b, dtype=bool), np.ones(b, dtype=bool)
+        # Once every row is curved, no row takes a first update, so that
+        # masked block of step is skipped.
+        self.all_curved = False
+        self.s, self.y, self.u, self.dn, self.prods = np.empty((5, b, 6))
+        self.mats, self.su = np.empty((2, b, 6, 6))
+        self.sy, self.yu, self.rho, self.c, self.scale, self.sn, self.nn, self.work = np.empty((8, b))
+        self.acc, self.up, self.no_descent, self.short = np.empty((4, b), dtype=bool)
+        self.s_col, self.s_row, self.u_row = self.s[:, :, None], self.s[:, None], self.u[:, None]
+        self.y_row, self.g_row, self.su_t = self.y[:, None], self.g[:, None], self.su.transpose(0, 2, 1)
+        self.rho3, self.c3, self.up3 = self.rho[:, None, None], self.c[:, None, None], self.up[:, None, None]
+        self.acc_col, self.live_col = self.acc[:, None], self.live[:, None]
+        self.scale_col, self.t_col = self.scale[:, None], self.t[:, None]
+
+    def step(self) -> None:
+        """One round's update from ``f_new`` and ``g_new`` at ``p``: the
+        Armijo test, the BFGS update of h, the new directions and trial
+        steps, and the stop tests' masks ``no_descent`` and ``short``."""
+        x, p, f, g, h, t, f_new, g_new = self.x, self.p, self.f, self.g, self.h, self.t, self.f_new, self.g_new
+        s, y, u, dn, prods, mats, su = self.s, self.y, self.u, self.dn, self.prods, self.mats, self.su
+        sy, yu, rho, c, scale, sn, nn, work = self.sy, self.yu, self.rho, self.c, self.scale, self.sn, self.nn, self.work
+        acc, up, no_descent, short, live, radius = self.acc, self.up, self.no_descent, self.short, self.live, self.radius
+        # Armijo: a live row accepts its trial point or halves its step.
+        np.multiply(_ARMIJO, t, out=work)
+        np.multiply(work, self.slope, out=work)
+        np.add(f, work, out=work)
+        np.less_equal(f_new, work, out=acc)
+        np.logical_and(live, acc, out=acc)
+        np.subtract(p, x, out=s)
+        np.subtract(g_new, g, out=y)
+        _dots(s, y, sy, prods)
+        # The BFGS update V h V^T + rho s s^T, V = I - rho s y^T, rho = 1/s.y,
+        # as h - rho (s u^T + u s^T) + (rho^2 y.u + rho) s s^T with u = h y, on
+        # the accepting rows with s.y > 0; a first one sets h to (s.y/y.y) I.
+        np.greater(sy, 0.0, out=up)
+        np.logical_and(acc, up, out=up)
+        if not self.all_curved:
+            first = up & ~self.curved
+            if first.any():
+                gamma = np.divide(sy, _dots(y, y, yu, prods), out=np.zeros(len(x)), where=first)
+                np.copyto(h, gamma[:, None, None] * np.eye(6), where=first[:, None, None])
+                self.curved |= first
+                self.all_curved = bool(self.curved.all())
+        # rho is 0 on the rows that h keeps, as in a new zeroed array, so
+        # their discarded products cannot overflow on a stale rho.
+        rho.fill(0.0)
+        np.divide(1.0, sy, out=rho, where=up)
+        _dots(h, self.y_row, u, mats)
+        np.multiply(self.s_col, self.u_row, out=su)
+        _dots(y, u, yu, prods)
+        np.multiply(rho, rho, out=c)
+        np.multiply(c, yu, out=c)
+        np.add(c, rho, out=c)
+        np.add(su, self.su_t, out=mats)
+        np.multiply(self.rho3, mats, out=mats)
+        np.subtract(h, mats, out=mats)
+        np.multiply(self.s_col, self.s_row, out=su)
+        np.multiply(self.c3, su, out=su)
+        np.add(mats, su, out=mats)
+        np.copyto(h, mats, where=self.up3)
+        np.copyto(x, p, where=self.acc_col)
+        np.copyto(f, f_new, where=acc)
+        np.copyto(g, g_new, where=self.acc_col)
+        # An accepted row's new direction -h g, clipped to the trust radius,
+        # with a trial step of 1.
+        _dots(h, self.g_row, dn, mats)
+        np.negative(dn, out=dn)
+        _dots(g, dn, sn, prods)
+        _dots(dn, dn, nn, prods)
+        np.sqrt(nn, out=nn)
+        np.maximum(nn, radius, out=scale)
+        np.divide(radius, scale, out=scale)
+        np.multiply(dn, self.scale_col, out=dn)
+        np.copyto(self.d, dn, where=self.acc_col)
+        # No descent: acc & ~(slope < 0), as acc > (slope < 0) on booleans.
+        np.less(sn, 0.0, out=no_descent)
+        np.greater(acc, no_descent, out=no_descent)
+        np.multiply(sn, scale, out=sn)
+        np.copyto(self.slope, sn, where=acc)
+        np.minimum(nn, radius, out=nn)
+        np.copyto(self.norm, nn, where=acc)
+        np.multiply(t, 0.5, out=t)
+        np.copyto(t, 1.0, where=acc)
+        # A step too short: live & ~no_descent & (t norm < final_radius).
+        np.multiply(t, self.norm, out=work)
+        np.less(work, self.final_radius, out=short)
+        np.logical_and(live, short, out=short)
+        np.greater(short, no_descent, out=short)
+
+    def advance(self) -> None:
+        """Move each live row's next point p to x + t d."""
+        np.multiply(self.t_col, self.d, out=self.prods)
+        np.add(self.x, self.prods, out=self.prods)
+        np.copyto(self.p, self.prods, where=self.live_col)
 
 
 def _start_state(
@@ -469,10 +614,11 @@ def _start_state(
     return initial_state(n_qubits, r, 1j * r, x0), coin
 
 
-def _restart_starts(seed: int, count: int, size: int) -> list[np.ndarray]:
+def _restart_starts(seed: int, count: int, size: int) -> np.ndarray:
     """The start points of restarts 1 to ``count`` - 1, ``size`` angles
-    each: restart r takes the next ``size`` draws of ``TWO_PI *
-    rng.random()``, in restart order, from one ``random.Random(seed)``.
+    each, as the rows of one array: restart r takes the next ``size``
+    draws of ``TWO_PI * rng.random()``, in restart order, from one
+    ``random.Random(seed)``.
 
     Python documents that its Mersenne Twister (``random.Random``) repeats
     the ``random()`` sequence for a given seed across releases. numpy's own
@@ -480,7 +626,7 @@ def _restart_starts(seed: int, count: int, size: int) -> list[np.ndarray]:
     numpy's random module costs 15-18 ms in a new process.
     """
     rng = random.Random(seed)
-    return [np.array([TWO_PI * rng.random() for _ in range(size)]) for _ in range(count - 1)]
+    return np.array([TWO_PI * rng.random() for _ in range((count - 1) * size)]).reshape(count - 1, size)
 
 
 def train(
@@ -522,6 +668,12 @@ def train(
     probabilities there are kept as the rounds find them, so
     ``best_params`` and ``trained_dist`` come from the round that walked
     the best point.
+
+    A fit builds its buffers once, none sized by ``max_iters``: the BFGS
+    state of ``_Bfgs``, with its scratch arrays, masks and views; the best
+    value, point and cone probabilities of each restart, a (B, w) buffer a
+    round copies the walk's probabilities into, and the ``lower`` and
+    ``stop`` masks. Each round writes into them in place.
     """
     if config is None:
         config = OptimizerConfig()
@@ -535,101 +687,69 @@ def train(
     # thetas alone, and restarts draw those, so the phases stay at +0.0.
     mask = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]) if config.symmetric_mode else np.ones(6)
     free = mask.nonzero()[0]
-    # Row r of every array is restart r's: point x, value f, gradient g,
-    # direction d with its slope g.d and length, trial step t, the
-    # inverse-Hessian estimate h, the identity until its first update
-    # ("curved"), next point p, and the round it stopped in and why
-    # ("budget" unless another test says otherwise). f starts at inf, so
-    # that every start is accepted.
+    # Row r of every array is restart r's (``_Bfgs``), with the round it
+    # stopped in and why ("budget" unless another test says otherwise).
     b = config.restarts
     x = np.zeros((b, 6))
-    x[:, free] = [config.initial_params.to_array()[free], *_restart_starts(config.seed, b, free.size)]
-    p, f, g, d = x.copy(), np.full(b, math.inf), np.zeros((b, 6)), np.zeros((b, 6))
-    slope, norm, t = np.zeros(b), np.zeros(b), np.ones(b)
-    eye = np.eye(6)
-    h, curved = np.tile(eye, (b, 1, 1)), np.zeros(b, dtype=bool)
-    # Once every row is curved, no row takes a first update, so that masked
-    # block below is skipped.
-    all_curved = False
-    live, last, reasons = np.ones(b, dtype=bool), np.zeros(b, dtype=int), np.full(b, "budget", dtype=object)
-    radius, seen, f_new, g_new = config.initial_trust_radius, [], f, g.copy()
+    x[0, free] = config.initial_params.to_array()[free]
+    x[1:, free] = _restart_starts(config.seed, b, free.size)
+    state = _Bfgs(x, config.initial_trust_radius, config.final_trust_radius)
+    p, f_new, g_new, live = state.p, state.f_new, state.g_new, state.live
+    last, reasons, seen = np.zeros(b, dtype=int), np.full(b, "budget", dtype=object), []
 
-    # Walk row i is restart rows[i]'s. A stopped restart's row stays on its
-    # last point, and its output is not read, until the live rows are half
-    # of the rows or fewer: then the walk is rebuilt with those alone. The
-    # first walk, of all b rows, is the kept one if it matches, and is kept
-    # once the rounds are done; a new one checks a custom start's grid
-    # before it builds anything else, and its mass before the first round.
+    # Walk row i is restart rows[i]'s: rows is every row, as a slice, until
+    # the first narrowing. A stopped restart's row stays on its last point,
+    # and its output is not read, until the live rows are half of the rows
+    # or fewer: then the walk is rebuilt with those alone. The first walk,
+    # of all b rows, is the kept one if it matches, and is kept once the
+    # rounds are done; a new one checks a custom start's grid before it
+    # builds anything else, and its mass before the first round.
     steps = config.steps.steps
     scored = kept = _take(init, steps, target, b, True)
     sites = kept.walk.sites
-    n_live, rows = b, np.arange(b)
+    n_live, width, rows = b, b, slice(None)
     # Each restart's lowest value so far, and where it first met it: the
     # point, and the walk's probabilities on the cone there, so that no
-    # walk is run again for trained_dist.
+    # walk is run again for trained_dist. A round copies the walk's
+    # probabilities into probs, row r restart r's, and one mask, lower,
+    # picks the rows whose value, point and probabilities it keeps.
     low, low_x, low_probs = np.full(b, math.inf), x.copy(), np.zeros((b, sites.size))
+    probs, lower, stop = np.empty((b, sites.size)), np.empty(b, dtype=bool), np.empty(b, dtype=bool)
+    lower_col = lower[:, None]
     while n_live:
-        if 2 * n_live <= rows.size:
+        if 2 * n_live <= width:
             rows = live.nonzero()[0]
-            scored = _ScoredWalk(init, steps, target, rows.size, record=True)
-        at = p[rows]
-        values, grads = scored.values_and_gradients(at)
+            width = rows.size
+            scored = _ScoredWalk(init, steps, target, width, record=True)
+        values, grads = scored.values_and_gradients(p[rows])
         # A restart the walk no longer holds keeps its last, finite, f and g.
-        f_new = f_new.copy()
         f_new[rows] = values
-        g_new[rows] = grads * mask
-        seen.append(f_new)
+        g_new[rows] = np.multiply(grads, mask, out=grads)
+        seen.append(f_new.copy())
         # Every live restart is one of the walk's rows.
-        lower = (live & (f_new < low))[rows]
-        hit = rows[lower]
-        low[hit], low_x[hit], low_probs[hit] = values[lower], at[lower], scored.probs[lower]
+        np.less(f_new, low, out=lower)
+        np.logical_and(live, lower, out=lower)
+        probs[rows] = scored.probs
+        np.copyto(low, f_new, where=lower)
+        np.copyto(low_x, p, where=lower_col)
+        np.copyto(low_probs, probs, where=lower_col)
         if config.max_iters < EVALS_PER_GRADIENT:
             break  # the starts' values alone, each charged 1
-        # Armijo: a live row accepts its trial point or halves its step.
-        acc = live & (f_new <= f + _ARMIJO * t * slope)
-        s, y = p - x, g_new - g
-        sy = _dots(s, y)
-        # The BFGS update V h V^T + rho s s^T, V = I - rho s y^T, rho = 1/s.y,
-        # as h - rho (s u^T + u s^T) + (rho^2 y.u + rho) s s^T with u = h y, on
-        # the accepting rows with s.y > 0; a first one sets h to (s.y/y.y) I.
-        up = acc & (sy > 0.0)
-        if not all_curved:
-            first = up & ~curved
-            if first.any():
-                gamma = np.divide(sy, _dots(y, y), out=np.zeros(b), where=first)
-                np.copyto(h, gamma[:, None, None] * eye, where=first[:, None, None])
-                curved |= first
-                all_curved = bool(curved.all())
-        rho, u = np.divide(1.0, sy, out=np.zeros(b), where=up)[:, None, None], _dots(h, y[:, None])
-        su, c = s[:, :, None] * u[:, None], rho * rho * _dots(y, u)[:, None, None] + rho
-        np.copyto(h, h - rho * (su + su.transpose(0, 2, 1)) + c * (s[:, :, None] * s[:, None]), where=up[:, None, None])
-        a = acc[:, None]
-        np.copyto(x, p, where=a)
-        np.copyto(f, f_new, where=acc)
-        np.copyto(g, g_new, where=a)
-        # An accepted row's new direction -h g, clipped to the trust radius,
-        # with a trial step of 1.
-        d_new = -_dots(h, g[:, None])
-        slope_new = _dots(g, d_new)
-        norm_new = np.sqrt(_dots(d_new, d_new))
-        scale = radius / np.maximum(norm_new, radius)
-        np.copyto(d, d_new * scale[:, None], where=a)
-        np.copyto(slope, slope_new * scale, where=acc)
-        np.copyto(norm, np.minimum(norm_new, radius), where=acc)
-        t *= 0.5
-        t[acc] = 1.0
+        state.step()
         # The stop tests: no descent, then a step too short, then the budget,
         # which every live row has spent alike, EVALS_PER_GRADIENT a round.
-        no_descent = acc & ~(slope_new < 0.0)
-        short = live & ~no_descent & (t * norm < config.final_trust_radius)
-        stop = live if EVALS_PER_GRADIENT * (len(seen) + 1) > config.max_iters else no_descent | short
+        no_descent, short = state.no_descent, state.short
+        if EVALS_PER_GRADIENT * (len(seen) + 1) > config.max_iters:
+            np.copyto(stop, live)
+        else:
+            np.logical_or(no_descent, short, out=stop)
         if stop.any():
             reasons[no_descent] = "no-descent"
             reasons[short] = "short-step"
             last[stop] = len(seen) - 1
-            live = live & ~stop
+            np.greater(live, stop, out=live)
             n_live = int(np.count_nonzero(live))
-        p = np.where(live[:, None], x + t[:, None] * d, p)
+        state.advance()
     _kept[True] = kept
 
     # Everything below reads the restarts in order, as if each had run

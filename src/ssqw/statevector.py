@@ -61,13 +61,16 @@ def _json_floats(values: list, what: str) -> np.ndarray:
         raise ValueError(f"{what} holds an integer too large for a float") from None
 
 
-def _check_count(value, name: str, least: int = 1) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an int of at
-    least ``least``, 1 or 0. bool is an int subclass, but True is no count:
-    it would run and be written to an artifact as true."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+def _check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as a Python int, if it is a Python or numpy integer
+    (``_is_integer``) of at least ``least``, 1 or 0; else raise a
+    ValueError naming ``name``. True is no count: it would run and be
+    written to an artifact as true. The caller keeps the Python int, which
+    json.dumps and random.Random take and a numpy integer they refuse."""
+    if not _is_integer(value) or value < least:
         kind = "positive" if least else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 def _is_integer(value) -> bool:

@@ -309,8 +309,8 @@ def sample_histogram(
     effectively never terminate and the target is refused instead.
     """
     _check_n_bins(n_bins)
-    _check_count(n_samples, "n_samples")
-    _check_count(seed, "seed", least=0)
+    n_samples = _check_count(n_samples, "n_samples")
+    seed = _check_count(seed, "seed", least=0)
     if spec.kind == "uniform":
         accept = 1.0
     else:

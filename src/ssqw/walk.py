@@ -167,7 +167,7 @@ class WalkSchedule:
     steps: int
 
     def __post_init__(self) -> None:
-        _check_count(self.steps, "steps")
+        object.__setattr__(self, "steps", _check_count(self.steps, "steps"))
 
 
 def coin_matrix(coin: CoinParams) -> np.ndarray:
@@ -181,6 +181,10 @@ def coin_matrix(coin: CoinParams) -> np.ndarray:
     """
     angles = np.array([[coin.theta, coin.phi, coin.lam]], dtype=np.float64)
     return _coin_stacks(angles)[0][0]
+
+
+# What _coin_stacks divides each (theta, phi, lam) row by: theta enters as theta/2.
+_HALVED = np.array([2.0, 1.0, 1.0])
 
 
 def _coin_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +205,7 @@ def _coin_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parts, is no faster at 16 coins: 89 us against 36 (one core of a
     2-core Xeon, numpy 2.4).
     """
-    half = angles / (2.0, 1.0, 1.0)
+    half = angles / _HALVED
     entries: list[complex] = []
     for (c, cp, cl), (s, sp, sl) in zip(np.cos(half).tolist(), np.sin(half).tolist()):
         el, ep = complex(cl, sl), complex(cp, sp)
@@ -447,9 +451,11 @@ class _Walker:
     entries of the coins' transposes and their views; 2 * steps - 1 back
     plans in the flat call list ``back_calls``, from each adjoint slot into
     the one before, C2^T with the up row moving back left and C1^T with the
-    down row moving back right; and the
+    down row moving back right; the
     accumulator terms and their products, at most ``_TERMS_BYTES`` of each,
-    with the views of both records that fill them.
+    with the views of both records that fill them; and the views that seed
+    the adjoint record and the (2, 2, 2, B) buffer the terms are summed
+    into (``_plan_sweep``).
 
     Copying the entries makes each multiply one call on three contiguous
     arrays of equal shape, numpy's fastest path: broadcasting one state
@@ -511,9 +517,23 @@ class _Walker:
         x, a chunk of steps at a time: one multiply of the records as they
         lie, sites last, then one copy of its products into ``terms``, as
         (step and site, lam's row, psi's row, coin, batch row). Row 0 of
-        ``terms`` holds the running sum, and a chunk's terms follow it."""
+        ``terms`` holds the running sum, and a chunk's terms follow it.
+
+        It also builds the views every sweep reads the same way: the
+        entries transposed, the seed in the product buffer, the seed's
+        three moves into the last adjoint slot (its up row as it lies, its
+        down row's body and wrap-around moved right, ``_shifts``), the
+        running sum's row of ``terms``, and the (2, 2, 2, B) ``total`` each
+        chunk reduces into, with the (2, B, 2, 2) view of it that ``sweep``
+        returns."""
         self.lams = np.empty((2 * steps, 2, b, w), dtype=np.complex128)
         self.inverse = np.empty_like(self.entries)
+        self.transposed = self.entries.transpose(0, 2, 1, 3, 4)
+        self.final, self.seed = self.states[-1], self.products[0]
+        last = self.lams[-1]
+        self.seed_moves = [(last[0], self.seed[0])] + [
+            (last[1][to], self.seed[1][frm]) for to, frm in _shifts(right=True)
+        ]
         # Slot j of the adjoint record is followed by slot j - 1; an even
         # slot leaves C1.
         coins = [_coin_views(self.inverse[k], self.products, k == 1, k == 0) for k in (0, 1)]
@@ -529,6 +549,8 @@ class _Walker:
         chunk = max(1, min(steps, _TERMS_BYTES // (w * 8 * b * 16)))
         made = np.empty((chunk, 2, 2, 2, b, w), dtype=np.complex128)
         self.terms = np.zeros((1 + chunk * w, 2, 2, 2, b), dtype=np.complex128)
+        self.running, self.total = self.terms[0], np.empty((2, 2, 2, b), dtype=np.complex128)
+        self.gradients = self.total.transpose(2, 3, 0, 1)
         self.term_chunks = []
         for i in range(0, steps, chunk):
             n = min(chunk, steps - i)
@@ -569,7 +591,9 @@ class _Walker:
             G_k = sum over steps and sites of conj(lambda_out) psi_in^T
 
         at coin k, for which dL/da = 2 Re sum(dC_k/da * G_k) for each
-        angle a of coin k, as a (2, B, 2, 2) array: G_1 then G_2.
+        angle a of coin k, as a (2, B, 2, 2) array: G_1 then G_2. It is a
+        view of the walk's ``total`` buffer, valid until the walk's next
+        call, as ``forward``'s ``final`` is.
 
         The sweep runs on the w sites ``forward`` stepped, the start's
         cone of ``steps`` steps, as a ring. That is exact if lambda is zero
@@ -588,22 +612,21 @@ class _Walker:
         record is summed a chunk of steps at a time, each chunk after the
         running sum.
         """
-        np.copyto(self.inverse, self.entries.transpose(0, 2, 1, 3, 4))
-        seed = np.multiply(coef, self.states[-1], out=self.products[0])
-        np.conjugate(seed, out=seed)
-        lam = self.lams[-1]
+        np.copyto(self.inverse, self.transposed)
+        np.multiply(coef, self.final, out=self.seed)
+        np.conjugate(self.seed, out=self.seed)
         # The last step's S_minus undone: it has no later coin to undo first.
-        lam[0] = seed[0]
-        _move(lam[1], seed[1], right=True)
+        for dst, src in self.seed_moves:
+            np.copyto(dst, src)
         for ufunc, a, b, out in self.back_calls:
             ufunc(a, b, out)
-        self.terms[0] = 0.0
+        self.running.fill(0.0)
         for lam, psi, made, moved, out, summed in self.term_chunks:
             np.multiply(lam, psi, out=made)
             np.copyto(out, moved)
-            total = np.add.reduce(summed, axis=0)
-            self.terms[0] = total
-        return total.transpose(2, 3, 0, 1)
+            np.add.reduce(summed, axis=0, out=self.total)
+            np.copyto(self.running, self.total)
+        return self.gradients
 
 
 def _ring_walk(state: WalkerState, coins: np.ndarray, steps: int) -> WalkerState:

@@ -97,10 +97,16 @@ def test_mse_matches_fsum_oracle():
 
 
 def test_mse_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"shape mismatch: \(8,\) vs \(16,\)"):
         mse(np.full(8, 1.0 / 8.0), np.full(16, 1.0 / 16.0))
     with pytest.raises(ValueError):
         mse(np.full(8, 0.2), np.full(8, 1.0 / 8.0))
+    # Arrays that are not 1-D are named by their shape, even when the
+    # shapes agree.
+    with pytest.raises(ValueError, match=r"first vector must be 1-D, got shape \(2, 2\)"):
+        mse(np.full((2, 2), 0.25), np.full((2, 2), 0.25))
+    with pytest.raises(ValueError, match=r"second vector must be 1-D, got shape \(\)"):
+        mse(np.full(1, 1.0), np.float64(1.0))
     # A non-finite vector has no sum near 1: a NaN sum, and inf - inf.
     q = np.full(3, 1.0 / 3.0)
     for bad in ([math.nan, 0.5, 0.5], [math.inf, -math.inf, 1.0]):
@@ -577,6 +583,27 @@ def test_objective_after_train_does_not_take_the_recorded_walk():
         objective(KNOWN_PARAMS, target, WalkSchedule(7), init)
     assert builds == [(1, False)]
     assert optimize._kept[True] is recorded
+
+
+def test_fit_buffers_do_not_grow_with_the_budget():
+    # A fit's buffers are sized by its restarts, its cone and the six
+    # angles, never by max_iters, so a fit that stops in its first round
+    # (the known parameters on their own target: no descent from an MSE of
+    # 0) peaks alike at a budget of 100 and of 4,000,000. A (max_iters / 4,
+    # restarts) history would add 8 MB at the larger one.
+    target = self_generated_target()
+    peaks = []
+    for max_iters in (100, 4_000_000):
+        config = OptimizerConfig(initial_params=KNOWN_PARAMS, max_iters=max_iters)
+        train(target, config)  # keeps the walk the measured fit takes
+        tracemalloc.start()
+        try:
+            result = train(target, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.metadata["evals_per_restart"] == [EVALS_PER_GRADIENT]
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
 
 def test_warm_objective_allocates_no_ring_sized_array():
@@ -1115,14 +1142,16 @@ def test_lockstep_restarts_equal_sequential_runs():
 
 def test_train_equals_sequential_restarts_on_a_frozen_bfgs():
     # The same check on long fits: 1, 3 and 8 restarts of 100 evaluations
-    # (the acceptance config among them) at three seeds, a symmetric fit,
-    # and restarts that stop in different rounds, so that train() narrows
-    # its gradient walk (test_train_narrows_its_recorded_walk_to_the_live_rows).
+    # (the acceptance config among them) at three seeds, 64 restarts (the
+    # width README's BFGS table quotes), a symmetric fit, and restarts that
+    # stop in different rounds, so that train() narrows its gradient walk
+    # (test_train_narrows_its_recorded_walk_to_the_live_rows).
     normal = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
     for seed in (0, 1, 7):
         for restarts in (1, 3, 8):
             config = OptimizerConfig(max_iters=100, restarts=restarts, seed=seed)
             _assert_lockstep_equals_sequential(normal, config)
+    _assert_lockstep_equals_sequential(normal, OptimizerConfig(max_iters=100, restarts=64, seed=7))
     config = OptimizerConfig(max_iters=100, restarts=8, seed=1, symmetric_mode=True)
     _assert_lockstep_equals_sequential(ring_symmetric_target(), config)
     _assert_lockstep_equals_sequential(normal, OptimizerConfig(max_iters=800, restarts=3, seed=1))
@@ -1480,6 +1509,36 @@ def test_booleans_are_not_counts():
         with pytest.raises(ValueError, match="steps must be a positive integer"):
             WalkSchedule(value)
         # True would train and be written as "seed": true.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            OptimizerConfig(seed=value)
+
+
+def test_numpy_integer_counts_train_as_python_ints():
+    # A numpy integer is a count, as it is a bin, site or qubit count, and
+    # each field keeps it as a Python int: json.dumps refuses np.int64 and
+    # random.Random an np.int32 seed. So each field given as a numpy integer
+    # writes the bytes of the plain int; a bool, a numpy bool and a float
+    # are still refused.
+    target = analytic_histogram(DistSpec("normal", 7.5, 1.875), DOM, 16)
+
+    def result_bytes(steps, **fields):
+        config = OptimizerConfig(steps=WalkSchedule(steps), **fields)
+        return json.dumps(training_result_json_dict(train(target, config))).encode()
+
+    plain = {"max_iters": 8, "restarts": 3, "seed": 3}
+    want = result_bytes(7, **plain)
+    assert result_bytes(np.int64(7), **plain) == want
+    for field, value in plain.items():
+        for kind in (np.int64, np.int32):
+            assert result_bytes(7, **{**plain, field: kind(value)}) == want, (field, kind)
+            assert type(getattr(OptimizerConfig(**{field: kind(value)}), field)) is int
+    assert type(WalkSchedule(np.int64(7)).steps) is int
+    for value in (True, np.bool_(True), 7.0):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            WalkSchedule(value)
+        for field in ("max_iters", "restarts"):
+            with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+                OptimizerConfig(**{field: value})
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             OptimizerConfig(seed=value)
 

@@ -349,6 +349,24 @@ def test_sampled_validation():
     assert sample_histogram(DistSpec("normal", 7.5, 1.0), DOM, 16, 100, seed=0).provenance["seed"] == 0
 
 
+def test_numpy_integer_sample_counts_give_the_plain_ints_target():
+    # A numpy integer sample count or seed is taken, and recorded in the
+    # provenance as a Python int, which to_json writes; a bool, a numpy
+    # bool and a float are still refused.
+    spec = DistSpec("normal", 7.5, 1.0)
+    want = sample_histogram(spec, DOM, 16, 100, seed=3).to_json()
+    for kind in (np.int64, np.int32):
+        assert sample_histogram(spec, DOM, 16, kind(100), seed=3).to_json() == want
+        assert sample_histogram(spec, DOM, 16, 100, seed=kind(3)).to_json() == want
+        target = sample_histogram(spec, DOM, 16, kind(100), seed=kind(3))
+        assert [type(target.provenance[k]) for k in ("n_samples", "seed")] == [int, int]
+    for value in (True, np.bool_(True), 7.0):
+        with pytest.raises(ValueError, match="n_samples must be a positive integer"):
+            sample_histogram(spec, DOM, 16, value, seed=0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_histogram(spec, DOM, 16, 100, seed=value)
+
+
 def test_sampled_provenance_records_rng():
     t = sample_histogram(DistSpec("uniform"), DOM, 16, 256, seed=5)
     assert t.provenance["rng"] == "numpy-default-pcg64"
