@@ -24,17 +24,15 @@ back as M-site arrays are built on the whole ring: evolve's state, and
 train's ``trained_dist``, the cone probabilities its rounds walked at the
 best point, scattered onto the ring.
 
-A value is np.mean of the M-bin row of squared differences, which numpy
-sums pairwise: each run of ``_LEAF`` = 128 bins (``PW_BLOCKSIZE`` in
-numpy's C loops) by a loop of its own, then those leaf sums in adjacent
-pairs, level by level. So a scored walk keeps the leaf sums of q^2 and
-copies of the few leaves the cone touches, and a call writes the cone's
-(p - q)^2 into those copies, sums them as leaves and adds the levels up
-again: the additions of a mean of the whole row, in its order, so the
-values keep their bits, and a call reads O(w + M/128) floats instead of
-M. A ring of 128 bins or fewer is one leaf, which numpy sums as it sums
-the row. A property test holds the tree to numpy's own sum, so a numpy
-that sums in other blocks fails it.
+A value is the correctly rounded sum of the M-bin row of squared
+differences, by math.fsum, divided by M: fsum is exact before its one
+rounding, so the value does not depend on the order of the terms, nor on
+how numpy would sum them (Shewchuk, "Adaptive Precision Floating-Point
+Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997). So a
+scored walk keeps the exact sum of the q^2 outside the cone as an
+expansion, a few floats whose exact sum it is, and a call sums each row's
+cone squares with that expansion by fsum: the value of the whole row, bit
+for bit, from O(w) floats instead of M.
 
 The process keeps one walk of each kind between calls, in ``_kept``:
 objective()'s unrecorded one-row walk, and the recorded walk train()
@@ -45,12 +43,12 @@ the same inputs, matched by value: the ring size, the start's arc and
 its amplitudes on the cone, the steps and the rows (``_take``). So a
 fit's default start, a new object each fit, and a solver's repeated
 calls build no walk again. A taken walk is aimed at the call's target,
-which refills its target's probabilities on the cone and its leaves
-unless the target is the one it was last aimed at. A recorded walk's
-records take 32 (4t + 1) B w bytes for t steps, B restarts and a w-site
-cone: 0.11 MB at the acceptance config (16 bins, 7 steps, 8 restarts, 15
-sites), and 0.37 MB with the walk's coin entries, product buffers and
-accumulator terms.
+which refills its target's probabilities on the cone and the outside
+expansion unless the target is the one it was last aimed at. A recorded
+walk's records take 32 (4t + 1) B w bytes for t steps, B restarts and a
+w-site cone: 0.11 MB at the acceptance config (16 bins, 7 steps, 8
+restarts, 15 sites), and 0.37 MB with the walk's coin entries, product
+buffers and accumulator terms.
 
 The restarts are independent, so train() runs them as the rows of one
 BFGS state. Each round evaluates every live restart's next point in one
@@ -79,6 +77,7 @@ a round.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import weakref
@@ -120,7 +119,9 @@ _ARMIJO = 1e-4
 
 
 def mse(p: np.ndarray, q: np.ndarray) -> float:
-    """Mean squared error between two probability vectors of equal length."""
+    """Mean squared error between two probability vectors of equal length:
+    the correctly rounded sum of the n squared differences (math.fsum),
+    divided by n."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     for name, v in (("first", p), ("second", q)):
@@ -136,56 +137,32 @@ def mse(p: np.ndarray, q: np.ndarray) -> float:
         if not abs(s - 1.0) <= MSE_SUM_TOL:
             raise ValueError(f"{name} vector sums to {s!r}, not 1 within {MSE_SUM_TOL}")
     d = p - q
-    return float(np.mean(d * d))
+    return math.fsum(memoryview(d * d)) / d.size
 
 
-# The longest run numpy's pairwise sum adds in one loop (PW_BLOCKSIZE); it
-# sums a longer run as its two halves (see the module docstring).
-_LEAF = 128
-
-
-def _runs(idx: np.ndarray) -> list[slice]:
-    """The slices of the increasing integers ``idx`` that each hold a run
-    of consecutive ones."""
-    cuts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), idx.size]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+def _outside(q: np.ndarray, cone: np.ndarray) -> np.ndarray:
+    """The target probabilities ``q`` outside the ring indices ``cone``,
+    but those that are 0: the terms of exact sums over the bins outside
+    the cone, to which a 0 adds nothing, and few for a localized target."""
+    keep = q != 0.0
+    keep[cone] = False
+    return q[keep]
 
 
 class _ScoredWalk:
     """A ``walk._Walker`` of B = ``rows`` rows from ``init``, ``steps``
-    steps long and recorded if ``record``, and the plan that scores it
-    against a target of n bins: the walk of every objective value and
-    gradient.
+    steps long and recorded if ``record``, and what scores it against a
+    target of n bins: the walk of every objective value and gradient.
 
     Construction checks the start, the one place it is checked: that it
     has one site per target bin, and, once the walk is built, that its
     squared norm is 1 within ``MSE_SUM_TOL``. Every call's walk keeps each
     row's norm within ``walk._checked``'s drift of the start's, so each
     value's distribution sums to 1 within ``MSE_SUM_TOL`` plus that drift,
-    and no call checks the sum again. It then builds the plan
-    ``score`` sums a value by, in the order numpy sums the n-bin row of
-    squared differences, which holds q^2 outside the cone (see the module
-    docstring). With leaves of L = min(n, _LEAF) bins, so that a ring of
-    ``_LEAF`` bins or fewer is one leaf, the plan is:
-
-    - ``blocks``, a C-contiguous (B, k * L) float64 array for each row's
-      copy of the k leaves of q^2 that the cone touches, in ring order. A
-      call overwrites the cone's bins in it alone.
-    - the tree above the leaves: each row's n / L leaf sums, those of q^2
-      but at the touched leaves, then each level of sums of adjacent
-      pairs, down to the row's total. Each level is one flat array, row
-      after row, so a level's pairs never straddle two rows. One leaf is
-      its own total, with no level above it.
-    - the views each call writes and reads: ``squares``, the cone's runs
-      of consecutive bins in ``blocks`` (one, or two for a cone that wraps
-      past site 0), ``sums``, the runs of touched leaves and their sums'
-      places in the first level, and ``tree``, the (left, right, out)
-      views that add each level into the next.
-
-    The plan depends on the cone, n and the rows alone. Last, construction
-    aims the walk at ``target`` (``aim``). ``key`` and ``start``, the
-    walk's ``_walk_key`` and the bytes of the start it copied, are what
-    ``_take`` matches a kept walk by.
+    and no call checks the sum again. Last, it aims the walk at
+    ``target`` (``aim``). ``key`` and ``start``, the walk's ``_walk_key``
+    and the bytes of the start it copied, are what ``_take`` matches a
+    kept walk by.
     """
 
     def __init__(self, init: WalkerState, steps: int, target: TargetDistribution, rows: int, record: bool) -> None:
@@ -195,53 +172,40 @@ class _ScoredWalk:
         if not abs(self.walk.n0 - 1.0) <= MSE_SUM_TOL:
             raise ValueError(f"initial state's squared norm is {self.walk.n0!r}, not 1 within {MSE_SUM_TOL}")
         self.start = self.walk.start.tobytes()
-        sites, self.n = self.walk.sites, target.n_bins
-        self.leaf = leaf = min(self.n, _LEAF)
-        # sites is sorted and non-negative, so the leaves with a count are
-        # its leaves, each once and in order: numpy's unique would give the
-        # same, but imports numpy.ma on first use (11-19 ms).
-        self.touched = touched = np.flatnonzero(np.bincount(sites // leaf))
-        self.blocks = np.empty((rows, touched.size * leaf))
-        at = np.searchsorted(touched, sites // leaf) * leaf + sites % leaf
-        self.squares = [(cols, self.blocks[:, at[cols][0] : at[cols][-1] + 1]) for cols in _runs(at)]
-        self.first = np.empty((rows, self.n // leaf))
-        blocked = self.blocks.reshape(rows, -1, leaf)
-        self.sums = [(blocked[:, r], self.first[:, touched[r][0] : touched[r][-1] + 1]) for r in _runs(touched)]
-        levels = [self.first.reshape(-1)]
-        while levels[-1].size > rows:
-            levels.append(np.empty(levels[-1].size // 2))
-        self.tree = [(a[0::2], a[1::2], b) for a, b in zip(levels, levels[1:])]
-        self.totals, self.aimed = levels[-1], None
+        self.n, self.aimed = target.n_bins, None
         self.aim(target)
 
     def aim(self, target: TargetDistribution) -> None:
-        """Fill what a score reads of ``target``, a target of n bins: its
-        probabilities on the cone (``cone``), the touched leaves of q^2 in
-        ``blocks`` and the first level's leaf sums, unless ``target`` is
-        the one the walk was last aimed at. That one is held by a weak
-        reference, so a walk keeps no caller's target alive, and a target
-        is frozen, with a read-only array, so what was filled for it stays
-        its own."""
+        """Fill what a score reads of ``target``, a target of n bins,
+        unless it is the one the walk was last aimed at: its probabilities
+        on the cone (``cone``), and ``outside``, an exact expansion of the
+        sum of q^2 over the bins outside the cone. Its parts are fsum of
+        those terms, then fsum of the terms minus the parts so far, until
+        that residual is 0: each part is the rounded remainder of the ones
+        before it, and together they sum to the terms exactly. Where the
+        cone covers the ring there are none; most targets need one or two,
+        and a normal whose squared tails reach 5e-324 needs 20. The last
+        target is held by a weak reference, so a walk keeps no caller's
+        target alive, and a target is frozen, with a read-only array, so
+        what was filled for it stays its own."""
         if self.aimed is not None and self.aimed() is target:
             return
-        q = target.probs
-        leaves = (q * q).reshape(-1, self.leaf)
-        self.cone = q[self.walk.sites]
-        self.blocks[:] = leaves[self.touched].reshape(-1)
-        self.first[:] = np.add.reduce(leaves, axis=-1)
-        self.aimed = weakref.ref(target)
+        q, sites = target.probs, self.walk.sites
+        self.cone = q[sites]
+        out = _outside(q, sites)
+        # A memoryview hands fsum Python floats without a list of them.
+        terms, parts = memoryview(np.multiply(out, out, out=out)), []
+        while residual := math.fsum(itertools.chain(terms, [-x for x in parts])):
+            parts.append(residual)
+        self.outside, self.aimed = parts, weakref.ref(target)
 
     def score(self, d: np.ndarray) -> np.ndarray:
-        """The B values for the differences p - q (B, w) on the cone: the
-        mean of each row's n squared differences, summed as numpy sums it."""
-        for cols, out in self.squares:
-            part = d[:, cols]
-            np.multiply(part, part, out)
-        for leaves, out in self.sums:
-            np.add.reduce(leaves, axis=-1, out=out)
-        for left, right, out in self.tree:
-            np.add(left, right, out)
-        return self.totals / self.n
+        """The B values for the differences p - q (B, w) on the cone: for
+        each row, fsum of ``outside`` and the row's squared differences,
+        the correctly rounded sum of its n squared differences, over n."""
+        # Any order gives these bits; the parts last, fsum adds them to
+        # few partial sums.
+        return np.array([math.fsum(row + self.outside) for row in (d * d).tolist()]) / self.n
 
     def values(self, coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The MSE against the target of the walk under each row's coin
@@ -252,13 +216,12 @@ class _ScoredWalk:
         cone it stepped, and keeps the distributions p as ``probs`` until
         the next call. Outside the cone every amplitude stays an exact
         zero, so p = 0 there and each squared difference is q^2 bit for
-        bit: the leaves hold those, and their sums, and each call
-        overwrites the cone's bins with their (p - q)^2, the same bins on
-        every call. So the values equal ``mse`` of each row's M-site
-        distribution. Nothing is checked here: the walk checks the
-        amplitudes and their norm (``walk._checked``), construction the
-        grid and the start's mass, and the target checks its own sum when
-        it is built.
+        bit: the outside expansion sums those exactly, and fsum rounds
+        their sum with the cone's (p - q)^2 once. So the values equal
+        ``mse`` of each row's M-site distribution. Nothing is checked
+        here: the walk checks the amplitudes and their norm
+        (``walk._checked``), construction the grid and the start's mass,
+        and the target checks its own sum when it is built.
         """
         run = self.walk.forward(coins)
         self.probs = run.probs
@@ -354,9 +317,9 @@ def objective(
     A variational solver calls it again and again on one start, schedule
     and target, so it keeps one unrecorded one-row ``_ScoredWalk``, which
     the next call takes if it was built from the same inputs (``_take``)
-    and aims at its target. A call writes the start into the walk and the
-    cone's squared differences into the leaves before it reads either, so
-    a kept walk gives the bits of a new one.
+    and aims at its target. A call writes the start into the walk before
+    it reads it, and a score keeps nothing from an earlier call, so a kept
+    walk gives the bits of a new one.
     """
     kept = _take(init, schedule.steps, target, 1, False)
     value = float(kept.values(_coin_pair(params))[0][0])
@@ -387,12 +350,9 @@ def _reach_floor(target: TargetDistribution, cone: np.ndarray) -> tuple[float, f
     so by Cauchy-Schwarz their squared errors sum to at least u^2 / r. The
     floor is (sum of q_i^2 outside + u^2 / r) / n_bins.
     """
-    n = target.n_bins
-    outside = np.ones(n, dtype=bool)
-    outside[cone] = False
-    q = target.probs[outside]
+    q = _outside(target.probs, cone)
     u = math.fsum(q)
-    return u, (math.fsum(q * q) + u * u / cone.size) / n
+    return u, (math.fsum(q * q) + u * u / cone.size) / target.n_bins
 
 
 @dataclass(frozen=True)

@@ -1006,8 +1006,8 @@ def test_repro_and_train_import_neither_numpy_random_nor_numpy_ma(tmp_path):
     # numpy 2 loads numpy.random on first use, 15-18 ms in a new process,
     # and np.unique loads numpy.ma on first use, 11-19 ms (numpy 2.4's
     # _unique1d calls np.ma.is_masked). repro and an acceptance-config
-    # train draw their restart starts and find the leaves their cones
-    # touch without either. numpy 1 loads both with numpy itself.
+    # train draw their restart starts and score their cones without
+    # either. numpy 1 loads both with numpy itself.
     code = (
         "import sys\n"
         "import numpy\n"

@@ -88,12 +88,20 @@ def test_mse_basis_vectors_quarter():
 
 
 def test_mse_matches_fsum_oracle():
+    # mse is the correctly rounded sum of the squared differences over n,
+    # so it equals the oracle's fsum bit for bit. The first pair's squares
+    # are 0.5625, three of 2**-54 and 0.5625: numpy's mean adds them in
+    # order, and each 2**-54 is a tie that rounds back to 0.5625, so it
+    # gives 1.125 / 5 = 0.225; their exact sum rounds up to 1.125 + 2**-52.
+    tiny = 2.0**-27
+    pairs = [(np.array([1.0, tiny, tiny, tiny, 0.0]), np.array([0.25, 0.0, 0.0, 0.0, 0.75]))]
     rng = np.random.default_rng(17)
     for _ in range(200):
         n = int(rng.choice([8, 16, 32]))
-        p = oracles.random_prob_vec(rng, n)
-        q = oracles.random_prob_vec(rng, n)
-        assert abs(mse(p, q) - oracles.mse_ref(p, q)) <= 1e-15
+        pairs.append((oracles.random_prob_vec(rng, n), oracles.random_prob_vec(rng, n)))
+    assert mse(*pairs[0]) == (1.125 + 2.0**-52) / 5 != 0.225
+    for p, q in pairs:
+        assert mse(p, q) == oracles.mse_ref(p, q)
 
 
 def test_mse_validation():
@@ -423,7 +431,7 @@ def full_ring_value(params, init, schedule, target):
 
 
 def test_objective_keeps_its_bits_across_alternating_triples():
-    # objective keeps one walk and its leaves, for the last triple it saw:
+    # objective keeps one walk and its expansion, for the last triple it saw:
     # calls that alternate three triples, twice in a row on each, miss and
     # hit it in turn, and every value is that of the M-site walk. So do
     # triples that differ from one of them in one member alone: the start,
@@ -473,7 +481,7 @@ def test_objective_on_threads_gives_the_single_threaded_values(shared):
     # Three threads each make 200 calls, on a triple of its own or all on
     # one, with the interpreter switching threads as often as it can: a
     # call holds the kept entry alone, so no two calls share a walk or its
-    # leaves.
+    # scores.
     triples = slot_triples()
     if shared:
         triples = triples[1:2] * 3
@@ -548,8 +556,9 @@ def test_objective_takes_its_kept_walk_for_an_equal_start():
 @pytest.mark.parametrize("n, site, steps", [(10, 512, 12), (4, 8, 7)], ids=["1024-bin-tree", "16-bin-one-leaf"])
 def test_a_kept_walk_aimed_again_gives_a_new_walks_bits(n, site, steps):
     # A kept walk aimed at target A, then B, then A again, refills its cone
-    # and leaves each time and gives the bits of a new walk: objective()'s
-    # value, and a recorded walk's values and gradients.
+    # and outside expansion each time and gives the bits of a new walk:
+    # objective()'s value, and a recorded walk's values and gradients. The
+    # 1024-bin cone leaves bins outside it; the 16-bin one, one bin.
     rng = np.random.default_rng(89)
     m = 1 << n
     init, schedule = initial_state(n, 0.6, 0.8j, site), WalkSchedule(steps)
@@ -608,9 +617,9 @@ def test_fit_buffers_do_not_grow_with_the_budget():
 
 def test_warm_objective_allocates_no_ring_sized_array():
     # The evolve-wide shape: a one-site start on 2**16 sites, 64 steps. A
-    # second call reuses the first one's walk, leaf copies and tree, and
+    # second call reuses the first one's walk and outside expansion, and
     # allocates cone-sized arrays alone: one float64 row of the ring is
-    # 512 KiB, and the tree's largest level 4 KiB, which is not allocated.
+    # 512 KiB, which is not allocated.
     m = 1 << 16
     init = initial_state(16, 1.0, 0.0, m // 2)
     target = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(83), m), Domain(0.0, float(m)))
@@ -625,26 +634,31 @@ def test_warm_objective_allocates_no_ring_sized_array():
     assert peak < 64 * 1024
 
 
-# ------------------------------------------------ scoring by leaf sums
+# ------------------------------------------------ scoring by exact sums
+
+# numpy's pairwise sum adds runs of 128 bins (PW_BLOCKSIZE) by a loop of
+# their own, and then the runs' sums in pairs: cones inside a run, across
+# a run boundary or on every run are where a pairwise mean and fsum part.
+BLOCK = 128
 
 
 @st.composite
 def scored_starts(draw):
     """A start on a ring of 2**1 to 2**16 bins and a step count, with a
-    cone that lies inside one 128-bin leaf, crosses a leaf boundary, wraps
-    past site 0 or touches every leaf; the last from sites one leaf
+    cone that lies inside one 128-bin run, crosses a run boundary, wraps
+    past site 0 or touches every run; the last from sites one run
     apart, around the ring."""
     m = 1 << draw(st.integers(1, 16))
-    leaf, steps = min(m, optimize._LEAF), draw(st.integers(1, 12))
+    run, steps = min(m, BLOCK), draw(st.integers(1, 12))
     case = draw(st.sampled_from(["inside", "boundary", "wraps", "every"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if case == "every":
-        sites = np.arange(draw(st.integers(0, leaf - 1)), m, leaf)
+        sites = np.arange(draw(st.integers(0, run - 1)), m, run)
     else:
         if case == "inside":
-            x0 = draw(st.integers(0, m // leaf - 1)) * leaf + draw(st.integers(0, leaf - 1))
+            x0 = draw(st.integers(0, m // run - 1)) * run + draw(st.integers(0, run - 1))
         else:
-            x0 = draw(st.integers(0, m // leaf - 1)) * leaf if case == "boundary" else 0
+            x0 = draw(st.integers(0, m // run - 1)) * run if case == "boundary" else 0
             x0 += draw(st.integers(-steps, steps - 1))
         sites = np.array([x0 % m])
     amps = np.zeros((2, m), dtype=np.complex128)
@@ -658,20 +672,25 @@ def wide_start(x0, n=10):
 
 @settings(max_examples=150, deadline=None)
 @given(start=scored_starts(), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
-# The cone of 12 steps from the centre of 1024 sites touches leaves 3 and
+# The cone of 12 steps from the centre of 1024 sites lies in runs 3 and
 # 4, from sites 127 and 128 it crosses their boundary, from site 3 it
-# wraps into leaves 0 and 7, and 64 steps on 2**16 sites are evolve-wide's.
+# wraps into runs 0 and 7, and 64 steps on 2**16 sites are evolve-wide's.
 @example(start=(wide_start(512), 12), rows=9, seed=1)
 @example(start=(wide_start(127), 12), rows=3, seed=2)
 @example(start=(wide_start(128), 12), rows=1, seed=3)
 @example(start=(wide_start(3), 12), rows=8, seed=4)
 @example(start=(initial_state(16, 1.0, 0.0, 1 << 15), 64), rows=2, seed=5)
-def test_scored_values_are_numpy_means_of_the_whole_row(start, rows, seed):
-    # Each row's value, from its leaf copies and tree, or from its whole
-    # row, is numpy's mean of the n squared differences bit for bit, on a
-    # first call and on a second one that overwrites the cone's bins. The
-    # tree's order is numpy's pairwise order: 64-bin leaves, other pairs or
-    # a running sum of the leaves would move the last bits.
+# The exact sum of the q^2 outside this cone is no one float: its
+# expansion has two parts, and a row's value rounds otherwise on the
+# first part alone.
+@example(start=(wide_start(512), 12), rows=3, seed=16)
+def test_scored_values_are_fsums_of_the_whole_row(start, rows, seed):
+    # Each row's value, from the outside expansion and the cone's squares,
+    # is math.fsum of the row's n squared differences over n, and mse of
+    # the row, bit for bit, on a first call and on a second one. fsum is
+    # correctly rounded, so any order of the terms gives these bits: a
+    # single float for the outside sum, or any other rounding on the way,
+    # moves the last bits.
     init, steps = start
     m = init.num_positions
     rng = np.random.default_rng(seed)
@@ -686,36 +705,8 @@ def test_scored_values_are_numpy_means_of_the_whole_row(start, rows, seed):
         p = np.zeros((rows, m))
         p[:, scored.walk.sites] = scored.probs
         d = p - target.probs
-        assert values.tobytes() == (np.add.reduce(d * d, axis=-1) / m).tobytes()
+        assert values.tobytes() == (np.array([math.fsum(row) for row in (d * d).tolist()]) / m).tobytes()
         assert values.tolist() == [mse(row, target.probs) for row in p]
-
-
-def test_scored_walk_sums_the_touched_leaves_or_the_whole_row():
-    # A cone that leaves a leaf untouched is scored on copies of the leaves
-    # it touches: 2 of 512 for evolve-wide's, with a 9-level tree, and 2 of
-    # 8 both for a centred cone on 1024 sites and for one that wraps past
-    # site 0. A cone that touches every leaf, as every cone does on 128
-    # bins or fewer, is scored on copies of the whole row.
-    cases = (
-        (initial_state(16, 1.0, 0.0, 1 << 15), 64, 2, 9),
-        (wide_start(512), 12, 2, 3),
-        (wide_start(3), 12, 2, 3),
-        (wide_start(450), 50, 1, 3),
-        (initial_state(4, 1.0, 0.0, 8), 7, None, None),
-        (initial_state(7, 1.0, 0.0, 3), 2, None, None),
-        (initial_state(8, 1.0, 0.0, 127), 2, None, None),
-        (wide_start(700), 520, None, None),
-    )
-    for init, steps, touched, levels in cases:
-        m = init.num_positions
-        target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
-        for rows in (1, 3):
-            scored = optimize._ScoredWalk(init, steps, target, rows, record=False)
-            if touched is None:
-                assert scored.blocks.shape == (rows, m)
-            else:
-                assert scored.blocks.shape == (rows, touched * optimize._LEAF)
-                assert len(scored.tree) == levels and scored.totals.shape == (rows,)
 
 
 def held_arrays(*objs):
@@ -733,9 +724,9 @@ def held_arrays(*objs):
 
 
 def test_kept_wide_walk_holds_no_ring_sized_array():
-    # At evolve-wide's shape objective's kept walk, its walk and its leaves
-    # hold no array of half the ring or more: the largest are the walk's
-    # coin entries, 8 x 129 sites, and the tree's 2**16 / 128 leaf sums.
+    # At evolve-wide's shape objective's kept walk and its walk hold no
+    # array of half the ring or more: the largest are the walk's coin
+    # entries, 8 x 129 sites.
     m = 1 << 16
     target = analytic_histogram(DistSpec("normal", m / 2 + 0.5, 32.0), Domain(0.0, float(m)), m)
     init = initial_state(16, 1.0, 0.0, m // 2)
@@ -948,8 +939,8 @@ def test_train_init_size_mismatch():
 
 def test_grid_is_checked_before_any_walk_is_built():
     # train and objective check that the start has one site per bin where
-    # they take their inputs, before they build a walk or its leaves: a
-    # _ScoredWalk checks it before it builds its _Walker, and its leaves after.
+    # they take their inputs, before they build a walk or aim it: a
+    # _ScoredWalk checks it before it builds its _Walker, and aims it after.
     target = ring_symmetric_target()
     init = initial_state(3, 1.0, 0.0, 4)
 
@@ -1234,9 +1225,9 @@ def test_coins_and_bfgs_keep_their_bits_at_numpy_baseline_dispatch():
     # and square roots, which every target rounds alike. So a child with
     # every dispatch target turned off gives the same coins, and the same
     # trains on a polynomial surrogate for the walk, as a child with none
-    # turned off. So must the scored walk's leaf sums and tree, numpy's
-    # pairwise sum: the child hashes the scores of fixed differences on a
-    # 2**12-bin ring whose cone touches 2 of its 32 leaves. Skipped where
+    # turned off. So must the scored walk's score, fsum of its outside
+    # expansion and squares: the child hashes the scores of fixed
+    # differences on a 2**12-bin ring with a 25-site cone. Skipped where
     # numpy refuses the setting.
     code = """
 import hashlib
@@ -1262,7 +1253,6 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in optimize._coin_stacks(angles)
 rng = random.Random(5)
 q = np.array([rng.random() for _ in range(1 << 12)])
 scored = optimize._ScoredWalk(initial_state(12, 1.0, 0.0, 2048), 12, TargetDistribution(q / q.sum(), Domain(0.0, 4096.0)), 3, False)
-assert scored.blocks.shape == (3, 2 * optimize._LEAF)
 d = np.array([[rng.uniform(-1e-3, 1e-3) for _ in range(25)] for _ in range(3)])
 print(hashlib.sha256(b"".join(scored.score(d * scale).tobytes() for scale in (1.0, 0.5, 3.0))).hexdigest())
 optimize._ScoredWalk.values_and_gradients = surrogate
