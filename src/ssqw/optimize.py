@@ -77,7 +77,6 @@ a round.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import weakref
@@ -149,6 +148,33 @@ def _outside(q: np.ndarray, cone: np.ndarray) -> np.ndarray:
     return q[keep]
 
 
+# 1.0 in units of 2**-1074, the least subnormal: every finite float64 is a
+# whole number of those units, so an exact sum of floats is an integer.
+_SCALE = 1 << 1074
+
+
+def _exact_sum(terms: np.ndarray) -> int:
+    """The exact sum of the non-negative finite float64 ``terms``, a
+    contiguous 1-D array, as a whole number of 2**-1074.
+
+    A term's bits give it as an integer significand below 2**53 times 2**e
+    units, e being its biased exponent less 1, or 0 for a subnormal. The
+    significands are summed by exponent, each split into two halves of 27
+    and 26 bits so that no int64 sum can overflow below 2**36 terms, and
+    the sums of the exponents that occur are then shifted into one Python
+    integer."""
+    bits = terms.view(np.int64)
+    biased, fraction = bits >> 52, bits & ((1 << 52) - 1)
+    significand = np.where(biased > 0, fraction | (1 << 52), fraction)
+    exponent = np.maximum(biased, 1) - 1
+    sums = np.zeros((2, 2046), dtype=np.int64)
+    np.add.at(sums[0], exponent, significand >> 26)
+    np.add.at(sums[1], exponent, significand & ((1 << 26) - 1))
+    used = np.flatnonzero(sums[0] | sums[1])
+    high, low = sums[:, used].tolist()
+    return sum(((h << 26) + lo) << e for e, h, lo in zip(used.tolist(), high, low))
+
+
 class _ScoredWalk:
     """A ``walk._Walker`` of B = ``rows`` rows from ``init``, ``steps``
     steps long and recorded if ``record``, and what scores it against a
@@ -179,24 +205,28 @@ class _ScoredWalk:
         """Fill what a score reads of ``target``, a target of n bins,
         unless it is the one the walk was last aimed at: its probabilities
         on the cone (``cone``), and ``outside``, an exact expansion of the
-        sum of q^2 over the bins outside the cone. Its parts are fsum of
-        those terms, then fsum of the terms minus the parts so far, until
-        that residual is 0: each part is the rounded remainder of the ones
-        before it, and together they sum to the terms exactly. Where the
-        cone covers the ring there are none; most targets need one or two,
-        and a normal whose squared tails reach 5e-324 needs 20. The last
-        target is held by a weak reference, so a walk keeps no caller's
-        target alive, and a target is frozen, with a read-only array, so
-        what was filled for it stays its own."""
+        sum of q^2 over the bins outside the cone. The terms are summed
+        once, exactly, as an integer (``_exact_sum``); each part is then
+        the remainder so far, correctly rounded by int / int, and taken
+        off it, until it is 0. So each part is the rounded remainder of the
+        ones before it, the parts that fsum of the terms, then fsum of the
+        terms minus the parts so far, would give, and together they sum to
+        the terms exactly. Where the cone covers the ring there are none;
+        most targets need one or two, and a normal whose squared tails
+        reach 5e-324 needs 20. The last target is held by a weak
+        reference, so a walk keeps no caller's target alive, and a target
+        is frozen, with a read-only array, so what was filled for it stays
+        its own."""
         if self.aimed is not None and self.aimed() is target:
             return
         q, sites = target.probs, self.walk.sites
         self.cone = q[sites]
         out = _outside(q, sites)
-        # A memoryview hands fsum Python floats without a list of them.
-        terms, parts = memoryview(np.multiply(out, out, out=out)), []
-        while residual := math.fsum(itertools.chain(terms, [-x for x in parts])):
-            parts.append(residual)
+        rest, parts = _exact_sum(np.multiply(out, out, out=out)), []
+        while rest:
+            parts.append(rest / _SCALE)
+            n, d = parts[-1].as_integer_ratio()
+            rest -= n * (_SCALE // d)
         self.outside, self.aimed = parts, weakref.ref(target)
 
     def score(self, d: np.ndarray) -> np.ndarray:
@@ -283,9 +313,11 @@ def _take(init: WalkerState, steps: int, target: TargetDistribution, rows: int, 
     matches was built from a start of the same mass.
 
     Those amplitudes are what the walk copies into its first slot, so a
-    walk that matches steps exactly as a new one would, and every buffer a
-    call reads is written first, by ``aim`` or by the call, so it gives
-    the bits of a new one.
+    walk that matches steps exactly as a new one would. Every buffer a
+    call reads is written first, by ``aim`` or by the call, or holds what
+    the walk was built with and no call writes: a recorded walk's start,
+    and the +0 at the window ends its plans skip. So it gives the bits of
+    a new one.
     """
     kept = _kept.pop(record, None)
     if (

@@ -18,27 +18,28 @@ coin on both coin rows, then one row shifted one site by slicing. Every
 walk is a ``_Walker``, built once for a start, a number of steps and of
 rows, and called once per set of coin pairs. It plans its half-steps when
 it is built (``_half_step``): five ufunc calls on views of a source state,
-a destination, its coins and one product buffer, the fifth moving the
-sites that wrap around the window, laid end to end in one flat list of
-calls for each pass, which a call makes in order with no temporaries, no
-new views and no Python call per half-step. The views that do not depend
-on the source and the destination are built once per coin and direction
-(``_coin_views``). Each split step is two half-steps (C1 with the up row
-moving right, C2 with the down row moving left). An unrecorded walk plans
-those two and runs their ten calls once per step, in place on one state;
-objective's walk, whose amplitudes never leave the package, plans four
-calls a half-step, eight a step, when its window is a light cone that
-does not wrap (see ``_Walker``). A recorded walk, the gradient's, plans every
-half-step of its forward pass and of the adjoint sweep out of place, each
-from one slot of a record into the next, and runs each list once, so the
-states that enter the coins and the adjoint states that leave them are
-recorded as they are stepped, with no copy. The sweep
+a destination, its coins and one product buffer, the two coin-row
+multiplies on flat views and the fifth call moving the sites that wrap
+around the window, laid end to end in one flat list of calls for each
+pass, which a call makes in order with no temporaries, no new views and no
+Python call per half-step. The views that do not depend on the source and
+the destination are built once per coin and direction (``_coin_views``).
+Each split step is two half-steps (C1 with the up row moving right, C2
+with the down row moving left). An unrecorded walk plans those two and
+runs them once per step, in place on one state. A recorded walk, the
+gradient's, plans every half-step of its forward pass and of the adjoint
+sweep out of place, each from one slot of a record into the next, and runs
+each list once, so the states that enter the coins and the adjoint states
+that leave them are recorded as they are stepped, with no copy. The sweep
 carries the conjugate of the adjoint state alone back through the same
 half-step, with the transposed coins and the opposite moves, and one
 contraction of its record with the forward record gives both coins'
-gradient accumulators. Where a row moves is known in one place,
-``_shifts``, which the plans and the public ``apply_shift_*`` operators
-(through ``_move``) take their shifted views from.
+gradient accumulators. Every walk whose amplitudes never leave the
+package, objective's and the recorded walk, plans four calls a half-step
+instead of five when its window is a light cone that does not wrap (see
+``_Walker``). Where a row moves is known in one place, ``_shifts``, which
+the plans and the public ``apply_shift_*`` operators (through ``_move``)
+take their shifted views from.
 
 Each step moves an amplitude by -1, 0 or +1 site, so t steps from a
 state whose occupied sites lie on the ring arc first..last fill only its
@@ -49,8 +50,9 @@ order. A cone that wraps past site 0 is the same cyclic sequence rotated
 to start there, and everything that reads a window reads it in that order.
 This is exact, not a truncation: every site outside the cone stays an
 exact zero in the full-ring run too, and nothing reaches the cone's ends,
-so its own wrap-around only moves zeros, +0 or -0. Where those zeros'
-signs cannot reach a caller, a cone that does not wrap drops the call.
+so its own wrap-around only moves zeros, +0 or -0, forward. Where those
+zeros' signs cannot reach a caller, a cone that does not wrap drops the
+call.
 A ``WalkerState`` caches its arc (``WalkerState._arc``), so a start is
 scanned once, or not at all when ``initial_state`` seeds it, and the
 cone is arithmetic on that arc.
@@ -68,8 +70,10 @@ the gradient reads the adjoint state at step i only where the state
 entering a coin can be non-zero, within the start's cone of i steps (i + 1
 for C2), and the window's wrap-around, moving in from its ends one site a
 step, never gets there. Every row shares the start, and so its cone. Each
-row is stepped by the same half-steps as it would be alone, so its result
-equals its own B = 1 call bit for bit.
+row is stepped by the same half-steps as it would be alone, so its
+probabilities, values and gradients equal its own B = 1 call's bit for
+bit, and its amplitudes too but for the signs of exact zeros where the
+wrap-around is dropped.
 
 Coins are built from angle arrays: ``_coin_stacks`` takes the cosines
 and sines of a (K, 3) array of (theta, phi, lam) rows from one np.cos and
@@ -95,7 +99,7 @@ import numpy as np
 
 # apply_coin stays importable as ssqw.walk.apply_coin: benchmarks/spans.py
 # hooks it by that name.
-from .statevector import NORM_TOL, WalkerState, _check_count, _is_integer, _norm_sq, _position_probs, apply_coin  # noqa: F401
+from .statevector import NORM_TOL, WalkerState, _check_count, _is_integer, _norm_sq, apply_coin  # noqa: F401
 
 TWO_PI = 2.0 * math.pi
 
@@ -295,6 +299,14 @@ def _light_cone(state: WalkerState, steps: int) -> np.ndarray:
     return np.sort(np.arange(first - steps, first + span + steps) % m)
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A 1-D view of a C-contiguous array. Any other array would flatten
+    into a copy, which a plan would write in vain, so it is refused."""
+    if not a.flags.c_contiguous:
+        raise ValueError("a half-step plan needs a C-contiguous state")
+    return a.reshape(-1)
+
+
 def _coin_views(entries: np.ndarray, products: np.ndarray, move_up: bool, right: bool) -> tuple:
     """The views of a half-step under one coin, its (2, 2, B, w)
     ``entries``, that do not depend on its source and destination, built
@@ -306,10 +318,10 @@ def _coin_views(entries: np.ndarray, products: np.ndarray, move_up: bool, right:
     moves, stays = (0, 1) if move_up else (1, 0)
     (body_to, body_from), (wrap_to, wrap_from) = _shifts(right)
     terms = products[moves, 0], products[moves, 1]
-    flat = [term.reshape(-1) for term in terms]
+    flat = [_flat(term) for term in terms]
     return (
-        (entries[0], products[0]),
-        (entries[1], products[1]),
+        (_flat(entries[0]), _flat(products[0])),
+        (_flat(entries[1]), _flat(products[1])),
         (products[stays, 0], products[stays, 1]),
         (flat[0][body_from], flat[1][body_from]),
         (terms[0][wrap_from], terms[1][wrap_from]),
@@ -328,7 +340,9 @@ def _half_step(src: np.ndarray, dst: np.ndarray, views: tuple, wraps: bool = Tru
     (ufunc, a, b, out), each made as ``ufunc(a, b, out)``, in order:
 
     1. and 2. ``products[r] = entries[r] * src``, coin row r times both
-       coin rows of the state, for r = 0 and 1;
+       coin rows of the state, for r = 0 and 1, on flat views of the
+       three arrays, which are C-contiguous and of one shape, so the
+       products are the same;
     3. the row r that stays, ``products[r, 0] + products[r, 1]``;
     4. the moved row's body, the same sum on the flattened B * w buffers,
        shifted by one site (``_shifts``). That also writes each batch
@@ -338,24 +352,23 @@ def _half_step(src: np.ndarray, dst: np.ndarray, views: tuple, wraps: bool = Tru
     Without ``wraps`` the plan is the first four calls alone, and each
     moved row's first site (last, moving left) keeps what it held, or
     what call 4 wrote there from the row before. ``_Walker`` drops the
-    call only where that site and the site that would wrap into it hold
-    exact zeros before every half-step.
+    call only where what lands on those sites cannot reach a result (see
+    there).
 
     ``src`` is read only by the first two calls, so ``dst`` may be
     ``src``. Each new amplitude is ``c[r, 0] * up + c[r, 1] * dn`` with
     ``apply_coin``'s operand order, up to the order of the two terms of an
-    exact-rounded sum, so bit for bit. A flattened view of a ``dst`` that
-    is not C-contiguous would be a copy, so such a state is refused.
+    exact-rounded sum, so bit for bit. A flattened view of a state that is
+    not C-contiguous would be a copy (``_flat``), so such a state is
+    refused.
     """
-    if not dst.flags.c_contiguous:
-        raise ValueError("a half-step plan needs a C-contiguous state")
     (row0, made0), (row1, made1), stay, body, wrap, (moves, stays, body_to, wrap_to) = views
-    moved = dst[moves]
+    state, moved = _flat(src), dst[moves]
     plan = (
-        (np.multiply, row0, src, made0),
-        (np.multiply, row1, src, made1),
+        (np.multiply, row0, state, made0),
+        (np.multiply, row1, state, made1),
         (np.add, *stay, dst[stays]),
-        (np.add, *body, moved.reshape(-1)[body_to]),
+        (np.add, *body, _flat(moved)[body_to]),
     )
     return plan + ((np.add, *wrap, moved[wrap_to]),) if wraps else plan
 
@@ -367,26 +380,53 @@ class _Walk(NamedTuple):
     final: np.ndarray
     # The w ring sites stepped, in ring order.
     sites: np.ndarray
-    # Each row's position distribution, (B, w).
+    # Each row's position distribution, (B, w): like ``final``, a buffer of
+    # the walk's, valid until its next call.
     probs: np.ndarray
 
 
-def _checked(final: np.ndarray, sites: np.ndarray, n0: float, steps: int) -> _Walk:
+def _checked(final: np.ndarray, sites: np.ndarray, n0: float, steps: int, scratch: tuple) -> _Walk:
     """The ``_Walk`` of a final (2, B, w) batch stepped ``steps`` steps on
     ``sites`` from a start of squared norm ``n0``, checked once: a
     non-finite amplitude raises ValueError, and a row whose norm moved
     from ``n0`` by more than ``NORM_TOL`` per step (relative to max(1, n0))
     raises ArithmeticError, which ``python -O`` does not strip. Every
-    walk, recorded or not, is checked here."""
-    probs = _position_probs(final)
-    norms = np.add.reduce(probs, axis=-1)
-    if not (np.abs(norms - n0) <= NORM_TOL * steps * max(1.0, n0)).all():
+    walk, recorded or not, is checked here.
+
+    The probabilities and the test are written into the walk's buffers,
+    ``scratch`` (``_check_scratch``), so the ``probs`` returned are valid
+    until the walk's next call, as ``final`` is. They are the ufuncs of
+    ``statevector.position_distribution`` in its order, re.re + im.im,
+    then up + down, so bit for bit: the squares of the real and imaginary
+    parts come from one multiply of their interleaved float64 view. The
+    test is one max of each row's |norm - n0| against the tolerance."""
+    parts, squares, rows, probs, drift = scratch
+    np.multiply(parts, parts, out=squares)
+    np.add(squares[..., 0::2], squares[..., 1::2], out=rows)
+    np.add(rows[0], rows[1], out=probs)
+    np.add.reduce(probs, axis=-1, out=drift)
+    np.subtract(drift, n0, out=drift)
+    np.abs(drift, out=drift)
+    # A NaN drift makes the max NaN, which fails "<=".
+    if not np.maximum.reduce(drift) <= NORM_TOL * steps * max(1.0, n0):
         # A non-finite amplitude makes its row's norm non-finite, which
         # fails the check above: only then are the amplitudes scanned.
-        if not np.isfinite(final.view(np.float64)).all():
+        if not np.isfinite(parts).all():
             raise ValueError("amplitudes must be finite")
+        norms = np.add.reduce(probs, axis=-1)
         raise ArithmeticError(f"{steps} steps moved the norm from {n0!r} to {norms.tolist()!r}")
     return _Walk(final, sites, probs)
+
+
+def _check_scratch(final: np.ndarray) -> tuple:
+    """The buffers ``_checked`` writes a final (2, B, w) batch's check
+    into, built once per walk: the batch's interleaved real and imaginary
+    parts as a (2, B, 2w) float64 view, their squares, each coin row's
+    probabilities (2, B, w), the position distribution (B, w), and each
+    row's norm drift (B,)."""
+    parts = final.view(np.float64)
+    two, b, w = final.shape
+    return parts, np.empty_like(parts), np.empty((two, b, w)), np.empty((b, w)), np.empty(b)
 
 
 # The most bytes of accumulator terms, and as many of their products, that
@@ -424,26 +464,42 @@ class _Walker:
       calls, five or four (below), and the third writes the half-step's
       row that stays.
 
-    An unrecorded walk that is not ``exported`` drops each plan's fifth
-    call, the wrap-around, when its window is a light cone that does not
-    wrap: w < M sites, running from ``sites[0]`` to ``sites[0] + w - 1``.
-    That is objective's walk, which reads only probabilities. Before C1's
-    half-step of step i < t the state lies within the start's cone of i
-    steps, and before C2's only the up row has moved one site further,
-    right. So the site the call reads from and the moved row's site it
-    writes, the window's two ends, hold zeros, and the call would only move
-    a zero of either sign. The end site keeps a zero of its own instead,
-    and |+-0|^2 = +0, so every probability keeps its bits: at 64 steps on
-    2**16 sites, a 129-site cone, a forward pass makes 512 calls instead
-    of 640. The other walks keep the call. A recorded walk steps out of
-    place, into slots whose end sites nothing else writes, and a batch
-    row's end site would take the zero of the row before it, so its rows
-    would stop equalling their one-row walks byte for byte.
-    ``_ring_walk``'s walk is ``exported``: its amplitudes, the signs of
-    their zeros included, reach ``evolve``, the one-step operators and the
-    dense operators, whose JSON writes -0.0 and 0.0 apart. A cone that
-    wraps past site 0 and the whole ring keep the call, since there it
-    moves amplitudes that are not zero.
+    A walk that is not ``exported`` drops each plan's fifth call, the
+    wrap-around, forward and back, when its window is a light cone that
+    does not wrap: w < M sites, running from ``sites[0]`` to
+    ``sites[0] + w - 1``. That is objective's walk, which reads only
+    probabilities, and the recorded walk, whose amplitudes never leave
+    the package either. A sweep's seed then makes two moves, not three.
+
+    - Forward: before C1's half-step of step i < t the state lies within
+      the start's cone of i steps, and before C2's only the up row has
+      moved one site further, right. So the window's two ends, the site the
+      call reads from and the moved row's site it writes, hold zeros, and
+      the call would only move a zero of either sign. The end site keeps a
+      zero instead: its own, the +0 a new record holds where no call
+      writes, or the zero that call 4 moves there from the row before. And
+      |+-0|^2 = +0, so every probability keeps its bits.
+    - Back: the dropped call, or the spill from the row beside it, may
+      leave a lambda that is not zero at a window end. That lambda moves
+      inward one site a step, as the wrap-around's own does (``sweep``),
+      so the contraction meets it only where psi_in is +-0, and a sum that
+      starts at +0 absorbs those +-0 terms.
+
+    So a recorded walk's rows give the probabilities, values and gradients
+    of their one-row walks, and of the whole ring, bit for bit, and only
+    the signs of exact zeros in its amplitudes may differ. Its records are
+    allocated as zeros, so that a site no call writes holds +0, never
+    what the allocator left: a NaN there would reach the next row through
+    the flattened add. At 64 steps on 2**16 sites, a 129-site cone,
+    objective's forward pass makes 512 calls instead of 640; at the
+    acceptance config (7 steps, 15 sites) a recorded walk makes 56 forward
+    calls instead of 70 and 52 back calls instead of 65.
+
+    ``_ring_walk``'s walk is ``exported`` and keeps the call: its
+    amplitudes, the signs of their zeros included, reach ``evolve``, the
+    one-step operators and the dense operators, whose JSON writes -0.0
+    and 0.0 apart. A cone that wraps past site 0 and the whole ring keep
+    the call, since there it moves amplitudes that are not zero.
 
     A recorded walk also holds what ``sweep`` needs: the adjoint record
     ``lams``, (2 * steps, 2, B, w), whose slot 2i + k holds conj(lambda),
@@ -478,8 +534,8 @@ class _Walker:
     its row's amplitudes non-finite, and ``_checked`` raises ValueError.
     A step equals the composed public operators bit for bit.
     Each row is stepped by the same half-steps as it would be alone, so
-    its results equal a one-row walk's bit for bit, and rows do not mix: a
-    row's coins may stay as they were across calls.
+    its results equal a one-row walk's bit for bit (above), and rows do
+    not mix: a row's coins may stay as they were across calls.
 
     A recorded walk's records take 32 (4 * steps + 1) B w bytes.
     """
@@ -493,12 +549,17 @@ class _Walker:
         self.start = start[:, None]
         shape = (rows, w)
         slots = 2 * steps + 1 if record else 1
-        self.states = np.empty((slots, 2) + shape, dtype=np.complex128)
+        # Zeros: a site no call writes must hold +0 (see above).
+        self.states = np.zeros((slots, 2) + shape, dtype=np.complex128)
         self.entries = np.empty((2, 2, 2) + shape, dtype=np.complex128)
         self.products = np.empty((2, 2) + shape, dtype=np.complex128)
+        self.record = record
+        if record:
+            self.states[0] = self.start
+        self.scratch = _check_scratch(self.states[-1])
         # A cone that does not wrap runs contiguously and short of the ring.
         cone = w < init.num_positions and self.sites[-1] - self.sites[0] == w - 1
-        wraps = record or exported or not cone
+        wraps = exported or not cone
         # Steps alternate coins: an even slot enters C1.
         coins = [_coin_views(self.entries[k], self.products, k == 0, k == 0) for k in (0, 1)]
         self.calls = [
@@ -508,9 +569,9 @@ class _Walker:
         ]
         self.repeats = 1 if record else steps
         if record:
-            self._plan_sweep(steps, *shape)
+            self._plan_sweep(steps, *shape, wraps)
 
-    def _plan_sweep(self, steps: int, b: int, w: int) -> None:
+    def _plan_sweep(self, steps: int, b: int, w: int, wraps: bool) -> None:
         """The adjoint record, the inverse entries, the back calls and the
         terms of ``sweep``'s reduce, lam[i, k, :, b, x] times
         psi[i, k, :, b, x]^T for each step i, coin k, batch row b and site
@@ -521,18 +582,19 @@ class _Walker:
 
         It also builds the views every sweep reads the same way: the
         entries transposed, the seed in the product buffer, the seed's
-        three moves into the last adjoint slot (its up row as it lies, its
-        down row's body and wrap-around moved right, ``_shifts``), the
+        moves into the last adjoint slot (its up row as it lies, its down
+        row's body and, if the half-steps keep theirs, its wrap-around
+        moved right, ``_shifts``), the
         running sum's row of ``terms``, and the (2, 2, 2, B) ``total`` each
         chunk reduces into, with the (2, B, 2, 2) view of it that ``sweep``
         returns."""
-        self.lams = np.empty((2 * steps, 2, b, w), dtype=np.complex128)
+        self.lams = np.zeros((2 * steps, 2, b, w), dtype=np.complex128)
         self.inverse = np.empty_like(self.entries)
         self.transposed = self.entries.transpose(0, 2, 1, 3, 4)
         self.final, self.seed = self.states[-1], self.products[0]
         last = self.lams[-1]
         self.seed_moves = [(last[0], self.seed[0])] + [
-            (last[1][to], self.seed[1][frm]) for to, frm in _shifts(right=True)
+            (last[1][to], self.seed[1][frm]) for to, frm in _shifts(right=True)[: 2 if wraps else 1]
         ]
         # Slot j of the adjoint record is followed by slot j - 1; an even
         # slot leaves C1.
@@ -540,7 +602,7 @@ class _Walker:
         self.back_calls = [
             call
             for j in range(2 * steps - 1, 0, -1)
-            for call in _half_step(self.lams[j], self.lams[j - 1], coins[j % 2])
+            for call in _half_step(self.lams[j], self.lams[j - 1], coins[j % 2], wraps)
         ]
         # (step, coin, lam's row, -, batch row, site) and
         # (step, coin, -, psi's row, batch row, site).
@@ -560,16 +622,20 @@ class _Walker:
 
     def forward(self, coins: np.ndarray) -> _Walk:
         """Step the start under each row's coin pair of a (B, 2, 2, 2)
-        stack, coin1 then coin2, and return the checked walk. Each call
-        writes the start into slot 0 first, so it never goes on from the
-        last call's final state. Its ``final`` is the record's last slot,
-        which the next call overwrites."""
+        stack, coin1 then coin2, and return the checked walk. An
+        unrecorded walk steps its one slot in place, so each call writes
+        the start into it first and never goes on from the last call's
+        final state; a recorded walk's slot 0, which no plan writes, got
+        the start once, when it was built. The walk's ``final`` is the
+        record's last slot and its ``probs`` a buffer of the walk's
+        (``_checked``): the next call overwrites both."""
         self.entries[...] = coins.transpose(1, 2, 3, 0)[..., None]
-        self.states[0] = self.start
+        if not self.record:
+            self.states[0] = self.start
         for _ in range(self.repeats):
             for ufunc, a, b, out in self.calls:
                 ufunc(a, b, out)
-        return _checked(self.states[-1], self.sites, self.n0, self.steps)
+        return _checked(self.states[-1], self.sites, self.n0, self.steps, self.scratch)
 
     def sweep(self, coef: np.ndarray) -> np.ndarray:
         """Reverse sweep for the coin gradients of L after ``forward``.
@@ -601,7 +667,9 @@ class _Walker:
         psi_in lies within the start's cone of i steps (of i + 1 for
         coin2), and lambda there depends only on lambda one site further
         out. The window's wrap-around moves in from its ends one site a
-        step, so it only reaches sites where psi_in is zero.
+        step, so it only reaches sites where psi_in is zero; so does what
+        a window end holds where the walk drops the wrap-around: the +0 it
+        was built with, or what the row beside it spilled there.
 
         The terms are added one at a time, steps in order and each step's
         sites in ring order, the window's, by np.add.reduce over the

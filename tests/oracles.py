@@ -168,8 +168,19 @@ def dense_ssqw_step(angles, m: int) -> np.ndarray:
 
 
 def mse_ref(p, q) -> float:
+    # d * d, not d ** 2: libm's pow is not correctly rounded everywhere.
     assert len(p) == len(q)
-    return math.fsum((float(a) - float(b)) ** 2 for a, b in zip(p, q)) / len(p)
+    return math.fsum(d * d for d in (float(a) - float(b) for a, b in zip(p, q))) / len(p)
+
+
+def expansion_ref(terms) -> list[float]:
+    """An exact expansion of the sum of float ``terms`` by fsum alone: fsum
+    of the terms, then fsum of the terms minus the parts so far, until that
+    residual is 0."""
+    terms, parts = [float(x) for x in terms], []
+    while residual := math.fsum(terms + [-x for x in parts]):
+        parts.append(residual)
+    return parts
 
 
 def normal_cdf_ref(x: float, mu: float, sigma: float) -> float:

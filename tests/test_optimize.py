@@ -581,6 +581,31 @@ def test_a_kept_walk_aimed_again_gives_a_new_walks_bits(n, site, steps):
         assert values.tobytes() == fresh_values.tobytes() and grads.tobytes() == fresh_grads.tobytes()
 
 
+def test_aim_gives_the_expansion_of_the_fsum_loop():
+    # aim sums the outside squares once, exactly, as an integer, and takes
+    # its parts off it: they are the parts of the loop of fsum passes
+    # (oracles.expansion_ref), bit for bit, on evolve-wide's normal target,
+    # whose squared tails reach 5e-324 and need 20 parts, on a dense random
+    # one of as many bins, and on both acceptance targets.
+    m = 1 << 16
+    centre = initial_state(16, 1.0, 0.0, m // 2)
+    wide = analytic_histogram(DistSpec("normal", m / 2 + 0.5, 32.0), Domain(0.0, float(m)), m)
+    dense = TargetDistribution(oracles.random_prob_vec(np.random.default_rng(97), m), Domain(0.0, float(m)))
+    domain, start = Domain(0.0, 15.0), _start_state(16, False)[0]
+    cases = [(wide, centre, 64), (dense, centre, 64)] + [
+        (analytic_histogram(spec, domain, 16), start, 7)
+        for spec in (DistSpec("normal", 7.5, 1.875), DistSpec("lognormal", math.log(7.5) - 0.125, 0.5))
+    ]
+    sizes = []
+    for target, init, steps in cases:
+        scored = optimize._ScoredWalk(init, steps, target, 1, record=False)
+        outside = np.delete(target.probs, scored.walk.sites)
+        want = oracles.expansion_ref(outside * outside)
+        assert np.array(scored.outside).tobytes() == np.array(want).tobytes()
+        sizes.append(len(want))
+    assert sizes[0] == 20 and all(sizes)
+
+
 def test_objective_after_train_does_not_take_the_recorded_walk():
     # A one-restart fit keeps a recorded one-row walk of objective's shape;
     # objective() builds its own unrecorded one, and leaves train()'s kept.

@@ -37,7 +37,7 @@ from ssqw import (
     ssqw_step_dense,
     wrap_angle,
 )
-from ssqw import walk
+from ssqw import optimize, walk
 from ssqw.optimize import _mse_and_gradient, objective
 
 import oracles
@@ -696,14 +696,15 @@ def walks_run():
         yield walkers
 
 
-def test_only_the_scored_walk_on_a_cone_that_does_not_wrap_plans_four_calls():
-    # objective's walk drops each half-step's fifth call, the wrap-around,
-    # on a cone that does not wrap, also one whose ends land on site 0 or
-    # on site M-1: there that call could only move exact zeros from one
-    # end of the cone to the other. Every walk whose amplitudes leave the
-    # package (evolve and the one-step operators), every recorded walk,
-    # forward and back, a cone that wraps past site 0 and the whole ring
-    # keep all five.
+def test_walks_on_a_cone_that_does_not_wrap_drop_the_wrap_around_unless_exported():
+    # objective's walk and the recorded walk, forward and back, drop each
+    # half-step's fifth call, the wrap-around, on a cone that does not
+    # wrap, also one whose ends land on site 0 or on site M-1: there the
+    # call could only move exact zeros into the forward pass, and into the
+    # sweep values that the contraction meets only on zeros. Every walk
+    # whose amplitudes leave the package (evolve and the one-step
+    # operators), a cone that wraps past site 0 and the whole ring keep
+    # all five.
     params = SsqwParams(CoinParams(1.3, 0.2, 0.7), CoinParams(0.6, 2.1, 1.4))
     m, steps = 1 << 6, 10
     target = TargetDistribution(np.full(m, 1.0 / m), Domain(0.0, float(m)))
@@ -713,7 +714,7 @@ def test_only_the_scored_walk_on_a_cone_that_does_not_wrap_plans_four_calls():
         (m - 1 - steps, 4),  # the cone 43..63, ending on site M-1
         (steps - 1, 5),  # the cone 63, 0..19, which wraps past site 0
     )
-    for site, scored in starts:
+    for site, kept in starts:
         init = initial_state(6, 0.6, 0.8j, site)
         with walks_run() as walkers:
             objective(params, target, WalkSchedule(steps), init)
@@ -721,12 +722,21 @@ def test_only_the_scored_walk_on_a_cone_that_does_not_wrap_plans_four_calls():
             apply_ssqw_step(init, params)
             apply_dtqw_step(init, params.coin1)
             _mse_and_gradient(np.stack([params.to_array()] * 3), target, WalkSchedule(steps), init)
-        assert [calls_per_half_step(w) for w in walkers] == [(scored, None)] + [(5, None)] * 3 + [(5, 5)], site
+        assert [calls_per_half_step(w) for w in walkers] == [(kept, None)] + [(5, None)] * 3 + [(kept, kept)], site
+        # The sweep's seed moves its down row right: the row's body, and the
+        # wrap-around only where the half-steps keep theirs.
+        assert len(walkers[-1].seed_moves) == kept - 2, site
     # The whole ring as the window 0..M-1.
     init = initial_state(6, 0.6, 0.8j, m // 2)
     with walks_run() as walkers:
         objective(params, target, WalkSchedule(m // 2), init)
-    assert [calls_per_half_step(w) for w in walkers] == [(5, None)]
+        _mse_and_gradient(np.stack([params.to_array()] * 3), target, WalkSchedule(m // 2), init)
+    assert [calls_per_half_step(w) for w in walkers] == [(5, None), (5, 5)]
+    # The acceptance config, 8 restarts of 7 steps on 16 bins: the recorded
+    # walk makes 14 forward half-steps of four calls and 13 back ones.
+    init = initial_state(4, 1.0, 0.0, 8)
+    recorded = walk._Walker(init, 7, 8, record=True)
+    assert (len(recorded.calls), len(recorded.back_calls)) == (56, 52)
     # The evolve-wide objective, 64 steps on 2**16 sites from the centre:
     # 64 steps of two four-call half-steps.
     m = 1 << 16
@@ -734,6 +744,15 @@ def test_only_the_scored_walk_on_a_cone_that_does_not_wrap_plans_four_calls():
     with walks_run() as walkers:
         objective(params, target, WalkSchedule(64), initial_state(16, 1.0, 0.0, m // 2))
     assert [len(w.calls) * w.repeats for w in walkers] == [512]
+
+
+def assert_equal_but_for_zero_signs(got, want):
+    """``got`` equals ``want`` value for value, and every byte in which they
+    differ lies on an exact zero: only the signs of zeros may differ."""
+    assert np.array_equal(got, want)
+    got, want = np.ascontiguousarray(got).view(np.float64), np.ascontiguousarray(want).view(np.float64)
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    assert not got[differ].any() and not want[differ].any()
 
 
 @st.composite
@@ -757,36 +776,44 @@ def cones_that_do_not_wrap(draw):
 @settings(max_examples=150, deadline=None)
 @given(run=cones_that_do_not_wrap(), angles=angles_tuple())
 def test_evolve_on_a_cone_that_does_not_wrap_equals_the_recorded_walk_bit_for_bit(run, angles):
-    # evolve keeps the wrap-around call that objective's walk drops: on
-    # its cone it gives a recorded walk's final state, which keeps it too,
-    # byte for byte, the signs of exact zeros included.
+    # evolve keeps the wrap-around call that the recorded walk drops: on
+    # the cone the two give the same probabilities byte for byte, and the
+    # same amplitudes, whose bytes may differ only in the signs of exact
+    # zeros, which the recorded walk never hands out.
     state, steps = run
     params = SsqwParams.from_array(np.array(angles))
     recorded = walk._Walker(state, steps, 1, record=True)
-    want = recorded.forward(walk._coin_pair(params)).final[:, 0]
-    got = evolve(state, params, WalkSchedule(steps)).amps
-    assert got[:, recorded.sites].tobytes() == want.tobytes()
+    assert calls_per_half_step(recorded) == (4, 4)
+    run = recorded.forward(walk._coin_pair(params))
+    got = evolve(state, params, WalkSchedule(steps))
+    assert_equal_but_for_zero_signs(got.amps[:, recorded.sites], run.final[:, 0])
+    assert position_distribution(got)[recorded.sites].tobytes() == run.probs[0].tobytes()
 
 
 def _batched_rows_equal_single_calls(init, coins1, coins2, steps, sites):
-    """Each row of a batched recorded walk and sweep, as bytes, against
-    its own recorded walk of one row, all on the start's light cone,
-    which has ``sites`` sites."""
+    """Each row of a batched recorded walk and sweep against its own
+    recorded walk of one row, all on the start's light cone, which has
+    ``sites`` sites: probabilities and sweep accumulators as bytes, and
+    final amplitudes but for the signs of exact zeros, which a row's end
+    site may take from the row before it where the walk drops the
+    wrap-around."""
     init = WalkerState(init)
     assert walk._light_cone(init, steps).size == sites
 
     def recorded(c1, c2):
         run = walk._Walker(init, steps, len(c1), record=True)
-        return run, run.forward(np.stack([c1, c2], axis=1)).final.copy()
+        out = run.forward(np.stack([c1, c2], axis=1))
+        return run, out.final.copy(), out.probs.copy()
 
-    batched, final = recorded(coins1, coins2)
+    batched, final, probs = recorded(coins1, coins2)
     # An MSE-style seed: zero wherever the final state is.
     coef = np.linspace(-1.0, 1.0, sites)
     k1, k2 = batched.sweep(coef)
     for b in range(len(coins1)):
         c1, c2 = coins1[b : b + 1], coins2[b : b + 1]
-        single, single_final = recorded(c1, c2)
-        assert final[:, b].tobytes() == single_final[:, 0].tobytes()
+        single, single_final, single_probs = recorded(c1, c2)
+        assert_equal_but_for_zero_signs(final[:, b], single_final[:, 0])
+        assert probs[b].tobytes() == single_probs[0].tobytes()
         g1, g2 = single.sweep(coef)
         assert (k1[b].tobytes(), k2[b].tobytes()) == (g1[0].tobytes(), g2[0].tobytes())
 
@@ -816,6 +843,48 @@ def test_batched_kernel_rows_equal_single_calls():
     # From site 1, the cone wraps past site 0.
     init = initial_state(10, 0.6, 0.8j, 1).amps
     _batched_rows_equal_single_calls(init, *coins(*random_params(3)), 8, 17)
+
+
+def test_a_new_recorded_walk_holds_zeros_where_no_call_writes():
+    # A recorded walk on a cone that does not wrap never writes its first
+    # row's end sites, in either record. They must hold +0.0 from the
+    # start, not what the allocator left: a NaN there would reach the next
+    # row through the flattened adds. Memory freed just before, full of
+    # NaN, is what a fresh buffer of its size most likely reuses.
+    init = initial_state(4, 1.0, 0.0, 8)
+    for _ in range(3):
+        bait = [np.full((15, 2, 8, 15), np.nan + 1j * np.nan) for _ in range(4)]
+        del bait
+        walker = walk._Walker(init, 7, 8, record=True)
+        assert calls_per_half_step(walker) == (4, 4)
+        # Slot 0 holds the start, written once, when the walk is built.
+        assert np.array_equal(walker.states[0], np.broadcast_to(init.amps[:, None, walker.sites], (2, 8, 15)))
+        assert walker.states[1:].tobytes() == bytes(walker.states[1:].nbytes)
+        assert walker.lams.tobytes() == bytes(walker.lams.nbytes)
+
+
+def test_batched_gradient_on_a_cone_that_does_not_wrap_equals_the_whole_ring():
+    # 8 rows of distinct coins, one of them all identity, on a 21-site cone
+    # inside 2**6 sites: the rows' values and gradients equal those of the
+    # same rows on the whole ring as the window 0..M-1, which keeps every
+    # wrap-around, byte for byte. Without it, each back half-step's
+    # flattened add writes a row's end site from the row beside it, so the
+    # window's ends hold adjoint values that are not zero, which the
+    # contraction meets only where the state is zero.
+    rng = np.random.default_rng(73)
+    m, steps = 1 << 6, 10
+    target = TargetDistribution(oracles.random_prob_vec(rng, m), Domain(0.0, float(m)))
+    init = initial_state(6, 0.6, 0.8j, 30)
+    angles = np.insert(rng.uniform(0.0, 2.0 * math.pi, (7, 6)), 3, 0.0, axis=0)
+    scored = optimize._ScoredWalk(init, steps, target, 8, record=True)
+    assert calls_per_half_step(scored.walk) == (4, 4) and scored.walk.sites.size == 21
+    values, grads = scored.values_and_gradients(angles)
+    ends = scored.walk.lams[:, :, 1:][..., [0, -1]]
+    assert ends.any()
+    with mock.patch.object(walk, "_light_cone", lambda state, steps: np.arange(state.num_positions)):
+        ring_values, ring_grads = _mse_and_gradient(angles, target, WalkSchedule(steps), init)
+    assert values.tobytes() == ring_values.tobytes()
+    assert grads.tobytes() == ring_grads.tobytes()
 
 
 def test_evolve_linearity():
